@@ -185,27 +185,6 @@ impl PackedEval<Cluster> for Alg1Policy<'_, '_> {
     }
 }
 
-/// Runs Algorithm 1 (or its Algorithm 2 variant) and returns the
-/// clustering, the generalized table and its loss.
-///
-/// Panicking wrapper over [`crate::try_agglomerative_k_anonymize`]:
-/// domain failures come back as `CoreError`; isolated worker panics and
-/// injected faults are re-raised as a `KanonError` panic payload. When a
-/// work budget (`KANON_WORK_BUDGET` / `kanon_obs::with_work_budget`) is
-/// exhausted mid-run, the valid best-effort result is returned silently —
-/// use the `try_` form to observe the `BudgetExhausted` marker.
-pub fn agglomerative_k_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    cfg: &AgglomerativeConfig,
-) -> Result<KAnonOutput> {
-    match crate::try_agglomerative_k_anonymize(table, costs, cfg) {
-        Ok(out) => Ok(out.into_inner()),
-        Err(kanon_core::KanonError::Core(e)) => Err(e),
-        Err(other) => std::panic::panic_any(other),
-    }
-}
-
 /// Algorithm 1/2 implementation with budget-aware graceful degradation.
 pub(crate) fn agglomerative_impl(
     table: &Table,
@@ -413,8 +392,10 @@ fn finish(table: &Table, costs: &NodeCostTable, done: Vec<Cluster>) -> Result<KA
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::try_agglomerative_k_anonymize;
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
+    use kanon_core::KanonError;
     use kanon_measures::{EntropyMeasure, LmMeasure};
     use std::sync::Arc;
 
@@ -444,7 +425,9 @@ mod tests {
         let costs = NodeCostTable::compute(&t, &LmMeasure);
         for d in ClusterDistance::paper_variants() {
             let cfg = AgglomerativeConfig::new(2).with_distance(d);
-            let out = agglomerative_k_anonymize(&t, &costs, &cfg).unwrap();
+            let out = try_agglomerative_k_anonymize(&t, &costs, &cfg)
+                .unwrap()
+                .into_inner();
             assert_eq!(out.clustering.num_clusters(), 3, "distance {d}");
             assert_eq!(out.clustering.min_cluster_size(), 2);
             // Every cluster must be one of the natural pairs.
@@ -464,7 +447,9 @@ mod tests {
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         for k in [2, 3, 5, 6] {
             let cfg = AgglomerativeConfig::new(k);
-            let out = agglomerative_k_anonymize(&t, &costs, &cfg).unwrap();
+            let out = try_agglomerative_k_anonymize(&t, &costs, &cfg)
+                .unwrap()
+                .into_inner();
             assert!(out.clustering.min_cluster_size() >= k, "k={k}");
             // All rows of a cluster share the same generalized record.
             for c in out.clustering.clusters() {
@@ -480,7 +465,9 @@ mod tests {
         let s = paired_schema();
         let t = paired_table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let out = agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(1)).unwrap();
+        let out = try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(1))
+            .unwrap()
+            .into_inner();
         assert_eq!(out.loss, 0.0);
         assert_eq!(out.clustering.num_clusters(), 6);
     }
@@ -491,12 +478,12 @@ mod tests {
         let t = paired_table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         assert!(matches!(
-            agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(0)),
-            Err(CoreError::InvalidK { .. })
+            try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(0)),
+            Err(KanonError::Core(CoreError::InvalidK { .. }))
         ));
         assert!(matches!(
-            agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(7)),
-            Err(CoreError::InvalidK { .. })
+            try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(7)),
+            Err(KanonError::Core(CoreError::InvalidK { .. }))
         ));
     }
 
@@ -505,7 +492,9 @@ mod tests {
         let s = paired_schema();
         let t = paired_table(&s);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(6)).unwrap();
+        let out = try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(6))
+            .unwrap()
+            .into_inner();
         assert_eq!(out.clustering.num_clusters(), 1);
         assert!((out.loss - 1.0).abs() < 1e-12); // everything suppressed
     }
@@ -524,7 +513,9 @@ mod tests {
         let t = Table::new(Arc::clone(&s), rows).unwrap();
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let cfg = AgglomerativeConfig::new(3).with_modified(true);
-        let out = agglomerative_k_anonymize(&t, &costs, &cfg).unwrap();
+        let out = try_agglomerative_k_anonymize(&t, &costs, &cfg)
+            .unwrap()
+            .into_inner();
         assert!(out.clustering.min_cluster_size() >= 3);
         assert_eq!(
             out.clustering
@@ -552,10 +543,16 @@ mod tests {
         }
         let t = Table::new(Arc::clone(&s), rows).unwrap();
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let basic = agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(3)).unwrap();
-        let modified =
-            agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(3).with_modified(true))
-                .unwrap();
+        let basic = try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(3))
+            .unwrap()
+            .into_inner();
+        let modified = try_agglomerative_k_anonymize(
+            &t,
+            &costs,
+            &AgglomerativeConfig::new(3).with_modified(true),
+        )
+        .unwrap()
+        .into_inner();
         assert_eq!(basic.loss, 0.0);
         assert_eq!(modified.loss, 0.0);
     }
@@ -566,8 +563,12 @@ mod tests {
         let t = paired_table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let cfg = AgglomerativeConfig::new(2).with_distance(ClusterDistance::d4());
-        let a = agglomerative_k_anonymize(&t, &costs, &cfg).unwrap();
-        let b = agglomerative_k_anonymize(&t, &costs, &cfg).unwrap();
+        let a = try_agglomerative_k_anonymize(&t, &costs, &cfg)
+            .unwrap()
+            .into_inner();
+        let b = try_agglomerative_k_anonymize(&t, &costs, &cfg)
+            .unwrap()
+            .into_inner();
         assert_eq!(a.clustering, b.clustering);
         assert_eq!(a.loss, b.loss);
     }
@@ -578,7 +579,9 @@ mod tests {
         let t = paired_table(&s);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
         let cfg = AgglomerativeConfig::new(2).with_distance(ClusterDistance::NergizClifton);
-        let out = agglomerative_k_anonymize(&t, &costs, &cfg).unwrap();
+        let out = try_agglomerative_k_anonymize(&t, &costs, &cfg)
+            .unwrap()
+            .into_inner();
         assert!(out.clustering.min_cluster_size() >= 2);
     }
 }
@@ -591,6 +594,7 @@ mod reference_tests {
     //! exactness invariants (the `Runner` logic) against regressions.
 
     use super::*;
+    use crate::try_agglomerative_k_anonymize;
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
     use kanon_measures::{EntropyMeasure, LmMeasure, NodeCostTable};
@@ -735,7 +739,9 @@ mod reference_tests {
                     let cfg = AgglomerativeConfig::new(3).with_distance(d);
                     // The debug_assert in the merge loop is the real
                     // check (min-distance exactness at every step).
-                    let fast = agglomerative_k_anonymize(&t, &costs, &cfg).unwrap();
+                    let fast = try_agglomerative_k_anonymize(&t, &costs, &cfg)
+                        .unwrap()
+                        .into_inner();
                     // The naive run may resolve distance ties differently,
                     // so clusterings are not comparable pointwise; both
                     // must be valid k-anonymizations of comparable loss.

@@ -1,8 +1,8 @@
-//! Fallible (`try_*`) entry points: the fault-isolating front door.
+//! The algorithm entry points: one `try_*` function per algorithm.
 //!
-//! Every public algorithm has a `try_` variant here returning
-//! [`KanonResult`]. These wrap the shared implementation in
-//! `catch_unwind` and convert every failure mode into a value:
+//! Every public algorithm is called through its `try_` function here,
+//! which returns [`KanonResult`]. Each wraps the shared implementation
+//! in `catch_unwind` and converts every failure mode into a value:
 //!
 //! * domain errors (`CoreError`) pass through as [`KanonError::Core`];
 //! * typed `kanon-fault` injections (raised by armed failpoints, possibly
@@ -12,11 +12,8 @@
 //!   worker index, as guaranteed by `kanon-parallel`);
 //! * any other organic panic becomes [`KanonError::Panic`].
 //!
-//! The panicking wrappers (`kk_anonymize`, `agglomerative_k_anonymize`,
-//! …) are reimplemented on top of these: they unwrap `Core` errors back
-//! into `Result<_, CoreError>` and re-raise everything else as a
-//! `KanonError` panic payload, so pre-existing callers see unchanged
-//! behaviour on valid input — byte-identical outputs at any thread count.
+//! With the fault and budget machinery disarmed (the default), a run's
+//! output is byte-identical at any thread count.
 //!
 //! ## Graceful degradation
 //!
@@ -27,7 +24,8 @@
 //! and complete cheaply, returning
 //! [`Budgeted::BudgetExhausted`]`{ best_so_far, .. }` — a *valid*
 //! k-anonymous result, just more generalized than a full run. With no
-//! budget armed they always return [`Budgeted::Complete`].
+//! budget armed they always return [`Budgeted::Complete`];
+//! [`Budgeted::into_inner`] takes the result either way.
 
 use crate::agglomerative::{agglomerative_impl, AgglomerativeConfig, KAnonOutput};
 use crate::distance::ClusterDistance;
@@ -86,11 +84,6 @@ impl<T> Budgeted<T> {
 /// Public so callers owning their own `catch_unwind` boundary (e.g. the
 /// CLI) classify payloads identically to the `try_*` entry points.
 pub fn error_from_panic(payload: Box<dyn Any + Send>) -> KanonError {
-    // A panicking wrapper re-raised an already-typed error.
-    let payload = match payload.downcast::<KanonError>() {
-        Ok(e) => return *e,
-        Err(p) => p,
-    };
     // An isolated worker panic from kanon-parallel.
     let payload = match payload.downcast::<kanon_parallel::WorkerPanic>() {
         Ok(wp) => {
@@ -135,20 +128,9 @@ fn catch<T>(f: impl FnOnce() -> Result<T>) -> KanonResult<T> {
     }
 }
 
-/// Re-surfaces a `try_*` result for the panicking wrappers: `Core`
-/// errors become plain `CoreError`s, everything else re-raises with the
-/// typed `KanonError` as panic payload (which `error_from_panic`
-/// recognises, so nesting is lossless).
-pub(crate) fn unwrap_or_repanic<T>(r: KanonResult<T>) -> Result<T> {
-    match r {
-        Ok(v) => Ok(v),
-        Err(KanonError::Core(e)) => Err(e),
-        Err(other) => std::panic::panic_any(other),
-    }
-}
-
-/// Fallible form of [`crate::agglomerative_k_anonymize`] (Algorithms
-/// 1/2) with budget-aware graceful degradation.
+/// Runs Algorithm 1 (or its Algorithm 2 variant) and returns the
+/// clustering, the generalized table and its loss, with budget-aware
+/// graceful degradation.
 pub fn try_agglomerative_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -157,8 +139,12 @@ pub fn try_agglomerative_k_anonymize(
     catch(|| agglomerative_impl(table, costs, cfg))
 }
 
-/// Fallible form of [`crate::l_diverse_k_anonymize`] (k-anonymity +
-/// distinct-ℓ-diversity) with budget-aware graceful degradation.
+/// Agglomerative k-anonymization with a distinct-ℓ-diversity maturity
+/// condition: clusters keep merging until they have ≥ k members *and*
+/// ≥ ℓ distinct sensitive values. Budget-aware.
+///
+/// `sensitive[i]` is the sensitive value of row `i` (any dense labelling;
+/// e.g. the CMC contraceptive-method class).
 pub fn try_l_diverse_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -168,8 +154,9 @@ pub fn try_l_diverse_k_anonymize(
     catch(|| ldiversity_impl(table, costs, sensitive, cfg))
 }
 
-/// Fallible form of [`crate::forest_k_anonymize`] (the forest baseline)
-/// with budget-aware graceful degradation.
+/// Runs the forest baseline (Aggarwal et al.) and returns the
+/// clustering, generalized table and loss, with budget-aware graceful
+/// degradation.
 pub fn try_forest_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -178,7 +165,7 @@ pub fn try_forest_k_anonymize(
     catch(|| forest_impl(table, costs, k))
 }
 
-/// Fallible form of [`crate::k1_anonymize`] (Algorithm 3 or 4).
+/// Runs the chosen (k,1)-anonymizer: Algorithm 3 or 4.
 pub fn try_k1_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -188,7 +175,13 @@ pub fn try_k1_anonymize(
     catch(|| k1_impl(table, costs, k, method))
 }
 
-/// Fallible form of [`crate::one_k_anonymize`] (Algorithm 5).
+/// Runs Algorithm 5: returns a (1,k)-anonymization `g'(D)` that
+/// generalizes the input `g(D)` row-wise.
+///
+/// The input may be any generalization of `D` (commonly the output of
+/// Algorithm 3 or 4). The update is sequential in `i`, exactly as in the
+/// paper — later records see earlier upgrades, which is what keeps the
+/// total extra generalization small.
 pub fn try_one_k_anonymize(
     table: &Table,
     gtable: &GeneralizedTable,
@@ -198,7 +191,7 @@ pub fn try_one_k_anonymize(
     catch(|| crate::one_k::one_k_impl(table, gtable, costs, k))
 }
 
-/// Fallible form of [`crate::kk_anonymize`] ((k,k) pipeline).
+/// (k,k)-anonymization: (k,1) stage + Algorithm 5. O(k·n²).
 pub fn try_kk_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -207,8 +200,7 @@ pub fn try_kk_anonymize(
     catch(|| kk_impl(table, costs, cfg))
 }
 
-/// Fallible form of [`crate::global_1k_anonymize`] (global (1,k)
-/// pipeline, Algorithm 6).
+/// Global (1,k)-anonymization: the (k,k) pipeline + Algorithm 6.
 pub fn try_global_1k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -217,8 +209,8 @@ pub fn try_global_1k_anonymize(
     catch(|| global_impl(table, costs, cfg))
 }
 
-/// Fallible form of [`crate::mondrian_k_anonymize`] (top-down Mondrian
-/// baseline) with budget-aware graceful degradation.
+/// Runs the top-down Mondrian-style k-anonymizer, with budget-aware
+/// graceful degradation.
 pub fn try_mondrian_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -227,8 +219,10 @@ pub fn try_mondrian_k_anonymize(
     try_mondrian_k_anonymize_rooted(table, costs, k, &[])
 }
 
-/// Fallible form of [`crate::mondrian_k_anonymize_rooted`]: Mondrian
-/// with `--on-bad-row root` rooted-cell awareness.
+/// [`try_mondrian_k_anonymize`] with rooted-cell awareness:
+/// `rooted_cells` are the `(data_row, attr)` pairs of an
+/// `kanon_data::IngestReport` whose stored leaf is the
+/// `--on-bad-row root` placeholder for "unknown".
 pub fn try_mondrian_k_anonymize_rooted(
     table: &Table,
     costs: &NodeCostTable,
@@ -238,8 +232,8 @@ pub fn try_mondrian_k_anonymize_rooted(
     catch(|| crate::mondrian::mondrian_impl(table, costs, k, rooted_cells))
 }
 
-/// Fallible form of [`crate::sharded_k_anonymize`] (shard-and-conquer
-/// pipeline) with budget-aware graceful degradation.
+/// Shard-and-conquer k-anonymization (DESIGN.md §5f), with budget-aware
+/// graceful degradation.
 pub fn try_sharded_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -248,9 +242,9 @@ pub fn try_sharded_k_anonymize(
     catch(|| crate::shard::sharded_impl(table, costs, None, cfg))
 }
 
-/// Fallible form of [`crate::sharded_l_diverse_k_anonymize`]
-/// (shard-and-conquer with distinct-ℓ-diversity) with budget-aware
-/// graceful degradation.
+/// Shard-and-conquer k-anonymization with distinct-ℓ-diversity
+/// (`sensitive[i]` is row i's sensitive value; `cfg.l` is ℓ), with
+/// budget-aware graceful degradation.
 pub fn try_sharded_l_diverse_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -260,8 +254,8 @@ pub fn try_sharded_l_diverse_k_anonymize(
     catch(|| crate::shard::sharded_impl(table, costs, Some(sensitive), cfg))
 }
 
-/// Fallible form of [`crate::fulldomain_k_anonymize`] (full-domain
-/// lattice enumeration, the Incognito-model baseline).
+/// Finds the minimum-loss k-anonymous full-domain recoding (lattice
+/// enumeration, the Incognito-model baseline).
 pub fn try_fulldomain_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -270,8 +264,7 @@ pub fn try_fulldomain_k_anonymize(
     catch(|| crate::fulldomain::fulldomain_impl(table, costs, k))
 }
 
-/// Fallible form of [`crate::mdav_k_anonymize`] (MDAV-style
-/// microaggregation baseline).
+/// Runs MDAV-style microaggregation (a clustering baseline).
 pub fn try_mdav_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -280,8 +273,7 @@ pub fn try_mdav_k_anonymize(
     catch(|| crate::mdav::mdav_impl(table, costs, k))
 }
 
-/// Fallible form of [`crate::samarati_k_anonymize`] (Samarati's
-/// binary search with a suppression budget).
+/// Runs Samarati's binary search with a suppression budget.
 pub fn try_samarati_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -291,8 +283,8 @@ pub fn try_samarati_k_anonymize(
     catch(|| crate::samarati::samarati_impl(table, costs, k, max_sup))
 }
 
-/// Fallible form of [`crate::optimal_k_anonymize`] (the exhaustive
-/// test oracle — exponential, use on tiny tables only).
+/// Finds an optimal k-anonymization by exhaustive search — the test
+/// oracle; exponential, use on tiny tables only.
 pub fn try_optimal_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -301,8 +293,12 @@ pub fn try_optimal_k_anonymize(
     catch(|| crate::optimal::optimal_impl(table, costs, k))
 }
 
-/// Fallible form of [`crate::best_k_anonymize`] (the "best k-anon"
-/// protocol) with budget-aware graceful degradation across the grid.
+/// The "best k-anon" protocol of Table I: runs the agglomerative
+/// algorithm with each distance function in `distances` (and, when
+/// `include_modified`, also the Algorithm 2 variant) and returns the
+/// lowest-loss output together with the winning configuration, with
+/// budget-aware graceful degradation across the grid. An empty
+/// `distances` list is a [`KanonError::Usage`] error.
 pub fn try_best_k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
@@ -355,8 +351,6 @@ mod tests {
                 point: "p".to_string()
             }
         );
-        let e = error_from_panic(Box::new(KanonError::Usage("u".to_string())));
-        assert_eq!(e, KanonError::Usage("u".to_string()));
         let e = error_from_panic(Box::new(kanon_fault::SpecError {
             message: "unknown fail point `x`".to_string(),
         }));
@@ -369,21 +363,36 @@ mod tests {
         assert!(matches!(e, KanonError::Panic { .. }));
     }
 
-    #[test]
-    fn empty_distance_list_is_a_usage_error() {
+    /// Ten rows of one numeric attribute, with their LM costs.
+    fn ten_rows() -> (Table, NodeCostTable) {
         use kanon_core::record::Record;
         use kanon_core::schema::SchemaBuilder;
         use kanon_measures::LmMeasure;
-        use std::sync::Arc;
         let schema = SchemaBuilder::new()
             .numeric_with_intervals("age", 0, 9, &[5])
             .build_shared()
             .unwrap();
         let rows = (0..10).map(|i| Record::from_raw([i])).collect();
-        let table = Table::new(Arc::clone(&schema), rows).unwrap();
+        let table = Table::new(schema, rows).unwrap();
         let costs = NodeCostTable::compute(&table, &LmMeasure);
+        (table, costs)
+    }
+
+    #[test]
+    fn empty_distance_list_is_a_usage_error() {
+        let (table, costs) = ten_rows();
         let e = try_best_k_anonymize(&table, &costs, 2, &[], false).unwrap_err();
         assert!(matches!(e, KanonError::Usage(_)));
         assert_eq!(e.exit_code(), 2);
+    }
+
+    #[test]
+    fn invalid_k_is_a_core_error_not_a_panic() {
+        let (table, costs) = ten_rows();
+        for k in [0usize, 11] {
+            let e = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap_err();
+            assert!(matches!(e, KanonError::Core(_)), "k={k}: {e}");
+            assert_eq!(e.exit_code(), 1);
+        }
     }
 }

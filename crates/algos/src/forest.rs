@@ -79,22 +79,6 @@ impl UnionFind {
     }
 }
 
-/// Runs the forest baseline and returns the clustering, generalized table
-/// and loss.
-///
-/// Panicking wrapper over [`crate::try_forest_k_anonymize`]: domain
-/// failures come back as `CoreError`; isolated worker panics and injected
-/// faults re-raise as a `KanonError` panic payload. A budget-exhausted
-/// run returns its valid best-effort result silently — use the `try_`
-/// form to observe the `BudgetExhausted` marker.
-pub fn forest_k_anonymize(table: &Table, costs: &NodeCostTable, k: usize) -> Result<KAnonOutput> {
-    match crate::try_forest_k_anonymize(table, costs, k) {
-        Ok(out) => Ok(out.into_inner()),
-        Err(kanon_core::KanonError::Core(e)) => Err(e),
-        Err(other) => std::panic::panic_any(other),
-    }
-}
-
 /// Forest-baseline implementation with budget-aware graceful degradation.
 pub(crate) fn forest_impl(
     table: &Table,
@@ -423,9 +407,11 @@ fn split_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agglomerative::{agglomerative_k_anonymize, AgglomerativeConfig};
+    use crate::agglomerative::AgglomerativeConfig;
+    use crate::{try_agglomerative_k_anonymize, try_forest_k_anonymize};
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
+    use kanon_core::KanonError;
     use kanon_measures::{EntropyMeasure, LmMeasure};
     use std::sync::Arc;
 
@@ -463,7 +449,7 @@ mod tests {
         let t = table(&s, 3); // 24 records
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         for k in [2, 3, 4, 5] {
-            let out = forest_k_anonymize(&t, &costs, k).unwrap();
+            let out = try_forest_k_anonymize(&t, &costs, k).unwrap().into_inner();
             assert!(out.clustering.min_cluster_size() >= k, "k={k}");
             assert!(
                 out.clustering.max_cluster_size() <= 3 * k - 3,
@@ -479,10 +465,16 @@ mod tests {
         let s = schema();
         let t = table(&s, 1);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = forest_k_anonymize(&t, &costs, 1).unwrap();
+        let out = try_forest_k_anonymize(&t, &costs, 1).unwrap().into_inner();
         assert_eq!(out.loss, 0.0);
-        assert!(forest_k_anonymize(&t, &costs, 0).is_err());
-        assert!(forest_k_anonymize(&t, &costs, 9).is_err());
+        assert!(matches!(
+            try_forest_k_anonymize(&t, &costs, 0),
+            Err(KanonError::Core(_))
+        ));
+        assert!(matches!(
+            try_forest_k_anonymize(&t, &costs, 9),
+            Err(KanonError::Core(_))
+        ));
     }
 
     #[test]
@@ -492,7 +484,7 @@ mod tests {
         let s = schema();
         let t = table(&s, 1); // n = 8
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = forest_k_anonymize(&t, &costs, 8).unwrap();
+        let out = try_forest_k_anonymize(&t, &costs, 8).unwrap().into_inner();
         assert_eq!(out.clustering.num_clusters(), 1);
     }
 
@@ -507,8 +499,10 @@ mod tests {
         let s = schema();
         let t = table(&s, 2); // two copies of each value
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let forest = forest_k_anonymize(&t, &costs, 2).unwrap();
-        let agg = agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(2)).unwrap();
+        let forest = try_forest_k_anonymize(&t, &costs, 2).unwrap().into_inner();
+        let agg = try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(2))
+            .unwrap()
+            .into_inner();
         assert_eq!(agg.loss, 0.0);
         assert_eq!(forest.loss, 0.0);
     }
@@ -518,8 +512,8 @@ mod tests {
         let s = schema();
         let t = table(&s, 2);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let a = forest_k_anonymize(&t, &costs, 3).unwrap();
-        let b = forest_k_anonymize(&t, &costs, 3).unwrap();
+        let a = try_forest_k_anonymize(&t, &costs, 3).unwrap().into_inner();
+        let b = try_forest_k_anonymize(&t, &costs, 3).unwrap().into_inner();
         assert_eq!(a.clustering, b.clustering);
     }
 
@@ -533,7 +527,7 @@ mod tests {
         let s = schema();
         let t = table(&s, 2); // rows 0..8 and 8..16, value v = row % 8
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let out = forest_k_anonymize(&t, &costs, 2).unwrap();
+        let out = try_forest_k_anonymize(&t, &costs, 2).unwrap().into_inner();
         let mut clusters: Vec<Vec<u32>> = out
             .clustering
             .clusters()

@@ -12,7 +12,7 @@
 //! Incognito pruning property: once a node is k-anonymous, all its
 //! ancestors are, so their k-checks can be skipped.
 //!
-//! [`fulldomain_k_anonymize`] enumerates the lattice bottom-up with that
+//! [`crate::try_fulldomain_k_anonymize`] enumerates the lattice bottom-up with that
 //! pruning and returns the minimum-loss k-anonymous node. Lattices here
 //! are small (the paper's hierarchies are 2–5 levels deep), so exhaustive
 //! enumeration with pruning is exact and fast.
@@ -56,21 +56,8 @@ fn ancestor_at(h: &Hierarchy, leaf: NodeId, steps: u8) -> NodeId {
     cur
 }
 
-/// Finds the minimum-loss k-anonymous full-domain recoding.
-///
-/// Panicking wrapper over [`crate::try_fulldomain_k_anonymize`]: domain
-/// failures come back as `CoreError`; injected faults and organic panics
-/// re-raise as a `KanonError` panic payload.
-pub fn fulldomain_k_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    k: usize,
-) -> Result<FullDomainOutput> {
-    crate::fallible::unwrap_or_repanic(crate::try_fulldomain_k_anonymize(table, costs, k))
-}
-
-/// Full-domain lattice enumeration (the implementation behind the
-/// panicking wrapper and its `try_` twin).
+/// Full-domain lattice enumeration (the implementation behind
+/// [`crate::try_fulldomain_k_anonymize`]).
 pub(crate) fn fulldomain_impl(
     table: &Table,
     costs: &NodeCostTable,
@@ -222,9 +209,11 @@ pub(crate) fn fulldomain_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agglomerative::{agglomerative_k_anonymize, AgglomerativeConfig};
+    use crate::agglomerative::AgglomerativeConfig;
+    use crate::{try_agglomerative_k_anonymize, try_fulldomain_k_anonymize};
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
+    use kanon_core::KanonError;
     use kanon_measures::{EntropyMeasure, LmMeasure};
     use std::sync::Arc;
 
@@ -246,7 +235,7 @@ mod tests {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
         for k in [2, 4, 8] {
-            let out = fulldomain_k_anonymize(&t, &costs, k).unwrap();
+            let out = try_fulldomain_k_anonymize(&t, &costs, k).unwrap();
             assert!(out.output.clustering.min_cluster_size() >= k, "k={k}");
             assert!(kanon_core::generalize::is_generalization_of(&t, &out.output.table).unwrap());
         }
@@ -258,7 +247,7 @@ mod tests {
         // so every generalized entry of attribute j has the same height.
         let t = table();
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let out = fulldomain_k_anonymize(&t, &costs, 4).unwrap();
+        let out = try_fulldomain_k_anonymize(&t, &costs, 4).unwrap();
         let schema = t.schema();
         for j in 0..schema.num_attrs() {
             let h = schema.attr(j).hierarchy();
@@ -289,9 +278,10 @@ mod tests {
             NodeCostTable::compute(&t, &LmMeasure),
         ] {
             for k in [2, 4] {
-                let full = fulldomain_k_anonymize(&t, &costs, k).unwrap();
-                let local =
-                    agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(k)).unwrap();
+                let full = try_fulldomain_k_anonymize(&t, &costs, k).unwrap();
+                let local = try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(k))
+                    .unwrap()
+                    .into_inner();
                 assert!(
                     local.loss <= full.output.loss + 1e-9,
                     "k={k} {}: local {} > full-domain {}",
@@ -307,7 +297,7 @@ mod tests {
     fn pruning_skips_dominated_nodes() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = fulldomain_k_anonymize(&t, &costs, 2).unwrap();
+        let out = try_fulldomain_k_anonymize(&t, &costs, 2).unwrap();
         assert!(out.nodes_tested <= out.lattice_size);
         assert!(out.lattice_size > 0);
         // Lattice of this schema: (2+1 levels for c) × (3+1 for x) = 12.
@@ -318,7 +308,7 @@ mod tests {
     fn k_equals_n_suppresses_everything_or_less() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = fulldomain_k_anonymize(&t, &costs, 16).unwrap();
+        let out = try_fulldomain_k_anonymize(&t, &costs, 16).unwrap();
         assert_eq!(out.output.clustering.num_clusters(), 1);
     }
 
@@ -326,7 +316,13 @@ mod tests {
     fn invalid_k_rejected() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        assert!(fulldomain_k_anonymize(&t, &costs, 0).is_err());
-        assert!(fulldomain_k_anonymize(&t, &costs, 17).is_err());
+        assert!(matches!(
+            try_fulldomain_k_anonymize(&t, &costs, 0),
+            Err(KanonError::Core(_))
+        ));
+        assert!(matches!(
+            try_fulldomain_k_anonymize(&t, &costs, 17),
+            Err(KanonError::Core(_))
+        ));
     }
 }

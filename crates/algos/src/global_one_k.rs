@@ -212,7 +212,7 @@ pub fn global_1k_from_kk(
 mod tests {
     use super::*;
     use crate::k1::k1_expansion;
-    use crate::one_k::one_k_anonymize;
+    use crate::try_one_k_anonymize;
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
     use kanon_matching::Matching;
@@ -334,7 +334,7 @@ mod tests {
         for k in [2, 3] {
             let costs = NodeCostTable::compute(&t, &EntropyMeasure);
             let k1 = k1_expansion(&t, &costs, k).unwrap();
-            let kk = one_k_anonymize(&t, &k1.table, &costs, k).unwrap();
+            let kk = try_one_k_anonymize(&t, &k1.table, &costs, k).unwrap();
             let out = global_1k_from_kk(&t, &kk.table, &costs, k).unwrap();
             assert!(global_level(&t, &out.table) >= k, "k={k}");
             // Still a row-wise generalization.
@@ -398,7 +398,7 @@ mod tests {
                     _ => NodeCostTable::compute(&t, &LmMeasure),
                 };
                 let k1 = k1_expansion(&t, &costs, k).unwrap();
-                let kk = one_k_anonymize(&t, &k1.table, &costs, k).unwrap();
+                let kk = try_one_k_anonymize(&t, &k1.table, &costs, k).unwrap();
                 let fast = global_1k_from_kk(&t, &kk.table, &costs, k).unwrap();
                 let refr = global_1k_reference(&t, &kk.table, &costs, k).unwrap();
                 assert_eq!(
@@ -426,7 +426,7 @@ mod tests {
         for k in [2, 3] {
             let costs = NodeCostTable::compute(&t, &EntropyMeasure);
             let k1 = k1_expansion(&t, &costs, k).unwrap();
-            let kk = one_k_anonymize(&t, &k1.table, &costs, k).unwrap();
+            let kk = try_one_k_anonymize(&t, &k1.table, &costs, k).unwrap();
             let c = Collector::new();
             let out = {
                 let _g = c.install();
@@ -453,7 +453,7 @@ mod tests {
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let k1 = k1_expansion(&t, &costs, 2).unwrap();
-        let kk = one_k_anonymize(&t, &k1.table, &costs, 2).unwrap();
+        let kk = try_one_k_anonymize(&t, &k1.table, &costs, 2).unwrap();
         let out = global_1k_from_kk(&t, &kk.table, &costs, 2).unwrap();
         // Every deficient record required at least one upgrade.
         assert!(out.upgrade_steps >= out.deficient_records);

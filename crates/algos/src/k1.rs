@@ -255,11 +255,14 @@ mod tests {
         // (k,1) relaxes k-anonymity, so the best (k,1) loss can only be ≤
         // the loss of any k-anonymization. Compare against the
         // agglomerative output.
-        use crate::agglomerative::{agglomerative_k_anonymize, AgglomerativeConfig};
+        use crate::agglomerative::AgglomerativeConfig;
+        use crate::try_agglomerative_k_anonymize;
         let s = schema();
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let kanon = agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(2)).unwrap();
+        let kanon = try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(2))
+            .unwrap()
+            .into_inner();
         let k1 = k1_expansion(&t, &costs, 2).unwrap();
         assert!(k1.loss <= kanon.loss + 1e-12);
     }

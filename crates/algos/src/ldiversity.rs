@@ -30,7 +30,7 @@ use kanon_core::table::Table;
 use kanon_measures::NodeCostTable;
 use std::collections::BTreeMap;
 
-/// Configuration for [`l_diverse_k_anonymize`].
+/// Configuration for [`crate::try_l_diverse_k_anonymize`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LDiverseConfig {
     /// The anonymity parameter `k ≥ 1`.
@@ -253,32 +253,6 @@ fn distribute_leftover(
         c.members.sort_unstable();
     }
     Ok(())
-}
-
-/// Agglomerative k-anonymization with a distinct-ℓ-diversity maturity
-/// condition: clusters keep merging until they have ≥ k members *and*
-/// ≥ ℓ distinct sensitive values.
-///
-/// `sensitive[i]` is the sensitive value of row `i` (any dense labelling;
-/// e.g. the CMC contraceptive-method class).
-///
-/// Panicking wrapper over [`crate::try_l_diverse_k_anonymize`]: domain
-/// failures come back as `CoreError`; isolated worker panics and injected
-/// faults are re-raised as a `KanonError` panic payload. When a work
-/// budget (`KANON_WORK_BUDGET` / `kanon_obs::with_work_budget`) is
-/// exhausted mid-run, the valid best-effort result is returned silently —
-/// use the `try_` form to observe the `BudgetExhausted` marker.
-pub fn l_diverse_k_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    sensitive: &[u32],
-    cfg: &LDiverseConfig,
-) -> Result<KAnonOutput> {
-    match crate::try_l_diverse_k_anonymize(table, costs, sensitive, cfg) {
-        Ok(out) => Ok(out.into_inner()),
-        Err(kanon_core::KanonError::Core(e)) => Err(e),
-        Err(other) => std::panic::panic_any(other),
-    }
 }
 
 /// ℓ-diverse implementation with budget-aware graceful degradation.
@@ -513,8 +487,10 @@ pub fn l_diverse_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::try_l_diverse_k_anonymize;
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
+    use kanon_core::KanonError;
     use kanon_measures::EntropyMeasure;
     use std::sync::Arc;
 
@@ -553,8 +529,9 @@ mod tests {
     fn output_is_k_anonymous_and_l_diverse() {
         let (t, sensitive, costs) = setup(18);
         for (k, l) in [(2, 2), (3, 2), (3, 3), (4, 2)] {
-            let out =
-                l_diverse_k_anonymize(&t, &costs, &sensitive, &LDiverseConfig::new(k, l)).unwrap();
+            let out = try_l_diverse_k_anonymize(&t, &costs, &sensitive, &LDiverseConfig::new(k, l))
+                .unwrap()
+                .into_inner();
             assert!(out.clustering.min_cluster_size() >= k, "k={k} l={l}");
             assert!(class_diversity(&out, &sensitive) >= l, "k={k} l={l}");
         }
@@ -568,14 +545,16 @@ mod tests {
         // Sensitive values aligned with the attribute: cluster {a,a} would
         // be homogeneous.
         let sensitive: Vec<u32> = (0..12).map(|i| (i % 6) as u32 / 2).collect();
-        let plain = crate::agglomerative::agglomerative_k_anonymize(
+        let plain = crate::try_agglomerative_k_anonymize(
             &t,
             &costs,
             &crate::agglomerative::AgglomerativeConfig::new(2),
         )
-        .unwrap();
-        let diverse =
-            l_diverse_k_anonymize(&t, &costs, &sensitive, &LDiverseConfig::new(2, 2)).unwrap();
+        .unwrap()
+        .into_inner();
+        let diverse = try_l_diverse_k_anonymize(&t, &costs, &sensitive, &LDiverseConfig::new(2, 2))
+            .unwrap()
+            .into_inner();
         assert!(diverse.loss >= plain.loss - 1e-12);
         assert!(class_diversity(&diverse, &sensitive) >= 2);
     }
@@ -587,9 +566,12 @@ mod tests {
         // message must name ℓ.
         let (t, _, costs) = setup(12);
         let homogeneous = vec![7u32; 12];
-        let err = l_diverse_k_anonymize(&t, &costs, &homogeneous, &LDiverseConfig::new(2, 2))
+        let err = try_l_diverse_k_anonymize(&t, &costs, &homogeneous, &LDiverseConfig::new(2, 2))
             .unwrap_err();
-        assert_eq!(err, CoreError::InvalidL { l: 2, distinct: 1 });
+        assert_eq!(
+            err,
+            KanonError::Core(CoreError::InvalidL { l: 2, distinct: 1 })
+        );
         let msg = err.to_string();
         assert!(
             msg.contains("\u{2113}=2"),
@@ -601,23 +583,27 @@ mod tests {
         );
         // ℓ = 0 is rejected the same way.
         assert!(matches!(
-            l_diverse_k_anonymize(&t, &costs, &homogeneous, &LDiverseConfig::new(2, 0)),
-            Err(CoreError::InvalidL { l: 0, .. })
+            try_l_diverse_k_anonymize(&t, &costs, &homogeneous, &LDiverseConfig::new(2, 0)),
+            Err(KanonError::Core(CoreError::InvalidL { l: 0, .. }))
         ));
     }
 
     #[test]
     fn k1_l1_is_identity() {
         let (t, sensitive, costs) = setup(12);
-        let out =
-            l_diverse_k_anonymize(&t, &costs, &sensitive, &LDiverseConfig::new(1, 1)).unwrap();
+        let out = try_l_diverse_k_anonymize(&t, &costs, &sensitive, &LDiverseConfig::new(1, 1))
+            .unwrap()
+            .into_inner();
         assert_eq!(out.loss, 0.0);
     }
 
     #[test]
     fn length_mismatch_rejected() {
         let (t, _, costs) = setup(12);
-        assert!(l_diverse_k_anonymize(&t, &costs, &[0, 1], &LDiverseConfig::new(2, 2)).is_err());
+        assert!(matches!(
+            try_l_diverse_k_anonymize(&t, &costs, &[0, 1], &LDiverseConfig::new(2, 2)),
+            Err(KanonError::Core(_))
+        ));
     }
 
     #[test]
@@ -631,7 +617,9 @@ mod tests {
             let (t, sensitive, costs) = setup(n);
             for (k, l) in [(2, 2), (3, 2), (3, 3), (5, 2)] {
                 let cfg = LDiverseConfig::new(k, l);
-                let fast = l_diverse_k_anonymize(&t, &costs, &sensitive, &cfg).unwrap();
+                let fast = try_l_diverse_k_anonymize(&t, &costs, &sensitive, &cfg)
+                    .unwrap()
+                    .into_inner();
                 let refr = l_diverse_reference(&t, &costs, &sensitive, &cfg).unwrap();
                 assert_eq!(fast.clustering, refr.clustering, "n={n} k={k} l={l}");
                 assert_eq!(

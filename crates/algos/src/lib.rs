@@ -6,17 +6,22 @@
 //!
 //! | Paper artefact | Here |
 //! |---|---|
-//! | Algorithm 1 (basic agglomerative k-anonymizer) | [`agglomerative_k_anonymize`] |
+//! | Algorithm 1 (basic agglomerative k-anonymizer) | [`try_agglomerative_k_anonymize`] |
 //! | Algorithm 2 (modified agglomerative) | [`AgglomerativeConfig::modified`] |
 //! | Distance functions (8)–(11) + Nergiz–Clifton | [`ClusterDistance`] |
 //! | Algorithm 3 ((k,1) by nearest neighbours) | [`k1_nearest_neighbors`] |
 //! | Algorithm 4 ((k,1) by expansion) | [`k1_expansion`] |
-//! | Algorithm 5 ((1,k)-anonymizer) | [`one_k_anonymize`] |
+//! | Algorithm 5 ((1,k)-anonymizer) | [`try_one_k_anonymize`] |
 //! | Algorithm 6 ((k,k) → global (1,k)) | [`global_1k_from_kk`] |
-//! | Forest baseline (Aggarwal et al., 3(k−1)-approx) | [`forest_k_anonymize`] |
-//! | Exhaustive optima (test oracles) | [`optimal_k_anonymize`], [`k1_optimal_bruteforce`] |
-//! | End-to-end pipelines | [`kk_anonymize`], [`global_1k_anonymize`], [`best_k_anonymize`] |
-//! | Shard-and-conquer scale-out (n → 10⁶) | [`sharded_k_anonymize`], [`sharded_l_diverse_k_anonymize`] |
+//! | Forest baseline (Aggarwal et al., 3(k−1)-approx) | [`try_forest_k_anonymize`] |
+//! | Exhaustive optima (test oracles) | [`try_optimal_k_anonymize`], [`k1_optimal_bruteforce`] |
+//! | End-to-end pipelines | [`try_kk_anonymize`], [`try_global_1k_anonymize`], [`try_best_k_anonymize`] |
+//! | Shard-and-conquer scale-out (n → 10⁶) | [`try_sharded_k_anonymize`], [`try_sharded_l_diverse_k_anonymize`] |
+//!
+//! Each algorithm has one entry point, a `try_*` function (see
+//! [`fallible`]) returning [`kanon_core::KanonResult`]. Those that honour
+//! the work budget wrap their output in [`Budgeted`]; call
+//! [`Budgeted::into_inner`] when a best-effort result is good enough.
 //!
 //! All algorithms are parameterized by a precomputed
 //! [`kanon_measures::NodeCostTable`], so they work identically under the
@@ -24,7 +29,7 @@
 //! [`kanon_measures::EntryMeasure`].
 //!
 //! ```
-//! use kanon_algos::{kk_anonymize, KkConfig};
+//! use kanon_algos::{try_kk_anonymize, KkConfig};
 //! use kanon_core::{Record, SchemaBuilder, Table};
 //! use kanon_measures::{LmMeasure, NodeCostTable};
 //! use std::sync::Arc;
@@ -37,7 +42,7 @@
 //! let table = Table::new(Arc::clone(&schema), rows).unwrap();
 //! let costs = NodeCostTable::compute(&table, &LmMeasure);
 //!
-//! let out = kk_anonymize(&table, &costs, &KkConfig::new(5)).unwrap();
+//! let out = try_kk_anonymize(&table, &costs, &KkConfig::new(5)).unwrap();
 //! // Every 5-year band holds 5 records: the (k,1) stage pays one band…
 //! assert!(out.loss > 0.0 && out.loss < 1.0);
 //! ```
@@ -63,9 +68,7 @@ pub mod pipeline;
 pub mod samarati;
 pub mod shard;
 
-pub use agglomerative::{
-    agglomerative_k_anonymize, nn_rescan_pass, AgglomerativeConfig, KAnonOutput,
-};
+pub use agglomerative::{nn_rescan_pass, AgglomerativeConfig, KAnonOutput};
 pub use cost::CostContext;
 pub use distance::{ClusterDistance, DEFAULT_EPSILON};
 pub use engine::{ClusterPolicy, RunOutcome};
@@ -76,20 +79,10 @@ pub use fallible::{
     try_mondrian_k_anonymize_rooted, try_one_k_anonymize, try_optimal_k_anonymize,
     try_samarati_k_anonymize, try_sharded_k_anonymize, try_sharded_l_diverse_k_anonymize, Budgeted,
 };
-pub use forest::forest_k_anonymize;
-pub use fulldomain::{fulldomain_k_anonymize, FullDomainOutput, RecodingLevels};
+pub use fulldomain::{FullDomainOutput, RecodingLevels};
 pub use global_one_k::{global_1k_from_kk, GlobalOutput};
 pub use k1::{k1_expansion, k1_nearest_neighbors, k1_optimal_bruteforce, GenOutput};
-pub use ldiversity::{l_diverse_k_anonymize, LDiverseConfig};
-pub use mdav::mdav_k_anonymize;
-pub use mondrian::{mondrian_k_anonymize, mondrian_k_anonymize_rooted};
-pub use one_k::one_k_anonymize;
-pub use optimal::optimal_k_anonymize;
-pub use pipeline::{
-    best_k_anonymize, global_1k_anonymize, k1_anonymize, kk_anonymize, GlobalConfig, K1Method,
-    KkConfig,
-};
-pub use samarati::{samarati_k_anonymize, SamaratiOutput};
-pub use shard::{
-    sharded_k_anonymize, sharded_l_diverse_k_anonymize, ShardConfig, ShardStats, ShardedOutput,
-};
+pub use ldiversity::LDiverseConfig;
+pub use pipeline::{GlobalConfig, K1Method, KkConfig};
+pub use samarati::SamaratiOutput;
+pub use shard::{ShardConfig, ShardStats, ShardedOutput};

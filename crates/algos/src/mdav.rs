@@ -24,17 +24,8 @@ use kanon_core::error::{CoreError, Result};
 use kanon_core::table::Table;
 use kanon_measures::NodeCostTable;
 
-/// Runs MDAV-style microaggregation.
-///
-/// Panicking wrapper over [`crate::try_mdav_k_anonymize`]: domain
-/// failures come back as `CoreError`; injected faults and organic panics
-/// re-raise as a `KanonError` panic payload.
-pub fn mdav_k_anonymize(table: &Table, costs: &NodeCostTable, k: usize) -> Result<KAnonOutput> {
-    crate::fallible::unwrap_or_repanic(crate::try_mdav_k_anonymize(table, costs, k))
-}
-
-/// MDAV round loop (the implementation behind the panicking wrapper and
-/// its `try_` twin).
+/// MDAV round loop (the implementation behind
+/// [`crate::try_mdav_k_anonymize`]).
 pub(crate) fn mdav_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Result<KAnonOutput> {
     let n = table.num_rows();
     if k == 0 || k > n {
@@ -142,8 +133,10 @@ pub(crate) fn mdav_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::try_mdav_k_anonymize;
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
+    use kanon_core::KanonError;
     use kanon_measures::{EntropyMeasure, LmMeasure};
     use std::sync::Arc;
 
@@ -169,7 +162,7 @@ mod tests {
             let t = table(n);
             let costs = NodeCostTable::compute(&t, &EntropyMeasure);
             for k in [2, 3, 5] {
-                let out = mdav_k_anonymize(&t, &costs, k).unwrap();
+                let out = try_mdav_k_anonymize(&t, &costs, k).unwrap();
                 assert!(
                     out.clustering.min_cluster_size() >= k,
                     "n={n} k={k}: min {}",
@@ -192,7 +185,7 @@ mod tests {
         // MDAV builds clusters of exactly k except the last (≤ 2k−1).
         let t = table(23);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = mdav_k_anonymize(&t, &costs, 4).unwrap();
+        let out = try_mdav_k_anonymize(&t, &costs, 4).unwrap();
         let mut sizes: Vec<usize> = out.clustering.clusters().iter().map(Vec::len).collect();
         sizes.sort_unstable();
         assert!(*sizes.last().unwrap() <= 2 * 4 - 1 + 3); // last + absorbed stragglers
@@ -203,8 +196,8 @@ mod tests {
     fn deterministic() {
         let t = table(20);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let a = mdav_k_anonymize(&t, &costs, 3).unwrap();
-        let b = mdav_k_anonymize(&t, &costs, 3).unwrap();
+        let a = try_mdav_k_anonymize(&t, &costs, 3).unwrap();
+        let b = try_mdav_k_anonymize(&t, &costs, 3).unwrap();
         assert_eq!(a.clustering, b.clustering);
     }
 
@@ -212,15 +205,21 @@ mod tests {
     fn invalid_k_rejected() {
         let t = table(10);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        assert!(mdav_k_anonymize(&t, &costs, 0).is_err());
-        assert!(mdav_k_anonymize(&t, &costs, 11).is_err());
+        assert!(matches!(
+            try_mdav_k_anonymize(&t, &costs, 0),
+            Err(KanonError::Core(_))
+        ));
+        assert!(matches!(
+            try_mdav_k_anonymize(&t, &costs, 11),
+            Err(KanonError::Core(_))
+        ));
     }
 
     #[test]
     fn k_equals_n_single_cluster() {
         let t = table(8);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let out = mdav_k_anonymize(&t, &costs, 8).unwrap();
+        let out = try_mdav_k_anonymize(&t, &costs, 8).unwrap();
         assert_eq!(out.clustering.num_clusters(), 1);
     }
 }

@@ -23,16 +23,16 @@
 //! those cells hold the hierarchy *root* ("unknown"), not the patched
 //! leaf. The splitter used to place every member by the child containing
 //! its leaf value, panicking when a cell's effective value was an
-//! interior/root node no child contains. [`mondrian_k_anonymize_rooted`]
-//! threads the rooted-cell set through: a rooted attribute's closure is
-//! lifted to the root, and an attribute whose closure node *is* some
-//! member's effective value is unsplittable for that cluster. Truly
-//! inconsistent annotations (cells outside the table) are a typed
-//! [`CoreError`] instead of a panic.
+//! interior/root node no child contains.
+//! [`crate::try_mondrian_k_anonymize_rooted`] threads the rooted-cell
+//! set through: a rooted attribute's closure is lifted to the root, and
+//! an attribute whose closure node *is* some member's effective value is
+//! unsplittable for that cluster. Truly inconsistent annotations (cells
+//! outside the table) are a typed [`CoreError`] instead of a panic.
 
 use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
-use crate::fallible::{unwrap_or_repanic, Budgeted};
+use crate::fallible::Budgeted;
 use kanon_core::cluster::Clustering;
 use kanon_core::error::{CoreError, Result};
 use kanon_core::hierarchy::{Hierarchy, NodeId};
@@ -171,32 +171,6 @@ pub(crate) fn pack_two_bins(groups: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
     (left, right)
 }
 
-/// Runs the top-down Mondrian-style k-anonymizer.
-///
-/// Panicking wrapper over [`crate::try_mondrian_k_anonymize`]. When a
-/// work budget (`KANON_WORK_BUDGET` / `kanon_obs::with_work_budget`) is
-/// exhausted mid-run, the valid best-effort result is returned silently —
-/// use the `try_` form to observe the `BudgetExhausted` marker.
-pub fn mondrian_k_anonymize(table: &Table, costs: &NodeCostTable, k: usize) -> Result<KAnonOutput> {
-    mondrian_k_anonymize_rooted(table, costs, k, &[])
-}
-
-/// [`mondrian_k_anonymize`] with rooted-cell awareness: `rooted_cells`
-/// are the `(data_row, attr)` pairs of an
-/// `kanon_data::IngestReport` whose stored leaf is the
-/// `--on-bad-row root` placeholder for "unknown".
-pub fn mondrian_k_anonymize_rooted(
-    table: &Table,
-    costs: &NodeCostTable,
-    k: usize,
-    rooted_cells: &[(usize, usize)],
-) -> Result<KAnonOutput> {
-    unwrap_or_repanic(
-        crate::try_mondrian_k_anonymize_rooted(table, costs, k, rooted_cells)
-            .map(Budgeted::into_inner),
-    )
-}
-
 /// Mondrian implementation with budget-aware graceful degradation.
 pub(crate) fn mondrian_impl(
     table: &Table,
@@ -314,8 +288,10 @@ pub(crate) fn mondrian_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{try_mondrian_k_anonymize, try_mondrian_k_anonymize_rooted};
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
+    use kanon_core::KanonError;
     use kanon_measures::{EntropyMeasure, LmMeasure};
     use std::sync::Arc;
 
@@ -337,7 +313,9 @@ mod tests {
         let t = table();
         for k in [2, 3, 5, 12] {
             let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-            let out = mondrian_k_anonymize(&t, &costs, k).unwrap();
+            let out = try_mondrian_k_anonymize(&t, &costs, k)
+                .unwrap()
+                .into_inner();
             assert!(out.clustering.min_cluster_size() >= k, "k={k}");
             assert!(kanon_core::generalize::is_generalization_of(&t, &out.table).unwrap());
         }
@@ -347,7 +325,9 @@ mod tests {
     fn splits_reduce_loss_vs_single_cluster() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = mondrian_k_anonymize(&t, &costs, 3).unwrap();
+        let out = try_mondrian_k_anonymize(&t, &costs, 3)
+            .unwrap()
+            .into_inner();
         // One big cluster would cost the full-table closure cost.
         let all: Vec<u32> = (0..t.num_rows() as u32).collect();
         let ctx = crate::cost::CostContext::new(&t, &costs);
@@ -360,7 +340,9 @@ mod tests {
     fn small_tables_stay_single_cluster() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let out = mondrian_k_anonymize(&t, &costs, 13).unwrap();
+        let out = try_mondrian_k_anonymize(&t, &costs, 13)
+            .unwrap()
+            .into_inner();
         // 24 rows with k = 13: no split can give two bins ≥ 13.
         assert_eq!(out.clustering.num_clusters(), 1);
     }
@@ -369,16 +351,26 @@ mod tests {
     fn invalid_k_rejected() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        assert!(mondrian_k_anonymize(&t, &costs, 0).is_err());
-        assert!(mondrian_k_anonymize(&t, &costs, 25).is_err());
+        assert!(matches!(
+            try_mondrian_k_anonymize(&t, &costs, 0),
+            Err(KanonError::Core(_))
+        ));
+        assert!(matches!(
+            try_mondrian_k_anonymize(&t, &costs, 25),
+            Err(KanonError::Core(_))
+        ));
     }
 
     #[test]
     fn deterministic() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let a = mondrian_k_anonymize(&t, &costs, 3).unwrap();
-        let b = mondrian_k_anonymize(&t, &costs, 3).unwrap();
+        let a = try_mondrian_k_anonymize(&t, &costs, 3)
+            .unwrap()
+            .into_inner();
+        let b = try_mondrian_k_anonymize(&t, &costs, 3)
+            .unwrap()
+            .into_inner();
         assert_eq!(a.clustering, b.clustering);
     }
 
@@ -406,7 +398,9 @@ mod tests {
         assert!(!report.rooted_cells.is_empty());
         for k in [2, 3, 5] {
             let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-            let out = mondrian_k_anonymize_rooted(&t, &costs, k, &report.rooted_cells).unwrap();
+            let out = try_mondrian_k_anonymize_rooted(&t, &costs, k, &report.rooted_cells)
+                .unwrap()
+                .into_inner();
             assert!(out.clustering.min_cluster_size() >= k, "k={k}");
             // Every cluster holding a rooted row must generalize the
             // rooted attribute to the root (the cell's true value is
@@ -423,18 +417,28 @@ mod tests {
     fn rooted_cells_outside_the_table_are_typed_errors() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let err = mondrian_k_anonymize_rooted(&t, &costs, 3, &[(999, 0)]).unwrap_err();
-        assert!(matches!(err, CoreError::InconsistentInput(_)), "{err}");
-        let err = mondrian_k_anonymize_rooted(&t, &costs, 3, &[(0, 9)]).unwrap_err();
-        assert!(matches!(err, CoreError::AttrOutOfRange { .. }), "{err}");
+        let err = try_mondrian_k_anonymize_rooted(&t, &costs, 3, &[(999, 0)]).unwrap_err();
+        assert!(
+            matches!(err, KanonError::Core(CoreError::InconsistentInput(_))),
+            "{err}"
+        );
+        let err = try_mondrian_k_anonymize_rooted(&t, &costs, 3, &[(0, 9)]).unwrap_err();
+        assert!(
+            matches!(err, KanonError::Core(CoreError::AttrOutOfRange { .. })),
+            "{err}"
+        );
     }
 
     #[test]
     fn rooted_run_equals_plain_run_when_no_cells_are_rooted() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let plain = mondrian_k_anonymize(&t, &costs, 3).unwrap();
-        let rooted = mondrian_k_anonymize_rooted(&t, &costs, 3, &[]).unwrap();
+        let plain = try_mondrian_k_anonymize(&t, &costs, 3)
+            .unwrap()
+            .into_inner();
+        let rooted = try_mondrian_k_anonymize_rooted(&t, &costs, 3, &[])
+            .unwrap()
+            .into_inner();
         assert_eq!(plain.clustering, rooted.clustering);
         assert_eq!(plain.loss.to_bits(), rooted.loss.to_bits());
     }

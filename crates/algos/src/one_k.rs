@@ -17,24 +17,6 @@ use kanon_core::generalize::{is_consistent, record_join_ground};
 use kanon_core::table::{check_aligned, GeneralizedTable, Table};
 use kanon_measures::NodeCostTable;
 
-/// Runs Algorithm 5: returns a (1,k)-anonymization `g'(D)` that
-/// generalizes the input `g(D)` row-wise.
-///
-/// The input may be any generalization of `D` (commonly the output of
-/// Algorithm 3 or 4). The update is sequential in `i`, exactly as in the
-/// paper — later records see earlier upgrades, which is what keeps the
-/// total extra generalization small.
-///
-/// Panicking wrapper over [`crate::try_one_k_anonymize`].
-pub fn one_k_anonymize(
-    table: &Table,
-    gtable: &GeneralizedTable,
-    costs: &NodeCostTable,
-    k: usize,
-) -> Result<GenOutput> {
-    crate::fallible::unwrap_or_repanic(crate::try_one_k_anonymize(table, gtable, costs, k))
-}
-
 pub(crate) fn one_k_impl(
     table: &Table,
     gtable: &GeneralizedTable,
@@ -89,8 +71,10 @@ pub(crate) fn one_k_impl(
 mod tests {
     use super::*;
     use crate::k1::{k1_expansion, k1_nearest_neighbors};
+    use crate::try_one_k_anonymize;
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
+    use kanon_core::KanonError;
     use kanon_measures::{EntropyMeasure, LmMeasure};
     use std::sync::Arc;
 
@@ -139,7 +123,7 @@ mod tests {
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let idg = GeneralizedTable::identity_of(&t);
         for k in [2, 3] {
-            let out = one_k_anonymize(&t, &idg, &costs, k).unwrap();
+            let out = try_one_k_anonymize(&t, &idg, &costs, k).unwrap();
             assert!(min_left_degree(&t, &out.table) >= k, "k={k}");
             // Output still generalizes the original row-wise.
             assert!(kanon_core::generalize::is_generalization_of(&t, &out.table).unwrap());
@@ -156,7 +140,7 @@ mod tests {
                 k1_nearest_neighbors(&t, &costs, k).unwrap(),
                 k1_expansion(&t, &costs, k).unwrap(),
             ] {
-                let out = one_k_anonymize(&t, &k1.table, &costs, k).unwrap();
+                let out = try_one_k_anonymize(&t, &k1.table, &costs, k).unwrap();
                 // (1,k): every original consistent with ≥ k generalized.
                 assert!(min_left_degree(&t, &out.table) >= k);
                 // (k,1): preserved because rows only got MORE general.
@@ -182,7 +166,7 @@ mod tests {
         let star = kanon_core::GeneralizedRecord::new(s.suppressed_nodes());
         let g =
             GeneralizedTable::new(Arc::clone(&s), (0..6).map(|_| star.clone()).collect()).unwrap();
-        let out = one_k_anonymize(&t, &g, &costs, 3).unwrap();
+        let out = try_one_k_anonymize(&t, &g, &costs, 3).unwrap();
         assert_eq!(out.table.rows(), g.rows());
     }
 
@@ -194,7 +178,7 @@ mod tests {
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
         let k1 = k1_expansion(&t, &costs, 2).unwrap();
-        let out = one_k_anonymize(&t, &k1.table, &costs, 2).unwrap();
+        let out = try_one_k_anonymize(&t, &k1.table, &costs, 2).unwrap();
         assert!(out.loss >= k1.loss - 1e-12);
     }
 
@@ -204,7 +188,13 @@ mod tests {
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let idg = GeneralizedTable::identity_of(&t);
-        assert!(one_k_anonymize(&t, &idg, &costs, 0).is_err());
-        assert!(one_k_anonymize(&t, &idg, &costs, 7).is_err());
+        assert!(matches!(
+            try_one_k_anonymize(&t, &idg, &costs, 0),
+            Err(KanonError::Core(_))
+        ));
+        assert!(matches!(
+            try_one_k_anonymize(&t, &idg, &costs, 7),
+            Err(KanonError::Core(_))
+        ));
     }
 }

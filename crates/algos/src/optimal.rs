@@ -82,17 +82,8 @@ impl Search<'_> {
     }
 }
 
-/// Finds an optimal k-anonymization by exhaustive search.
-///
-/// Panicking wrapper over [`crate::try_optimal_k_anonymize`]: domain
-/// failures come back as `CoreError`; injected faults and organic panics
-/// re-raise as a `KanonError` panic payload.
-pub fn optimal_k_anonymize(table: &Table, costs: &NodeCostTable, k: usize) -> Result<KAnonOutput> {
-    crate::fallible::unwrap_or_repanic(crate::try_optimal_k_anonymize(table, costs, k))
-}
-
-/// Canonical set-partition search (the implementation behind the
-/// panicking wrapper and its `try_` twin).
+/// Canonical set-partition search (the implementation behind
+/// [`crate::try_optimal_k_anonymize`]).
 pub(crate) fn optimal_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Result<KAnonOutput> {
     let n = table.num_rows();
     if k == 0 || k > n {
@@ -123,11 +114,12 @@ pub(crate) fn optimal_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agglomerative::{agglomerative_k_anonymize, AgglomerativeConfig};
+    use crate::agglomerative::AgglomerativeConfig;
     use crate::distance::ClusterDistance;
-    use crate::forest::forest_k_anonymize;
+    use crate::{try_agglomerative_k_anonymize, try_forest_k_anonymize, try_optimal_k_anonymize};
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
+    use kanon_core::KanonError;
     use kanon_measures::{EntropyMeasure, LmMeasure};
     use std::sync::Arc;
 
@@ -162,7 +154,7 @@ mod tests {
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
         for k in [2, 3] {
-            let out = optimal_k_anonymize(&t, &costs, k).unwrap();
+            let out = try_optimal_k_anonymize(&t, &costs, k).unwrap();
             assert!(out.clustering.min_cluster_size() >= k);
         }
     }
@@ -176,10 +168,12 @@ mod tests {
                 NodeCostTable::compute(&t, &EntropyMeasure),
                 NodeCostTable::compute(&t, &LmMeasure),
             ] {
-                let opt = optimal_k_anonymize(&t, &measure_loss, k).unwrap();
+                let opt = try_optimal_k_anonymize(&t, &measure_loss, k).unwrap();
                 for d in ClusterDistance::paper_variants() {
                     let cfg = AgglomerativeConfig::new(k).with_distance(d);
-                    let heur = agglomerative_k_anonymize(&t, &measure_loss, &cfg).unwrap();
+                    let heur = try_agglomerative_k_anonymize(&t, &measure_loss, &cfg)
+                        .unwrap()
+                        .into_inner();
                     assert!(
                         opt.loss <= heur.loss + 1e-9,
                         "optimal {} > heuristic {} (k={k}, {d})",
@@ -187,7 +181,9 @@ mod tests {
                         heur.loss
                     );
                 }
-                let forest = forest_k_anonymize(&t, &measure_loss, k).unwrap();
+                let forest = try_forest_k_anonymize(&t, &measure_loss, k)
+                    .unwrap()
+                    .into_inner();
                 assert!(opt.loss <= forest.loss + 1e-9);
             }
         }
@@ -202,8 +198,8 @@ mod tests {
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
         for k in [2, 3] {
-            let opt = optimal_k_anonymize(&t, &costs, k).unwrap();
-            let forest = forest_k_anonymize(&t, &costs, k).unwrap();
+            let opt = try_optimal_k_anonymize(&t, &costs, k).unwrap();
+            let forest = try_forest_k_anonymize(&t, &costs, k).unwrap().into_inner();
             if opt.loss > 0.0 {
                 assert!(
                     forest.loss <= 3.0 * (k as f64 - 1.0) * opt.loss + 1e-9,
@@ -220,7 +216,7 @@ mod tests {
         let s = schema();
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = optimal_k_anonymize(&t, &costs, 7).unwrap();
+        let out = try_optimal_k_anonymize(&t, &costs, 7).unwrap();
         assert_eq!(out.clustering.num_clusters(), 1);
     }
 
@@ -229,7 +225,13 @@ mod tests {
         let s = schema();
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        assert!(optimal_k_anonymize(&t, &costs, 0).is_err());
-        assert!(optimal_k_anonymize(&t, &costs, 8).is_err());
+        assert!(matches!(
+            try_optimal_k_anonymize(&t, &costs, 0),
+            Err(KanonError::Core(_))
+        ));
+        assert!(matches!(
+            try_optimal_k_anonymize(&t, &costs, 8),
+            Err(KanonError::Core(_))
+        ));
     }
 }

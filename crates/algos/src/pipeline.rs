@@ -1,20 +1,22 @@
 //! Front-door compositions: the end-to-end anonymizers a user calls.
 //!
-//! * [`kk_anonymize`] — Sec. V-B: a (k,1)-anonymizer (Algorithm 3 or 4)
-//!   followed by the (1,k)-anonymizer (Algorithm 5) ⇒ (k,k)-anonymity.
-//! * [`global_1k_anonymize`] — Sec. V-C: the (k,k) pipeline followed by
-//!   Algorithm 6 ⇒ global (1,k)-anonymity.
-//! * [`best_k_anonymize`] — the paper's "best k-anon" row of Table I:
-//!   the agglomerative algorithm over a set of distance functions (and
-//!   optionally the modified variant), keeping the cheapest output.
-//! * [`crate::shard::sharded_k_anonymize`] and
-//!   [`crate::shard::sharded_l_diverse_k_anonymize`] — the large-n
+//! * [`crate::try_kk_anonymize`] — Sec. V-B: a (k,1)-anonymizer
+//!   (Algorithm 3 or 4) followed by the (1,k)-anonymizer (Algorithm 5)
+//!   ⇒ (k,k)-anonymity.
+//! * [`crate::try_global_1k_anonymize`] — Sec. V-C: the (k,k) pipeline
+//!   followed by Algorithm 6 ⇒ global (1,k)-anonymity.
+//! * [`crate::try_best_k_anonymize`] — the paper's "best k-anon" row of
+//!   Table I: the agglomerative algorithm over a set of distance
+//!   functions (and optionally the modified variant), keeping the
+//!   cheapest output.
+//! * [`crate::try_sharded_k_anonymize`] and
+//!   [`crate::try_sharded_l_diverse_k_anonymize`] — the large-n
 //!   front door (DESIGN.md §5f): shard-and-conquer around the same
 //!   clustering engine, for tables past its quadratic wall.
 
 use crate::agglomerative::{agglomerative_impl, AgglomerativeConfig, KAnonOutput};
 use crate::distance::ClusterDistance;
-use crate::fallible::{unwrap_or_repanic, Budgeted};
+use crate::fallible::Budgeted;
 use crate::global_one_k::{global_1k_from_kk, GlobalOutput};
 use crate::k1::{k1_expansion, k1_nearest_neighbors, GenOutput};
 use crate::one_k::one_k_impl;
@@ -94,18 +96,6 @@ impl GlobalConfig {
     }
 }
 
-/// Runs the chosen (k,1)-anonymizer.
-///
-/// Panicking wrapper over [`crate::try_k1_anonymize`].
-pub fn k1_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    k: usize,
-    method: K1Method,
-) -> Result<GenOutput> {
-    unwrap_or_repanic(crate::try_k1_anonymize(table, costs, k, method))
-}
-
 pub(crate) fn k1_impl(
     table: &Table,
     costs: &NodeCostTable,
@@ -118,27 +108,9 @@ pub(crate) fn k1_impl(
     }
 }
 
-/// (k,k)-anonymization: (k,1) stage + Algorithm 5. O(k·n²).
-///
-/// Panicking wrapper over [`crate::try_kk_anonymize`].
-pub fn kk_anonymize(table: &Table, costs: &NodeCostTable, cfg: &KkConfig) -> Result<GenOutput> {
-    unwrap_or_repanic(crate::try_kk_anonymize(table, costs, cfg))
-}
-
 pub(crate) fn kk_impl(table: &Table, costs: &NodeCostTable, cfg: &KkConfig) -> Result<GenOutput> {
     let k1 = k1_impl(table, costs, cfg.k, cfg.method)?;
     one_k_impl(table, &k1.table, costs, cfg.k)
-}
-
-/// Global (1,k)-anonymization: the (k,k) pipeline + Algorithm 6.
-///
-/// Panicking wrapper over [`crate::try_global_1k_anonymize`].
-pub fn global_1k_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    cfg: &GlobalConfig,
-) -> Result<GlobalOutput> {
-    unwrap_or_repanic(crate::try_global_1k_anonymize(table, costs, cfg))
 }
 
 pub(crate) fn global_impl(
@@ -155,29 +127,6 @@ pub(crate) fn global_impl(
         },
     )?;
     global_1k_from_kk(table, &kk.table, costs, cfg.k)
-}
-
-/// The "best k-anon" protocol of Table I: runs the agglomerative
-/// algorithm with each distance function in `distances` (and, when
-/// `include_modified`, also the Algorithm 2 variant) and returns the
-/// lowest-loss output together with the winning configuration.
-///
-/// Panicking wrapper over [`crate::try_best_k_anonymize`] (an empty
-/// `distances` list re-raises the `Usage` error as a panic, matching the
-/// historical `assert!`). A budget-exhausted grid returns its valid
-/// best-effort winner silently — use the `try_` form to observe the
-/// `BudgetExhausted` marker.
-pub fn best_k_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    k: usize,
-    distances: &[ClusterDistance],
-    include_modified: bool,
-) -> Result<(KAnonOutput, AgglomerativeConfig)> {
-    unwrap_or_repanic(
-        crate::try_best_k_anonymize(table, costs, k, distances, include_modified)
-            .map(Budgeted::into_inner),
-    )
 }
 
 pub(crate) fn best_k_impl(
@@ -260,6 +209,7 @@ pub(crate) fn best_k_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{try_best_k_anonymize, try_global_1k_anonymize, try_kk_anonymize};
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
     use kanon_measures::{EntropyMeasure, LmMeasure};
@@ -299,7 +249,7 @@ mod tests {
         for method in [K1Method::NearestNeighbors, K1Method::Expansion] {
             for k in [2, 3] {
                 let cfg = KkConfig::new(k).with_method(method);
-                let out = kk_anonymize(&t, &costs, &cfg).unwrap();
+                let out = try_kk_anonymize(&t, &costs, &cfg).unwrap();
                 let schema = t.schema();
                 // (1,k) and (k,1) by direct count.
                 use kanon_core::generalize::is_consistent;
@@ -333,8 +283,10 @@ mod tests {
         let costs = NodeCostTable::compute(&t, &LmMeasure);
         for k in [2, 3] {
             let (kanon, _) =
-                best_k_anonymize(&t, &costs, k, &ClusterDistance::paper_variants(), true).unwrap();
-            let kk = kk_anonymize(&t, &costs, &KkConfig::new(k)).unwrap();
+                try_best_k_anonymize(&t, &costs, k, &ClusterDistance::paper_variants(), true)
+                    .unwrap()
+                    .into_inner();
+            let kk = try_kk_anonymize(&t, &costs, &KkConfig::new(k)).unwrap();
             assert!(kk.loss <= kanon.loss + 1e-9, "k={k}");
         }
     }
@@ -345,7 +297,7 @@ mod tests {
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         for k in [2, 3] {
-            let out = global_1k_anonymize(&t, &costs, &GlobalConfig::new(k)).unwrap();
+            let out = try_global_1k_anonymize(&t, &costs, &GlobalConfig::new(k)).unwrap();
             // Validate via the naive neighbour/match definitions.
             use kanon_core::generalize::consistency_adjacency;
             use kanon_matching::{AllowedEdges, BipartiteGraph};
@@ -362,7 +314,9 @@ mod tests {
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let (out, cfg) =
-            best_k_anonymize(&t, &costs, 2, &ClusterDistance::paper_variants(), false).unwrap();
+            try_best_k_anonymize(&t, &costs, 2, &ClusterDistance::paper_variants(), false)
+                .unwrap()
+                .into_inner();
         assert!(out.clustering.min_cluster_size() >= 2);
         assert!(ClusterDistance::paper_variants()
             .iter()

@@ -39,22 +39,8 @@ pub struct SamaratiOutput {
     pub height: u32,
 }
 
-/// Runs Samarati's binary search with a suppression budget.
-///
-/// Panicking wrapper over [`crate::try_samarati_k_anonymize`]: domain
-/// failures come back as `CoreError`; injected faults and organic panics
-/// re-raise as a `KanonError` panic payload.
-pub fn samarati_k_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    k: usize,
-    max_sup: usize,
-) -> Result<SamaratiOutput> {
-    crate::fallible::unwrap_or_repanic(crate::try_samarati_k_anonymize(table, costs, k, max_sup))
-}
-
-/// Samarati height binary search (the implementation behind the
-/// panicking wrapper and its `try_` twin).
+/// Samarati height binary search (the implementation behind
+/// [`crate::try_samarati_k_anonymize`]).
 pub(crate) fn samarati_impl(
     table: &Table,
     costs: &NodeCostTable,
@@ -235,9 +221,10 @@ pub(crate) fn samarati_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fulldomain::fulldomain_k_anonymize;
+    use crate::{try_fulldomain_k_anonymize, try_samarati_k_anonymize};
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
+    use kanon_core::KanonError;
     use kanon_measures::LmMeasure;
     use std::sync::Arc;
 
@@ -264,8 +251,8 @@ mod tests {
         // full-domain optimum can only be at least as good.
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let sam = samarati_k_anonymize(&t, &costs, 2, 0).unwrap();
-        let full = fulldomain_k_anonymize(&t, &costs, 2).unwrap();
+        let sam = try_samarati_k_anonymize(&t, &costs, 2, 0).unwrap();
+        let full = try_fulldomain_k_anonymize(&t, &costs, 2).unwrap();
         assert!(sam.suppressed.is_empty());
         assert!(full.output.loss <= sam.output.loss + 1e-9);
         // And the Samarati output really is 2-anonymous.
@@ -276,8 +263,8 @@ mod tests {
     fn suppression_budget_lowers_height_and_loss() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let strict = samarati_k_anonymize(&t, &costs, 3, 0).unwrap();
-        let relaxed = samarati_k_anonymize(&t, &costs, 3, 2).unwrap();
+        let strict = try_samarati_k_anonymize(&t, &costs, 3, 0).unwrap();
+        let relaxed = try_samarati_k_anonymize(&t, &costs, 3, 2).unwrap();
         // A suppression budget can only lower (or keep) the minimal
         // feasible height; the loss usually follows but is not guaranteed
         // to (suppressed records are published fully generalized).
@@ -289,7 +276,7 @@ mod tests {
     fn published_classes_respect_k_outside_suppressions() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = samarati_k_anonymize(&t, &costs, 3, 2).unwrap();
+        let out = try_samarati_k_anonymize(&t, &costs, 3, 2).unwrap();
         let sup: std::collections::BTreeSet<u32> = out.suppressed.iter().copied().collect();
         for cluster in out.output.clustering.clusters() {
             let unsuppressed = cluster.iter().filter(|r| !sup.contains(r)).count();
@@ -306,15 +293,21 @@ mod tests {
     fn invalid_k_rejected() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        assert!(samarati_k_anonymize(&t, &costs, 0, 0).is_err());
-        assert!(samarati_k_anonymize(&t, &costs, 17, 0).is_err());
+        assert!(matches!(
+            try_samarati_k_anonymize(&t, &costs, 0, 0),
+            Err(KanonError::Core(_))
+        ));
+        assert!(matches!(
+            try_samarati_k_anonymize(&t, &costs, 17, 0),
+            Err(KanonError::Core(_))
+        ));
     }
 
     #[test]
     fn binary_search_height_is_minimal() {
         let t = table();
         let costs = NodeCostTable::compute(&t, &LmMeasure);
-        let out = samarati_k_anonymize(&t, &costs, 2, 0).unwrap();
+        let out = try_samarati_k_anonymize(&t, &costs, 2, 0).unwrap();
         // No node strictly below the returned height may be feasible —
         // re-verify by checking the returned node's own height.
         let h: u32 = out.levels.iter().map(|&l| l as u32).sum();

@@ -39,7 +39,7 @@
 use crate::agglomerative::{agglomerative_impl, AgglomerativeConfig, KAnonOutput};
 use crate::cost::CostContext;
 use crate::distance::ClusterDistance;
-use crate::fallible::{unwrap_or_repanic, Budgeted};
+use crate::fallible::Budgeted;
 use crate::ldiversity::{ldiversity_impl, LDiverseConfig};
 use crate::mondrian::{closure_rooted, group_by_child, pack_two_bins, RootedCells};
 use kanon_core::cluster::Clustering;
@@ -59,7 +59,7 @@ pub struct ShardConfig {
     /// The anonymity parameter `k ≥ 1`.
     pub k: usize,
     /// The diversity parameter `ℓ ≥ 1`; only consulted by
-    /// [`sharded_l_diverse_k_anonymize`].
+    /// [`crate::try_sharded_l_diverse_k_anonymize`].
     pub l: usize,
     /// Maximum rows per shard. Defaults to `KANON_SHARD_MAX` (or
     /// [`kanon_core::config::SHARD_MAX_DEFAULT`]).
@@ -141,32 +141,6 @@ pub struct ShardedOutput {
     pub out: KAnonOutput,
     /// How the table was sharded and repaired.
     pub stats: ShardStats,
-}
-
-/// Shard-and-conquer k-anonymization.
-///
-/// Panicking wrapper over [`crate::try_sharded_k_anonymize`]; budget
-/// exhaustion silently yields the valid degraded result.
-pub fn sharded_k_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    cfg: &ShardConfig,
-) -> Result<ShardedOutput> {
-    unwrap_or_repanic(crate::try_sharded_k_anonymize(table, costs, cfg).map(Budgeted::into_inner))
-}
-
-/// Shard-and-conquer k-anonymization with distinct-ℓ-diversity
-/// (`sensitive[i]` is row i's sensitive value; `cfg.l` is ℓ).
-pub fn sharded_l_diverse_k_anonymize(
-    table: &Table,
-    costs: &NodeCostTable,
-    sensitive: &[u32],
-    cfg: &ShardConfig,
-) -> Result<ShardedOutput> {
-    unwrap_or_repanic(
-        crate::try_sharded_l_diverse_k_anonymize(table, costs, sensitive, cfg)
-            .map(Budgeted::into_inner),
-    )
 }
 
 /// Distinct sensitive values among `members`.
@@ -426,8 +400,10 @@ pub(crate) fn sharded_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{try_sharded_k_anonymize, try_sharded_l_diverse_k_anonymize};
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
+    use kanon_core::KanonError;
     use kanon_measures::EntropyMeasure;
 
     fn schema() -> SharedSchema {
@@ -451,7 +427,9 @@ mod tests {
         let t = table(240);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let cfg = ShardConfig::new(3).with_shard_max(40);
-        let out = sharded_k_anonymize(&t, &costs, &cfg).unwrap();
+        let out = try_sharded_k_anonymize(&t, &costs, &cfg)
+            .unwrap()
+            .into_inner();
         assert!(out.out.clustering.min_cluster_size() >= 3);
         assert!(out.stats.shards_built > 1, "{:?}", out.stats);
         assert!(out.stats.shard_rows_max <= 40, "{:?}", out.stats);
@@ -462,10 +440,13 @@ mod tests {
     fn monolithic_when_table_fits_one_shard() {
         let t = table(60);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let sharded = sharded_k_anonymize(&t, &costs, &ShardConfig::new(4)).unwrap();
+        let sharded = try_sharded_k_anonymize(&t, &costs, &ShardConfig::new(4))
+            .unwrap()
+            .into_inner();
         assert_eq!(sharded.stats.shards_built, 1);
-        let mono =
-            crate::agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(4)).unwrap();
+        let mono = crate::try_agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(4))
+            .unwrap()
+            .into_inner();
         // Same partition (the sharded path renumbers clusters by first
         // member) and bitwise-identical loss.
         let mut a: Vec<_> = sharded.out.clustering.clusters().to_vec();
@@ -485,7 +466,9 @@ mod tests {
             .iter()
             .map(|&threads| {
                 kanon_parallel::with_threads(threads, || {
-                    sharded_k_anonymize(&t, &costs, &cfg).unwrap()
+                    try_sharded_k_anonymize(&t, &costs, &cfg)
+                        .unwrap()
+                        .into_inner()
                 })
             })
             .collect();
@@ -502,7 +485,9 @@ mod tests {
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let sensitive: Vec<u32> = (0..240u32).map(|i| i % 3).collect();
         let cfg = ShardConfig::new(3).with_l(2).with_shard_max(40);
-        let out = sharded_l_diverse_k_anonymize(&t, &costs, &sensitive, &cfg).unwrap();
+        let out = try_sharded_l_diverse_k_anonymize(&t, &costs, &sensitive, &cfg)
+            .unwrap()
+            .into_inner();
         assert!(out.out.clustering.min_cluster_size() >= 3);
         for c in out.out.clustering.clusters() {
             assert!(distinct_of(&sensitive, c) >= 2, "{c:?}");
@@ -515,8 +500,11 @@ mod tests {
         let t = table(60);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let cfg = ShardConfig::new(3).with_l(2);
-        let err = sharded_l_diverse_k_anonymize(&t, &costs, &[0, 1], &cfg).unwrap_err();
-        assert!(matches!(err, CoreError::RowCountMismatch { .. }), "{err}");
+        let err = try_sharded_l_diverse_k_anonymize(&t, &costs, &[0, 1], &cfg).unwrap_err();
+        assert!(
+            matches!(err, KanonError::Core(CoreError::RowCountMismatch { .. })),
+            "{err}"
+        );
     }
 
     #[test]
@@ -540,14 +528,19 @@ mod tests {
         let cfg = ShardConfig::new(3)
             .with_shard_max(40)
             .with_rooted_cells(vec![(0, 0), (17, 0)]);
-        let out = sharded_k_anonymize(&t, &costs, &cfg).unwrap();
+        let out = try_sharded_k_anonymize(&t, &costs, &cfg)
+            .unwrap()
+            .into_inner();
         assert!(out.out.clustering.min_cluster_size() >= 3);
-        let err = sharded_k_anonymize(
+        let err = try_sharded_k_anonymize(
             &t,
             &costs,
             &ShardConfig::new(3).with_rooted_cells(vec![(999, 0)]),
         )
         .unwrap_err();
-        assert!(matches!(err, CoreError::InconsistentInput(_)), "{err}");
+        assert!(
+            matches!(err, KanonError::Core(CoreError::InconsistentInput(_))),
+            "{err}"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! kernel:
 //!
 //! 1. Every anonymizer produces **byte-identical** output at any worker
-//!    count (`kanon_parallel::with_threads(1)` vs `with_threads(4)`) —
+//!    count (`kanon_parallel::with_threads(1)` vs 2, 4 and 8 workers) —
 //!    the primitives in `kanon-parallel` combine per-index results in
 //!    index order, and all argmin/top-2 selections use total orders with
 //!    index tie-breaks.
@@ -15,8 +15,9 @@
 //!    a stats report must not change between 1 and N workers.
 
 use kanon_algos::{
-    agglomerative_k_anonymize, forest_k_anonymize, k1_expansion, k1_nearest_neighbors,
-    l_diverse_k_anonymize, AgglomerativeConfig, LDiverseConfig,
+    k1_expansion, k1_nearest_neighbors, try_agglomerative_k_anonymize, try_best_k_anonymize,
+    try_forest_k_anonymize, try_global_1k_anonymize, try_kk_anonymize, try_l_diverse_k_anonymize,
+    AgglomerativeConfig, ClusterDistance, GlobalConfig, K1Method, KkConfig, LDiverseConfig,
 };
 use kanon_core::table::Table;
 use kanon_data::art;
@@ -32,22 +33,68 @@ fn fingerprint(table: &Table, costs: &NodeCostTable, k: usize) -> Vec<(String, f
     let mut out = Vec::new();
     for modified in [false, true] {
         let cfg = AgglomerativeConfig::new(k).with_modified(modified);
-        let r = agglomerative_k_anonymize(table, costs, &cfg).unwrap();
+        let r = try_agglomerative_k_anonymize(table, costs, &cfg)
+            .unwrap()
+            .into_inner();
         out.push((
             format!("agglo-mod={modified}"),
             r.loss,
             format!("{:?}", r.clustering),
         ));
     }
-    let r = forest_k_anonymize(table, costs, k).unwrap();
+    let r = try_forest_k_anonymize(table, costs, k)
+        .unwrap()
+        .into_inner();
     out.push(("forest".into(), r.loss, format!("{:?}", r.clustering)));
     let r = k1_nearest_neighbors(table, costs, k).unwrap();
     out.push(("k1-nn".into(), r.loss, format!("{:?}", r.table.rows())));
     let r = k1_expansion(table, costs, k).unwrap();
     out.push(("k1-exp".into(), r.loss, format!("{:?}", r.table.rows())));
     let sensitive: Vec<u32> = (0..table.num_rows()).map(|i| (i % 3) as u32).collect();
-    let r = l_diverse_k_anonymize(table, costs, &sensitive, &LDiverseConfig::new(k, 2)).unwrap();
+    let r = try_l_diverse_k_anonymize(table, costs, &sensitive, &LDiverseConfig::new(k, 2))
+        .unwrap()
+        .into_inner();
     out.push(("ldiv".into(), r.loss, format!("{:?}", r.clustering)));
+    out
+}
+
+/// [`fingerprint`] plus the end-to-end pipelines built from those
+/// families: (k,k) with either (k,1) stage, global (1,k), and the
+/// best-k grid.
+fn pipeline_fingerprint(
+    table: &Table,
+    costs: &NodeCostTable,
+    k: usize,
+) -> Vec<(String, f64, String)> {
+    let mut out = fingerprint(table, costs, k);
+    for method in [K1Method::NearestNeighbors, K1Method::Expansion] {
+        let r = try_kk_anonymize(table, costs, &KkConfig::new(k).with_method(method)).unwrap();
+        out.push((
+            format!("kk-{}", method.name()),
+            r.loss,
+            format!("{:?}", r.table.rows()),
+        ));
+    }
+    let r = try_global_1k_anonymize(table, costs, &GlobalConfig::new(k)).unwrap();
+    out.push((
+        "global".into(),
+        r.loss,
+        format!(
+            "{:?} {} {}",
+            r.table.rows(),
+            r.upgrade_steps,
+            r.deficient_records
+        ),
+    ));
+    let distances = [ClusterDistance::D1, ClusterDistance::D3];
+    let (r, winner) = try_best_k_anonymize(table, costs, k, &distances, false)
+        .unwrap()
+        .into_inner();
+    out.push((
+        "best-k".into(),
+        r.loss,
+        format!("{winner:?} {:?}", r.clustering),
+    ));
     out
 }
 
@@ -60,15 +107,18 @@ proptest! {
         // (above MIN_PARALLEL_ITEMS) yet small enough to run in CI.
         let table = art::generate(96, seed);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-        let serial = with_threads(1, || fingerprint(&table, &costs, k));
-        let parallel = with_threads(4, || fingerprint(&table, &costs, k));
-        for (s, p) in serial.iter().zip(&parallel) {
-            prop_assert_eq!(&s.0, &p.0);
-            prop_assert!(
-                s.1.to_bits() == p.1.to_bits(),
-                "{}: loss differs across thread counts: {} vs {}", s.0, s.1, p.1
-            );
-            prop_assert_eq!(&s.2, &p.2, "{}: output differs across thread counts", s.0);
+        let serial = with_threads(1, || pipeline_fingerprint(&table, &costs, k));
+        for threads in [2usize, 4, 8] {
+            let parallel = with_threads(threads, || pipeline_fingerprint(&table, &costs, k));
+            prop_assert_eq!(serial.len(), parallel.len());
+            for (s, p) in serial.iter().zip(&parallel) {
+                prop_assert_eq!(&s.0, &p.0);
+                prop_assert!(
+                    s.1.to_bits() == p.1.to_bits(),
+                    "{}: loss differs at {} threads: {} vs {}", s.0, threads, s.1, p.1
+                );
+                prop_assert_eq!(&s.2, &p.2, "{}: output differs at {} threads", s.0, threads);
+            }
         }
     }
 
@@ -78,7 +128,7 @@ proptest! {
         // precompute and the Algorithm 5/6 chain — must report the exact
         // same deterministic counters at 1 and 8 workers. (Timers and
         // parallel-job tallies live outside counters_json by design.)
-        use kanon_algos::{global_1k_from_kk, one_k_anonymize};
+        use kanon_algos::{global_1k_from_kk, try_one_k_anonymize};
         use kanon_obs::Collector;
         let table = art::generate(96, seed);
         let run = |threads: usize| {
@@ -89,7 +139,7 @@ proptest! {
                     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
                     fingerprint(&table, &costs, k);
                     let k1 = k1_expansion(&table, &costs, k).unwrap();
-                    let kk = one_k_anonymize(&table, &k1.table, &costs, k).unwrap();
+                    let kk = try_one_k_anonymize(&table, &k1.table, &costs, k).unwrap();
                     global_1k_from_kk(&table, &kk.table, &costs, k).unwrap();
                 });
             }
@@ -139,7 +189,7 @@ proptest! {
         ).unwrap();
         for threads in [1usize, 4] {
             let fast = with_threads(threads, || {
-                l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap()
+                try_l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap().into_inner()
             });
             prop_assert_eq!(
                 format!("{:?}", &fast.clustering),
@@ -164,8 +214,8 @@ proptest! {
         let climb_only = Table::new(climb_schema, with_table.rows().to_vec()).unwrap();
         let costs_t = NodeCostTable::compute(&with_table, &EntropyMeasure);
         let costs_c = NodeCostTable::compute(&climb_only, &EntropyMeasure);
-        let a = fingerprint(&with_table, &costs_t, k);
-        let b = fingerprint(&climb_only, &costs_c, k);
+        let a = pipeline_fingerprint(&with_table, &costs_t, k);
+        let b = pipeline_fingerprint(&climb_only, &costs_c, k);
         for (s, p) in a.iter().zip(&b) {
             prop_assert!(
                 s.1.to_bits() == p.1.to_bits(),
@@ -173,5 +223,42 @@ proptest! {
             );
             prop_assert_eq!(&s.2, &p.2, "{}: output differs with join table on/off", s.0);
         }
+    }
+}
+
+#[test]
+fn baselines_are_thread_count_invariant() {
+    // The four baselines (full-domain, MDAV, Samarati, exhaustive
+    // optimal) on sizes they can afford; the exhaustive oracle gets a
+    // tiny table of its own.
+    use kanon_algos::{
+        try_fulldomain_k_anonymize, try_mdav_k_anonymize, try_optimal_k_anonymize,
+        try_samarati_k_anonymize,
+    };
+    let table = art::generate(24, 7);
+    let costs = NodeCostTable::compute(&table, &EntropyMeasure);
+    let tiny = art::generate(9, 7);
+    let tiny_costs = NodeCostTable::compute(&tiny, &EntropyMeasure);
+    let k = 3;
+    let run = || {
+        vec![
+            format!(
+                "{:?}",
+                try_fulldomain_k_anonymize(&table, &costs, k).unwrap()
+            ),
+            format!("{:?}", try_mdav_k_anonymize(&table, &costs, k).unwrap()),
+            format!(
+                "{:?}",
+                try_samarati_k_anonymize(&table, &costs, k, 2).unwrap()
+            ),
+            format!(
+                "{:?}",
+                try_optimal_k_anonymize(&tiny, &tiny_costs, k).unwrap()
+            ),
+        ]
+    };
+    let serial = with_threads(1, run);
+    for threads in [2usize, 8] {
+        assert_eq!(with_threads(threads, run), serial, "threads = {threads}");
     }
 }

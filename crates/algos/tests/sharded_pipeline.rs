@@ -11,8 +11,7 @@
 //!    `BudgetExhausted` result that still verifies.
 
 use kanon_algos::{
-    sharded_k_anonymize, sharded_l_diverse_k_anonymize, try_sharded_k_anonymize, ShardConfig,
-    ShardedOutput,
+    try_sharded_k_anonymize, try_sharded_l_diverse_k_anonymize, ShardConfig, ShardedOutput,
 };
 use kanon_core::record::Record;
 use kanon_core::schema::{SchemaBuilder, SharedSchema};
@@ -79,11 +78,11 @@ proptest! {
         let table = random_table(seed, n);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         let cfg = ShardConfig::new(k).with_shard_max(shard_max);
-        let base = with_threads(1, || sharded_k_anonymize(&table, &costs, &cfg).unwrap());
+        let base = with_threads(1, || try_sharded_k_anonymize(&table, &costs, &cfg).unwrap().into_inner());
         prop_assert!(is_k_anonymous(&base.out.table, k));
         prop_assert!(kanon_core::generalize::is_generalization_of(&table, &base.out.table).unwrap());
         for threads in [2usize, 8] {
-            let run = with_threads(threads, || sharded_k_anonymize(&table, &costs, &cfg).unwrap());
+            let run = with_threads(threads, || try_sharded_k_anonymize(&table, &costs, &cfg).unwrap().into_inner());
             prop_assert_eq!(fingerprint(&run), fingerprint(&base), "threads = {}", threads);
         }
     }
@@ -101,12 +100,12 @@ proptest! {
         let l = 2usize;
         let cfg = ShardConfig::new(k).with_l(l).with_shard_max(shard_max);
         let base = with_threads(1, || {
-            sharded_l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap()
+            try_sharded_l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap().into_inner()
         });
         prop_assert!(is_k_anonymous(&base.out.table, k));
         prop_assert!(is_l_diverse(&base.out.table, &sensitive, l).unwrap());
         let run = with_threads(8, || {
-            sharded_l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap()
+            try_sharded_l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap().into_inner()
         });
         prop_assert_eq!(fingerprint(&run), fingerprint(&base));
     }
@@ -137,16 +136,18 @@ fn sharded_matches_art_scale_run() {
     // real bench datasets; this is the fast in-tree guard).
     let table = art::generate(600, 11);
     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-    let sharded =
-        sharded_k_anonymize(&table, &costs, &ShardConfig::new(5).with_shard_max(150)).unwrap();
+    let sharded = try_sharded_k_anonymize(&table, &costs, &ShardConfig::new(5).with_shard_max(150))
+        .unwrap()
+        .into_inner();
     assert!(is_k_anonymous(&sharded.out.table, 5));
     assert!(sharded.stats.shards_built >= 4);
-    let mono = kanon_algos::agglomerative_k_anonymize(
+    let mono = kanon_algos::try_agglomerative_k_anonymize(
         &table,
         &costs,
         &kanon_algos::AgglomerativeConfig::new(5),
     )
-    .unwrap();
+    .unwrap()
+    .into_inner();
     // Sharding trades some loss for tractability; keep the overhead
     // bounded so regressions in the repair phase are visible.
     assert!(
@@ -164,8 +165,16 @@ fn shards_reuse_the_worker_pool() {
     let table = random_table(99, 80);
     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
     let cfg = ShardConfig::new(3).with_shard_max(30);
-    let serial = with_threads(1, || sharded_k_anonymize(&table, &costs, &cfg).unwrap());
-    let wide = with_threads(8, || sharded_k_anonymize(&table, &costs, &cfg).unwrap());
+    let serial = with_threads(1, || {
+        try_sharded_k_anonymize(&table, &costs, &cfg)
+            .unwrap()
+            .into_inner()
+    });
+    let wide = with_threads(8, || {
+        try_sharded_k_anonymize(&table, &costs, &cfg)
+            .unwrap()
+            .into_inner()
+    });
     assert_eq!(fingerprint(&serial), fingerprint(&wide));
     let _ = Arc::strong_count(table.schema()); // schema stays shared across shards
 }

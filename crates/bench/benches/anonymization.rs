@@ -7,9 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kanon_algos::{
-    agglomerative_k_anonymize, forest_k_anonymize, global_1k_from_kk, k1_expansion,
-    k1_nearest_neighbors, kk_anonymize, one_k_anonymize, AgglomerativeConfig, ClusterDistance,
-    KkConfig,
+    global_1k_from_kk, k1_expansion, k1_nearest_neighbors, try_agglomerative_k_anonymize,
+    try_forest_k_anonymize, try_kk_anonymize, try_one_k_anonymize, AgglomerativeConfig,
+    ClusterDistance, KkConfig,
 };
 use kanon_data::art;
 use kanon_measures::{EntropyMeasure, NodeCostTable};
@@ -25,13 +25,18 @@ fn bench_agglomerative(c: &mut Criterion) {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         group.bench_with_input(BenchmarkId::new("basic_d3", n), &n, |b, _| {
             b.iter(|| {
-                agglomerative_k_anonymize(black_box(&table), &costs, &AgglomerativeConfig::new(K))
-                    .unwrap()
+                try_agglomerative_k_anonymize(
+                    black_box(&table),
+                    &costs,
+                    &AgglomerativeConfig::new(K),
+                )
+                .unwrap()
+                .into_inner()
             })
         });
         group.bench_with_input(BenchmarkId::new("modified_d4", n), &n, |b, _| {
             b.iter(|| {
-                agglomerative_k_anonymize(
+                try_agglomerative_k_anonymize(
                     black_box(&table),
                     &costs,
                     &AgglomerativeConfig::new(K)
@@ -39,6 +44,7 @@ fn bench_agglomerative(c: &mut Criterion) {
                         .with_modified(true),
                 )
                 .unwrap()
+                .into_inner()
             })
         });
     }
@@ -52,7 +58,11 @@ fn bench_forest(c: &mut Criterion) {
         let table = art::generate(n, 42);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| forest_k_anonymize(black_box(&table), &costs, K).unwrap())
+            b.iter(|| {
+                try_forest_k_anonymize(black_box(&table), &costs, K)
+                    .unwrap()
+                    .into_inner()
+            })
         });
     }
     group.finish();
@@ -81,13 +91,13 @@ fn bench_pipelines(c: &mut Criterion) {
         let table = art::generate(n, 42);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         group.bench_with_input(BenchmarkId::new("kk", n), &n, |b, _| {
-            b.iter(|| kk_anonymize(black_box(&table), &costs, &KkConfig::new(K)).unwrap())
+            b.iter(|| try_kk_anonymize(black_box(&table), &costs, &KkConfig::new(K)).unwrap())
         });
         let k1 = k1_expansion(&table, &costs, K).unwrap();
         group.bench_with_input(BenchmarkId::new("one_k_stage", n), &n, |b, _| {
-            b.iter(|| one_k_anonymize(black_box(&table), &k1.table, &costs, K).unwrap())
+            b.iter(|| try_one_k_anonymize(black_box(&table), &k1.table, &costs, K).unwrap())
         });
-        let kk = kk_anonymize(&table, &costs, &KkConfig::new(K)).unwrap();
+        let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(K)).unwrap();
         group.bench_with_input(BenchmarkId::new("global_stage", n), &n, |b, _| {
             b.iter(|| global_1k_from_kk(black_box(&table), &kk.table, &costs, K).unwrap())
         });

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmark pinning the ℓ-diversity closest-pair fix:
-//! the shared nearest-neighbour-cache engine (`l_diverse_k_anonymize`,
+//! the shared nearest-neighbour-cache engine (`try_l_diverse_k_anonymize`,
 //! O(n²) expected distance evaluations) against the original all-pairs
 //! merge loop kept verbatim as `l_diverse_reference` (O(n³)).
 //!
@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kanon_algos::{l_diverse_k_anonymize, ldiversity::l_diverse_reference, LDiverseConfig};
+use kanon_algos::{ldiversity::l_diverse_reference, try_l_diverse_k_anonymize, LDiverseConfig};
 use kanon_bench::{measure_costs, Measure};
 use kanon_data::art;
 use std::hint::black_box;
@@ -28,8 +28,9 @@ fn bench_ldiversity(c: &mut Criterion) {
         let cfg = LDiverseConfig::new(5, 3);
         group.bench_with_input(BenchmarkId::new("engine", n), &n, |b, _| {
             b.iter(|| {
-                l_diverse_k_anonymize(black_box(&table), &costs, &sensitive, &cfg)
+                try_l_diverse_k_anonymize(black_box(&table), &costs, &sensitive, &cfg)
                     .unwrap()
+                    .into_inner()
                     .loss
             })
         });

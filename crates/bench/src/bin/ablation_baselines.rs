@@ -15,8 +15,9 @@
 #![forbid(unsafe_code)]
 
 use kanon_algos::{
-    agglomerative_k_anonymize, forest_k_anonymize, fulldomain_k_anonymize, kk_anonymize,
-    mdav_k_anonymize, mondrian_k_anonymize, samarati_k_anonymize, AgglomerativeConfig, KkConfig,
+    try_agglomerative_k_anonymize, try_forest_k_anonymize, try_fulldomain_k_anonymize,
+    try_kk_anonymize, try_mdav_k_anonymize, try_mondrian_k_anonymize, try_samarati_k_anonymize,
+    AgglomerativeConfig, KkConfig,
 };
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
@@ -50,35 +51,46 @@ fn main() {
             ];
             for &k in &args.ks {
                 rows[0].1.push(
-                    agglomerative_k_anonymize(&dataset.table, &costs, &AgglomerativeConfig::new(k))
+                    try_agglomerative_k_anonymize(
+                        &dataset.table,
+                        &costs,
+                        &AgglomerativeConfig::new(k),
+                    )
+                    .unwrap()
+                    .into_inner()
+                    .loss,
+                );
+                rows[1].1.push(
+                    try_forest_k_anonymize(&dataset.table, &costs, k)
                         .unwrap()
+                        .into_inner()
                         .loss,
                 );
-                rows[1]
-                    .1
-                    .push(forest_k_anonymize(&dataset.table, &costs, k).unwrap().loss);
                 rows[2].1.push(
-                    mondrian_k_anonymize(&dataset.table, &costs, k)
+                    try_mondrian_k_anonymize(&dataset.table, &costs, k)
+                        .unwrap()
+                        .into_inner()
+                        .loss,
+                );
+                rows[3].1.push(
+                    try_mdav_k_anonymize(&dataset.table, &costs, k)
                         .unwrap()
                         .loss,
                 );
-                rows[3]
-                    .1
-                    .push(mdav_k_anonymize(&dataset.table, &costs, k).unwrap().loss);
                 rows[4].1.push(
-                    samarati_k_anonymize(&dataset.table, &costs, k, max_sup)
+                    try_samarati_k_anonymize(&dataset.table, &costs, k, max_sup)
                         .unwrap()
                         .output
                         .loss,
                 );
                 rows[5].1.push(
-                    fulldomain_k_anonymize(&dataset.table, &costs, k)
+                    try_fulldomain_k_anonymize(&dataset.table, &costs, k)
                         .unwrap()
                         .output
                         .loss,
                 );
                 rows[6].1.push(
-                    kk_anonymize(&dataset.table, &costs, &KkConfig::new(k))
+                    try_kk_anonymize(&dataset.table, &costs, &KkConfig::new(k))
                         .unwrap()
                         .loss,
                 );

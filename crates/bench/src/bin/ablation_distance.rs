@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use kanon_algos::{agglomerative_k_anonymize, AgglomerativeConfig, ClusterDistance};
+use kanon_algos::{try_agglomerative_k_anonymize, AgglomerativeConfig, ClusterDistance};
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
 };
@@ -33,7 +33,9 @@ fn main() {
                 let mut per_k = Vec::new();
                 for &k in &args.ks {
                     let cfg = AgglomerativeConfig::new(k).with_distance(d);
-                    let out = agglomerative_k_anonymize(&dataset.table, &costs, &cfg).unwrap();
+                    let out = try_agglomerative_k_anonymize(&dataset.table, &costs, &cfg)
+                        .unwrap()
+                        .into_inner();
                     row.push(format!("{:.3}", out.loss));
                     per_k.push(out.loss);
                 }

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use kanon_algos::{kk_anonymize, K1Method, KkConfig};
+use kanon_algos::{try_kk_anonymize, K1Method, KkConfig};
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
 };
@@ -35,7 +35,7 @@ fn main() {
                 let mut row = vec![method.name().to_string()];
                 for &k in &args.ks {
                     let out =
-                        kk_anonymize(&dataset.table, &costs, &KkConfig { k, method }).unwrap();
+                        try_kk_anonymize(&dataset.table, &costs, &KkConfig { k, method }).unwrap();
                     row.push(format!("{:.3}", out.loss));
                     rows[idx].push(out.loss);
                 }

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use kanon_algos::{agglomerative_k_anonymize, AgglomerativeConfig, ClusterDistance};
+use kanon_algos::{try_agglomerative_k_anonymize, AgglomerativeConfig, ClusterDistance};
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
 };
@@ -32,20 +32,22 @@ fn main() {
                 let mut basic_row = vec![format!("{} basic", d.name())];
                 let mut mod_row = vec![format!("{} modified", d.name())];
                 for &k in &args.ks {
-                    let basic = agglomerative_k_anonymize(
+                    let basic = try_agglomerative_k_anonymize(
                         &dataset.table,
                         &costs,
                         &AgglomerativeConfig::new(k).with_distance(d),
                     )
-                    .unwrap();
-                    let modified = agglomerative_k_anonymize(
+                    .unwrap()
+                    .into_inner();
+                    let modified = try_agglomerative_k_anonymize(
                         &dataset.table,
                         &costs,
                         &AgglomerativeConfig::new(k)
                             .with_distance(d)
                             .with_modified(true),
                     )
-                    .unwrap();
+                    .unwrap()
+                    .into_inner();
                     basic_row.push(format!("{:.3}", basic.loss));
                     mod_row.push(format!("{:.3}", modified.loss));
                     if basic.loss > 0.0 {

@@ -9,7 +9,8 @@
 #![forbid(unsafe_code)]
 
 use kanon_algos::{
-    agglomerative_k_anonymize, fulldomain_k_anonymize, kk_anonymize, AgglomerativeConfig, KkConfig,
+    try_agglomerative_k_anonymize, try_fulldomain_k_anonymize, try_kk_anonymize,
+    AgglomerativeConfig, KkConfig,
 };
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
@@ -35,11 +36,15 @@ fn main() {
             let mut kk_row = vec!["local (k,k)".to_string()];
             let mut lattice_note = String::new();
             for &k in &args.ks {
-                let full = fulldomain_k_anonymize(&dataset.table, &costs, k).unwrap();
-                let local =
-                    agglomerative_k_anonymize(&dataset.table, &costs, &AgglomerativeConfig::new(k))
-                        .unwrap();
-                let kk = kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
+                let full = try_fulldomain_k_anonymize(&dataset.table, &costs, k).unwrap();
+                let local = try_agglomerative_k_anonymize(
+                    &dataset.table,
+                    &costs,
+                    &AgglomerativeConfig::new(k),
+                )
+                .unwrap()
+                .into_inner();
+                let kk = try_kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
                 full_row.push(format!("{:.3}", full.output.loss));
                 local_row.push(format!("{:.3}", local.loss));
                 kk_row.push(format!("{:.3}", kk.loss));

@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use kanon_algos::{agglomerative_k_anonymize, mondrian_k_anonymize, AgglomerativeConfig};
+use kanon_algos::{try_agglomerative_k_anonymize, try_mondrian_k_anonymize, AgglomerativeConfig};
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
 };
@@ -30,10 +30,16 @@ fn main() {
             let mut agg_row = vec!["agglomerative".to_string()];
             let mut mon_row = vec!["mondrian".to_string()];
             for &k in &args.ks {
-                let agg =
-                    agglomerative_k_anonymize(&dataset.table, &costs, &AgglomerativeConfig::new(k))
-                        .unwrap();
-                let mon = mondrian_k_anonymize(&dataset.table, &costs, k).unwrap();
+                let agg = try_agglomerative_k_anonymize(
+                    &dataset.table,
+                    &costs,
+                    &AgglomerativeConfig::new(k),
+                )
+                .unwrap()
+                .into_inner();
+                let mon = try_mondrian_k_anonymize(&dataset.table, &costs, k)
+                    .unwrap()
+                    .into_inner();
                 agg_row.push(format!("{:.3}", agg.loss));
                 mon_row.push(format!("{:.3}", mon.loss));
                 cells += 1;

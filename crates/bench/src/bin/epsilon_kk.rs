@@ -14,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use kanon_algos::{global_1k_from_kk, kk_anonymize, KkConfig};
+use kanon_algos::{global_1k_from_kk, try_kk_anonymize, KkConfig};
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
 };
@@ -50,7 +50,7 @@ fn main() {
         let n = dataset.table.num_rows();
         for &k in &args.ks {
             // Reference: exact global (1,k) via Algorithm 6 on plain (k,k).
-            let kk = kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
+            let kk = try_kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
             let alg6 = global_1k_from_kk(&dataset.table, &kk.table, &costs, k).unwrap();
 
             for eps_step in 0..=5 {
@@ -59,7 +59,8 @@ fn main() {
                 if k_prime >= n {
                     continue;
                 }
-                let out = kk_anonymize(&dataset.table, &costs, &KkConfig::new(k_prime)).unwrap();
+                let out =
+                    try_kk_anonymize(&dataset.table, &costs, &KkConfig::new(k_prime)).unwrap();
                 // Match counts of the (k',k') table, against threshold k.
                 let adj = consistency_adjacency(&dataset.table, &out.table).unwrap();
                 let g = BipartiteGraph::from_adjacency(n, &adj);

@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-use kanon_algos::{agglomerative_k_anonymize, kk_anonymize, AgglomerativeConfig, KkConfig};
+use kanon_algos::{try_agglomerative_k_anonymize, try_kk_anonymize, AgglomerativeConfig, KkConfig};
 use kanon_core::record::{GeneralizedRecord, Record};
 use kanon_core::schema::{SchemaBuilder, SharedSchema};
 use kanon_core::table::{GeneralizedTable, Table};
@@ -116,15 +116,16 @@ fn main() {
         let table = kanon_data::art::generate(60, seed);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
 
-        let kanon =
-            agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k)).unwrap();
+        let kanon = try_agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k))
+            .unwrap()
+            .into_inner();
         let p = AnonymityProfile::compute(&table, &kanon.table).unwrap();
         check(
             &format!("seed {seed}: A^k ⊆ A^(k,k) ⊆ A^(1,k), A^(k,1) and A^k ⊆ A^G(1,k)"),
             p.k_anonymity >= k && p.kk >= k && p.one_k >= k && p.k_one >= k && p.global_1k >= k,
         );
 
-        let kk = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+        let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
         let p = AnonymityProfile::compute(&table, &kk.table).unwrap();
         check(
             &format!("seed {seed}: (k,k) output lies in A^(1,k) ∩ A^(k,1)"),

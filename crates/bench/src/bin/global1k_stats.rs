@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use kanon_algos::{global_1k_from_kk, kk_anonymize, KkConfig};
+use kanon_algos::{global_1k_from_kk, try_kk_anonymize, KkConfig};
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
 };
@@ -44,7 +44,7 @@ fn main() {
             if k >= dataset.table.num_rows() {
                 continue;
             }
-            let kk = kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
+            let kk = try_kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
             // Degree statistics of the (k,k) consistency graph.
             let graph = consistency_graph(&dataset.table, &kk.table).unwrap();
             let degrees: Vec<usize> = (0..graph.n_left()).map(|u| graph.degree(u)).collect();

@@ -1,7 +1,7 @@
 //! Experiment E-S2 — runtime scaling of ℓ-diverse k-anonymization,
 //! comparing the shared nearest-neighbour-cache clustering engine
-//! (`l_diverse_k_anonymize`, expected O(n²) distance evaluations) against
-//! the original all-pairs closest-pair loop kept verbatim as
+//! (`try_l_diverse_k_anonymize`, expected O(n²) distance evaluations)
+//! against the original all-pairs closest-pair loop kept verbatim as
 //! `l_diverse_reference` (O(n³) distance evaluations).
 //!
 //! Emits one JSON row per (algo, n, threads) cell to
@@ -24,7 +24,7 @@
 
 #![forbid(unsafe_code)]
 
-use kanon_algos::{l_diverse_k_anonymize, ldiversity::l_diverse_reference, LDiverseConfig};
+use kanon_algos::{ldiversity::l_diverse_reference, try_l_diverse_k_anonymize, LDiverseConfig};
 use kanon_bench::{measure_costs, Measure};
 use kanon_data::art;
 use std::time::Instant;
@@ -127,8 +127,9 @@ fn main() {
                         let start = Instant::now();
                         let loss = match algo.as_str() {
                             "engine" => {
-                                l_diverse_k_anonymize(&t, &costs, &sensitive, &cfg)
+                                try_l_diverse_k_anonymize(&t, &costs, &sensitive, &cfg)
                                     .unwrap()
+                                    .into_inner()
                                     .loss
                             }
                             "naive" => {

@@ -9,8 +9,8 @@
 #![forbid(unsafe_code)]
 
 use kanon_algos::{
-    agglomerative_k_anonymize, forest_k_anonymize, global_1k_anonymize, kk_anonymize,
-    AgglomerativeConfig, GlobalConfig, KkConfig,
+    try_agglomerative_k_anonymize, try_forest_k_anonymize, try_global_1k_anonymize,
+    try_kk_anonymize, AgglomerativeConfig, GlobalConfig, KkConfig,
 };
 use kanon_bench::{
     load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
@@ -48,12 +48,15 @@ fn main() {
         ];
         for &k in &args.ks {
             let kanon =
-                agglomerative_k_anonymize(&dataset.table, &costs, &AgglomerativeConfig::new(k))
-                    .unwrap();
-            let forest = forest_k_anonymize(&dataset.table, &costs, k).unwrap();
-            let kk = kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
+                try_agglomerative_k_anonymize(&dataset.table, &costs, &AgglomerativeConfig::new(k))
+                    .unwrap()
+                    .into_inner();
+            let forest = try_forest_k_anonymize(&dataset.table, &costs, k)
+                .unwrap()
+                .into_inner();
+            let kk = try_kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
             let global =
-                global_1k_anonymize(&dataset.table, &costs, &GlobalConfig::new(k)).unwrap();
+                try_global_1k_anonymize(&dataset.table, &costs, &GlobalConfig::new(k)).unwrap();
             for (row, gtable) in
                 rows.iter_mut()
                     .zip([&kanon.table, &forest.table, &kk.table, &global.table])

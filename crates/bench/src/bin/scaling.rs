@@ -21,8 +21,9 @@
 #![forbid(unsafe_code)]
 
 use kanon_algos::{
-    agglomerative_k_anonymize, forest_k_anonymize, kk_anonymize, l_diverse_k_anonymize,
-    sharded_k_anonymize, AgglomerativeConfig, KkConfig, LDiverseConfig, ShardConfig,
+    try_agglomerative_k_anonymize, try_forest_k_anonymize, try_kk_anonymize,
+    try_l_diverse_k_anonymize, try_sharded_k_anonymize, AgglomerativeConfig, KkConfig,
+    LDiverseConfig, ShardConfig,
 };
 use kanon_bench::{measure_costs, Measure};
 use kanon_data::art;
@@ -113,21 +114,40 @@ fn main() {
                         let start = Instant::now();
                         let loss = match algo.as_str() {
                             "agglom" => {
-                                agglomerative_k_anonymize(&t, &costs, &AgglomerativeConfig::new(k))
+                                try_agglomerative_k_anonymize(
+                                    &t,
+                                    &costs,
+                                    &AgglomerativeConfig::new(k),
+                                )
+                                .unwrap()
+                                .into_inner()
+                                .loss
+                            }
+                            "forest" => {
+                                try_forest_k_anonymize(&t, &costs, k)
+                                    .unwrap()
+                                    .into_inner()
+                                    .loss
+                            }
+                            "kk" => {
+                                try_kk_anonymize(&t, &costs, &KkConfig::new(k))
                                     .unwrap()
                                     .loss
                             }
-                            "forest" => forest_k_anonymize(&t, &costs, k).unwrap().loss,
-                            "kk" => kk_anonymize(&t, &costs, &KkConfig::new(k)).unwrap().loss,
                             "ldiv" => {
                                 let cfg = LDiverseConfig::new(k, 3);
-                                l_diverse_k_anonymize(&t, &costs, &sensitive, &cfg)
+                                try_l_diverse_k_anonymize(&t, &costs, &sensitive, &cfg)
                                     .unwrap()
+                                    .into_inner()
                                     .loss
                             }
                             "sharded" => {
                                 let cfg = ShardConfig::new(k).with_shard_max(shard_max);
-                                sharded_k_anonymize(&t, &costs, &cfg).unwrap().out.loss
+                                try_sharded_k_anonymize(&t, &costs, &cfg)
+                                    .unwrap()
+                                    .into_inner()
+                                    .out
+                                    .loss
                             }
                             other => panic!("unknown algo {other} (agglom|forest|kk|ldiv|sharded)"),
                         };

@@ -1,7 +1,8 @@
 //! The three competitor protocols of Table I and shared measure dispatch.
 
 use kanon_algos::{
-    best_k_anonymize, forest_k_anonymize, kk_anonymize, ClusterDistance, K1Method, KkConfig,
+    try_best_k_anonymize, try_forest_k_anonymize, try_kk_anonymize, ClusterDistance, K1Method,
+    KkConfig,
 };
 use kanon_core::table::Table;
 use kanon_measures::{EntropyMeasure, LmMeasure, NodeCostTable};
@@ -52,8 +53,10 @@ pub struct CompetitorResult {
 /// functions, basic and modified variants (8 runs), keeping the cheapest —
 /// the protocol behind the first row of each Table I block.
 pub fn run_best_k_anon(table: &Table, costs: &NodeCostTable, k: usize) -> CompetitorResult {
-    let (out, cfg) = best_k_anonymize(table, costs, k, &ClusterDistance::paper_variants(), true)
-        .expect("valid k for dataset");
+    let (out, cfg) =
+        try_best_k_anonymize(table, costs, k, &ClusterDistance::paper_variants(), true)
+            .expect("valid k for dataset")
+            .into_inner();
     CompetitorResult {
         loss: out.loss,
         winner: format!(
@@ -66,7 +69,9 @@ pub fn run_best_k_anon(table: &Table, costs: &NodeCostTable, k: usize) -> Compet
 
 /// The forest baseline (second row of each Table I block).
 pub fn run_forest(table: &Table, costs: &NodeCostTable, k: usize) -> CompetitorResult {
-    let out = forest_k_anonymize(table, costs, k).expect("valid k for dataset");
+    let out = try_forest_k_anonymize(table, costs, k)
+        .expect("valid k for dataset")
+        .into_inner();
     CompetitorResult {
         loss: out.loss,
         winner: "forest".to_string(),
@@ -84,7 +89,7 @@ pub fn run_kk_best(table: &Table, costs: &NodeCostTable, k: usize) -> Competitor
     let inner = (kanon_parallel::num_threads() / methods.len()).max(1);
     let outputs = kanon_parallel::map_coarse(methods.len(), |i| {
         kanon_parallel::with_threads(inner, || {
-            kk_anonymize(
+            try_kk_anonymize(
                 table,
                 costs,
                 &KkConfig {

@@ -1,6 +1,5 @@
-//! The workspace module/call graph and the three conformance rules that
-//! need it: L007 (fallible twins), L008 (fail-point catalogue) and L010
-//! (determinism taint).
+//! The workspace module/call graph and the two conformance rules that
+//! need it: L008 (fail-point catalogue) and L010 (determinism taint).
 //!
 //! Call resolution is name-based with three conservative narrowings, so
 //! an unresolvable call becomes a *missing* edge rather than a wrong one:
@@ -14,7 +13,7 @@
 //!    qualified calls with no in-tree match (e.g. `Vec::new`) are
 //!    external and dropped.
 
-use crate::parse::{FnItem, FnVis};
+use crate::parse::FnItem;
 use crate::{
     contains_call, contains_macro, contains_token, Diagnostic, FileAnalysis, Rule,
     DETERMINISTIC_CRATES, ENV_CONFIG_POINTS,
@@ -295,89 +294,6 @@ fn resolve(
         return same_crate;
     }
     filtered
-}
-
-// ---------------------------------------------------------------------
-// L007 — fallible twins
-// ---------------------------------------------------------------------
-
-/// Checks that every `pub` algorithm entry point of `kanon-algos` (a
-/// non-test `pub fn *_anonymize*` under `crates/algos/src/`) has a
-/// `try_*` twin and that the panicking variant reaches the fallible
-/// layer — i.e. its call graph leads to some `try_*` function, directly
-/// (`unwrap_or_repanic(try_x(…))`) or through another entry point.
-pub fn check_fallible_twins(analyses: &[FileAnalysis], g: &CallGraph) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let in_algos_src = |fa: &FileAnalysis| fa.file.rel_path.starts_with("crates/algos/src/");
-
-    // All non-test algos functions by name, for twin lookup.
-    let mut algos_fns: BTreeSet<&str> = BTreeSet::new();
-    for fa in analyses.iter().filter(|fa| in_algos_src(fa)) {
-        for item in fa.items.iter().filter(|i| !i.in_test) {
-            algos_fns.insert(&item.name);
-        }
-    }
-
-    for (node, &(f, i)) in g.nodes.iter().enumerate() {
-        let fa = &analyses[f];
-        if !in_algos_src(fa) {
-            continue;
-        }
-        let item = &fa.items[i];
-        let is_entry = item.vis == FnVis::Pub
-            && !item.in_test
-            && item.name.contains("_anonymize")
-            && !item.name.starts_with("try_");
-        if !is_entry || fa.allows.allows(item.line, Rule::L007) {
-            continue;
-        }
-        let twin = format!("try_{}", item.name);
-        if !algos_fns.contains(twin.as_str()) {
-            diags.push(Diagnostic {
-                file: fa.file.rel_path.clone(),
-                line: item.line,
-                rule: Rule::L007,
-                message: format!(
-                    "pub algorithm entry `{}` has no fallible twin `{twin}` — add one in \
-                     fallible.rs (`catch(|| {}_impl(…))`) and make this a thin wrapper",
-                    item.name, item.name
-                ),
-            });
-            continue;
-        }
-        // Delegation: BFS along call edges until a `try_*` fn is reached.
-        let mut seen = vec![false; g.nodes.len()];
-        let mut queue = VecDeque::from([node]);
-        seen[node] = true;
-        let mut delegates = false;
-        'bfs: while let Some(n) = queue.pop_front() {
-            for &next in &g.edges[n] {
-                if seen[next] {
-                    continue;
-                }
-                seen[next] = true;
-                if g.item(analyses, next).name.starts_with("try_") {
-                    delegates = true;
-                    break 'bfs;
-                }
-                queue.push_back(next);
-            }
-        }
-        if !delegates {
-            diags.push(Diagnostic {
-                file: fa.file.rel_path.clone(),
-                line: item.line,
-                rule: Rule::L007,
-                message: format!(
-                    "panicking entry `{}` does not delegate to its fallible twin `{twin}` — \
-                     the wrapper must be thin (`unwrap_or_repanic({twin}(…))`), not a second \
-                     implementation",
-                    item.name
-                ),
-            });
-        }
-    }
-    diags
 }
 
 // ---------------------------------------------------------------------

@@ -15,7 +15,7 @@
 //! two layers, each file analyzed exactly once ([`analyze_file`]):
 //!
 //! 1. **line rules** (L001–L006, L009) over the masked lines, and
-//! 2. **item rules** (L007, L008, L010) over a lightweight item parse
+//! 2. **item rules** (L008, L010) over a lightweight item parse
 //!    ([`parse`]) and the workspace call graph ([`graph`]) built from it.
 //!
 //! ## Rules
@@ -28,7 +28,6 @@
 //! | L004 | every crate root and binary carries `#![forbid(unsafe_code)]` |
 //! | L005 | obs counter registry cross-check: every registered counter is incremented somewhere, every increment uses a registered counter |
 //! | L006 | no `.unwrap()` / `.expect(` / `panic!` in non-test code of the panic-free crates (`core`, `algos`, `matching`, `measures`, `data`) — failures must surface as typed errors |
-//! | L007 | every `pub` algorithm entry point in `kanon-algos` has a `try_*` twin, and the panicking variant delegates to the fallible layer |
 //! | L008 | every `fail_point!`/`fires`/`worker_hit` site names a point in the fault crate's catalogue, every catalogue point has a site, and every point is exercised by a fault test or CI fault-matrix step |
 //! | L009 | `unsafe` appears only in the audited allowlist ([`UNSAFE_ALLOWLIST`]), and `unsafe impl Send/Sync` carries an adjacent `SAFETY:` argument |
 //! | L010 | no function of a deterministic crate transitively reaches a nondeterminism source (`env::var`, `Instant::now`, `SystemTime::now`, `available_parallelism`, runtime-counter telemetry) except through a designated config point |
@@ -101,8 +100,6 @@ pub enum Rule {
     L005,
     /// Panicking call in non-test code of a panic-free crate.
     L006,
-    /// Missing or bypassed fallible twin for an algorithm entry point.
-    L007,
     /// Fail-point site/catalogue/coverage mismatch.
     L008,
     /// `unsafe` outside the audited allowlist, or unargued Send/Sync.
@@ -112,15 +109,14 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Every rule, in code order.
-    pub const ALL: [Rule; 10] = [
+    /// Every rule, in code order. `L007` (retired) is not reused.
+    pub const ALL: [Rule; 9] = [
         Rule::L001,
         Rule::L002,
         Rule::L003,
         Rule::L004,
         Rule::L005,
         Rule::L006,
-        Rule::L007,
         Rule::L008,
         Rule::L009,
         Rule::L010,
@@ -135,7 +131,6 @@ impl Rule {
             Rule::L004 => "L004",
             Rule::L005 => "L005",
             Rule::L006 => "L006",
-            Rule::L007 => "L007",
             Rule::L008 => "L008",
             Rule::L009 => "L009",
             Rule::L010 => "L010",
@@ -151,7 +146,6 @@ impl Rule {
             Rule::L004 => "every crate root and binary carries #![forbid(unsafe_code)]",
             Rule::L005 => "every registered obs counter is incremented; every increment uses a registered counter",
             Rule::L006 => "no unwrap()/expect()/panic! in non-test code of panic-free crates; return typed errors",
-            Rule::L007 => "every pub algorithm entry point in kanon-algos has a try_* twin and the panicking variant delegates to it",
             Rule::L008 => "every fail point site is in the fault crate catalogue, every catalogue point has a site and a fault test or CI step",
             Rule::L009 => "unsafe code only in the audited allowlist; unsafe impl Send/Sync requires an adjacent SAFETY: argument",
             Rule::L010 => "deterministic crates must not reach env/time/telemetry nondeterminism except through designated config points",
@@ -1150,7 +1144,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
 
 /// Runs every rule over a pre-analyzed workspace: per-file rules from
 /// each shared analysis, then the workspace cross-checks (L005) and the
-/// call-graph rules (L007, L008, L010). No file is scanned twice.
+/// call-graph rules (L008, L010). No file is scanned twice.
 pub fn lint_analyses(root: &Path, analyses: &[FileAnalysis]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
@@ -1229,11 +1223,10 @@ pub fn lint_analyses(root: &Path, analyses: &[FileAnalysis]) -> Vec<Diagnostic> 
         });
     }
 
-    // Graph rules: one call graph shared by L007 and L010; L008 reads the
-    // fault catalogue plus the CI workflow text for coverage.
+    // Graph rules: L010 walks the call graph; L008 reads the fault
+    // catalogue plus the CI workflow text for coverage.
     let deps = graph::CrateDeps::load(root);
     let g = graph::CallGraph::build(analyses, &deps);
-    diags.extend(graph::check_fallible_twins(analyses, &g));
     let ci_text = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).ok();
     let report = graph::check_failpoints(analyses, ci_text.as_deref());
     diags.extend(report.diags);

@@ -1,6 +1,7 @@
 //! `kanon-lint` — walks the workspace and enforces the determinism &
-//! safety rules L001–L010 (see the library docs for the rule list and the
-//! `// kanon-lint: allow(<rule>) <reason>` opt-out syntax).
+//! safety rules L001–L006 and L008–L010 (see the library docs for the
+//! rule list and the `// kanon-lint: allow(<rule>) <reason>` opt-out
+//! syntax).
 //!
 //! ```text
 //! usage: kanon-lint [--root DIR] [--format text|json] [--graph-dump] [--list-rules]

@@ -1,7 +1,7 @@
 //! A lightweight, zero-dependency Rust *item* parser: just enough
 //! structure — functions, impls, modules, and the calls inside each
-//! function body — to build the workspace call graph behind rules L007
-//! (fallible twins) and L010 (determinism taint). No `syn`.
+//! function body — to build the workspace call graph behind rule L010
+//! (determinism taint). No `syn`.
 //!
 //! The input is masked source ([`crate::mask_source`]), so braces,
 //! parens and identifiers inside strings or comments are invisible and
@@ -12,17 +12,6 @@
 //! contains which call sites — is exactly what the graph rules need.
 
 use crate::{is_ident_char, Masked};
-
-/// Visibility of a parsed function item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FnVis {
-    /// `pub` exactly.
-    Pub,
-    /// `pub(crate)` / `pub(super)` / `pub(in …)`.
-    Crate,
-    /// No visibility modifier.
-    Private,
-}
 
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,8 +30,6 @@ pub struct CallSite {
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// Visibility modifier.
-    pub vis: FnVis,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// 1-based line of the closing brace (or of the `;` for body-less
@@ -150,7 +137,6 @@ pub fn parse_items(rel_path: &str, masked: &Masked, in_test_lines: &[bool]) -> V
     let n = toks.len();
     let mut items: Vec<FnItem> = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
-    let mut vis = FnVis::Private;
     let mut i = 0;
 
     while i < n {
@@ -185,30 +171,22 @@ pub fn parse_items(rel_path: &str, masked: &Masked, in_test_lines: &[bool]) -> V
             }
             Tok::Punct('{') => {
                 scopes.push(Scope::Block);
-                vis = FnVis::Private;
                 i += 1;
             }
             Tok::Punct('}') => {
                 if let Some(Scope::Fn(idx)) = scopes.pop() {
                     items[idx].end_line = toks[i].line;
                 }
-                vis = FnVis::Private;
                 i += 1;
             }
-            Tok::Punct(c) => {
-                if matches!(c, ';' | '=' | ',') {
-                    vis = FnVis::Private;
-                }
-                i += 1;
-            }
-            Tok::Num => {
+            Tok::Punct(_) | Tok::Num => {
                 i += 1;
             }
             Tok::Ident(id) => match id.as_str() {
+                // `pub(crate)` etc.: skip the restriction so its parens
+                // never read as a call.
                 "pub" => {
-                    vis = FnVis::Pub;
                     if matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('('))) {
-                        vis = FnVis::Crate;
                         let mut j = i + 1;
                         let mut depth = 0i32;
                         while j < n {
@@ -230,8 +208,8 @@ pub fn parse_items(rel_path: &str, masked: &Masked, in_test_lines: &[bool]) -> V
                         i += 1;
                     }
                 }
-                // Function modifiers: visibility survives them
-                // (`pub const fn`, `pub unsafe extern "C" fn`, …).
+                // Function modifiers (`pub const fn`,
+                // `pub unsafe extern "C" fn`, …) precede the `fn` item.
                 "async" | "unsafe" | "extern" | "default" | "const" => {
                     i += 1;
                 }
@@ -295,7 +273,6 @@ pub fn parse_items(rel_path: &str, masked: &Masked, in_test_lines: &[bool]) -> V
                         let item_idx = items.len();
                         items.push(FnItem {
                             name: name.clone(),
-                            vis,
                             line: decl_line,
                             end_line,
                             module_path,
@@ -303,7 +280,6 @@ pub fn parse_items(rel_path: &str, masked: &Masked, in_test_lines: &[bool]) -> V
                             in_test: path_is_test || line_in_test(decl_line),
                             calls: Vec::new(),
                         });
-                        vis = FnVis::Private;
                         if opened {
                             scopes.push(Scope::Fn(item_idx));
                         }
@@ -323,7 +299,6 @@ pub fn parse_items(rel_path: &str, masked: &Masked, in_test_lines: &[bool]) -> V
                     } else {
                         i += 1;
                     }
-                    vis = FnVis::Private;
                 }
                 "impl" | "trait" => {
                     let is_impl = id == "impl";
@@ -370,7 +345,6 @@ pub fn parse_items(rel_path: &str, masked: &Masked, in_test_lines: &[bool]) -> V
                     if opened {
                         scopes.push(Scope::Impl(subject));
                     }
-                    vis = FnVis::Private;
                     i = j;
                 }
                 // Consume type declarations to `{` or `;`, so tuple-struct
@@ -397,14 +371,12 @@ pub fn parse_items(rel_path: &str, masked: &Masked, in_test_lines: &[bool]) -> V
                         }
                         j += 1;
                     }
-                    vis = FnVis::Private;
                     i = j;
                 }
                 "use" => {
                     while i < n && !matches!(toks[i].tok, Tok::Punct(';')) {
                         i += 1;
                     }
-                    vis = FnVis::Private;
                 }
                 // Keywords that may be followed by `(` without being calls.
                 "let" | "if" | "else" | "match" | "while" | "loop" | "return" | "break"
@@ -490,12 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn free_fn_with_calls_and_vis() {
+    fn free_fn_with_calls() {
         let src = "pub fn alpha(x: u32) -> u32 {\n    helper(x);\n    crate::fallible::catch(x)\n}\npub(crate) fn beta() {}\nfn gamma() {}\n";
         let items = parse("crates/a/src/x.rs", src);
         assert_eq!(items.len(), 3);
         assert_eq!(items[0].name, "alpha");
-        assert_eq!(items[0].vis, FnVis::Pub);
         assert_eq!(items[0].line, 1);
         assert_eq!(items[0].end_line, 4);
         assert_eq!(
@@ -513,8 +484,9 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(items[1].vis, FnVis::Crate);
-        assert_eq!(items[2].vis, FnVis::Private);
+        assert_eq!(items[1].name, "beta");
+        assert_eq!(items[1].calls, vec![]);
+        assert_eq!(items[2].name, "gamma");
     }
 
     #[test]
@@ -607,10 +579,11 @@ mod tests {
     }
 
     #[test]
-    fn vis_survives_fn_modifiers() {
+    fn fn_modifiers_precede_items() {
         let src = "pub const fn c() {}\npub unsafe fn u() {}\npub async fn a() {}\n";
         let items = parse("crates/a/src/x.rs", src);
-        assert!(items.iter().all(|f| f.vis == FnVis::Pub), "{items:?}");
+        let names: Vec<&str> = items.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["c", "u", "a"], "{items:?}");
     }
 
     #[test]

@@ -44,6 +44,14 @@
 //! that repair itself fails the handle is poisoned and refuses further
 //! appends, so no acknowledged record can ever land beyond a tear.
 //!
+//! A failed `R` marker is worse than a torn record: the record it marks
+//! stays on disk looking committed, and replay would resurrect a batch
+//! the daemon already reported as failed. So when a marker append fails
+//! for the record this handle wrote last, the file is cut back to before
+//! that record, un-journaling it. The handle is poisoned either way, so
+//! the marked record stays the final one even if that cut failed too;
+//! recovery then handles it by the final-record rule.
+//!
 //! A *crash* mid-append leaves no process around to run that repair, so
 //! the torn bytes survive on disk. Recovery therefore truncates the
 //! file back to its intact prefix ([`truncate_torn_tail`]) before the
@@ -122,10 +130,14 @@ impl JournalRecord {
 pub struct Journal {
     path: PathBuf,
     file: File,
-    /// Set when a failed append could not be truncated back out: the
-    /// logical tail is unknown, so further appends are refused rather
-    /// than risk burying the tear under acknowledged records.
+    /// Set when a failed append could not be truncated back out, or a
+    /// rollback marker was lost: the logical tail is unknown or
+    /// disagrees with the daemon, so further appends are refused until
+    /// a compaction or a restart.
     poisoned: bool,
+    /// Seq and start offset of the last record this handle appended —
+    /// what a lost rollback marker for that seq cuts back to.
+    last: Option<(u64, u64)>,
 }
 
 impl Journal {
@@ -136,6 +148,7 @@ impl Journal {
             path: path.to_path_buf(),
             file,
             poisoned: false,
+            last: None,
         })
     }
 
@@ -149,7 +162,10 @@ impl Journal {
     /// I/O error mid-write) the file is truncated back to its
     /// pre-append length, so the torn record can never end up buried
     /// mid-file where `read_journal` would stop at it and hide every
-    /// later acknowledged record from replay.
+    /// later acknowledged record from replay. A failed
+    /// [`RecordKind::Rollback`] marker for the last appended record
+    /// truncates that record away as well and poisons the handle (see
+    /// the module docs).
     pub fn append(
         &mut self,
         seq: u64,
@@ -160,7 +176,8 @@ impl Journal {
     ) -> io::Result<()> {
         if self.poisoned {
             return Err(io::Error::other(
-                "journal is poisoned: an earlier torn append could not be repaired",
+                "journal is poisoned: an earlier append could not be repaired \
+                 or a rollback marker was lost",
             ));
         }
         let buf = encode_record(seq, kind, budget, epsilon, payload);
@@ -177,16 +194,22 @@ impl Journal {
                 .and_then(|()| self.file.sync_all())
         };
         if let Err(e) = written {
-            if self
+            let lost_marker = kind == RecordKind::Rollback;
+            let cut = match self.last {
+                Some((last_seq, at)) if lost_marker && last_seq == seq => at,
+                _ => start,
+            };
+            let repaired = self
                 .file
-                .set_len(start)
+                .set_len(cut)
                 .and_then(|()| self.file.sync_all())
-                .is_err()
-            {
+                .is_ok();
+            if !repaired || lost_marker {
                 self.poisoned = true;
             }
             return Err(e);
         }
+        self.last = Some((seq, start));
         Ok(())
     }
 
@@ -232,6 +255,7 @@ impl Journal {
         // compacted file so later appends land in it.
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.poisoned = false;
+        self.last = None;
         Ok(Some(old_len.saturating_sub(kept.len() as u64)))
     }
 }

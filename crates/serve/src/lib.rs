@@ -276,6 +276,18 @@ impl Core {
         let _g = self.lifetime.install();
         fold_report(report);
     }
+
+    /// Marks the journaled record `seq` rolled back so replay skips it,
+    /// and burns the seq. If the marker cannot be written, the journal
+    /// un-journals the record and refuses writes until a restart or a
+    /// compaction ([`Journal::append`]), so a later record can never
+    /// land behind an unmarked failure.
+    fn roll_back(&mut self, seq: u64) {
+        if let Err(e) = self.journal.append(seq, RecordKind::Rollback, 0, 0.0, b"") {
+            eprintln!("kanon serve: rollback marker for seq {seq} lost: {e}; refusing writes");
+        }
+        self.state.note_rollback(seq);
+    }
 }
 
 /// Counts every nonzero counter of `report` into the *currently
@@ -687,8 +699,7 @@ impl Daemon {
                 Err(e) => {
                     // Permanent failure: mark the journaled batch rolled
                     // back so replay skips it, and burn its seq.
-                    let _ = core.journal.append(seq, RecordKind::Rollback, 0, 0.0, b"");
-                    core.state.note_rollback(seq);
+                    core.roll_back(seq);
                     return format!("ERR {}: {e} (attempts={attempt})", class(&e));
                 }
             }
@@ -718,8 +729,7 @@ impl Daemon {
                 Ok(outcome)
             }
             Err(e) => {
-                let _ = core.journal.append(seq, RecordKind::Rollback, 0, 0.0, b"");
-                core.state.note_rollback(seq);
+                core.roll_back(seq);
                 Err(e)
             }
         }
@@ -937,6 +947,40 @@ mod tests {
         assert_eq!(d.with_state(|s| s.num_rows()), 6);
         let resp = request(&d, b"BATCH\n10,20s\n");
         assert!(resp.starts_with("OK seq=2 "), "{resp}");
+    }
+
+    #[test]
+    fn lost_rollback_marker_poisons_the_journal() {
+        // A rolled-back batch whose `R` marker never reaches the disk
+        // must not come back: neither journaled behind by a later batch,
+        // nor resurrected by recovery.
+        let mut o = opts("lostmarker");
+        o.retries = 1;
+        let d = Daemon::start(base_table(), cfg(), o).unwrap();
+        let resp = request(&d, b"BATCH\n10,60s\n11,70s\n");
+        assert!(resp.starts_with("OK seq=1 "), "{resp}");
+        let pre = request(&d, b"OUTPUT");
+        {
+            // Both apply attempts fail; journal append #1 is the batch
+            // record, #2 its rollback marker.
+            let _g = kanon_fault::scoped("serve/batch/apply=every:1,serve/journal/append=once:2");
+            let resp = request(&d, b"BATCH\n10,70s\n11,60s\n");
+            assert!(resp.starts_with("ERR FaultInjected:"), "{resp}");
+            assert!(resp.contains("attempts=2"), "{resp}");
+        }
+        // Faults disarmed: the next batch is still refused, not
+        // journaled behind the unmarked failure.
+        let resp = request(&d, b"BATCH\n10,20s\n");
+        assert!(resp.starts_with("ERR Io: journal append failed"), "{resp}");
+        assert_eq!(request(&d, b"OUTPUT"), pre);
+        drop(d);
+
+        let r = Daemon::start(base_table(), cfg(), opts2_keep("lostmarker")).unwrap();
+        assert_eq!(r.replayed(), 1);
+        assert_eq!(request(&r, b"OUTPUT"), pre);
+        // The restarted daemon journals again.
+        let resp = request(&r, b"BATCH\n10,20s\n");
+        assert!(resp.starts_with("OK "), "{resp}");
     }
 
     #[test]

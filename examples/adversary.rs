@@ -53,7 +53,7 @@ fn main() {
     println!("=== Act 2: (k,k)-anonymity and the omniscient adversary ===");
     let table = kanon::data::art::generate(60, 7);
     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-    let kk = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+    let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
 
     let r1 = Adversary1.attack(&table, &kk.table, k).unwrap();
     println!(

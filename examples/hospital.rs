@@ -69,7 +69,7 @@ fn main() {
     // Publish with (k,k)-anonymity, k = 4, LM measure.
     let k = 4;
     let costs = NodeCostTable::compute(&table, &LmMeasure);
-    let published = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+    let published = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
 
     println!(
         "published (k,k)-anonymized table (k = {k}), LM loss = {:.3}:",
@@ -97,7 +97,9 @@ fn main() {
     );
 
     // Utility contrast: classic k-anonymity on the same data loses more.
-    let classic = agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k)).unwrap();
+    let classic = try_agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k))
+        .unwrap()
+        .into_inner();
     println!(
         "\nutility: (k,k) keeps {:.1}% of the information classic k-anonymity \
          gives up (LM {:.3} vs {:.3})",

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example ldiversity`
 
-use kanon::algos::{l_diverse_k_anonymize, LDiverseConfig};
+use kanon::algos::{try_l_diverse_k_anonymize, LDiverseConfig};
 use kanon::prelude::*;
 use kanon::verify::{is_l_diverse, l_diversity_level};
 
@@ -19,7 +19,9 @@ fn main() {
 
     // Plain k-anonymity: private *identities*, but a homogeneous cluster
     // still leaks everyone's sensitive value.
-    let plain = agglomerative_k_anonymize(table, &costs, &AgglomerativeConfig::new(k)).unwrap();
+    let plain = try_agglomerative_k_anonymize(table, &costs, &AgglomerativeConfig::new(k))
+        .unwrap()
+        .into_inner();
     let plain_l = l_diversity_level(&plain.table, sensitive).unwrap();
     println!(
         "plain {k}-anonymization: loss = {:.4}, but distinct ℓ-diversity level = {plain_l}",
@@ -31,8 +33,9 @@ fn main() {
 
     // Diversity-aware anonymization: clusters must also mix ≥ ℓ methods.
     for l in [2, 3] {
-        let out =
-            l_diverse_k_anonymize(table, &costs, sensitive, &LDiverseConfig::new(k, l)).unwrap();
+        let out = try_l_diverse_k_anonymize(table, &costs, sensitive, &LDiverseConfig::new(k, l))
+            .unwrap()
+            .into_inner();
         assert!(is_l_diverse(&out.table, sensitive, l).unwrap());
         assert!(kanon::verify::is_k_anonymous(&out.table, k));
         println!(

@@ -35,7 +35,7 @@ fn main() {
         ("LM (Eq. 4)", &lm_costs),
         ("tree measure", &tm_costs),
     ] {
-        let out = kk_anonymize(table, costs, &KkConfig::new(k)).unwrap();
+        let out = try_kk_anonymize(table, costs, &KkConfig::new(k)).unwrap();
         let em = em_costs.table_loss(&out.table);
         let lm = lm_costs.table_loss(&out.table);
         let tm = tm_costs.table_loss(&out.table);
@@ -53,7 +53,7 @@ fn main() {
 
     // Export the LM-optimized table as CSV — the hand-off artifact a data
     // custodian would actually publish.
-    let out = kk_anonymize(table, &lm_costs, &KkConfig::new(k)).unwrap();
+    let out = try_kk_anonymize(table, &lm_costs, &KkConfig::new(k)).unwrap();
     let csv = kanon::data::generalized_to_csv(&out.table);
     let preview: Vec<&str> = csv.lines().take(6).collect();
     println!("\npublished CSV (first rows):\n{}", preview.join("\n"));

@@ -25,21 +25,22 @@ fn main() {
 
     // 3a. Classic k-anonymity via the paper's agglomerative algorithm
     //     (Algorithm 1, distance D3 — one of the two best in the paper).
-    let kanon_out = agglomerative_k_anonymize(
+    let kanon_out = try_agglomerative_k_anonymize(
         &table,
         &costs,
         &AgglomerativeConfig::new(k).with_distance(ClusterDistance::D3),
     )
-    .unwrap();
+    .unwrap()
+    .into_inner();
 
     // 3b. (k,k)-anonymity (Algorithms 4 + 5): same practical privacy
     //     against an adversary who knows individuals' public data, with
     //     strictly better utility.
-    let kk_out = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+    let kk_out = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
 
     // 3c. Global (1,k)-anonymity (…+ Algorithm 6): safe even against an
     //     adversary who knows the exact member set of the database.
-    let global_out = global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
+    let global_out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
 
     println!("information loss (entropy measure, lower = more utility):");
     println!("  k-anonymity       : {:.4} bits/entry", kanon_out.loss);

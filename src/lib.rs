@@ -23,12 +23,14 @@
 //!
 //! // k-anonymize with the agglomerative algorithm (Alg. 1, distance D3).
 //! let cfg = AgglomerativeConfig::new(5).with_distance(ClusterDistance::D3);
-//! let out = agglomerative_k_anonymize(&table, &costs, &cfg).unwrap();
+//! let out = try_agglomerative_k_anonymize(&table, &costs, &cfg)
+//!     .unwrap()
+//!     .into_inner();
 //! assert!(kanon::verify::is_k_anonymous(&out.table, 5));
 //!
 //! // (k,k)-anonymize — same privacy against a realistic adversary,
 //! // strictly better utility.
-//! let kk = kk_anonymize(&table, &costs, &KkConfig::new(5)).unwrap();
+//! let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(5)).unwrap();
 //! assert!(kanon::verify::is_kk_anonymous(&table, &kk.table, 5).unwrap());
 //! let em_k = costs.table_loss(&out.table);
 //! let em_kk = costs.table_loss(&kk.table);
@@ -47,9 +49,9 @@ pub use kanon_verify as verify;
 /// Commonly used items, importable with `use kanon::prelude::*`.
 pub mod prelude {
     pub use kanon_algos::{
-        agglomerative_k_anonymize, best_k_anonymize, forest_k_anonymize, global_1k_anonymize,
-        k1_expansion, k1_nearest_neighbors, kk_anonymize, one_k_anonymize, AgglomerativeConfig,
-        ClusterDistance, GlobalConfig, K1Method, KkConfig,
+        k1_expansion, k1_nearest_neighbors, try_agglomerative_k_anonymize, try_best_k_anonymize,
+        try_forest_k_anonymize, try_global_1k_anonymize, try_kk_anonymize, try_one_k_anonymize,
+        AgglomerativeConfig, Budgeted, ClusterDistance, GlobalConfig, K1Method, KkConfig,
     };
     pub use kanon_core::{
         AttributeDomain, Clustering, GeneralizedRecord, GeneralizedTable, Hierarchy, Record,

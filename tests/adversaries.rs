@@ -11,7 +11,9 @@ fn kanonymous_tables_resist_both_adversaries() {
     let table = kanon::data::art::generate(80, 3);
     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
     let k = 4;
-    let out = agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k)).unwrap();
+    let out = try_agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k))
+        .unwrap()
+        .into_inner();
     assert!(Adversary1
         .attack(&table, &out.table, k)
         .unwrap()
@@ -30,7 +32,7 @@ fn kk_tables_resist_adversary1() {
         let table = kanon::data::art::generate(70, seed);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         let k = 3;
-        let kk = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+        let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
         let report = Adversary1.attack(&table, &kk.table, k).unwrap();
         assert!(
             report.breached_rows().is_empty(),
@@ -45,7 +47,7 @@ fn global_tables_resist_adversary2() {
         let table = kanon::data::art::generate(70, seed);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         let k = 3;
-        let kk = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+        let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
         let global = global_1k_from_kk(&table, &kk.table, &costs, k).unwrap();
         let report = Adversary2.attack(&table, &global.table, k).unwrap();
         assert!(
@@ -85,7 +87,7 @@ fn the_paper_counterexample_breaches() {
 fn adversary2_candidates_are_subset_of_adversary1() {
     let table = kanon::data::cmc::generate(60, 11).table;
     let costs = NodeCostTable::compute(&table, &LmMeasure);
-    let kk = kk_anonymize(&table, &costs, &KkConfig::new(3)).unwrap();
+    let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(3)).unwrap();
     let r1 = Adversary1.attack(&table, &kk.table, 3).unwrap();
     let r2 = Adversary2.attack(&table, &kk.table, 3).unwrap();
     for (a, b) in r1.results.iter().zip(&r2.results) {
@@ -99,7 +101,7 @@ fn adversary2_candidates_are_subset_of_adversary1() {
 fn attack_reports_are_complete() {
     let table = kanon::data::art::generate(40, 5);
     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-    let kk = kk_anonymize(&table, &costs, &KkConfig::new(2)).unwrap();
+    let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(2)).unwrap();
     let report = Adversary1.attack(&table, &kk.table, 2).unwrap();
     assert_eq!(report.results.len(), 40);
     for (i, r) in report.results.iter().enumerate() {

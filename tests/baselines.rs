@@ -4,8 +4,8 @@
 //! hold where they are theorems (not heuristics).
 
 use kanon::algos::{
-    forest_k_anonymize, fulldomain_k_anonymize, mdav_k_anonymize, mondrian_k_anonymize,
-    samarati_k_anonymize,
+    try_forest_k_anonymize, try_fulldomain_k_anonymize, try_mdav_k_anonymize,
+    try_mondrian_k_anonymize, try_samarati_k_anonymize,
 };
 use kanon::prelude::*;
 use kanon::verify::is_k_anonymous;
@@ -26,16 +26,25 @@ fn every_baseline_is_k_anonymous_on_every_dataset() {
             for (alg, gtable) in [
                 (
                     "forest",
-                    forest_k_anonymize(&table, &costs, k).unwrap().table,
+                    try_forest_k_anonymize(&table, &costs, k)
+                        .unwrap()
+                        .into_inner()
+                        .table,
                 ),
                 (
                     "mondrian",
-                    mondrian_k_anonymize(&table, &costs, k).unwrap().table,
+                    try_mondrian_k_anonymize(&table, &costs, k)
+                        .unwrap()
+                        .into_inner()
+                        .table,
                 ),
-                ("mdav", mdav_k_anonymize(&table, &costs, k).unwrap().table),
+                (
+                    "mdav",
+                    try_mdav_k_anonymize(&table, &costs, k).unwrap().table,
+                ),
                 (
                     "fulldomain",
-                    fulldomain_k_anonymize(&table, &costs, k)
+                    try_fulldomain_k_anonymize(&table, &costs, k)
                         .unwrap()
                         .output
                         .table,
@@ -58,7 +67,7 @@ fn every_baseline_is_k_anonymous_on_every_dataset() {
 fn samarati_with_zero_budget_is_k_anonymous() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &LmMeasure);
-        let out = samarati_k_anonymize(&table, &costs, 3, 0).unwrap();
+        let out = try_samarati_k_anonymize(&table, &costs, 3, 0).unwrap();
         assert!(
             out.suppressed.is_empty(),
             "{name}: no budget, no suppression"
@@ -72,7 +81,7 @@ fn samarati_budget_respects_limit() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &LmMeasure);
         let budget = 5;
-        let out = samarati_k_anonymize(&table, &costs, 4, budget).unwrap();
+        let out = try_samarati_k_anonymize(&table, &costs, 4, budget).unwrap();
         assert!(
             out.suppressed.len() <= budget,
             "{name}: {} suppressions over budget {budget}",
@@ -98,10 +107,11 @@ fn fulldomain_never_beats_local_agglomerative_on_lm() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &LmMeasure);
         for k in [2, 4] {
-            let full = fulldomain_k_anonymize(&table, &costs, k).unwrap();
+            let full = try_fulldomain_k_anonymize(&table, &costs, k).unwrap();
             let (local, _) =
-                best_k_anonymize(&table, &costs, k, &ClusterDistance::paper_variants(), true)
-                    .unwrap();
+                try_best_k_anonymize(&table, &costs, k, &ClusterDistance::paper_variants(), true)
+                    .unwrap()
+                    .into_inner();
             assert!(
                 local.loss <= full.output.loss + 1e-9,
                 "{name} k={k}: local {} > full-domain {}",
@@ -117,7 +127,9 @@ fn forest_cluster_size_bound_holds_on_all_datasets() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         for k in [2, 3, 7] {
-            let out = forest_k_anonymize(&table, &costs, k).unwrap();
+            let out = try_forest_k_anonymize(&table, &costs, k)
+                .unwrap()
+                .into_inner();
             assert!(
                 out.clustering.max_cluster_size() <= 3 * k - 3 || k == 2,
                 "{name} k={k}: max cluster {}",
@@ -139,9 +151,15 @@ fn mdav_and_mondrian_are_competitive() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         let k = 5;
-        let forest = forest_k_anonymize(&table, &costs, k).unwrap().loss;
-        let mdav = mdav_k_anonymize(&table, &costs, k).unwrap().loss;
-        let mondrian = mondrian_k_anonymize(&table, &costs, k).unwrap().loss;
+        let forest = try_forest_k_anonymize(&table, &costs, k)
+            .unwrap()
+            .into_inner()
+            .loss;
+        let mdav = try_mdav_k_anonymize(&table, &costs, k).unwrap().loss;
+        let mondrian = try_mondrian_k_anonymize(&table, &costs, k)
+            .unwrap()
+            .into_inner()
+            .loss;
         assert!(
             mdav <= 2.0 * forest + 1e-9,
             "{name}: mdav {mdav} vs forest {forest}"

@@ -2,7 +2,7 @@
 //! dataset, validated with the independent `kanon-verify` checkers, plus
 //! the paper's utility orderings.
 
-use kanon::algos::{forest_k_anonymize, k1_anonymize, K1Method};
+use kanon::algos::{try_forest_k_anonymize, try_k1_anonymize, K1Method};
 use kanon::prelude::*;
 use kanon::verify::{
     is_1k_anonymous, is_global_1k_anonymous, is_k1_anonymous, is_k_anonymous, is_kk_anonymous,
@@ -26,7 +26,9 @@ fn agglomerative_outputs_verify_on_all_datasets() {
             ] {
                 for d in ClusterDistance::paper_variants() {
                     let cfg = AgglomerativeConfig::new(k).with_distance(d);
-                    let out = agglomerative_k_anonymize(&table, &costs, &cfg).unwrap();
+                    let out = try_agglomerative_k_anonymize(&table, &costs, &cfg)
+                        .unwrap()
+                        .into_inner();
                     assert!(
                         is_k_anonymous(&out.table, k),
                         "{name}/{mname}/{d}: output not {k}-anonymous"
@@ -47,7 +49,9 @@ fn forest_outputs_verify_on_all_datasets() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         for k in [2, 5, 10] {
-            let out = forest_k_anonymize(&table, &costs, k).unwrap();
+            let out = try_forest_k_anonymize(&table, &costs, k)
+                .unwrap()
+                .into_inner();
             assert!(is_k_anonymous(&out.table, k), "{name} k={k}");
             assert!(
                 out.clustering.max_cluster_size() <= 3 * k.max(2) - 3,
@@ -63,7 +67,7 @@ fn k1_outputs_verify_on_all_datasets() {
         let costs = NodeCostTable::compute(&table, &LmMeasure);
         for k in [2, 5] {
             for method in [K1Method::NearestNeighbors, K1Method::Expansion] {
-                let out = k1_anonymize(&table, &costs, k, method).unwrap();
+                let out = try_k1_anonymize(&table, &costs, k, method).unwrap();
                 assert!(
                     is_k1_anonymous(&table, &out.table, k).unwrap(),
                     "{name} k={k} {method:?}"
@@ -79,7 +83,7 @@ fn kk_outputs_verify_on_all_datasets() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         for k in [2, 5] {
-            let out = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+            let out = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
             assert!(
                 is_kk_anonymous(&table, &out.table, k).unwrap(),
                 "{name} k={k}"
@@ -95,7 +99,7 @@ fn global_outputs_verify_on_all_datasets() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         let k = 3;
-        let out = global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
+        let out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
         assert!(
             is_global_1k_anonymous(&table, &out.table, k).unwrap(),
             "{name}: global check failed"
@@ -116,10 +120,13 @@ fn utility_orderings_hold() {
         ] {
             let k = 5;
             let (best, _) =
-                best_k_anonymize(&table, &costs, k, &ClusterDistance::paper_variants(), true)
-                    .unwrap();
-            let forest = forest_k_anonymize(&table, &costs, k).unwrap();
-            let kk = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+                try_best_k_anonymize(&table, &costs, k, &ClusterDistance::paper_variants(), true)
+                    .unwrap()
+                    .into_inner();
+            let forest = try_forest_k_anonymize(&table, &costs, k)
+                .unwrap()
+                .into_inner();
+            let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
             assert!(
                 best.loss <= forest.loss + 1e-9,
                 "{name}/{mname}: best k-anon {} > forest {}",
@@ -145,7 +152,7 @@ fn losses_are_monotone_in_k() {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         let mut prev = 0.0;
         for k in [2, 4, 8, 16] {
-            let kk = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+            let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
             assert!(
                 kk.loss >= prev - 1e-9,
                 "{name}: loss decreased from {prev} to {} at k={k}",
@@ -161,8 +168,12 @@ fn use_of_best_k_anonymize_reports_valid_winner() {
     let table = kanon::data::art::generate(80, 9);
     let costs = NodeCostTable::compute(&table, &LmMeasure);
     let (out, cfg) =
-        best_k_anonymize(&table, &costs, 4, &ClusterDistance::paper_variants(), true).unwrap();
+        try_best_k_anonymize(&table, &costs, 4, &ClusterDistance::paper_variants(), true)
+            .unwrap()
+            .into_inner();
     // Re-running the winning configuration reproduces the winning loss.
-    let again = agglomerative_k_anonymize(&table, &costs, &cfg).unwrap();
+    let again = try_agglomerative_k_anonymize(&table, &costs, &cfg)
+        .unwrap()
+        .into_inner();
     assert_eq!(out.loss, again.loss);
 }

@@ -87,8 +87,9 @@ fn inclusion_chain_on_algorithm_outputs() {
         let table = kanon::data::art::generate(50, seed);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
 
-        let kanon_out =
-            agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k)).unwrap();
+        let kanon_out = try_agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k))
+            .unwrap()
+            .into_inner();
         let p = AnonymityProfile::compute(&table, &kanon_out.table).unwrap();
         assert!(p.k_anonymity >= k);
         assert!(p.global_1k >= p.k_anonymity, "A^k ⊆ A^{{G,(1,k)}}");
@@ -96,7 +97,7 @@ fn inclusion_chain_on_algorithm_outputs() {
         assert!(p.kk >= p.k_anonymity, "A^k ⊆ A^(k,k)");
         assert_eq!(p.kk, p.one_k.min(p.k_one), "(k,k) = (1,k) ∧ (k,1)");
 
-        let kk = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+        let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
         let p = AnonymityProfile::compute(&table, &kk.table).unwrap();
         assert!(p.kk >= k);
         assert!(p.one_k >= k && p.k_one >= k);
@@ -110,7 +111,7 @@ fn global_output_is_global_but_rarely_k_anonymous() {
     let k = 3;
     let table = kanon::data::art::generate(60, 4);
     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-    let out = global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
+    let out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
     let p = AnonymityProfile::compute(&table, &out.table).unwrap();
     assert!(p.global_1k >= k);
     assert!(p.kk >= k);

@@ -28,7 +28,7 @@ fn suppression_lower_bounds_lm() {
     // partial generalizations: SUP ≤ LM pointwise, hence on table losses.
     let table = kanon::data::art::generate(80, 2);
     let em = NodeCostTable::compute(&table, &EntropyMeasure);
-    let out = kk_anonymize(&table, &em, &KkConfig::new(4)).unwrap();
+    let out = try_kk_anonymize(&table, &em, &KkConfig::new(4)).unwrap();
     let lm = NodeCostTable::compute(&table, &LmMeasure);
     let sup = NodeCostTable::compute(&table, &SuppressionMeasure);
     assert!(sup.table_loss(&out.table) <= lm.table_loss(&out.table) + 1e-12);
@@ -43,7 +43,9 @@ fn nonuniform_entropy_upper_bounds_basic_on_clusterings() {
     // both non-negative and NE finite).
     let table = kanon::data::adult::generate(80, 3);
     let em = NodeCostTable::compute(&table, &EntropyMeasure);
-    let out = agglomerative_k_anonymize(&table, &em, &AgglomerativeConfig::new(4)).unwrap();
+    let out = try_agglomerative_k_anonymize(&table, &em, &AgglomerativeConfig::new(4))
+        .unwrap()
+        .into_inner();
     let ne = nonuniform_entropy_loss(&table, &out.table).unwrap();
     let basic = em.table_loss(&out.table);
     assert!(ne.is_finite() && ne >= 0.0);
@@ -55,7 +57,9 @@ fn discernibility_reflects_class_structure() {
     let table = kanon::data::art::generate(90, 4);
     let em = NodeCostTable::compute(&table, &EntropyMeasure);
     for k in [3, 9] {
-        let out = agglomerative_k_anonymize(&table, &em, &AgglomerativeConfig::new(k)).unwrap();
+        let out = try_agglomerative_k_anonymize(&table, &em, &AgglomerativeConfig::new(k))
+            .unwrap()
+            .into_inner();
         let sizes = class_sizes(&out.table);
         // Class sizes sum to n and respect k.
         assert_eq!(sizes.iter().sum::<usize>(), 90);
@@ -74,7 +78,9 @@ fn discernibility_grows_with_k() {
     let em = NodeCostTable::compute(&table, &EntropyMeasure);
     let mut prev = 0.0;
     for k in [2, 4, 8] {
-        let out = agglomerative_k_anonymize(&table, &em, &AgglomerativeConfig::new(k)).unwrap();
+        let out = try_agglomerative_k_anonymize(&table, &em, &AgglomerativeConfig::new(k))
+            .unwrap()
+            .into_inner();
         let dm = discernibility_per_record(&out.table);
         assert!(dm >= prev, "DM/n should not shrink as k grows");
         prev = dm;
@@ -85,7 +91,9 @@ fn discernibility_grows_with_k() {
 fn classification_metric_on_cmc_labels() {
     let labeled = kanon::data::cmc::generate(150, 6);
     let em = NodeCostTable::compute(&labeled.table, &EntropyMeasure);
-    let out = agglomerative_k_anonymize(&labeled.table, &em, &AgglomerativeConfig::new(5)).unwrap();
+    let out = try_agglomerative_k_anonymize(&labeled.table, &em, &AgglomerativeConfig::new(5))
+        .unwrap()
+        .into_inner();
     let cm = classification_metric(&out.table, &labeled.labels).unwrap();
     // CM is a fraction of records, bounded by the size of the two minority
     // classes.
@@ -105,8 +113,8 @@ fn measure_choice_changes_the_output() {
     let table = kanon::data::adult::generate(150, 7);
     let em = NodeCostTable::compute(&table, &EntropyMeasure);
     let lm = NodeCostTable::compute(&table, &LmMeasure);
-    let out_em = kk_anonymize(&table, &em, &KkConfig::new(5)).unwrap();
-    let out_lm = kk_anonymize(&table, &lm, &KkConfig::new(5)).unwrap();
+    let out_em = try_kk_anonymize(&table, &em, &KkConfig::new(5)).unwrap();
+    let out_lm = try_kk_anonymize(&table, &lm, &KkConfig::new(5)).unwrap();
     // Each output should be at least as good as the other *under its own
     // objective* (they were optimized for it).
     assert!(em.table_loss(&out_em.table) <= em.table_loss(&out_lm.table) + 1e-9);

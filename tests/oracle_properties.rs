@@ -3,8 +3,8 @@
 //! guarantee on random tiny tables.
 
 use kanon::algos::{
-    forest_k_anonymize, fulldomain_k_anonymize, k1_expansion, k1_nearest_neighbors,
-    k1_optimal_bruteforce, mondrian_k_anonymize, optimal_k_anonymize,
+    k1_expansion, k1_nearest_neighbors, k1_optimal_bruteforce, try_forest_k_anonymize,
+    try_fulldomain_k_anonymize, try_mondrian_k_anonymize, try_optimal_k_anonymize,
 };
 use kanon::prelude::*;
 use proptest::prelude::*;
@@ -42,19 +42,20 @@ proptest! {
             NodeCostTable::compute(&table, &EntropyMeasure),
             NodeCostTable::compute(&table, &LmMeasure),
         ] {
-            let opt = optimal_k_anonymize(&table, &costs, k).unwrap();
+            let opt = try_optimal_k_anonymize(&table, &costs, k).unwrap();
             for (name, loss) in [
                 (
                     "agglomerative",
-                    agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k))
+                    try_agglomerative_k_anonymize(&table, &costs, &AgglomerativeConfig::new(k))
                         .unwrap()
+                        .into_inner()
                         .loss,
                 ),
-                ("forest", forest_k_anonymize(&table, &costs, k).unwrap().loss),
-                ("mondrian", mondrian_k_anonymize(&table, &costs, k).unwrap().loss),
+                ("forest", try_forest_k_anonymize(&table, &costs, k).unwrap().into_inner().loss),
+                ("mondrian", try_mondrian_k_anonymize(&table, &costs, k).unwrap().into_inner().loss),
                 (
                     "fulldomain",
-                    fulldomain_k_anonymize(&table, &costs, k).unwrap().output.loss,
+                    try_fulldomain_k_anonymize(&table, &costs, k).unwrap().output.loss,
                 ),
             ] {
                 prop_assert!(
@@ -74,8 +75,8 @@ proptest! {
     fn forest_approximation_bound(seed in 0u64..500, k in 2usize..4) {
         let table = tiny_table(seed, 8);
         let costs = NodeCostTable::compute(&table, &LmMeasure);
-        let opt = optimal_k_anonymize(&table, &costs, k).unwrap();
-        let forest = forest_k_anonymize(&table, &costs, k).unwrap();
+        let opt = try_optimal_k_anonymize(&table, &costs, k).unwrap();
+        let forest = try_forest_k_anonymize(&table, &costs, k).unwrap().into_inner();
         if opt.loss > 1e-12 {
             prop_assert!(
                 forest.loss <= 3.0 * (k as f64 - 1.0) * opt.loss + 1e-9,
@@ -118,9 +119,9 @@ proptest! {
     fn optimal_is_monotone_in_k(seed in 0u64..300) {
         let table = tiny_table(seed, 8);
         let costs = NodeCostTable::compute(&table, &LmMeasure);
-        let l2 = optimal_k_anonymize(&table, &costs, 2).unwrap().loss;
-        let l3 = optimal_k_anonymize(&table, &costs, 3).unwrap().loss;
-        let l4 = optimal_k_anonymize(&table, &costs, 4).unwrap().loss;
+        let l2 = try_optimal_k_anonymize(&table, &costs, 2).unwrap().loss;
+        let l3 = try_optimal_k_anonymize(&table, &costs, 3).unwrap().loss;
+        let l4 = try_optimal_k_anonymize(&table, &costs, 4).unwrap().loss;
         prop_assert!(l2 <= l3 + 1e-12);
         prop_assert!(l3 <= l4 + 1e-12);
     }

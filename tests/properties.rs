@@ -139,7 +139,7 @@ proptest! {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         for d in ClusterDistance::paper_variants() {
             let cfg = AgglomerativeConfig { k, distance: d, modified: seed % 2 == 0 };
-            let out = agglomerative_k_anonymize(&table, &costs, &cfg).unwrap();
+            let out = try_agglomerative_k_anonymize(&table, &costs, &cfg).unwrap().into_inner();
             prop_assert!(is_k_anonymous(&out.table, k));
             prop_assert!(
                 kanon::core::generalize::is_generalization_of(&table, &out.table).unwrap()
@@ -156,7 +156,7 @@ proptest! {
     fn kk_pipeline_invariants(seed in 0u64..200, k in 2usize..5) {
         let table = random_table(seed, 14);
         let costs = NodeCostTable::compute(&table, &LmMeasure);
-        let kk = kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
+        let kk = try_kk_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
         prop_assert!(is_kk_anonymous(&table, &kk.table, k).unwrap());
         prop_assert!(is_k1_anonymous(&table, &kk.table, k).unwrap());
         prop_assert!(
@@ -199,7 +199,7 @@ proptest! {
         let k = 2;
         let table = random_table(seed, 10);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-        let out = global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
+        let out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
         prop_assert!(kanon::verify::is_global_1k_anonymous(&table, &out.table, k).unwrap());
         prop_assert!(is_kk_anonymous(&table, &out.table, k).unwrap());
     }
