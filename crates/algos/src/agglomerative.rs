@@ -15,13 +15,14 @@
 //! invalidates only the caches pointing at the merged pair, and a newly
 //! created cluster updates the others' caches in one pass. This is the
 //! standard "generic agglomerative clustering" scheme — same merge
-//! sequence, O(n²) expected time, O(n) memory beyond the table. This
-//! module supplies only the Algorithm 1/2 policy (closure-cost distance,
-//! size-k maturity, the Algorithm 2 shrink) on top of that engine.
+//! sequence, O(n²) expected time, O(n) memory beyond the table. The
+//! engine owns the cluster, its distance and the merge loop; this
+//! module supplies only the Algorithm 1/2 policy (size-k maturity, the
+//! Algorithm 2 shrink) and the leftover distribution.
 
-use crate::cost::{CostContext, SigArena};
+use crate::cost::CostContext;
 use crate::distance::ClusterDistance;
-use crate::engine::{self, closer, ClusterPolicy, PackedEval};
+use crate::engine::{self, ClusterPolicy};
 use kanon_core::cluster::Clustering;
 use kanon_core::error::{CoreError, Result};
 use kanon_core::hierarchy::NodeId;
@@ -74,114 +75,37 @@ pub struct KAnonOutput {
     pub loss: f64,
 }
 
-/// One working cluster: members, closure nodes, and closure cost.
-#[derive(Debug, Clone)]
-struct Cluster {
-    members: Vec<u32>,
-    nodes: Vec<NodeId>,
-    cost: f64,
-}
-
-impl Cluster {
-    fn singleton(ctx: &CostContext<'_>, row: u32) -> Self {
-        let nodes = ctx.leaf_nodes(row as usize);
-        let cost = ctx.cost(&nodes);
-        Cluster {
-            members: vec![row],
-            nodes,
-            cost,
-        }
-    }
-
-    #[inline]
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-}
+/// Algorithms 1–2 carry nothing beyond members and closure.
+type Cluster = engine::Cluster<()>;
 
 /// The Algorithm 1/2 policy plugged into the shared closest-pair engine:
-/// closure-cost cluster distances (Sec. V-A.2), maturity at size ≥ k, and
-/// (for Algorithm 2) the shrink-to-k eviction on maturation.
-struct Alg1Policy<'c, 'a> {
-    ctx: &'c CostContext<'a>,
+/// maturity at size ≥ k and (for Algorithm 2) the shrink-to-k eviction on
+/// maturation.
+struct Alg1Policy {
     distance: ClusterDistance,
     k: usize,
     modified: bool,
 }
 
-impl ClusterPolicy for Alg1Policy<'_, '_> {
-    type Payload = Cluster;
+impl ClusterPolicy for Alg1Policy {
+    type Extra = ();
     const FAIL_POINT: &'static str = "algos/agglomerative/merge";
 
-    fn distance(&self, a: &Cluster, b: &Cluster) -> f64 {
-        let cost_u = self.ctx.join_cost(&a.nodes, &b.nodes);
-        self.distance.eval_symmetric(
-            a.size(),
-            a.cost,
-            b.size(),
-            b.cost,
-            a.size() + b.size(),
-            cost_u,
-        )
-    }
-
-    fn merge(&self, a: Cluster, b: Cluster) -> Cluster {
-        let mut members = a.members;
-        members.extend_from_slice(&b.members);
-        members.sort_unstable();
-        let mut nodes = a.nodes;
-        self.ctx.join_nodes_into(&mut nodes, &b.nodes);
-        let cost = self.ctx.cost(&nodes);
-        Cluster {
-            members,
-            nodes,
-            cost,
-        }
-    }
+    fn fold(&self, _: &mut (), _: ()) {}
 
     fn is_mature(&self, c: &Cluster) -> bool {
         c.size() >= self.k
     }
 
-    fn on_mature(&self, c: &mut Cluster) -> Vec<Cluster> {
+    fn on_mature(&self, ctx: &CostContext<'_>, c: &mut Cluster) -> Vec<Cluster> {
         if self.modified && c.size() > self.k {
-            shrink_to_k(self.ctx, self.distance, c, self.k)
+            shrink_to_k(ctx, self.distance, c, self.k)
                 .into_iter()
-                .map(|row| Cluster::singleton(self.ctx, row))
+                .map(|row| Cluster::singleton(ctx, row, ()))
                 .collect()
         } else {
             Vec::new()
         }
-    }
-
-    fn packed(&self) -> Option<&dyn PackedEval<Cluster>> {
-        Some(self)
-    }
-}
-
-impl PackedEval<Cluster> for Alg1Policy<'_, '_> {
-    fn new_arena(&self, capacity: usize) -> SigArena {
-        SigArena::with_capacity(self.ctx.num_attrs(), capacity)
-    }
-
-    fn store(&self, c: &Cluster, slot: usize, arena: &mut SigArena) {
-        arena.store(slot, &c.nodes, c.size(), c.cost);
-    }
-
-    // Bit-identical to `distance` above: `arena_join_cost` runs the same
-    // fused probes in the same attribute order as `join_cost`, and the
-    // size/cost operands are the very values `store` copied out of the
-    // payload.
-    fn dist(&self, arena: &SigArena, a: usize, b: usize) -> f64 {
-        let cost_u = self.ctx.arena_join_cost(arena, a, b);
-        self.distance.eval_symmetric(
-            arena.size(a),
-            arena.cost(a),
-            arena.size(b),
-            arena.cost(b),
-            arena.size(a) + arena.size(b),
-            cost_u,
-        )
     }
 }
 
@@ -212,52 +136,32 @@ pub(crate) fn agglomerative_impl(
 
     // Hand the merge loop to the shared closest-pair engine; this module
     // only supplies the policy. The engine owns the fail point, the
-    // budget checkpoints and the nearest-neighbour caches.
-    let singles: Vec<Cluster> = (0..n).map(|i| Cluster::singleton(&ctx, i as u32)).collect();
+    // budget checkpoints (combining the unfinished clusters when the
+    // budget trips) and the nearest-neighbour caches.
+    let singles: Vec<Cluster> = (0..n)
+        .map(|i| Cluster::singleton(&ctx, i as u32, ()))
+        .collect();
     let policy = Alg1Policy {
-        ctx: &ctx,
         distance: cfg.distance,
         k: cfg.k,
         modified: cfg.modified,
     };
-    let outcome = engine::run(&policy, singles);
-    let mut done = outcome.done;
-    let mut remaining = outcome.remaining;
-    let exhausted = outcome.exhausted;
-
-    // Graceful degradation: the budget tripped with several immature
-    // clusters outstanding. Skip the remaining O(n²) nearest-neighbour
-    // work and combine them all into one cluster (ascending first-member
-    // order, so the result is deterministic). If the combined cluster is
-    // mature it is done; otherwise it becomes the single leftover handled
-    // below — either way the output is a *valid* k-anonymous clustering,
-    // just with more generalization than a full run would produce.
-    if exhausted.is_some() && remaining.len() > 1 {
-        remaining.sort_by_key(|c| c.members[0]);
-        let mut combined = remaining.swap_remove(0);
-        for c in remaining.drain(..) {
-            combined.members.extend_from_slice(&c.members);
-            ctx.join_nodes_into(&mut combined.nodes, &c.nodes);
-        }
-        combined.members.sort_unstable();
-        combined.cost = ctx.cost(&combined.nodes);
-        if combined.size() >= cfg.k {
-            done.push(combined);
-        } else {
-            remaining.push(combined);
-        }
-    }
+    let engine::RunOutcome {
+        mut done,
+        leftover,
+        exhausted,
+    } = engine::run(&ctx, cfg.distance, &policy, singles);
 
     // Leftover: at most one immature cluster; each of its records joins
     // the mature cluster minimizing dist({R}, S) (line 10 of Algorithm 1).
-    if let Some(leftover) = remaining.pop() {
+    if let Some(leftover) = leftover {
         debug_assert!(leftover.size() < cfg.k);
         debug_assert!(
             !done.is_empty(),
             "n ≥ k guarantees at least one mature cluster"
         );
         for &row in &leftover.members {
-            let single = Cluster::singleton(&ctx, row);
+            let single = Cluster::singleton(&ctx, row, ());
             let mut best = 0usize;
             let mut best_d = f64::INFINITY;
             for (ci, c) in done.iter().enumerate() {
@@ -336,44 +240,6 @@ fn shrink_to_k(
         evicted.push(row);
     }
     evicted
-}
-
-/// One full nearest-neighbour rescan pass over the singleton clustering:
-/// for every row, the closest *other* row under `distance` (ties broken
-/// toward the smaller row index). This is exactly the initial scan of
-/// Algorithm 1 — exposed so the scan (the per-pass unit of the O(n²)
-/// startup cost) can be benchmarked in isolation. Parallelized over rows;
-/// identical at any thread count. Requires `n ≥ 2`.
-pub fn nn_rescan_pass(
-    table: &Table,
-    costs: &NodeCostTable,
-    distance: ClusterDistance,
-) -> Vec<(usize, f64)> {
-    let n = table.num_rows();
-    assert!(n >= 2, "nearest-neighbour scan needs at least two rows");
-    let ctx = CostContext::new(table, costs);
-    let singles: Vec<Cluster> = (0..n).map(|i| Cluster::singleton(&ctx, i as u32)).collect();
-    kanon_parallel::map(n, |i| {
-        kanon_obs::count(kanon_obs::Counter::NnRescans, 1);
-        let me = &singles[i];
-        let mut best: Option<(usize, f64)> = None;
-        for (j, other) in singles.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            let cost_u = ctx.join_cost(&me.nodes, &other.nodes);
-            let d = distance.eval_symmetric(1, me.cost, 1, other.cost, 2, cost_u);
-            let take = match best {
-                None => true,
-                Some((bt, bd)) => closer(d, j, bd, bt),
-            };
-            if take {
-                best = Some((j, d));
-            }
-        }
-        // kanon-lint: allow(L006) n >= 2 leaves at least one candidate
-        best.expect("n ≥ 2 leaves at least one candidate")
-    })
 }
 
 /// Converts the final cluster list into the output triple.
@@ -612,7 +478,7 @@ mod reference_tests {
         let ctx = CostContext::new(table, costs);
         let n = table.num_rows();
         let mut slots: Vec<Option<Cluster>> = (0..n)
-            .map(|i| Some(Cluster::singleton(&ctx, i as u32)))
+            .map(|i| Some(Cluster::singleton(&ctx, i as u32, ())))
             .collect();
         let mut active: Vec<usize> = (0..n).collect();
         let mut done: Vec<Cluster> = Vec::new();
@@ -661,17 +527,7 @@ mod reference_tests {
             let a = slots[i].take().unwrap();
             let b = slots[j].take().unwrap();
             active.retain(|&s| s != i && s != j);
-            let mut members = a.members;
-            members.extend_from_slice(&b.members);
-            members.sort_unstable();
-            let mut nodes = a.nodes;
-            ctx.join_nodes_into(&mut nodes, &b.nodes);
-            let cost = ctx.cost(&nodes);
-            let merged = Cluster {
-                members,
-                nodes,
-                cost,
-            };
+            let merged = Cluster::merge(&ctx, a, b, |_, _| {});
             if merged.size() >= cfg.k {
                 done.push(merged);
             } else {
@@ -683,7 +539,7 @@ mod reference_tests {
         if let Some(&slot) = active.first() {
             let leftover = slots[slot].take().unwrap();
             for &row in &leftover.members {
-                let single = Cluster::singleton(&ctx, row);
+                let single = Cluster::singleton(&ctx, row, ());
                 let mut best = 0usize;
                 let mut best_d = f64::INFINITY;
                 for (ci, c) in done.iter().enumerate() {

@@ -5,19 +5,26 @@
 //! closest ones, and move a cluster to the output once it satisfies a
 //! maturity condition (size ≥ k for plain k-anonymity; size ≥ k *and*
 //! ℓ distinct sensitive values for ℓ-diversity). Rescanning all pairs on
-//! every merge makes that loop O(n³); this module extracts the
-//! nearest-neighbour cache that makes it O(n²) expected — previously
-//! private to `agglomerative.rs` — so every variant of the loop shares
-//! one engine instead of re-growing its own quadratic scan.
+//! every merge makes that loop O(n³); this module keeps a per-cluster
+//! nearest-neighbour cache that makes it O(n²) expected, shared by
+//! every variant of the loop.
 //!
 //! ## What the engine owns
 //!
+//! * the working `Cluster` — members, closure nodes and closure cost,
+//!   plus a policy-defined extra — with its singleton, merge and
+//!   budget-combine steps;
+//! * the one cluster distance: the paper defines every distance from
+//!   sizes and closure costs alone (Sec. V-A.2), so the engine mirrors
+//!   each cluster into a [`SigArena`] and evaluates
+//!   [`ClusterDistance::eval_symmetric`] over
+//!   [`CostContext::arena_join_cost`] in one place;
 //! * the per-cluster **top-2 nearest-neighbour cache** (`NearestPair`
 //!   with the `Runner` exactness state machine) and its repair rules;
 //! * the parallel initial scan and batched cache-repair rescans
 //!   (`kanon-parallel`, byte-identical at any worker count);
 //! * the merge loop itself: a `kanon-fault` failpoint
-//!   ([`ClusterPolicy::FAIL_POINT`]) and the deterministic work-budget
+//!   (`ClusterPolicy::FAIL_POINT`) and the deterministic work-budget
 //!   checkpoint (`KANON_WORK_BUDGET`) at the top of every iteration, the
 //!   global-min selection with its debug-build exactness assert, and the
 //!   `kanon-obs` counters (`merges_performed`, `cluster_dist_evals`,
@@ -25,11 +32,11 @@
 //!
 //! ## What callers own
 //!
-//! The cluster payload and policy (distance, merge, maturity, optional
-//! post-maturity eviction) via [`ClusterPolicy`], plus everything outside
-//! the loop: input validation, the budget-exhaustion combine step, and
-//! leftover-record distribution. [`run`] returns the matured clusters,
-//! the still-active remainder (in active order) and the budget verdict.
+//! The `ClusterPolicy`: how extras fold on merge, when a cluster
+//! matures, and an optional post-maturity eviction. Outside the loop
+//! they keep input validation and leftover-record distribution. `run`
+//! returns the matured clusters, at most one immature leftover and the
+//! budget verdict.
 //!
 //! ## Determinism contract
 //!
@@ -40,7 +47,9 @@
 //! `KANON_THREADS`. The determinism proptests pin this for both engine
 //! clients.
 
-use crate::cost::SigArena;
+use crate::cost::{CostContext, SigArena};
+use crate::distance::ClusterDistance;
+use kanon_core::hierarchy::NodeId;
 use kanon_obs::Counter;
 
 /// Minimum estimated distance evaluations in one batch before the
@@ -59,86 +68,104 @@ use kanon_obs::Counter;
 /// they must share one measured constant instead of re-guessing it.
 pub const MIN_PAR_SCAN_EVALS: usize = 2048;
 
-/// Packed-kernel hooks: a policy whose distance is a pure function of
-/// the cluster triple (signature, size, cost) can expose this
-/// evaluator, and the engine then mirrors every cluster into a flat
-/// SoA [`SigArena`] (one contiguous `u32` node lane per attribute,
-/// indexed by engine slot) and runs all distance scans out of it —
-/// streaming fused `(join, cost)` probes instead of chasing
-/// per-cluster heap vectors.
-///
-/// Contract: `dist(arena, a, b)` must return the same bits — and
-/// increment the same deterministic counters — as
-/// [`ClusterPolicy::distance`] on the payloads stored at `a` and `b`,
-/// for the engine's byte-identity guarantees to hold.
-pub trait PackedEval<C>: Sync {
-    /// Fresh arena with this policy's attribute arity and room for
-    /// `capacity` slots.
-    fn new_arena(&self, capacity: usize) -> SigArena;
-
-    /// Writes `c`'s signature, size and cost into `slot`.
-    fn store(&self, c: &C, slot: usize, arena: &mut SigArena);
-
-    /// Distance between stored slots `a` and `b`; argument order
-    /// matches the engine's payload-path call sites.
-    fn dist(&self, arena: &SigArena, a: usize, b: usize) -> f64;
+/// One working cluster: sorted members, closure nodes and closure cost,
+/// plus the policy's extra (`()` for Algorithms 1–2, the sensitive-value
+/// histogram for ℓ-diversity).
+#[derive(Debug)]
+pub(crate) struct Cluster<X> {
+    pub(crate) members: Vec<u32>,
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) cost: f64,
+    pub(crate) extra: X,
 }
 
-/// The merge/maturity policy a caller plugs into [`run`].
-///
-/// The engine treats payloads as opaque: it only measures distances,
-/// merges pairs, and asks whether a cluster has matured. Implementations
-/// must be pure (no interior mutability observable across calls) — the
-/// engine evaluates distances in parallel and relies on every evaluation
-/// of the same pair returning the same bits.
-pub trait ClusterPolicy: Sync {
-    /// The cluster payload (members, closure nodes, costs, …).
-    type Payload: Send + Sync;
+impl<X> Cluster<X> {
+    /// The one-record cluster `{row}`.
+    pub(crate) fn singleton(ctx: &CostContext<'_>, row: u32, extra: X) -> Self {
+        let nodes = ctx.leaf_nodes(row as usize);
+        let cost = ctx.cost(&nodes);
+        Cluster {
+            members: vec![row],
+            nodes,
+            cost,
+            extra,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn size(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Unifies two clusters: members stay sorted, the closure is the
+    /// join, and `fold` merges `b`'s extra into `a`'s.
+    pub(crate) fn merge(
+        ctx: &CostContext<'_>,
+        a: Self,
+        b: Self,
+        fold: impl FnOnce(&mut X, X),
+    ) -> Self {
+        let mut members = a.members;
+        members.extend_from_slice(&b.members);
+        members.sort_unstable();
+        let mut nodes = a.nodes;
+        ctx.join_nodes_into(&mut nodes, &b.nodes);
+        let cost = ctx.cost(&nodes);
+        let mut extra = a.extra;
+        fold(&mut extra, b.extra);
+        Cluster {
+            members,
+            nodes,
+            cost,
+            extra,
+        }
+    }
+}
+
+/// The maturity policy a caller plugs into [`run`]. The engine owns the
+/// cluster and its distance; a policy only says how extras combine and
+/// when a cluster may leave the pool. Implementations must be pure —
+/// the engine relies on every call with the same inputs giving the same
+/// answer.
+pub(crate) trait ClusterPolicy: Sync {
+    /// Per-cluster data beyond members and closure.
+    type Extra: Send + Sync;
 
     /// Name of the `kanon-fault` failpoint armed at the top of every
     /// merge iteration (see the catalogue in `kanon-fault`'s docs).
     const FAIL_POINT: &'static str;
 
-    /// `dist(a, b)` under the caller's cluster-distance function. Called
-    /// through the engine's counting wrapper, so implementations must
-    /// *not* count [`Counter::ClusterDistEvals`] themselves.
-    fn distance(&self, a: &Self::Payload, b: &Self::Payload) -> f64;
-
-    /// Unifies two clusters into one.
-    fn merge(&self, a: Self::Payload, b: Self::Payload) -> Self::Payload;
+    /// Folds `from` (the second merge operand's extra) into `into`.
+    fn fold(&self, into: &mut Self::Extra, from: Self::Extra);
 
     /// Has this cluster matured (ready to move to the output)?
-    fn is_mature(&self, c: &Self::Payload) -> bool;
+    fn is_mature(&self, c: &Cluster<Self::Extra>) -> bool;
 
     /// Hook invoked on a cluster that just matured, *before* it is moved
     /// to the output; returns clusters to re-activate. Algorithm 2 uses
     /// this to shrink ripe clusters back to size k and recycle the
     /// evicted records as singletons. The default recycles nothing.
-    fn on_mature(&self, c: &mut Self::Payload) -> Vec<Self::Payload> {
-        let _ = c;
+    fn on_mature(
+        &self,
+        ctx: &CostContext<'_>,
+        c: &mut Cluster<Self::Extra>,
+    ) -> Vec<Cluster<Self::Extra>> {
+        let _ = (ctx, c);
         Vec::new()
-    }
-
-    /// Opt-in packed acceleration (see [`PackedEval`]); the default
-    /// generic path returns `None` and the engine calls
-    /// [`Self::distance`] on payload references.
-    fn packed(&self) -> Option<&dyn PackedEval<Self::Payload>> {
-        None
     }
 }
 
 /// What [`run`] hands back to the caller.
 #[derive(Debug)]
-pub struct RunOutcome<C> {
+pub(crate) struct RunOutcome<X> {
     /// Clusters that matured, in maturation order.
-    pub done: Vec<C>,
-    /// Clusters still active when the loop ended, in active order. At
-    /// most one (the classic leftover) unless the budget tripped.
-    pub remaining: Vec<C>,
+    pub(crate) done: Vec<Cluster<X>>,
+    /// The immature cluster still active when the loop ended, if any.
+    /// When the budget tripped it is all unfinished clusters combined.
+    pub(crate) leftover: Option<Cluster<X>>,
     /// `Some((budget, spent))` when the deterministic work budget
-    /// tripped mid-run; the caller must degrade gracefully (combine
-    /// `remaining` into a valid output) rather than keep refining.
-    pub exhausted: Option<(u64, u64)>,
+    /// tripped mid-run and the engine stopped refining early.
+    pub(crate) exhausted: Option<(u64, u64)>,
 }
 
 /// Nearest-neighbour cache entry: distance and target slot.
@@ -181,40 +208,51 @@ pub(crate) fn closer(d1: f64, t1: usize, d2: f64, t2: usize) -> bool {
     d1.total_cmp(&d2).is_lt() || (d1 == d2 && t1 < t2)
 }
 
-struct State<'p, P: ClusterPolicy> {
-    policy: &'p P,
+struct State<'p, 'a, P: ClusterPolicy> {
+    ctx: &'p CostContext<'a>,
+    distance: ClusterDistance,
     /// Cluster storage; `None` = slot retired (merged away or matured).
-    slots: Vec<Option<P::Payload>>,
+    slots: Vec<Option<Cluster<P::Extra>>>,
     /// Slots that are currently active (immature clusters, the γ̂ of the
     /// paper).
     active: Vec<usize>,
     /// Per-slot nearest-neighbour cache (meaningful for active slots).
     nearest: Vec<Option<NearestPair>>,
-    /// Packed acceleration: the policy's evaluator plus the SoA
-    /// signature arena, kept in lock-step with `slots`. `None` runs the
-    /// generic payload path.
-    packed: Option<(&'p dyn PackedEval<P::Payload>, SigArena)>,
+    /// Every slot's signature, size and cost, kept in lock-step with
+    /// `slots`: distance scans stream its contiguous lanes instead of
+    /// chasing per-cluster heap vectors.
+    arena: SigArena,
     /// Scratch (reused across merges): slots needing a full rescan.
     repair_scratch: Vec<usize>,
     /// Scratch (reused across merges): newcomer distance buffer.
     dist_scratch: Vec<f64>,
 }
 
-impl<'p, P: ClusterPolicy> State<'p, P> {
-    /// Distance between two live slots: the packed arena path when the
-    /// policy exposes one (bit-identical by the [`PackedEval`]
-    /// contract), else the payload path.
+impl<P: ClusterPolicy> State<'_, '_, P> {
+    /// `dist(a, b)` between two stored slots: the one place a cluster
+    /// distance is evaluated.
     fn dist_between(&self, a: usize, b: usize) -> f64 {
         kanon_obs::count(Counter::ClusterDistEvals, 1);
-        if let Some((pk, arena)) = &self.packed {
-            return pk.dist(arena, a, b);
-        }
-        self.policy.distance(
-            // kanon-lint: allow(L006) callers pass live slots by construction
-            self.slots[a].as_ref().expect("slot a live"),
-            // kanon-lint: allow(L006) callers pass live slots by construction
-            self.slots[b].as_ref().expect("slot b live"),
+        let arena = &self.arena;
+        let cost_u = self.ctx.arena_join_cost(arena, a, b);
+        self.distance.eval_symmetric(
+            arena.size(a),
+            arena.cost(a),
+            arena.size(b),
+            arena.cost(b),
+            arena.size(a) + arena.size(b),
+            cost_u,
         )
+    }
+
+    /// Stores `cluster` in a new slot and mirrors it into the arena.
+    fn push_slot(&mut self, cluster: Cluster<P::Extra>) -> usize {
+        let slot = self.slots.len();
+        self.arena
+            .store(slot, &cluster.nodes, cluster.size(), cluster.cost);
+        self.slots.push(Some(cluster));
+        self.nearest.push(None);
+        slot
     }
 
     /// Scans all active slots (except `slot`) for the two nearest
@@ -253,15 +291,8 @@ impl<'p, P: ClusterPolicy> State<'p, P> {
 
     /// Adds a cluster as a new active slot; refreshes its own cache and
     /// lets every other active slot consider it as a nearer neighbour.
-    fn add_active(&mut self, cluster: P::Payload) -> usize {
-        let slot = self.slots.len();
-        self.slots.push(Some(cluster));
-        self.nearest.push(None);
-        if let Some((pk, arena)) = &mut self.packed {
-            // kanon-lint: allow(L006) the just-inserted slot is live
-            let c = self.slots[slot].as_ref().expect("just-inserted slot live");
-            pk.store(c, slot, arena);
-        }
+    fn add_active(&mut self, cluster: Cluster<P::Extra>) -> usize {
+        let slot = self.push_slot(cluster);
         // Let existing actives insert the newcomer into their top-2, so
         // that later fallbacks (repair) remain exact without rescans.
         // The O(active) distance evaluations are pure reads — computed in
@@ -336,7 +367,7 @@ impl<'p, P: ClusterPolicy> State<'p, P> {
             }
         }
         // The newcomer's own top-2 reuses the distances just computed —
-        // policy distances are symmetric — inserted under the same
+        // `eval_symmetric` is symmetric — inserted under the same
         // `closer` total order as scan_nearest, so no distance is
         // evaluated twice.
         let mut best: Option<Nearest> = None;
@@ -473,8 +504,9 @@ impl<'p, P: ClusterPolicy> State<'p, P> {
     }
 }
 
-/// Runs the closest-pair merge loop over `initial` clusters until at
-/// most one is left active (or the work budget trips).
+/// Runs the closest-pair merge loop over `initial` clusters under
+/// `distance` until at most one is left active (or the work budget
+/// trips).
 ///
 /// Per iteration: arm [`ClusterPolicy::FAIL_POINT`], checkpoint the
 /// deterministic work budget, select the globally closest active pair
@@ -483,7 +515,18 @@ impl<'p, P: ClusterPolicy> State<'p, P> {
 /// Selection order is total (distance, then `(slot, target)`), so the
 /// merge sequence — and therefore the output — is byte-identical at any
 /// thread count.
-pub fn run<P: ClusterPolicy>(policy: &P, initial: Vec<P::Payload>) -> RunOutcome<P::Payload> {
+///
+/// When the budget trips with several immature clusters outstanding,
+/// the engine skips the remaining O(n²) work and combines them all into
+/// one cluster (ascending first-member order, deterministic): it is done
+/// if it matures and the leftover otherwise, so the caller still builds
+/// a valid output, just with more generalization than a full run.
+pub(crate) fn run<P: ClusterPolicy>(
+    ctx: &CostContext<'_>,
+    distance: ClusterDistance,
+    policy: &P,
+    initial: Vec<Cluster<P::Extra>>,
+) -> RunOutcome<P::Extra> {
     // Budget-aware runs need a collector for `spent_work` to be
     // meaningful; install a private one when the caller has none.
     let budget = kanon_obs::work_budget();
@@ -493,35 +536,29 @@ pub fn run<P: ClusterPolicy>(policy: &P, initial: Vec<P::Payload>) -> RunOutcome
     };
 
     let n = initial.len();
-    let slots: Vec<Option<P::Payload>> = initial.into_iter().map(Some).collect();
-    // Mirror every initial cluster into the policy's packed arena (when
-    // it has one). Capacity 2n+1 covers the worst case: every merge adds
-    // one slot, and n clusters admit at most n−1 merges plus recycled
-    // singletons; `store` appends densely past that anyway.
-    let packed = policy.packed().map(|pk| {
-        let mut arena = pk.new_arena(2 * n + 1);
-        for (slot, c) in slots.iter().enumerate() {
-            // kanon-lint: allow(L006) initial slots are all live
-            pk.store(c.as_ref().expect("initial slot live"), slot, &mut arena);
-        }
-        (pk, arena)
-    });
-    let mut st: State<'_, P> = State {
-        policy,
-        slots,
+    // Capacity 2n+1 covers the worst case: every merge adds one slot,
+    // and n clusters admit at most n−1 merges plus recycled singletons;
+    // the arena appends densely past that anyway.
+    let mut st: State<'_, '_, P> = State {
+        ctx,
+        distance,
+        slots: Vec::with_capacity(n),
         active: (0..n).collect(),
-        nearest: vec![None; n],
-        packed,
+        nearest: Vec::with_capacity(n),
+        arena: SigArena::with_capacity(ctx.num_attrs(), 2 * n + 1),
         repair_scratch: Vec::new(),
         dist_scratch: Vec::new(),
     };
+    for c in initial {
+        st.push_slot(c);
+    }
     // Initial full nearest-neighbour scan: O(n²) distance evaluations,
     // pure per-slot — parallelized across slots. scan_nearest orders
     // candidates by the total order of `closer`, so the result is
     // identical at any thread count.
     st.nearest = kanon_parallel::map(n, |slot| st.scan_nearest(slot));
 
-    let mut done: Vec<P::Payload> = Vec::new();
+    let mut done: Vec<Cluster<P::Extra>> = Vec::new();
     let mut exhausted: Option<(u64, u64)> = None;
     while st.active.len() > 1 {
         kanon_fault::fail_point!(P::FAIL_POINT);
@@ -547,9 +584,9 @@ pub fn run<P: ClusterPolicy>(policy: &P, initial: Vec<P::Payload>) -> RunOutcome
         st.deactivate(j);
         kanon_obs::count(Counter::MergesPerformed, 1);
 
-        let mut merged = policy.merge(a, b);
+        let mut merged = Cluster::merge(ctx, a, b, |x, y| policy.fold(x, y));
         if policy.is_mature(&merged) {
-            let recycled = policy.on_mature(&mut merged);
+            let recycled = policy.on_mature(ctx, &mut merged);
             done.push(merged);
             st.repair_caches();
             for c in recycled {
@@ -561,157 +598,187 @@ pub fn run<P: ClusterPolicy>(policy: &P, initial: Vec<P::Payload>) -> RunOutcome
         }
     }
 
-    let remaining: Vec<P::Payload> = st
+    let mut remaining: Vec<Cluster<P::Extra>> = st
         .active
         .iter()
         // kanon-lint: allow(L006) active slots are live by construction
         .map(|&slot| st.slots[slot].take().expect("active slot live"))
         .collect();
+    if remaining.len() > 1 {
+        // The budget tripped: combine the unfinished clusters.
+        remaining.sort_by_key(|c| c.members[0]);
+        let mut combined = remaining.swap_remove(0);
+        for c in remaining.drain(..) {
+            combined.members.extend_from_slice(&c.members);
+            ctx.join_nodes_into(&mut combined.nodes, &c.nodes);
+            policy.fold(&mut combined.extra, c.extra);
+        }
+        combined.members.sort_unstable();
+        combined.cost = ctx.cost(&combined.nodes);
+        if policy.is_mature(&combined) {
+            done.push(combined);
+        } else {
+            remaining.push(combined);
+        }
+    }
     RunOutcome {
         done,
-        remaining,
+        leftover: remaining.pop(),
         exhausted,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! Engine unit tests over a payload with a trivially checkable
-    //! optimal structure: points on a line, distance = |a − b| over
-    //! cluster means, maturity = size ≥ k. The algorithm-level pinning
-    //! (byte-identity to naive references, budget semantics, fault
-    //! injection) lives in the integration suites.
+    //! Engine unit tests over a table with a trivially checkable optimal
+    //! structure: one categorical attribute whose hierarchy pairs its
+    //! six values as {a,b}, {c,d}, {e,f}, and maturity = size ≥ k. The
+    //! algorithm-level pinning (byte-identity to naive references,
+    //! budget semantics, fault injection) lives in the integration
+    //! suites.
 
     use super::*;
+    use kanon_core::record::Record;
+    use kanon_core::schema::SchemaBuilder;
+    use kanon_core::table::Table;
+    use kanon_measures::{EntropyMeasure, NodeCostTable};
+    use std::sync::Arc;
 
-    struct LinePolicy {
+    /// Rows holding `values` (indices into a..f) and their EM costs.
+    fn paired(values: impl IntoIterator<Item = u32>) -> (Table, NodeCostTable) {
+        let s = SchemaBuilder::new()
+            .categorical_with_groups(
+                "c",
+                ["a", "b", "c", "d", "e", "f"],
+                &[&["a", "b"], &["c", "d"], &["e", "f"]],
+            )
+            .build_shared()
+            .unwrap();
+        let rows = values.into_iter().map(|v| Record::from_raw([v])).collect();
+        let t = Table::new(Arc::clone(&s), rows).unwrap();
+        let costs = NodeCostTable::compute(&t, &EntropyMeasure);
+        (t, costs)
+    }
+
+    fn singles(ctx: &CostContext<'_>) -> Vec<Cluster<()>> {
+        (0..ctx.table.num_rows() as u32)
+            .map(|row| Cluster::singleton(ctx, row, ()))
+            .collect()
+    }
+
+    struct SizePolicy {
         k: usize,
     }
 
-    #[derive(Debug, Clone)]
-    struct Pts(Vec<i64>);
+    impl ClusterPolicy for SizePolicy {
+        type Extra = ();
+        const FAIL_POINT: &'static str = "algos/agglomerative/merge";
 
-    impl Pts {
-        fn mean(&self) -> f64 {
-            self.0.iter().sum::<i64>() as f64 / self.0.len() as f64
+        fn fold(&self, _: &mut (), _: ()) {}
+
+        fn is_mature(&self, c: &Cluster<()>) -> bool {
+            c.size() >= self.k
         }
     }
 
-    impl ClusterPolicy for LinePolicy {
-        type Payload = Pts;
-        const FAIL_POINT: &'static str = "algos/agglomerative/merge";
-
-        fn distance(&self, a: &Pts, b: &Pts) -> f64 {
-            (a.mean() - b.mean()).abs()
-        }
-
-        fn merge(&self, mut a: Pts, b: Pts) -> Pts {
-            a.0.extend(b.0);
-            a.0.sort_unstable();
-            a
-        }
-
-        fn is_mature(&self, c: &Pts) -> bool {
-            c.0.len() >= self.k
-        }
+    fn run_sized(ctx: &CostContext<'_>, k: usize) -> RunOutcome<()> {
+        run(ctx, ClusterDistance::D3, &SizePolicy { k }, singles(ctx))
     }
 
     #[test]
-    fn pairs_of_adjacent_points_merge_first() {
-        // Points clustered in tight pairs far apart: the engine must
-        // unify exactly the natural pairs.
-        let pts: Vec<Pts> = [0, 1, 100, 101, 200, 201]
-            .iter()
-            .map(|&v| Pts(vec![v]))
-            .collect();
-        let out = run(&LinePolicy { k: 2 }, pts);
+    fn natural_pairs_merge_first() {
+        // One row per value: the engine must unify exactly the pairs the
+        // hierarchy groups.
+        let (t, costs) = paired(0..6);
+        let ctx = CostContext::new(&t, &costs);
+        let out = run_sized(&ctx, 2);
         assert!(out.exhausted.is_none());
-        assert!(out.remaining.is_empty());
-        let mut done: Vec<Vec<i64>> = out.done.into_iter().map(|p| p.0).collect();
+        assert!(out.leftover.is_none());
+        let mut done: Vec<Vec<u32>> = out.done.into_iter().map(|c| c.members).collect();
         done.sort();
-        assert_eq!(done, vec![vec![0, 1], vec![100, 101], vec![200, 201]]);
+        assert_eq!(done, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
     }
 
     #[test]
     fn leftover_stays_active_when_it_cannot_mature() {
-        // Five points, k = 2: two pairs mature, one point remains.
-        let pts: Vec<Pts> = [0, 1, 100, 101, 500]
-            .iter()
-            .map(|&v| Pts(vec![v]))
-            .collect();
-        let out = run(&LinePolicy { k: 2 }, pts);
+        // Five rows a..e, k = 2: two pairs mature, row `e` remains.
+        let (t, costs) = paired(0..5);
+        let ctx = CostContext::new(&t, &costs);
+        let out = run_sized(&ctx, 2);
         assert_eq!(out.done.len(), 2);
-        assert_eq!(out.remaining.len(), 1);
-        assert_eq!(out.remaining[0].0, vec![500]);
+        assert_eq!(out.leftover.expect("one row is left").members, vec![4]);
     }
 
     #[test]
     fn on_mature_recycles_evictions() {
-        // A policy that evicts the largest point of every matured
-        // cluster back into the pool: with k = 2 over four points, the
-        // recycled singletons must keep merging until everything is
-        // consumed (done clusters of exactly two, one leftover pair).
+        // A policy that evicts the largest row of every matured cluster
+        // back into the pool: the recycled singletons must keep merging
+        // until every row is consumed.
         struct Evicting;
         impl ClusterPolicy for Evicting {
-            type Payload = Pts;
+            type Extra = ();
             const FAIL_POINT: &'static str = "algos/agglomerative/merge";
-            fn distance(&self, a: &Pts, b: &Pts) -> f64 {
-                (a.mean() - b.mean()).abs()
+            fn fold(&self, _: &mut (), _: ()) {}
+            fn is_mature(&self, c: &Cluster<()>) -> bool {
+                c.size() >= 3
             }
-            fn merge(&self, mut a: Pts, b: Pts) -> Pts {
-                a.0.extend(b.0);
-                a.0.sort_unstable();
-                a
-            }
-            fn is_mature(&self, c: &Pts) -> bool {
-                c.0.len() >= 3
-            }
-            fn on_mature(&self, c: &mut Pts) -> Vec<Pts> {
+            fn on_mature(&self, ctx: &CostContext<'_>, c: &mut Cluster<()>) -> Vec<Cluster<()>> {
                 // kanon-lint: allow(L006) matured clusters are non-empty
-                let evicted = c.0.pop().expect("matured cluster is non-empty");
-                vec![Pts(vec![evicted])]
+                let evicted = c.members.pop().expect("matured cluster is non-empty");
+                vec![Cluster::singleton(ctx, evicted, ())]
             }
         }
-        let pts: Vec<Pts> = (0..7).map(|v| Pts(vec![v])).collect();
-        let out = run(&Evicting, pts);
+        let (t, costs) = paired((0..7).map(|v| v % 6));
+        let ctx = CostContext::new(&t, &costs);
+        let out = run(&ctx, ClusterDistance::D3, &Evicting, singles(&ctx));
         let covered: usize = out
             .done
             .iter()
-            .chain(out.remaining.iter())
-            .map(|p| p.0.len())
+            .chain(out.leftover.iter())
+            .map(|c| c.size())
             .sum();
         assert_eq!(covered, 7, "recycling must not lose records");
         for d in &out.done {
-            // Matured merges have 3 or 4 points (2+1 or 2+2) before the
+            // Matured merges have 3 or 4 rows (2+1 or 2+2) before the
             // hook evicts exactly one.
             assert!(
-                d.0.len() == 2 || d.0.len() == 3,
+                d.size() == 2 || d.size() == 3,
                 "on_mature shrank every output cluster: {:?}",
-                d.0
+                d.members
             );
         }
         assert!(!out.done.is_empty());
     }
 
     #[test]
-    fn budget_exhaustion_returns_all_remaining_clusters() {
-        let pts: Vec<Pts> = (0..32).map(|v| Pts(vec![v * 10])).collect();
-        let out = kanon_obs::with_work_budget(1, || run(&LinePolicy { k: 4 }, pts));
+    fn budget_exhaustion_combines_every_unfinished_cluster() {
+        let (t, costs) = paired((0..32).map(|v| v % 6));
+        let ctx = CostContext::new(&t, &costs);
+        let all: Vec<u32> = (0..32).collect();
+        // Nothing merges (the initial scan alone exceeds the budget), so
+        // all 32 singletons combine into one cluster: done at k = 4 …
+        let out = kanon_obs::with_work_budget(1, || run_sized(&ctx, 4));
         let (budget, spent) = out.exhausted.expect("budget of 1 must trip");
         assert_eq!(budget, 1);
         assert!(spent >= 1);
-        // Nothing merged: the initial scan alone exceeds the budget.
+        assert_eq!(out.done.len(), 1);
+        assert_eq!(out.done[0].members, all);
+        assert!(out.leftover.is_none());
+        // … and the leftover when even the combination cannot mature.
+        let out = kanon_obs::with_work_budget(1, || run_sized(&ctx, 64));
+        assert!(out.exhausted.is_some());
         assert!(out.done.is_empty());
-        assert_eq!(out.remaining.len(), 32);
+        assert_eq!(out.leftover.expect("combined leftover").members, all);
     }
 
     #[test]
     fn engine_counts_its_work() {
+        let (t, costs) = paired((0..16).map(|v| v % 6));
+        let ctx = CostContext::new(&t, &costs);
         let c = kanon_obs::Collector::new();
         {
             let _g = c.install();
-            let pts: Vec<Pts> = (0..16).map(|v| Pts(vec![v * v])).collect();
-            run(&LinePolicy { k: 4 }, pts);
+            run_sized(&ctx, 4);
         }
         let r = c.report();
         assert!(r.counter(Counter::MergesPerformed) > 0);

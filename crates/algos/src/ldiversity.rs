@@ -12,20 +12,22 @@
 //!
 //! **Implementation note.** The merge loop runs on the shared
 //! closest-pair engine ([`crate::engine`]) — the same per-cluster
-//! nearest-neighbour cache as Algorithms 1/2, so a run is O(n²) expected
-//! instead of the O(n³) all-pairs rescan the first version of this
-//! module performed on every merge. That first version is preserved
-//! verbatim as [`l_diverse_reference`]: the determinism suite proves the
+//! nearest-neighbour cache and the same cluster distance as Algorithms
+//! 1/2, so a run is O(n²) expected instead of the O(n³) all-pairs rescan
+//! the first version of this module performed on every merge. This
+//! module supplies only what ℓ-diversity changes: the sensitive-value
+//! histogram each cluster carries and the two-part maturity condition.
+//! The first version's all-pairs loop is preserved as
+//! [`l_diverse_reference`]: the determinism suite proves the
 //! engine-based run byte-identical to it, and the scaling bench uses it
 //! as the n³ baseline.
 
 use crate::agglomerative::KAnonOutput;
-use crate::cost::{CostContext, SigArena};
+use crate::cost::CostContext;
 use crate::distance::ClusterDistance;
-use crate::engine::{self, ClusterPolicy, PackedEval};
+use crate::engine::{self, ClusterPolicy};
 use kanon_core::cluster::Clustering;
 use kanon_core::error::{CoreError, Result};
-use kanon_core::hierarchy::NodeId;
 use kanon_core::table::Table;
 use kanon_measures::NodeCostTable;
 use std::collections::BTreeMap;
@@ -52,122 +54,37 @@ impl LDiverseConfig {
     }
 }
 
-/// One working cluster with sensitive-value counts.
-#[derive(Debug, Clone)]
-struct Cluster {
-    members: Vec<u32>,
-    nodes: Vec<NodeId>,
-    cost: f64,
-    /// Sensitive value → count within the cluster.
-    sensitive: BTreeMap<u32, u32>,
+/// Sensitive value → count within a cluster.
+type Histogram = BTreeMap<u32, u32>;
+
+/// A working cluster carrying its sensitive-value histogram.
+type Cluster = engine::Cluster<Histogram>;
+
+/// The singleton `{row}` with its one sensitive value.
+fn singleton(ctx: &CostContext<'_>, row: u32, sensitive: &[u32]) -> Cluster {
+    Cluster::singleton(ctx, row, BTreeMap::from([(sensitive[row as usize], 1)]))
 }
 
-impl Cluster {
-    fn singleton(ctx: &CostContext<'_>, row: u32, sensitive: &[u32]) -> Self {
-        let nodes = ctx.leaf_nodes(row as usize);
-        let cost = ctx.cost(&nodes);
-        let mut map = BTreeMap::new();
-        map.insert(sensitive[row as usize], 1);
-        Cluster {
-            members: vec![row],
-            nodes,
-            cost,
-            sensitive: map,
-        }
-    }
-
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    fn distinct(&self) -> usize {
-        self.sensitive.len()
-    }
-}
-
-/// The ℓ-diversity policy for the shared closest-pair engine: the same
-/// closure-cost distance as Algorithm 1, plus the sensitive-value fold on
-/// merge and the two-part maturity condition (size ≥ k ∧ distinct ≥ ℓ).
-struct LDivPolicy<'c, 'a> {
-    ctx: &'c CostContext<'a>,
-    distance: ClusterDistance,
+/// The ℓ-diversity policy for the shared closest-pair engine: the
+/// sensitive-value fold on merge and the two-part maturity condition
+/// (size ≥ k ∧ distinct ≥ ℓ).
+struct LDivPolicy {
     k: usize,
     l: usize,
 }
 
-impl LDivPolicy<'_, '_> {
-    fn dist(&self, a: &Cluster, b: &Cluster) -> f64 {
-        let cost_u = self.ctx.join_cost(&a.nodes, &b.nodes);
-        self.distance.eval_symmetric(
-            a.size(),
-            a.cost,
-            b.size(),
-            b.cost,
-            a.size() + b.size(),
-            cost_u,
-        )
-    }
-}
-
-impl ClusterPolicy for LDivPolicy<'_, '_> {
-    type Payload = Cluster;
+impl ClusterPolicy for LDivPolicy {
+    type Extra = Histogram;
     const FAIL_POINT: &'static str = "algos/ldiversity/merge";
 
-    fn distance(&self, a: &Cluster, b: &Cluster) -> f64 {
-        self.dist(a, b)
-    }
-
-    fn merge(&self, a: Cluster, b: Cluster) -> Cluster {
-        let mut members = a.members;
-        members.extend_from_slice(&b.members);
-        members.sort_unstable();
-        let mut nodes = a.nodes;
-        self.ctx.join_nodes_into(&mut nodes, &b.nodes);
-        let cost = self.ctx.cost(&nodes);
-        let mut sensitive = a.sensitive;
-        for (v, c) in b.sensitive {
-            *sensitive.entry(v).or_insert(0) += c;
-        }
-        Cluster {
-            members,
-            nodes,
-            cost,
-            sensitive,
+    fn fold(&self, into: &mut Histogram, from: Histogram) {
+        for (v, c) in from {
+            *into.entry(v).or_insert(0) += c;
         }
     }
 
     fn is_mature(&self, c: &Cluster) -> bool {
-        c.size() >= self.k && c.distinct() >= self.l
-    }
-
-    fn packed(&self) -> Option<&dyn PackedEval<Cluster>> {
-        Some(self)
-    }
-}
-
-impl PackedEval<Cluster> for LDivPolicy<'_, '_> {
-    fn new_arena(&self, capacity: usize) -> SigArena {
-        SigArena::with_capacity(self.ctx.num_attrs(), capacity)
-    }
-
-    fn store(&self, c: &Cluster, slot: usize, arena: &mut SigArena) {
-        arena.store(slot, &c.nodes, c.size(), c.cost);
-    }
-
-    // Bit-identical to `dist` above: `arena_join_cost` runs the same
-    // fused probes in the same attribute order as `join_cost`, and the
-    // size/cost operands are the very values `store` copied out of the
-    // payload (the sensitive-value map plays no part in distances).
-    fn dist(&self, arena: &SigArena, a: usize, b: usize) -> f64 {
-        let cost_u = self.ctx.arena_join_cost(arena, a, b);
-        self.distance.eval_symmetric(
-            arena.size(a),
-            arena.cost(a),
-            arena.size(b),
-            arena.cost(b),
-            arena.size(a) + arena.size(b),
-            cost_u,
-        )
+        c.size() >= self.k && c.extra.len() >= self.l
     }
 }
 
@@ -224,7 +141,7 @@ fn distribute_leftover(
     }
     let mut touched = vec![false; done.len()];
     for &row in &leftover.members {
-        let single = Cluster::singleton(ctx, row, sensitive);
+        let single = singleton(ctx, row, sensitive);
         let mut best = 0usize;
         let mut best_d = f64::INFINITY;
         for (ci, c) in done.iter().enumerate() {
@@ -246,7 +163,7 @@ fn distribute_leftover(
         c.members.push(row);
         ctx.join_row_into(&mut c.nodes, row as usize);
         c.cost = ctx.cost(&c.nodes);
-        *c.sensitive.entry(sensitive[row as usize]).or_insert(0) += 1;
+        *c.extra.entry(sensitive[row as usize]).or_insert(0) += 1;
         touched[best] = true;
     }
     for (c, _) in done.iter_mut().zip(&touched).filter(|(_, &t)| t) {
@@ -279,49 +196,23 @@ pub(crate) fn ldiversity_impl(
         }));
     }
 
+    // The engine's budget combine keeps the output valid: when nothing
+    // matured, the combined cluster holds all n records — n ≥ k members,
+    // all sensitive values — so it matures; and distributing leftover
+    // records into mature clusters can only grow their sizes and
+    // sensitive-value sets.
     let singles: Vec<Cluster> = (0..n)
-        .map(|i| Cluster::singleton(&ctx, i as u32, sensitive))
+        .map(|i| singleton(&ctx, i as u32, sensitive))
         .collect();
-    let policy = LDivPolicy {
-        ctx: &ctx,
-        distance: cfg.distance,
-        k: cfg.k,
-        l: cfg.l,
-    };
-    let outcome = engine::run(&policy, singles);
-    let mut done = outcome.done;
-    let mut remaining = outcome.remaining;
-    let exhausted = outcome.exhausted;
-
-    // Graceful degradation: the budget tripped with several immature
-    // clusters outstanding. Combine them all into one cluster (ascending
-    // first-member order, deterministic). If the combined cluster matures
-    // it is done; otherwise it becomes the single leftover handled below.
-    // The output stays *valid*: when nothing matured, the combined
-    // cluster holds all n records — n ≥ k members, all sensitive values —
-    // so it matures; and distributing leftover records into mature
-    // clusters can only grow their sizes and sensitive-value sets.
-    if exhausted.is_some() && remaining.len() > 1 {
-        remaining.sort_by_key(|c| c.members[0]);
-        let mut combined = remaining.swap_remove(0);
-        for c in remaining.drain(..) {
-            combined.members.extend_from_slice(&c.members);
-            ctx.join_nodes_into(&mut combined.nodes, &c.nodes);
-            for (v, cnt) in c.sensitive {
-                *combined.sensitive.entry(v).or_insert(0) += cnt;
-            }
-        }
-        combined.members.sort_unstable();
-        combined.cost = ctx.cost(&combined.nodes);
-        if policy.is_mature(&combined) {
-            done.push(combined);
-        } else {
-            remaining.push(combined);
-        }
-    }
+    let policy = LDivPolicy { k: cfg.k, l: cfg.l };
+    let engine::RunOutcome {
+        mut done,
+        leftover,
+        exhausted,
+    } = engine::run(&ctx, cfg.distance, &policy, singles);
 
     // Leftover cluster: distribute its records over mature clusters.
-    if let Some(leftover) = remaining.pop() {
+    if let Some(leftover) = leftover {
         distribute_leftover(&ctx, cfg, sensitive, &mut done, &leftover)?;
     }
 
@@ -344,7 +235,7 @@ pub(crate) fn ldiversity_impl(
     })
 }
 
-/// The original all-pairs implementation, kept verbatim as the byte-level
+/// The original all-pairs implementation, kept as the byte-level
 /// reference for the engine-based run and as the O(n³) baseline of the
 /// ℓ-diversity scaling bench (it re-scans every active pair on every
 /// merge). Counts [`kanon_obs::Counter::ClusterDistEvals`] so the bench
@@ -361,7 +252,7 @@ pub fn l_diverse_reference(
     let ctx = CostContext::new(table, costs);
 
     let mut slots: Vec<Option<Cluster>> = (0..n)
-        .map(|i| Some(Cluster::singleton(&ctx, i as u32, sensitive)))
+        .map(|i| Some(singleton(&ctx, i as u32, sensitive)))
         .collect();
     let mut active: Vec<usize> = (0..n).collect();
     let mut done: Vec<Cluster> = Vec::new();
@@ -379,7 +270,7 @@ pub fn l_diverse_reference(
         )
     };
 
-    let mature = |c: &Cluster| -> bool { c.size() >= cfg.k && c.distinct() >= cfg.l };
+    let policy = LDivPolicy { k: cfg.k, l: cfg.l };
 
     if cfg.k == 1 && cfg.l == 1 {
         let clustering = Clustering::from_assignment((0..n as u32).collect())?;
@@ -415,26 +306,8 @@ pub fn l_diverse_reference(
         let b = slots[j].take().unwrap(); // kanon-lint: allow(L006) best indexes live slots
         active.retain(|&s| s != i && s != j);
 
-        let merged = {
-            let mut members = a.members;
-            members.extend_from_slice(&b.members);
-            members.sort_unstable();
-            let mut nodes = a.nodes;
-            ctx.join_nodes_into(&mut nodes, &b.nodes);
-            let cost = ctx.cost(&nodes);
-            let mut sensitive_counts = a.sensitive;
-            for (v, c) in b.sensitive {
-                *sensitive_counts.entry(v).or_insert(0) += c;
-            }
-            Cluster {
-                members,
-                nodes,
-                cost,
-                sensitive: sensitive_counts,
-            }
-        };
-
-        if mature(&merged) {
+        let merged = Cluster::merge(&ctx, a, b, |x, y| policy.fold(x, y));
+        if policy.is_mature(&merged) {
             done.push(merged);
         } else {
             let slot = slots.len();
@@ -454,7 +327,7 @@ pub fn l_diverse_reference(
             )));
         }
         for &row in &leftover.members {
-            let single = Cluster::singleton(&ctx, row, sensitive);
+            let single = singleton(&ctx, row, sensitive);
             let mut best = 0usize;
             let mut best_d = f64::INFINITY;
             for (ci, c) in done.iter().enumerate() {
@@ -469,7 +342,7 @@ pub fn l_diverse_reference(
             c.members.sort_unstable();
             ctx.join_row_into(&mut c.nodes, row as usize);
             c.cost = ctx.cost(&c.nodes);
-            *c.sensitive.entry(sensitive[row as usize]).or_insert(0) += 1;
+            *c.extra.entry(sensitive[row as usize]).or_insert(0) += 1;
         }
     }
 
@@ -641,7 +514,7 @@ mod tests {
         let (t, sensitive, costs) = setup(6);
         let ctx = CostContext::new(&t, &costs);
         let cfg = LDiverseConfig::new(3, 2);
-        let leftover = Cluster::singleton(&ctx, 0, &sensitive);
+        let leftover = singleton(&ctx, 0, &sensitive);
         let err = distribute_leftover(&ctx, &cfg, &sensitive, &mut [], &leftover).unwrap_err();
         assert!(matches!(err, CoreError::InvalidClustering(_)));
         let msg = err.to_string();

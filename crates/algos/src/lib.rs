@@ -68,10 +68,9 @@ pub mod pipeline;
 pub mod samarati;
 pub mod shard;
 
-pub use agglomerative::{nn_rescan_pass, AgglomerativeConfig, KAnonOutput};
+pub use agglomerative::{AgglomerativeConfig, KAnonOutput};
 pub use cost::CostContext;
 pub use distance::{ClusterDistance, DEFAULT_EPSILON};
-pub use engine::{ClusterPolicy, RunOutcome};
 pub use fallible::{
     error_from_panic, try_agglomerative_k_anonymize, try_best_k_anonymize, try_forest_k_anonymize,
     try_fulldomain_k_anonymize, try_global_1k_anonymize, try_k1_anonymize, try_kk_anonymize,

@@ -98,6 +98,16 @@ fn pipeline_fingerprint(
     out
 }
 
+/// The four distances of Sec. V-A.2 plus the asymmetric Nergiz–Clifton
+/// variant.
+const ALL_DISTANCES: [ClusterDistance; 5] = [
+    ClusterDistance::D1,
+    ClusterDistance::D2,
+    ClusterDistance::D3,
+    ClusterDistance::d4(),
+    ClusterDistance::NergizClifton,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -174,33 +184,36 @@ proptest! {
     fn ldiversity_engine_matches_naive_reference(seed in 0u64..1_000_000, k in 2usize..6, l in 2usize..4) {
         // The engine-based ℓ-diversity run (shared nearest-neighbour
         // cache, O(n²) expected) must be byte-identical — clustering and
-        // loss bits — to the original all-pairs O(n³) implementation,
-        // which is kept verbatim as `l_diverse_reference`. Random tables,
-        // sizes straddling the parallel thresholds, and both thread
-        // counts, so the cache's exactness invariants and the leftover
+        // loss bits — to the original all-pairs O(n³) loop, which is
+        // kept as `l_diverse_reference`. Random tables,
+        // sizes straddling the parallel thresholds, every distance
+        // function and both thread counts, so the cache's exactness
+        // invariants, the engine's one distance path and the leftover
         // distribution (sort-once vs sort-per-push) are pinned together.
         let n = 40 + (seed as usize % 30);
         let table = art::generate(n, seed);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         let sensitive: Vec<u32> = (0..n).map(|i| (i % 5) as u32).collect();
-        let cfg = LDiverseConfig::new(k, l);
-        let reference = kanon_algos::ldiversity::l_diverse_reference(
-            &table, &costs, &sensitive, &cfg,
-        ).unwrap();
-        for threads in [1usize, 4] {
-            let fast = with_threads(threads, || {
-                try_l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap().into_inner()
-            });
-            prop_assert_eq!(
-                format!("{:?}", &fast.clustering),
-                format!("{:?}", &reference.clustering),
-                "clustering differs from naive reference (threads={})", threads
-            );
-            prop_assert!(
-                fast.loss.to_bits() == reference.loss.to_bits(),
-                "loss differs from naive reference: {} vs {} (threads={})",
-                fast.loss, reference.loss, threads
-            );
+        for distance in ALL_DISTANCES {
+            let cfg = LDiverseConfig { distance, ..LDiverseConfig::new(k, l) };
+            let reference = kanon_algos::ldiversity::l_diverse_reference(
+                &table, &costs, &sensitive, &cfg,
+            ).unwrap();
+            for threads in [1usize, 4] {
+                let fast = with_threads(threads, || {
+                    try_l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap().into_inner()
+                });
+                prop_assert_eq!(
+                    format!("{:?}", &fast.clustering),
+                    format!("{:?}", &reference.clustering),
+                    "{}: clustering differs from naive reference (threads={})", distance, threads
+                );
+                prop_assert!(
+                    fast.loss.to_bits() == reference.loss.to_bits(),
+                    "{}: loss differs from naive reference: {} vs {} (threads={})",
+                    distance, fast.loss, reference.loss, threads
+                );
+            }
         }
     }
 
@@ -261,4 +274,39 @@ fn baselines_are_thread_count_invariant() {
     for threads in [2usize, 8] {
         assert_eq!(with_threads(threads, run), serial, "threads = {threads}");
     }
+}
+
+#[test]
+fn agglomerative_losses_are_pinned_for_every_distance() {
+    // Loss bits of basic and modified Algorithm 1 under each distance on
+    // one fixed table. A change in how the engine evaluates a distance —
+    // operands swapped, or the one-sided `eval` where Nergiz–Clifton
+    // needs `eval_symmetric` — moves at least one of these.
+    const PINNED: [(bool, &str, u64); 10] = [
+        (false, "D1", 0x3ff5d8b1d863bb51),
+        (false, "D2", 0x3ff60bde9fcc6573),
+        (false, "D3", 0x3ff4f6f5e59e73f1),
+        (false, "D4", 0x3ff492e5e7c91651),
+        (false, "NC", 0x3ff48df8a35a9ad7),
+        (true, "D1", 0x3ff49e34a6b481be),
+        (true, "D2", 0x3ff54caa968365f5),
+        (true, "D3", 0x3ff4ebcc02006da8),
+        (true, "D4", 0x3ff492e5e7c91651),
+        (true, "NC", 0x3ff4833fa780ac23),
+    ];
+    let table = art::generate(150, 7);
+    let costs = NodeCostTable::compute(&table, &EntropyMeasure);
+    let mut got = Vec::new();
+    for modified in [false, true] {
+        for distance in ALL_DISTANCES {
+            let cfg = AgglomerativeConfig::new(4)
+                .with_distance(distance)
+                .with_modified(modified);
+            let out = try_agglomerative_k_anonymize(&table, &costs, &cfg)
+                .unwrap()
+                .into_inner();
+            got.push((modified, distance.name(), out.loss.to_bits()));
+        }
+    }
+    assert_eq!(got, PINNED);
 }

@@ -9,7 +9,9 @@
 //! the dispatch overhead amortizes only past a couple of thousand
 //! evaluations. This bench measures exactly that curve:
 //!
-//! * `serial/EVALS`: a plain loop of `join_cost` evaluations;
+//! * `serial/EVALS`: a plain loop of distance evaluations, each the
+//!   engine's own: `arena_join_cost` over two `SigArena` slots, then
+//!   `eval_symmetric` on the stored sizes and costs;
 //! * `pool/EVALS`:   the same evaluations through `map_coarse` on a warm
 //!   pool (criterion's warm-up phase spawns the workers; the timed region
 //!   only ever reuses them).
@@ -22,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kanon_algos::cost::SigArena;
 use kanon_algos::{ClusterDistance, CostContext};
 use kanon_data::art;
 use kanon_measures::{EntropyMeasure, NodeCostTable};
@@ -33,15 +36,26 @@ fn bench_dispatch_breakeven(c: &mut Criterion) {
     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
     let ctx = CostContext::new(&table, &costs);
     let distance = ClusterDistance::default();
-    // Per-row leaf signatures — the engine's newcomer pass evaluates one
-    // distance per active slot, so one "item" here is one evaluation,
-    // matching the units of MIN_PAR_SCAN_EVALS.
-    let sigs: Vec<Vec<_>> = (0..n).map(|i| ctx.leaf_nodes(i)).collect();
+    // One arena slot per row, as the engine stores its initial
+    // singletons — the newcomer pass evaluates one distance per active
+    // slot, so one "item" here is one evaluation, matching the units of
+    // MIN_PAR_SCAN_EVALS.
+    let mut arena = SigArena::with_capacity(ctx.num_attrs(), n);
+    for i in 0..n {
+        let nodes = ctx.leaf_nodes(i);
+        arena.store(i, &nodes, 1, ctx.cost(&nodes));
+    }
     let eval = |i: usize| {
-        let a = &sigs[i % n];
-        let b = &sigs[(i * 7 + 1) % n];
-        let cost_u = ctx.join_cost(a, b);
-        distance.eval_symmetric(1, 0.0, 1, 0.0, 2, cost_u)
+        let (a, b) = (i % n, (i * 7 + 1) % n);
+        let cost_u = ctx.arena_join_cost(&arena, a, b);
+        distance.eval_symmetric(
+            arena.size(a),
+            arena.cost(a),
+            arena.size(b),
+            arena.cost(b),
+            arena.size(a) + arena.size(b),
+            cost_u,
+        )
     };
 
     let mut group = c.benchmark_group("engine_rescan");

@@ -1,13 +1,9 @@
-//! Criterion micro-benchmarks for the O(1) join kernel and the
-//! nearest-neighbour rescan pass it accelerates.
+//! Criterion micro-benchmarks for the O(1) join kernel.
 //!
 //! * `hierarchy_join`: `Hierarchy::join` (dense LCA-table lookup, the
 //!   default below the node budget) against `Hierarchy::join_uncached`
 //!   (the parent-pointer climb fallback) on the same hierarchy and the
 //!   same pseudo-random node pairs.
-//! * `nn_rescan`: one full nearest-neighbour scan over the singleton
-//!   clustering — the per-pass unit of Algorithm 1's O(n²) startup cost —
-//!   at 1 worker vs all workers.
 //! * `pair_cost`: the fused interleaved `(join, cost)` kernel
 //!   (`CostContext::pair_cost`, one probe per attribute) against the
 //!   split form it replaced (a join-table probe *then* a separate
@@ -18,7 +14,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kanon_algos::{nn_rescan_pass, ClusterDistance, CostContext};
+use kanon_algos::CostContext;
 use kanon_core::hierarchy::NodeId;
 use kanon_data::art;
 use kanon_measures::{EntropyMeasure, NodeCostTable};
@@ -64,26 +60,6 @@ fn bench_hierarchy_join(c: &mut Criterion) {
             acc
         })
     });
-    group.finish();
-}
-
-fn bench_nn_rescan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("nn_rescan");
-    group.sample_size(10);
-    for n in [500usize, 1000] {
-        let table = art::generate(n, 42);
-        let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-        group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
-            b.iter(|| {
-                kanon_parallel::with_threads(1, || {
-                    nn_rescan_pass(black_box(&table), &costs, ClusterDistance::default())
-                })
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-            b.iter(|| nn_rescan_pass(black_box(&table), &costs, ClusterDistance::default()))
-        });
-    }
     group.finish();
 }
 
@@ -134,10 +110,5 @@ fn bench_fused_pair_cost(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_hierarchy_join,
-    bench_nn_rescan,
-    bench_fused_pair_cost
-);
+criterion_group!(benches, bench_hierarchy_join, bench_fused_pair_cost);
 criterion_main!(benches);

@@ -2,8 +2,8 @@
 //! TCP connections, `kill -9` crash recovery from the write-ahead
 //! journal (including a torn journal tail), retry-on-injected-fault,
 //! graceful SIGINT/SIGTERM shutdown with stats flushing, the stdout
-//! `EPIPE` exit code, and the `KANON_FAILPOINTS` name-validation
-//! regression.
+//! `EPIPE` exit code, the lost rollback marker that must refuse later
+//! writes, and the `KANON_FAILPOINTS` name-validation regression.
 //!
 //! Each invocation is a fresh process, so the process-global fault
 //! registry never leaks between tests.
@@ -269,6 +269,40 @@ fn torn_journal_append_is_repaired_and_never_buries_later_batches() {
     assert_eq!(r.request(b"OUTPUT"), live_output);
     let health = r.request(b"HEALTH");
     assert!(health.contains("\"batches\":2"), "{health}");
+    assert_eq!(r.shutdown(), Some(0));
+}
+
+#[test]
+fn lost_rollback_marker_refuses_writes_and_recovers_to_the_last_good_batch() {
+    // The second batch fails permanently and the rollback marker for it
+    // cannot be written. The daemon must refuse every later write, so
+    // nothing lands behind the unmarked record, and a restart must not
+    // resurrect the rolled-back batch. Ordinals: batch 1 is apply #1 and
+    // journal append #1; batch 2 is append #2 (its record), apply #2 and
+    // append #3 (its marker).
+    let dir = tmp_dir("serve-lost-marker");
+    let batches = batches();
+    let mut d = Daemon::spawn(
+        &dir,
+        &[],
+        &[(
+            "KANON_FAILPOINTS",
+            "serve/batch/apply=once:2,serve/journal/append=once:3",
+        )],
+    );
+    let resp = d.request(format!("BATCH\n{}", batches[0]).as_bytes());
+    assert!(resp.starts_with("OK seq=1 "), "{resp}");
+    let pre = d.request(b"OUTPUT");
+    let resp = d.request(format!("BATCH retries=0\n{}", batches[1]).as_bytes());
+    assert!(resp.starts_with("ERR FaultInjected:"), "{resp}");
+    let resp = d.request(format!("BATCH\n{}", batches[2]).as_bytes());
+    assert!(resp.starts_with("ERR Io:"), "{resp}");
+    d.kill_dash_nine();
+
+    let mut r = Daemon::spawn(&dir, &[], &[]);
+    assert_eq!(r.request(b"OUTPUT"), pre);
+    let resp = r.request(format!("BATCH\n{}", batches[2]).as_bytes());
+    assert!(resp.starts_with("OK "), "{resp}");
     assert_eq!(r.shutdown(), Some(0));
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper plus all ablations.
 # Usage: scripts/reproduce.sh [--full|--quick|--n N]
-# Outputs land in results_*.txt at the repo root.
+# Raw outputs land in results_*.txt at the repo root. They are local
+# (git-ignored, not committed); EXPERIMENTS.md holds the tables.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ARGS="${@:-}"
