@@ -61,8 +61,8 @@ pub struct ShardConfig {
     /// The diversity parameter `ℓ ≥ 1`; only consulted by
     /// [`crate::try_sharded_l_diverse_k_anonymize`].
     pub l: usize,
-    /// Maximum rows per shard. Defaults to `KANON_SHARD_MAX` (or
-    /// [`kanon_core::config::SHARD_MAX_DEFAULT`]).
+    /// Maximum rows per shard. Defaults to
+    /// [`kanon_core::config::SHARD_MAX_DEFAULT`].
     pub shard_max: usize,
     /// The cluster distance function used inside each shard.
     pub distance: ClusterDistance,
@@ -83,7 +83,7 @@ impl ShardConfig {
         ShardConfig {
             k,
             l: 1,
-            shard_max: kanon_core::config::default_shard_max(),
+            shard_max: kanon_core::config::SHARD_MAX_DEFAULT,
             distance: ClusterDistance::default(),
             modified: false,
             rooted_cells: Vec::new(),

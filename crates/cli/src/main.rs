@@ -37,6 +37,7 @@ use kanon_measures::{EntropyMeasure, LmMeasure, NodeCostTable};
 use kanon_verify::{journalist_risk, prosecutor_risk, AnonymityProfile};
 use std::collections::HashMap;
 use std::process::exit;
+use std::str::FromStr;
 
 /// `Result` alias for command bodies: every failure is a typed
 /// [`KanonError`] mapped to a stable exit code in [`main`]
@@ -77,7 +78,7 @@ fn usage() -> ! {
          pipeline: the table is pre-partitioned into shards of at most N\n\
          rows, each shard is clustered independently, and shard-boundary\n\
          twin clusters are re-merged. The library default cap is\n\
-         KANON_SHARD_MAX (or 10000).\n\n\
+         10000.\n\n\
          --on-bad-row controls CSV rows that fail to parse: strict\n\
          (default) fails the run, suppress drops them, root patches\n\
          unreadable cells with the attribute's first domain value.\n\n\
@@ -96,10 +97,11 @@ fn usage() -> ! {
          the records it does not cover. --absorb-epsilon X absorbs a new\n\
          row into a mature cluster when the join raises the cluster's\n\
          loss contribution by less than X (0 disables; a BATCH request\n\
-         may override per batch). Knobs: KANON_SERVE_WORK_RATE,\n\
-         KANON_SERVE_RETRIES, KANON_SERVE_BACKOFF_MS,\n\
-         KANON_SERVE_SNAPSHOT_EVERY, KANON_SERVE_REOPT_EVERY,\n\
-         KANON_SERVE_MAX_FRAME, KANON_SERVE_ABSORB_EPSILON.\n\n\
+         may override per batch). Defaults: --snapshot-every 8,\n\
+         --reopt-every 0, --absorb-epsilon 0. Knobs:\n\
+         KANON_SERVE_WORK_RATE, KANON_SERVE_RETRIES,\n\
+         KANON_SERVE_BACKOFF_MS, KANON_SERVE_MAX_FRAME,\n\
+         KANON_SERVE_IDLE_TIMEOUT_MS.\n\n\
          Exit codes: 0 success, 1 runtime error, 2 usage error,\n\
          130/143 interrupted by SIGINT/SIGTERM, 141 stdout EPIPE."
     );
@@ -155,18 +157,9 @@ impl Flags {
         self.0.get(key).map(String::as_str)
     }
 
-    fn usize_or(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("--{key} must be an integer");
-                    usage()
-                })
-            })
-            .unwrap_or(default)
-    }
-
-    fn u64_or(&self, key: &str, default: u64) -> u64 {
+    /// The integer value of `--key`, or `default` when absent; a value
+    /// that does not parse is a usage error.
+    fn parse_or<T: FromStr>(&self, key: &str, default: T) -> T {
         self.get(key)
             .map(|v| {
                 v.parse().unwrap_or_else(|_| {
@@ -238,8 +231,8 @@ fn load_table(
         }
         Ok((table, report.rooted_cells))
     } else {
-        let n = flags.usize_or("n", 1000);
-        let seed = flags.u64_or("seed", 42);
+        let n: usize = flags.parse_or("n", 1000);
+        let seed: u64 = flags.parse_or("seed", 42);
         let table = match name {
             "art" => art::generate_with_schema(schema, n, seed),
             "adult" => adult::generate_with_schema(schema, n, seed),
@@ -340,7 +333,7 @@ fn report_sharded(what: &str, out: &kanon_algos::ShardedOutput, costs: &NodeCost
 fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
     let (table, rooted_cells) = load_table(name, &schema, flags)?;
-    let k = flags.usize_or("k", 0);
+    let k: usize = flags.parse_or("k", 0);
     if k == 0 {
         return Err(KanonError::Usage("anonymize requires --k".to_string()));
     }
@@ -402,13 +395,13 @@ fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
             out.table
         }
         "ldiv" => {
-            let l = flags.usize_or("l", 0);
+            let l: usize = flags.parse_or("l", 0);
             if l == 0 {
                 return Err(KanonError::Usage(
                     "--notion ldiv requires --l L (distinct \u{2113}-diversity)".to_string(),
                 ));
             }
-            let col = flags.usize_or("sensitive", table.num_attrs() - 1);
+            let col: usize = flags.parse_or("sensitive", table.num_attrs() - 1);
             if col >= table.num_attrs() {
                 return Err(KanonError::Usage(format!(
                     "--sensitive {col} out of range (table has {} attributes)",
@@ -523,7 +516,7 @@ fn parse_generalized_csv(schema: &SharedSchema, text: &str) -> Result<Generalize
 
 fn cmd_verify(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
-    let k = flags.usize_or("k", 0);
+    let k: usize = flags.parse_or("k", 0);
     let original = flags
         .get("in")
         .ok_or_else(|| KanonError::Usage("verify requires --in ORIGINAL.csv".to_string()))?;
@@ -597,7 +590,7 @@ fn cmd_measure(name: &str, flags: &Flags) -> CmdResult {
 fn cmd_serve(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
     let (table, _rooted) = load_table(name, &schema, flags)?;
-    let k = flags.usize_or("k", 0);
+    let k: usize = flags.parse_or("k", 0);
     if k == 0 {
         return Err(KanonError::Usage("serve requires --k".to_string()));
     }
@@ -609,7 +602,7 @@ fn cmd_serve(name: &str, flags: &Flags) -> CmdResult {
         KanonError::Usage(format!("unknown measure {measure_name:?} (expected em|lm)"))
     })?;
     let absorb_epsilon = match flags.get("absorb-epsilon") {
-        None => kanon_core::config::serve_absorb_epsilon(),
+        None => 0.0,
         Some(v) => match v.parse::<f64>() {
             Ok(e) if e.is_finite() && e.total_cmp(&0.0).is_ge() => e,
             _ => {
@@ -622,15 +615,15 @@ fn cmd_serve(name: &str, flags: &Flags) -> CmdResult {
         k,
         measure,
         policy: row_policy(flags)?,
-        shard_max: flags.usize_or("shard-max", 0),
-        reopt_every: flags.u64_or("reopt-every", kanon_core::config::serve_reopt_every()),
+        shard_max: flags.parse_or("shard-max", 0),
+        reopt_every: flags.parse_or("reopt-every", 0),
         absorb_epsilon,
     };
     let mut opts = kanon_serve::ServeOptions::new(std::path::PathBuf::from(state_dir));
     if let Some(listen) = flags.get("listen") {
         opts.listen = listen.to_string();
     }
-    opts.snapshot_every = flags.u64_or("snapshot-every", opts.snapshot_every);
+    opts.snapshot_every = flags.parse_or("snapshot-every", opts.snapshot_every);
     let daemon = kanon_serve::Daemon::start(table, cfg, opts)?;
     daemon.run()
 }
@@ -763,9 +756,9 @@ mod tests {
         assert_eq!(f.get("k"), Some("5"));
         assert_eq!(f.get("measure"), Some("lm"));
         assert_eq!(f.get("missing"), None);
-        assert_eq!(f.usize_or("k", 1), 5);
-        assert_eq!(f.usize_or("absent", 7), 7);
-        assert_eq!(f.u64_or("absent", 9), 9);
+        assert_eq!(f.parse_or::<usize>("k", 1), 5);
+        assert_eq!(f.parse_or::<usize>("absent", 7), 7);
+        assert_eq!(f.parse_or::<u64>("absent", 9), 9);
     }
 
     #[test]

@@ -23,8 +23,6 @@ const ISOLATED_VARS: &[&str] = &[
     "KANON_SERVE_WORK_RATE",
     "KANON_SERVE_RETRIES",
     "KANON_SERVE_BACKOFF_MS",
-    "KANON_SERVE_SNAPSHOT_EVERY",
-    "KANON_SERVE_REOPT_EVERY",
     "KANON_SERVE_MAX_FRAME",
     "KANON_SERVE_IDLE_TIMEOUT_MS",
 ];

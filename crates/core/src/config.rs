@@ -5,12 +5,6 @@
 //!
 //! Current knobs:
 //!
-//! * `KANON_JOIN_TABLE_LIMIT` — node budget for the dense LCA join table
-//!   (see [`crate::hierarchy::JOIN_TABLE_LIMIT`]); `0` disables the table
-//!   everywhere. Snapshotted once per process.
-//! * `KANON_SHARD_MAX` — default maximum shard size for the
-//!   shard-and-conquer pipeline (`kanon-algos`' shard stage); values < 1
-//!   are ignored. Snapshotted once per process.
 //! * `KANON_SERVE_WORK_RATE` — work units per millisecond used by
 //!   `kanon serve` to map a request deadline onto the deterministic work
 //!   budget; values < 1 are ignored.
@@ -18,54 +12,18 @@
 //!   failures in `kanon serve`.
 //! * `KANON_SERVE_BACKOFF_MS` — base of the daemon's deterministic
 //!   exponential retry backoff (`base · 2^attempt` ms).
-//! * `KANON_SERVE_SNAPSHOT_EVERY` — state snapshot period, in applied
-//!   batches (`0` disables periodic snapshots).
-//! * `KANON_SERVE_REOPT_EVERY` — re-optimization period, in applied
-//!   batches (`0` disables periodic re-optimization).
 //! * `KANON_SERVE_MAX_FRAME` — maximum accepted request frame, in bytes;
 //!   values < 1 are ignored.
 //! * `KANON_SERVE_IDLE_TIMEOUT_MS` — per-read idle timeout on accepted
 //!   serve connections (`0` disables).
-//! * `KANON_SERVE_ABSORB_EPSILON` — default ε of the daemon's ε-bounded
-//!   absorption tier (`0` disables the tier; must be finite and
-//!   non-negative).
 //!
 //! All knobs are snapshotted once per process.
 
-use crate::hierarchy::JOIN_TABLE_LIMIT;
 use std::sync::OnceLock;
 
-/// The effective default join-table node budget:
-/// `KANON_JOIN_TABLE_LIMIT` if set and parseable, else
-/// [`JOIN_TABLE_LIMIT`]. Read once per process (same snapshot semantics
-/// as `KANON_THREADS` in `kanon-parallel`).
-pub fn default_join_table_budget() -> usize {
-    static BUDGET: OnceLock<usize> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("KANON_JOIN_TABLE_LIMIT")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(JOIN_TABLE_LIMIT)
-    })
-}
-
-/// The built-in default shard-size bound when neither `--shard-max` nor
-/// `KANON_SHARD_MAX` says otherwise.
+/// The built-in shard-size bound of the shard-and-conquer pipeline when
+/// `--shard-max` (or `ShardConfig::with_shard_max`) does not set one.
 pub const SHARD_MAX_DEFAULT: usize = 10_000;
-
-/// The effective default shard-size bound for the shard-and-conquer
-/// pipeline: `KANON_SHARD_MAX` if set, parseable and ≥ 1, else
-/// [`SHARD_MAX_DEFAULT`]. Read once per process.
-pub fn default_shard_max() -> usize {
-    static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        std::env::var("KANON_SHARD_MAX")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(SHARD_MAX_DEFAULT)
-    })
-}
 
 /// Shared snapshot-once reader for the `u64`-valued serve knobs.
 fn env_u64(cell: &'static OnceLock<u64>, var: &str, min: u64, default: u64) -> u64 {
@@ -107,22 +65,6 @@ pub fn serve_backoff_ms() -> u64 {
     env_u64(&BACKOFF, "KANON_SERVE_BACKOFF_MS", 0, 10)
 }
 
-/// State snapshot period for `kanon serve`, in applied batches
-/// (`KANON_SERVE_SNAPSHOT_EVERY`, else 8; `0` disables periodic
-/// snapshots — the write-ahead journal alone then carries recovery).
-pub fn serve_snapshot_every() -> u64 {
-    static EVERY: OnceLock<u64> = OnceLock::new();
-    env_u64(&EVERY, "KANON_SERVE_SNAPSHOT_EVERY", 0, 8)
-}
-
-/// Re-optimization period for `kanon serve`, in applied batches
-/// (`KANON_SERVE_REOPT_EVERY`, else 0 = disabled; the CLI flag
-/// `--reopt-every` overrides).
-pub fn serve_reopt_every() -> u64 {
-    static EVERY: OnceLock<u64> = OnceLock::new();
-    env_u64(&EVERY, "KANON_SERVE_REOPT_EVERY", 0, 0)
-}
-
 /// Maximum accepted request frame for the serve protocol, in bytes
 /// (`KANON_SERVE_MAX_FRAME`, else 16 MiB). Bounds the allocation a
 /// hostile length prefix can demand.
@@ -139,20 +81,4 @@ pub fn serve_max_frame() -> u64 {
 pub fn serve_idle_timeout_ms() -> u64 {
     static IDLE: OnceLock<u64> = OnceLock::new();
     env_u64(&IDLE, "KANON_SERVE_IDLE_TIMEOUT_MS", 0, 30_000)
-}
-
-/// Default ε of the daemon's ε-bounded absorption tier
-/// (`KANON_SERVE_ABSORB_EPSILON`, else 0 = tier disabled). Values must
-/// be finite and non-negative (the total order puts `-0.0` below
-/// `+0.0`, so a negative-zero bit pattern is filtered out too); a
-/// per-request `BATCH absorb_epsilon=X` overrides this.
-pub fn serve_absorb_epsilon() -> f64 {
-    static EPS: OnceLock<f64> = OnceLock::new();
-    *EPS.get_or_init(|| {
-        std::env::var("KANON_SERVE_ABSORB_EPSILON")
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .filter(|v| v.is_finite() && v.total_cmp(&0.0).is_ge())
-            .unwrap_or(0.0)
-    })
 }

@@ -72,18 +72,11 @@ pub struct Hierarchy {
     join_table: Option<Vec<u32>>,
 }
 
-/// Default node budget for the dense join table: hierarchies with at most
-/// this many nodes precompute it (memory: `limit²` × 4 bytes = 1 MiB worst
-/// case per attribute). Override per process with the
-/// `KANON_JOIN_TABLE_LIMIT` environment variable (`0` disables the table
-/// everywhere), or per hierarchy with
-/// [`Hierarchy::with_join_table_budget`].
+/// Node budget for the dense join table: hierarchies with at most this
+/// many nodes precompute it (memory: `limit²` × 4 bytes = 1 MiB worst
+/// case per attribute). Override per hierarchy with
+/// [`Hierarchy::with_join_table_budget`] (`0` drops the table).
 pub const JOIN_TABLE_LIMIT: usize = 512;
-
-// The KANON_JOIN_TABLE_LIMIT read lives in the crate's designated config
-// point (`config.rs`, lint rule L003); re-exported here so existing
-// `hierarchy::default_join_table_budget` callers keep working.
-pub use crate::config::default_join_table_budget;
 
 impl Hierarchy {
     // ------------------------------------------------------------------
@@ -228,7 +221,7 @@ impl Hierarchy {
             domain_size,
             join_table: None,
         };
-        h.rebuild_join_table(default_join_table_budget());
+        h.rebuild_join_table(JOIN_TABLE_LIMIT);
         Ok(h)
     }
 

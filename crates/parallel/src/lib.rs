@@ -1,24 +1,24 @@
 //! # kanon-parallel
 //!
-//! The workspace's parallel execution layer: a parallel-for / map-reduce
-//! over a **persistent worker pool** (`pool` module) — lazily started,
-//! condvar-parked workers that survive across dispatches — built only on
-//! `std` primitives, no external dependencies, per the workspace's
-//! from-scratch policy (DESIGN.md). Earlier revisions spawned scoped
-//! threads per call; the pool removes that per-dispatch spawn/join cost
-//! (the `pool_threads_spawned` runtime counter stays flat after warm-up)
-//! while keeping the exact same chunk split and combine order.
+//! The workspace's parallel execution layer: chunked map, fold and
+//! parallel-for primitives over a **persistent worker pool** (`pool`
+//! module) — lazily started, condvar-parked workers that survive across
+//! dispatches — built only on `std` primitives, no external
+//! dependencies, per the workspace's from-scratch policy (DESIGN.md).
 //!
-//! Every primitive is **deterministic**: results are byte-identical to a
-//! serial run at any thread count. `map` writes each index's result into
-//! its own slot; `reduce` combines per-index values in strictly ascending
-//! index order (work is split into contiguous chunks, each chunk folds
-//! left-to-right, and chunk results combine in chunk order); `min_by_key`
-//! breaks key ties by the smaller index. Algorithms built on these
-//! primitives therefore make identical decisions whether they run on 1
-//! thread or 64 — which is what lets the hot loops of `kanon-algos`,
-//! `kanon-measures`, and `kanon-bench` parallelize without perturbing a
-//! single merge decision.
+//! Every primitive is a short body over one private chunked core: the
+//! index range `0..n` is cut into contiguous chunks of
+//! `n.div_ceil(threads)` items (a pure function of `(n, threads)`), the
+//! pool runs one task per chunk, and the per-chunk outputs come back in
+//! chunk order. Every primitive is therefore **deterministic**: results
+//! are byte-identical to a serial run at any thread count. [`map`] keeps
+//! each index's result in its own slot; [`for_each_chunk_mut`] hands
+//! each chunk its own disjoint sub-slice; [`fold_chunks`] folds each
+//! chunk left-to-right and merges the chunk accumulators in chunk order.
+//! Algorithms built on these primitives therefore make identical
+//! decisions whether they run on 1 thread or 64 — which is what lets the
+//! hot loops of `kanon-algos`, `kanon-measures`, and `kanon-bench`
+//! parallelize without perturbing a single merge decision.
 //!
 //! ## Thread-count control
 //!
@@ -40,37 +40,37 @@
 //! override. A regression test pins this snapshot behavior.
 //!
 //! Jobs smaller than [`MIN_PARALLEL_ITEMS`] items run inline on the caller
-//! thread: spawning threads costs more than small scans save.
+//! thread: a dispatch costs more than small scans save.
 //!
 //! ## Observability
 //!
 //! Every parallel dispatch captures the caller's `kanon-obs` collector and
-//! re-installs it on each scoped worker, so deterministic work counters
+//! re-installs it in each chunk task, so deterministic work counters
 //! incremented inside worker closures land in the same collector as the
 //! caller's — totals stay byte-identical at any thread count because the
 //! per-index work is identical and counter addition commutes. Each
-//! dispatch also records its effective worker count into the collector's
-//! runtime (non-deterministic) section.
+//! dispatch also records its effective worker count, and the pool its
+//! task, wake and spawn tallies, into the collector's runtime
+//! (non-deterministic) section.
 //!
 //! ## Panic isolation
 //!
-//! A panic inside a worker closure does not take down the scope (and,
-//! before this layer existed, `std::thread::scope` would re-raise it with
-//! a *generic* payload, losing the message). Every worker body runs under
-//! `catch_unwind`; panics are collected per worker and, once **all**
-//! workers have joined (so shared `kanon-obs` counters are fully flushed),
-//! converted into a typed [`WorkerPanic`]. When several workers panic, the
-//! lowest worker index wins — deterministically, regardless of which
-//! thread happened to fault first on the wall clock. The infallible
-//! primitives re-raise the `WorkerPanic` as a panic payload (for the
-//! fallible entry points in `kanon-algos` to downcast); [`try_map`]
-//! returns it as an `Err` directly. Injected faults from `kanon-fault`
-//! keep their identity end to end via [`WorkerPanic::fault_point`].
+//! A panic inside a chunk never unwinds through the pool. Every chunk
+//! body runs under `catch_unwind`; panics are collected per chunk and,
+//! once **all** chunks have finished (so shared `kanon-obs` counters are
+//! fully flushed), converted into a typed [`WorkerPanic`] whose worker
+//! index is the chunk index. When several chunks panic, the lowest index
+//! wins — deterministically, regardless of which thread happened to fault
+//! first on the wall clock. The infallible primitives re-raise the
+//! `WorkerPanic` as a panic payload (for the fallible entry points in
+//! `kanon-algos` to downcast); [`try_map`] returns it as an `Err`
+//! directly. Injected faults from `kanon-fault` keep their identity end
+//! to end via [`WorkerPanic::fault_point`].
 //!
-//! Each spawned worker (and the inline serial path, as worker 0) passes
-//! through the `parallel/worker` failpoint with **index semantics** (see
+//! Each chunk (and the inline serial path, as worker 0) passes through
+//! the `parallel/worker` failpoint with **index semantics** (see
 //! `kanon_fault::worker_hit`), so tests can deterministically crash one
-//! specific worker.
+//! specific chunk.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -81,6 +81,7 @@
 
 use std::any::Any;
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 
@@ -177,12 +178,12 @@ pub fn shutdown_pool() {
 
 /// Typed error describing a panic isolated inside a parallel primitive.
 ///
-/// When several workers panic in one dispatch, the **lowest worker
-/// index** is reported — after all workers have joined, so the choice is
+/// When several chunks panic in one dispatch, the **lowest chunk
+/// index** is reported — after every chunk has finished, so the choice is
 /// deterministic and shared obs counters are fully flushed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
-    /// Index of the (lowest) panicking worker; the serial inline path
+    /// Index of the (lowest) panicking chunk; the serial inline path
     /// reports worker 0.
     pub worker: usize,
     /// The panic message, when the payload was a string (or a
@@ -239,9 +240,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Per-dispatch panic collector. Workers run their body through
-/// [`PanicSink::run`]; after the scope joins, [`PanicSink::check`] turns
-/// the recorded panics (if any) into one deterministic [`WorkerPanic`].
+/// Per-dispatch panic collector. Chunks run their body through
+/// [`PanicSink::run`]; once every chunk has finished,
+/// [`PanicSink::check`] turns the recorded panics (if any) into one
+/// deterministic [`WorkerPanic`].
 #[derive(Default)]
 struct PanicSink {
     panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>>,
@@ -296,45 +298,72 @@ fn serial_run<T>(body: impl FnOnce() -> T) -> Result<T, WorkerPanic> {
     Ok(out.expect("serial body completed"))
 }
 
-/// Chunked parallel map over `0..n` with `threads >= 2` workers.
+/// Items per chunk when `0..n` is split over `threads` workers: the whole
+/// range when serial, else `n.div_ceil(threads)` (the last chunk may be
+/// shorter). A pure function of `(n, threads)`.
+fn chunk_len(n: usize, threads: usize) -> usize {
+    if threads <= 1 {
+        n
+    } else {
+        n.div_ceil(threads)
+    }
+}
+
+/// The chunked core every primitive runs on: returns
+/// `body(chunk_index, chunk_range)` for each contiguous chunk of `0..n`,
+/// in chunk order.
 ///
-/// The chunk split is a pure function of `(n, threads)` and each chunk
-/// writes only its own contiguous output slice (handed to the shared
-/// job closure through a per-chunk `Mutex`, locked exactly once and
-/// never contended — chunks are disjoint), so the combined result is
-/// byte-identical to the serial map regardless of which pool thread
-/// runs which chunk.
-fn map_chunked<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, WorkerPanic>
+/// With `threads <= 1` (or `n == 0`) the one chunk `0..n` runs inline
+/// on the caller thread, as worker 0. Otherwise the pool runs one task
+/// per chunk of [`chunk_len`] items; each task re-installs the caller's
+/// obs collector and runs its body under the panic sink with its chunk
+/// index as the worker index, and writes only its own output slot
+/// (a per-chunk `Mutex`, locked once and never contended). Which pool
+/// thread runs which chunk therefore never shows in the result.
+fn run_chunks<T, F>(n: usize, threads: usize, body: F) -> Result<Vec<T>, WorkerPanic>
+where
+    T: Send,
+    F: Fn(usize, Range<usize>) -> T + Sync,
+{
+    if threads <= 1 || n == 0 {
+        return serial_run(|| vec![body(0, 0..n)]);
+    }
+    kanon_obs::record_parallel_job(threads);
+    let obs = kanon_obs::current();
+    let chunk = chunk_len(n, threads);
+    let outputs: Vec<Mutex<Option<T>>> = (0..n.div_ceil(chunk)).map(|_| Mutex::new(None)).collect();
+    let sink = PanicSink::default();
+    pool::dispatch(outputs.len(), threads, &|t| {
+        let _obs = kanon_obs::install_current(obs.clone());
+        sink.run(t, || {
+            let out = body(t, t * chunk..((t + 1) * chunk).min(n));
+            *outputs[t].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+        });
+    });
+    sink.check()?;
+    Ok(outputs
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every chunk ran")
+        })
+        .collect())
+}
+
+/// Maps `f` over `0..n` on `threads` workers, results in index order.
+fn map_on<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, WorkerPanic>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    kanon_obs::record_parallel_job(threads);
-    let obs = kanon_obs::current();
-    let chunk = n.div_ceil(threads);
-    let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let sink = PanicSink::default();
-    {
-        let slices: Vec<Mutex<&mut [Option<T>]>> =
-            results.chunks_mut(chunk).map(Mutex::new).collect();
-        let task = |t: usize| {
-            let _obs = kanon_obs::install_current(obs.clone());
-            sink.run(t, || {
-                let mut slice = slices[t].lock().unwrap_or_else(|e| e.into_inner());
-                let base = t * chunk;
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f(base + off));
-                }
-            });
-        };
-        pool::dispatch(slices.len(), threads, &task);
+    let mut chunks =
+        run_chunks(n, threads, |_, range| range.map(&f).collect::<Vec<T>>())?.into_iter();
+    let mut out = chunks.next().expect("at least one chunk");
+    for chunk in chunks {
+        out.extend(chunk);
     }
-    sink.check()?;
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every index computed"))
-        .collect())
+    Ok(out)
 }
 
 /// Maps `f` over `0..n`, returning results in index order. `f` runs
@@ -359,11 +388,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = workers_for(n);
-    if threads <= 1 {
-        return serial_run(|| (0..n).map(&f).collect());
-    }
-    map_chunked(n, threads, f)
+    map_on(n, workers_for(n), f)
 }
 
 /// Runs `f` over contiguous, disjoint chunks of `data`, in parallel.
@@ -379,81 +404,22 @@ where
 {
     let n = data.len();
     let threads = workers_for(n);
-    if threads <= 1 {
-        if let Err(e) = serial_run(|| f(0, data)) {
-            raise(e);
-        }
-        return;
-    }
-    kanon_obs::record_parallel_job(threads);
-    let obs = kanon_obs::current();
-    let chunk = n.div_ceil(threads);
-    let sink = PanicSink::default();
-    {
-        let slices: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk).map(Mutex::new).collect();
-        let task = |t: usize| {
-            let _obs = kanon_obs::install_current(obs.clone());
-            sink.run(t, || {
-                let mut slice = slices[t].lock().unwrap_or_else(|e| e.into_inner());
-                f(t * chunk, &mut slice);
-            });
-        };
-        pool::dispatch(slices.len(), threads, &task);
-    }
-    if let Err(e) = sink.check() {
-        raise(e);
-    }
-}
-
-/// Map-reduce over `0..n`: computes `map(i)` for every index and folds the
-/// values with `reduce` in **strictly ascending index order** (left fold
-/// within each chunk, chunk results combined in chunk order), starting
-/// from `identity`. For an associative `reduce` this equals the serial
-/// fold; for a non-commutative but associative operator the order
-/// guarantee is what keeps results thread-count-independent. Worker
-/// panics re-raise as a typed [`WorkerPanic`] payload.
-pub fn map_reduce<T, M, R>(n: usize, identity: T, map_fn: M, reduce: R) -> T
-where
-    T: Send + Clone,
-    M: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync,
-{
-    let threads = workers_for(n);
-    if threads <= 1 {
-        let identity2 = identity.clone();
-        return serial_run(|| (0..n).fold(identity2, |acc, i| reduce(acc, map_fn(i))))
-            .unwrap_or_else(|e| raise(e));
-    }
-    kanon_obs::record_parallel_job(threads);
-    let obs = kanon_obs::current();
-    let chunk = n.div_ceil(threads);
-    // Seed each chunk slot with its identity up front: cloning inside
-    // the shared job closure would demand `T: Sync`, which the public
-    // signature does not (and must not) require.
-    let mut partials: Vec<Option<T>> = Vec::new();
-    partials.resize_with(threads.min(n.div_ceil(chunk)), || Some(identity.clone()));
-    let sink = PanicSink::default();
-    {
-        let slots: Vec<Mutex<&mut Option<T>>> = partials.iter_mut().map(Mutex::new).collect();
-        let task = |t: usize| {
-            let _obs = kanon_obs::install_current(obs.clone());
-            sink.run(t, || {
-                let mut slot = slots[t].lock().unwrap_or_else(|e| e.into_inner());
-                let seed = slot.take().expect("slot seeded with identity");
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                **slot = Some((lo..hi).fold(seed, |acc, i| reduce(acc, map_fn(i))));
-            });
-        };
-        pool::dispatch(slots.len(), threads, &task);
-    }
-    if let Err(e) = sink.check() {
-        raise(e);
-    }
-    partials
-        .into_iter()
-        .map(|p| p.expect("chunk folded"))
-        .fold(identity, reduce)
+    // One sub-slice per chunk of the core's split (an empty slice is
+    // still the one serial chunk).
+    let slices: Vec<Mutex<&mut [T]>> = if n == 0 {
+        vec![Mutex::new(data)]
+    } else {
+        data.chunks_mut(chunk_len(n, threads))
+            .map(Mutex::new)
+            .collect()
+    };
+    run_chunks(n, threads, |t, range| {
+        f(
+            range.start,
+            &mut slices[t].lock().unwrap_or_else(|e| e.into_inner()),
+        )
+    })
+    .unwrap_or_else(|e| raise(e));
 }
 
 /// Like [`map`], but parallelizes even below [`MIN_PARALLEL_ITEMS`]:
@@ -467,13 +433,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = num_threads().min(n).max(1);
-    let result = if threads <= 1 {
-        serial_run(|| (0..n).map(&f).collect())
-    } else {
-        map_chunked(n, threads, f)
-    };
-    result.unwrap_or_else(|e| raise(e))
+    map_on(n, num_threads().min(n).max(1), f).unwrap_or_else(|e| raise(e))
 }
 
 /// Chunked fold over `0..n` with per-chunk accumulators: each worker folds
@@ -484,9 +444,8 @@ where
 /// total order) the result is identical to the serial fold at any thread
 /// count. Worker panics re-raise as a typed [`WorkerPanic`] payload.
 ///
-/// Use this instead of [`map_reduce`] when the accumulator is large (e.g.
-/// a per-component best-edge table) and allocating one per *index* would
-/// dominate.
+/// One accumulator per *chunk*, not per index, so a large accumulator
+/// (e.g. a per-component best-edge table) costs one allocation per worker.
 pub fn fold_chunks<T, I, F, R>(n: usize, identity: I, fold: F, merge: R) -> T
 where
     T: Send,
@@ -494,71 +453,17 @@ where
     F: Fn(&mut T, usize) + Sync,
     R: Fn(T, T) -> T,
 {
-    let threads = workers_for(n);
-    if threads <= 1 {
-        return serial_run(|| {
-            let mut acc = identity();
-            for i in 0..n {
-                fold(&mut acc, i);
-            }
-            acc
-        })
-        .unwrap_or_else(|e| raise(e));
-    }
-    kanon_obs::record_parallel_job(threads);
-    let obs = kanon_obs::current();
-    let chunk = n.div_ceil(threads);
-    let mut partials: Vec<Option<T>> = Vec::new();
-    partials.resize_with(n.div_ceil(chunk), || None);
-    let sink = PanicSink::default();
-    {
-        let slots: Vec<Mutex<&mut Option<T>>> = partials.iter_mut().map(Mutex::new).collect();
-        let task = |t: usize| {
-            let _obs = kanon_obs::install_current(obs.clone());
-            sink.run(t, || {
-                let mut acc = identity();
-                for i in t * chunk..((t + 1) * chunk).min(n) {
-                    fold(&mut acc, i);
-                }
-                **slots[t].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
-            });
-        };
-        pool::dispatch(slots.len(), threads, &task);
-    }
-    if let Err(e) = sink.check() {
-        raise(e);
-    }
-    let mut iter = partials.into_iter().map(|p| p.expect("chunk folded"));
-    let first = iter.next().unwrap_or_else(&identity);
-    iter.fold(first, merge)
-}
-
-/// Parallel argmin over `0..n`: returns the index minimizing `key(i)`
-/// together with its key, breaking key ties toward the **smaller index**
-/// (so the winner is thread-count-independent). Returns `None` for
-/// `n == 0`. Keys are compared with `f64::total_cmp`.
-pub fn min_by_key<F>(n: usize, key: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    let better = |cand: (usize, f64), cur: (usize, f64)| -> (usize, f64) {
-        // Strictly smaller key wins; equal keys keep the smaller index
-        // (the left/current one, since candidates arrive in index order).
-        if cand.1.total_cmp(&cur.1).is_lt() {
-            cand
-        } else {
-            cur
+    let partials = run_chunks(n, workers_for(n), |_, range| {
+        let mut acc = identity();
+        for i in range {
+            fold(&mut acc, i);
         }
-    };
-    map_reduce(
-        n,
-        None::<(usize, f64)>,
-        |i| Some((i, key(i))),
-        move |acc, item| match (acc, item) {
-            (None, x) | (x, None) => x,
-            (Some(cur), Some(cand)) => Some(better(cand, cur)),
-        },
-    )
+        acc
+    })
+    .unwrap_or_else(|e| raise(e));
+    let mut iter = partials.into_iter();
+    let first = iter.next().expect("at least one chunk");
+    iter.fold(first, merge)
 }
 
 #[cfg(test)]
@@ -588,33 +493,6 @@ mod tests {
                 .map(|i| i * i)
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn map_reduce_respects_index_order() {
-        // Non-commutative but associative: string concatenation.
-        let n = 500;
-        let serial = (0..n).fold(String::new(), |acc, i| acc + &i.to_string());
-        for t in [1, 2, 5, 8] {
-            let par = with_threads(t, || {
-                map_reduce(n, String::new(), |i| i.to_string(), |a, b| a + &b)
-            });
-            assert_eq!(par, serial, "threads={t}");
-        }
-    }
-
-    #[test]
-    fn min_by_key_breaks_ties_by_index() {
-        // Keys collide in pairs; the smaller index must always win.
-        let key = |i: usize| (i / 2) as f64;
-        for t in [1, 2, 3, 8] {
-            let got = with_threads(t, || min_by_key(1000, key));
-            assert_eq!(got, Some((0, 0.0)), "threads={t}");
-        }
-        assert_eq!(min_by_key(0, |_| 0.0), None);
-        // NaN keys are ordered by total_cmp (NaN sorts above all reals).
-        let got = min_by_key(100, |i| if i == 7 { f64::NAN } else { 1.0 });
-        assert_eq!(got.map(|g| g.0), Some(0));
     }
 
     #[test]
@@ -832,6 +710,85 @@ mod tests {
                 .expect_err("all workers panic");
             assert_eq!(e.worker, 0, "threads={t}");
             assert!(e.message.contains("boom 0"), "threads={t}: {}", e.message);
+        }
+    }
+
+    #[test]
+    fn chunk_split_is_pinned() {
+        // (n, threads, chunk bases, pool tasks of one `map`). The split is
+        // a pure function of `(n, threads)`; these figures pin it, the
+        // serial cutoff below MIN_PARALLEL_ITEMS and the task count per
+        // dispatch, for every primitive that shares it.
+        use kanon_obs::{Collector, RuntimeCounter};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const SPLITS: &[(usize, usize, &[usize], u64)] = &[
+            (0, 1, &[0], 0),
+            (0, 2, &[0], 0),
+            (0, 3, &[0], 0),
+            (0, 4, &[0], 0),
+            (0, 7, &[0], 0),
+            (1, 1, &[0], 0),
+            (1, 2, &[0], 0),
+            (1, 3, &[0], 0),
+            (1, 4, &[0], 0),
+            (1, 7, &[0], 0),
+            (64, 1, &[0], 0),
+            (64, 2, &[0, 32], 2),
+            (64, 3, &[0, 22, 44], 3),
+            (64, 4, &[0, 16, 32, 48], 4),
+            (64, 7, &[0, 10, 20, 30, 40, 50, 60], 7),
+            (65, 1, &[0], 0),
+            (65, 2, &[0, 33], 2),
+            (65, 3, &[0, 22, 44], 3),
+            (65, 4, &[0, 17, 34, 51], 4),
+            (65, 7, &[0, 10, 20, 30, 40, 50, 60], 7),
+            (100, 1, &[0], 0),
+            (100, 2, &[0, 50], 2),
+            (100, 3, &[0, 34, 68], 3),
+            (100, 4, &[0, 25, 50, 75], 4),
+            (100, 7, &[0, 15, 30, 45, 60, 75, 90], 7),
+            (1000, 1, &[0], 0),
+            (1000, 2, &[0, 500], 2),
+            (1000, 3, &[0, 334, 668], 3),
+            (1000, 4, &[0, 250, 500, 750], 4),
+            (1000, 7, &[0, 143, 286, 429, 572, 715, 858], 7),
+        ];
+        for &(n, threads, bases, tasks) in SPLITS {
+            let at = format!("n={n} threads={threads}");
+            with_threads(threads, || {
+                let seen = Mutex::new(Vec::new());
+                for_each_chunk_mut(&mut vec![0u8; n], |base, _| {
+                    seen.lock().unwrap().push(base);
+                });
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_unstable();
+                assert_eq!(seen, bases, "for_each_chunk_mut bases, {at}");
+
+                let identities = AtomicUsize::new(0);
+                fold_chunks(
+                    n,
+                    || {
+                        identities.fetch_add(1, Ordering::Relaxed);
+                    },
+                    |_, _| {},
+                    |a, _| a,
+                );
+                assert_eq!(
+                    identities.into_inner(),
+                    bases.len(),
+                    "fold_chunks identities, {at}"
+                );
+
+                let c = Collector::new();
+                {
+                    let _g = c.install();
+                    map(n, |i| i);
+                }
+                let dispatched = c
+                    .report()
+                    .runtime_counter(RuntimeCounter::PoolTasksDispatched);
+                assert_eq!(dispatched, tasks, "map pool tasks, {at}");
+            });
         }
     }
 }

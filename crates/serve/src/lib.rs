@@ -89,7 +89,7 @@ pub struct ServeOptions {
     pub listen: String,
     /// Directory holding journal, snapshots and the address file.
     pub state_dir: PathBuf,
-    /// Snapshot every N applied batches (0 = never).
+    /// Snapshot every N applied batches (0 = never; default 8).
     pub snapshot_every: u64,
     /// Retry attempts for transient faults (`KANON_SERVE_RETRIES`).
     pub retries: u64,
@@ -110,13 +110,13 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Options with the `KANON_SERVE_*` environment defaults and an
-    /// ephemeral localhost listener.
+    /// Options with a snapshot every 8 batches, the `KANON_SERVE_*`
+    /// environment defaults and an ephemeral localhost listener.
     pub fn new(state_dir: PathBuf) -> ServeOptions {
         ServeOptions {
             listen: "127.0.0.1:0".to_string(),
             state_dir,
-            snapshot_every: kanon_core::config::serve_snapshot_every(),
+            snapshot_every: 8,
             retries: kanon_core::config::serve_retries(),
             backoff_ms: kanon_core::config::serve_backoff_ms(),
             work_rate: kanon_core::config::serve_work_rate(),

@@ -979,7 +979,7 @@ impl ServeState {
 }
 
 /// Sharded-run config for bootstrap/re-optimization; `shard_max == 0`
-/// means "use the `KANON_SHARD_MAX` default".
+/// means "use the default cap, `SHARD_MAX_DEFAULT`".
 fn shard_config(cfg: &ServeConfig) -> ShardConfig {
     let base = ShardConfig::new(cfg.k);
     if cfg.shard_max > 0 {
