@@ -160,19 +160,6 @@ impl SigArena {
         }
     }
 
-    /// Drops every slot at index `len` and above, keeping the first
-    /// `len` intact (no-op when the arena is already that short). Lets a
-    /// long-lived arena — the serve daemon appends probe slots behind
-    /// its resident mature-cluster signatures for each absorption scan —
-    /// discard the scratch tail without reallocating the lanes.
-    pub fn truncate(&mut self, len: usize) {
-        for lane in &mut self.lanes {
-            lane.truncate(len);
-        }
-        self.sizes.truncate(len);
-        self.costs.truncate(len);
-    }
-
     /// Stored cluster size of `slot`.
     #[inline]
     pub fn size(&self, slot: usize) -> usize {
@@ -307,6 +294,20 @@ impl<'a> CostContext<'a> {
         }
     }
 
+    /// `join(a, b)` for attribute `j`: the fused table's interleaved
+    /// node id where available (one probe), else the split-table /
+    /// climb kernel.
+    #[inline]
+    fn fused_join(&self, j: usize, a: NodeId, b: NodeId, streamed: &mut u64) -> NodeId {
+        match &self.fused[j] {
+            Some(f) => {
+                *streamed += FUSED_PROBE_BYTES;
+                NodeId(f.probe(a.0, b.0).node)
+            }
+            None => self.attrs[j].join(a, b),
+        }
+    }
+
     /// Joins row `row` into the closure `acc` in place.
     pub fn join_row_into(&self, acc: &mut [NodeId], row: usize) {
         let rec = self.table.row(row);
@@ -315,22 +316,12 @@ impl<'a> CostContext<'a> {
         }
     }
 
-    /// Joins closure `other` into `acc` in place. Uses the fused table's
-    /// interleaved node id where available (one probe materializes the
-    /// join), the split-table/climb kernel otherwise.
+    /// Joins closure `other` into `acc` in place: one fused probe per
+    /// attribute where available, the split-table/climb kernel otherwise.
     pub fn join_nodes_into(&self, acc: &mut [NodeId], other: &[NodeId]) {
         let mut streamed = 0u64;
         for (j, (slot, &o)) in acc.iter_mut().zip(other).enumerate() {
-            match &self.fused[j] {
-                Some(f) => {
-                    streamed += FUSED_PROBE_BYTES;
-                    *slot = NodeId(f.probe(slot.0, o.0).node);
-                }
-                None => {
-                    let k = &self.attrs[j];
-                    *slot = k.join(*slot, o);
-                }
-            }
+            *slot = self.fused_join(j, *slot, o, &mut streamed);
         }
         if streamed > 0 {
             kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
@@ -372,6 +363,26 @@ impl<'a> CostContext<'a> {
             kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
         }
         sum / self.num_attrs() as f64
+    }
+
+    /// True when the closure `nodes` already covers row `row`: joining
+    /// the row changes no attribute's node, so the cluster's closure and
+    /// its cost stay bit-identical. Allocation-free; stops at the first
+    /// attribute the row escapes.
+    pub fn covers_row(&self, nodes: &[NodeId], row: usize) -> bool {
+        let mut streamed = 0u64;
+        let covered = self
+            .row_sig(row)
+            .iter()
+            .zip(nodes)
+            .enumerate()
+            .all(|(j, (&leaf, &node))| {
+                self.fused_join(j, node, NodeId(leaf), &mut streamed) == node
+            });
+        if streamed > 0 {
+            kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
+        }
+        covered
     }
 
     /// Cost of the join of a closure with one row without materializing
@@ -487,26 +498,21 @@ mod tests {
     }
 
     #[test]
-    fn arena_truncate_drops_the_scratch_tail_only() {
+    fn covers_row_agrees_with_the_materialized_join() {
         let (t, c) = setup();
         let ctx = CostContext::new(&t, &c);
-        let a = ctx.closure_of(&[0, 1]);
-        let b = ctx.closure_of(&[2, 3]);
-        let mut arena = SigArena::with_capacity(ctx.num_attrs(), 2);
-        arena.store(0, &a, 2, ctx.cost(&a));
-        let before = ctx.arena_join_cost(&arena, 0, 0).to_bits();
-        // Append a probe slot, use it, then discard it.
-        arena.store(1, &b, 2, ctx.cost(&b));
-        let _ = ctx.arena_join_cost(&arena, 0, 1);
-        arena.truncate(1);
-        assert_eq!(arena.len(), 1);
-        assert_eq!(ctx.arena_join_cost(&arena, 0, 0).to_bits(), before);
-        // Re-appending lands in the freed slot.
-        arena.store(1, &b, 2, ctx.cost(&b));
-        assert_eq!(arena.len(), 2);
-        // Truncating to a longer length is a no-op.
-        arena.truncate(10);
-        assert_eq!(arena.len(), 2);
+        for rows in [&[0u32][..], &[0, 1], &[2, 3], &[0, 2]] {
+            let closure = ctx.closure_of(rows);
+            for row in 0..4 {
+                let mut joined = closure.clone();
+                ctx.join_row_into(&mut joined, row);
+                assert_eq!(
+                    ctx.covers_row(&closure, row),
+                    joined == closure,
+                    "{rows:?} ∋ {row}"
+                );
+            }
+        }
     }
 
     #[test]

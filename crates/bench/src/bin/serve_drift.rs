@@ -24,7 +24,7 @@
 //! Usage:
 //! `cargo run --release -p kanon-bench --bin serve_drift -- \
 //!    [--n0 2000] [--batch 100] [--batches 40] [--k 10] [--seed 42] \
-//!    [--every 5] [--measure em|lm] [--shard-max 0] \
+//!    [--every 5] [--measure em|lm] [--shard-max 10000] \
 //!    [--epsilons 0,0.01,0.05] [--out BENCH_serve_drift.json]`
 
 #![forbid(unsafe_code)]
@@ -171,7 +171,7 @@ fn main() {
     let mut seed = 42u64;
     let mut every = 5u64;
     let mut measure = "em".to_string();
-    let mut shard_max = 0usize;
+    let mut shard_max = kanon_core::config::SHARD_MAX_DEFAULT;
     let mut epsilons = "0,0.01,0.05".to_string();
     let mut out_path = "BENCH_serve_drift.json".to_string();
     let mut it = args.iter();

@@ -98,7 +98,7 @@ fn usage() -> ! {
          row into a mature cluster when the join raises the cluster's\n\
          loss contribution by less than X (0 disables; a BATCH request\n\
          may override per batch). Defaults: --snapshot-every 8,\n\
-         --reopt-every 0, --absorb-epsilon 0. Knobs:\n\
+         --reopt-every 0, --absorb-epsilon 0, --shard-max 10000. Knobs:\n\
          KANON_SERVE_WORK_RATE, KANON_SERVE_RETRIES,\n\
          KANON_SERVE_BACKOFF_MS, KANON_SERVE_MAX_FRAME,\n\
          KANON_SERVE_IDLE_TIMEOUT_MS.\n\n\
@@ -611,11 +611,17 @@ fn cmd_serve(name: &str, flags: &Flags) -> CmdResult {
             }
         },
     };
+    let shard_max = flags.parse_or("shard-max", kanon_core::config::SHARD_MAX_DEFAULT);
+    if shard_max == 0 {
+        return Err(KanonError::Usage(
+            "--shard-max must be a positive integer".to_string(),
+        ));
+    }
     let cfg = kanon_serve::state::ServeConfig {
         k,
         measure,
         policy: row_policy(flags)?,
-        shard_max: flags.parse_or("shard-max", 0),
+        shard_max,
         reopt_every: flags.parse_or("reopt-every", 0),
         absorb_epsilon,
     };

@@ -1,9 +1,9 @@
 //! `kanon-serve`: a crash-safe incremental anonymization daemon.
 //!
-//! The daemon holds the hierarchies, the packed signature arena and the
-//! engine's clustering state resident, and anonymizes appended
-//! micro-batches incrementally over a tiny length-prefixed protocol
-//! ([`proto`]). Robustness is the point:
+//! The daemon holds the hierarchies, the table of every accepted row and
+//! its published clustering resident ([`state`]), and anonymizes
+//! appended micro-batches incrementally over a tiny length-prefixed
+//! protocol ([`proto`]). Robustness is the point:
 //!
 //! * **Deadlines** — a `BATCH deadline_ms=N` request maps its deadline
 //!   onto the deterministic work budget (`N × KANON_SERVE_WORK_RATE`
@@ -173,6 +173,29 @@ impl Listener {
         let addr = l.local_addr()?.to_string();
         Ok((Listener::Tcp(l), addr))
     }
+
+    /// Accepts one connection, arms its per-read idle timeout, and
+    /// clones the kick handle shutdown uses to unblock its reader.
+    fn accept(
+        &self,
+        idle: Option<std::time::Duration>,
+    ) -> std::io::Result<(Box<dyn Conn>, Option<Kick>)> {
+        match self {
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                let _ = s.set_read_timeout(idle);
+                let kick = s.try_clone().ok().map(Kick::Tcp);
+                Ok((Box::new(s), kick))
+            }
+            #[cfg(unix)]
+            Listener::Unix(l) => {
+                let (s, _) = l.accept()?;
+                let _ = s.set_read_timeout(idle);
+                let kick = s.try_clone().ok().map(Kick::Unix);
+                Ok((Box::new(s), kick))
+            }
+        }
+    }
 }
 
 /// The single-writer core: state, journal and the stats collectors.
@@ -216,9 +239,7 @@ impl Core {
     /// daemon's `STATS` byte-comparable to its recovered twin's.
     fn render_view(&mut self) -> PublishedView {
         self.version += 1;
-        let scratch = Collector::new();
-        let guard = scratch.install();
-        let output = match (|| -> KanonResult<String> {
+        let (output, _) = metered(|| -> KanonResult<String> {
             let loss = self.state.published_loss()?;
             let csv = self.state.published_csv()?;
             Ok(format!(
@@ -227,11 +248,8 @@ impl Core {
                 loss,
                 csv
             ))
-        })() {
-            Ok(s) => s,
-            Err(e) => format!("ERR {}: {e}", class(&e)),
-        };
-        drop(guard);
+        });
+        let output = output.unwrap_or_else(|e| format!("ERR {}: {e}", class(&e)));
         // Line 2 is the deterministic lifetime counter block
         // (byte-identical across thread counts and restarts of the same
         // request history); line 3 is the full lifetime report including
@@ -288,6 +306,19 @@ impl Core {
         }
         self.state.note_rollback(seq);
     }
+}
+
+/// Runs `f` under a fresh collector and returns its result with that
+/// collector's report. Every apply and reopt, live or replayed, runs
+/// this way: `spent_work()` starts at zero, so a journaled relative
+/// budget cuts at the same point on replay as it did live. Rendering
+/// uses it too, to keep presentation work out of the counters.
+pub(crate) fn metered<T>(f: impl FnOnce() -> T) -> (T, Report) {
+    let collector = Collector::new();
+    let guard = collector.install();
+    let out = f();
+    drop(guard);
+    (out, collector.report())
 }
 
 /// Counts every nonzero counter of `report` into the *currently
@@ -424,39 +455,14 @@ impl Daemon {
             .then(|| std::time::Duration::from_millis(self.opts.idle_timeout_ms));
         std::thread::scope(|scope| {
             loop {
-                let (conn, kick): (Box<dyn Conn>, Option<Kick>) = match &listener {
-                    Listener::Tcp(l) => match l.accept() {
-                        Ok((s, _)) => {
-                            let _ = s.set_read_timeout(idle);
-                            let kick = s.try_clone().ok().map(Kick::Tcp);
-                            (Box::new(s), kick)
-                        }
-                        Err(_) => {
-                            if self.shutdown_requested() {
-                                break;
-                            }
-                            continue;
-                        }
-                    },
-                    #[cfg(unix)]
-                    Listener::Unix(l) => match l.accept() {
-                        Ok((s, _)) => {
-                            let _ = s.set_read_timeout(idle);
-                            let kick = s.try_clone().ok().map(Kick::Unix);
-                            (Box::new(s), kick)
-                        }
-                        Err(_) => {
-                            if self.shutdown_requested() {
-                                break;
-                            }
-                            continue;
-                        }
-                    },
-                };
+                let accepted = listener.accept(idle);
                 if self.shutdown_requested() {
                     // The shutdown wake-up connect (or a late client).
                     break;
                 }
+                let Ok((conn, kick)) = accepted else {
+                    continue;
+                };
                 if kanon_fault::armed() && kanon_fault::fires(POINT_ACCEPT) {
                     drop(conn); // injected network fault: client sees a reset
                     continue;
@@ -640,19 +646,15 @@ impl Daemon {
             // A fresh collector per attempt: the budget is relative
             // (spent-work baseline 0), which is what makes the recorded
             // budget reproduce the same cut during journal replay.
-            let collector = Collector::new();
-            let guard = collector.install();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                core.state.apply_batch(body, budget, epsilon)
-            }));
-            drop(guard);
-            let outcome = match outcome {
-                Ok(r) => r,
-                Err(payload) => Err(error_from_panic(payload)),
-            };
+            let (outcome, counters) = metered(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    core.state.apply_batch(body, budget, epsilon)
+                }))
+                .unwrap_or_else(|payload| Err(error_from_panic(payload)))
+            });
             match outcome {
                 Ok(report) => {
-                    core.fold(&collector.report());
+                    core.fold(&counters);
                     let mut extra = String::new();
                     // `u64::is_multiple_of` needs Rust 1.87; MSRV is 1.75.
                     #[allow(clippy::manual_is_multiple_of)]
@@ -718,11 +720,8 @@ impl Daemon {
         core.journal
             .append(seq, RecordKind::Reopt, 0, 0.0, b"")
             .map_err(|e| io_err(core.journal.path(), &e))?;
-        let collector = Collector::new();
-        let guard = collector.install();
-        let out = core.state.reopt();
-        drop(guard);
-        core.fold(&collector.report());
+        let (out, counters) = metered(|| core.state.reopt());
+        core.fold(&counters);
         match out {
             Ok(outcome) => {
                 debug_assert_eq!(core.state.next_seq(), seq + 1);
@@ -859,26 +858,16 @@ mod tests {
             k: 2,
             measure: Measure::Lm,
             policy: RowPolicy::Strict,
-            shard_max: 0,
+            shard_max: kanon_core::config::SHARD_MAX_DEFAULT,
             reopt_every: 0,
             absorb_epsilon: 0.0,
         }
     }
 
     fn opts(tag: &str) -> ServeOptions {
-        let dir =
-            std::env::temp_dir().join(format!("kanon-serve-lib-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ServeOptions {
-            listen: "127.0.0.1:0".to_string(),
-            state_dir: dir,
-            snapshot_every: 0,
-            retries: 2,
-            backoff_ms: 0,
-            work_rate: 5_000,
-            max_frame: 1 << 20,
-            idle_timeout_ms: 0,
-        }
+        let o = opts2_keep(tag);
+        let _ = std::fs::remove_dir_all(&o.state_dir);
+        o
     }
 
     /// Same state dir as [`opts`] but *without* wiping it.
@@ -1226,6 +1215,39 @@ mod tests {
         let r = Daemon::start(base_table(), c, opts2_keep("reopt-rollback")).unwrap();
         assert_eq!(r.replayed(), 2); // both batches; the rolled-back reopt is skipped
         assert_eq!(request(&r, b"OUTPUT"), live_out);
+    }
+
+    #[test]
+    fn pending_pool_larger_than_shard_max_is_sharded_under_a_deadline() {
+        // Eight rows that mix the zip and age branches, so no bootstrap
+        // closure covers any of them: all eight pend, and a pool of
+        // eight against a cap of four must be split into shards.
+        let mut c = cfg();
+        c.shard_max = 4;
+        let d = Daemon::start(base_table(), c, opts("pendshard")).unwrap();
+        let resp = request(
+            &d,
+            b"BATCH deadline_ms=1000\n10,60s\n11,70s\n10,70s\n11,60s\n\
+              20,20s\n21,30s\n20,30s\n21,20s\n",
+        );
+        assert!(resp.starts_with("OK seq=1 "), "{resp}");
+        assert!(
+            resp.contains(" absorbed=0 ") && resp.contains(" clustered=8 "),
+            "{resp}"
+        );
+        // Bootstrap runs outside the lifetime counters: these two shards
+        // are the pending pool's, split 4 + 4.
+        let stats = request(&d, b"STATS");
+        assert!(stats.contains("\"shards_built\":2,"), "{stats}");
+        // The published table is k-anonymous: every generalized row
+        // appears at least k = 2 times.
+        let out = request(&d, b"OUTPUT");
+        let mut groups: BTreeMap<&str, usize> = BTreeMap::new();
+        for line in out.lines().skip(2) {
+            *groups.entry(line).or_default() += 1;
+        }
+        assert_eq!(groups.values().sum::<usize>(), 14, "{out}");
+        assert!(groups.values().all(|&n| n >= 2), "{out}");
     }
 
     #[cfg(unix)]

@@ -1,51 +1,57 @@
-//! Resident anonymization state: the base-epoch cost table, the packed
-//! signature arena, the mature (published) clusters, and the pending
-//! singleton pool.
+//! Resident anonymization state: every accepted row, the base-epoch cost
+//! table, the mature (published) clusters and the pending pool.
+//!
+//! A k-anonymization is a clustering whose rows are each published as
+//! the closure of their cluster (Sec. V-A.1, Eq. 7). [`ServeState`]
+//! stores exactly that: one [`Table`] and one list of mature clusters,
+//! each holding its member ids and its closure. The published table,
+//! its loss and the snapshot are all derived from those two.
 //!
 //! ## Incremental model
 //!
-//! The daemon bootstraps from a base table of at least `k` rows (first
-//! consumer of the sharded pipeline). Appended rows enter as pending
-//! singletons. A batch apply runs in two phases:
+//! The daemon bootstraps from a base table of at least `k` rows through
+//! the sharded pipeline. Appended rows enter the pending pool. A batch
+//! apply runs in two phases:
 //!
-//! 1. **Absorption sweep** — each new row is probed against every
-//!    mature cluster through the packed [`SigArena`]. A row is absorbed
-//!    only when joining it leaves the cluster closure *bit-identical*
-//!    (fused join cost equal to the stored closure cost and per-attr
-//!    closure nodes unchanged), so absorption is free: published rows
-//!    never change. The sweep parallelizes past the same measured
-//!    break-even as the engine's distance scans
+//! 1. **Absorption sweep** — a row joins the first mature cluster whose
+//!    stored closure already covers it ([`CostContext::covers_row`]).
+//!    The closure is unchanged by such a join, so absorption is free:
+//!    published rows never change. The sweep parallelizes past the same
+//!    measured break-even as the engine's distance scans
 //!    ([`kanon_algos::engine::MIN_PAR_SCAN_EVALS`]).
-//! 2. **Sub-clustering** — once ≥ k rows are pending, they are
-//!    clustered with the agglomerative engine on a sub-table; the
-//!    resulting clusters mature. Fewer than k pending rows stay
-//!    unpublished (publishing them would break k-anonymity).
+//! 2. **Sub-clustering** — once ≥ k rows are pending, the sharded
+//!    pipeline clusters them on a sub-table, exactly as it clusters the
+//!    base table, and the resulting clusters mature. A pool larger than
+//!    the shard cap is split into shards rather than clustered in one
+//!    quadratic run. Fewer than k pending rows stay unpublished
+//!    (publishing them would break k-anonymity).
 //!
-//! All mutation is **staged**: nothing in `ServeState` changes until a
-//! batch apply has fully succeeded, so an injected fault or budget trip
+//! All mutation is **staged**: `stage_batch` takes `&self` and returns
+//! everything the apply will commit, so an injected fault or budget trip
 //! mid-apply leaves the state exactly as before and the request can be
 //! retried verbatim.
 //!
 //! ## Determinism across recovery
 //!
-//! Work budgets are *relative*: every apply runs under a fresh
-//! [`kanon_obs::Collector`], so `spent_work()` starts at zero and the
-//! budget recorded in the journal reproduces the identical
-//! `BudgetExhausted` cut during replay regardless of process history.
+//! Work budgets are *relative*: every apply and re-optimization, live or
+//! replayed, runs under a fresh [`kanon_obs::Collector`] (`metered` in
+//! the crate root), so `spent_work()` starts at zero and the budget
+//! recorded in the journal reproduces the identical `BudgetExhausted`
+//! cut during replay regardless of process history.
 
 use std::path::Path;
+use std::sync::Arc;
 
-use kanon_algos::cost::{CostContext, SigArena};
+use kanon_algos::cost::CostContext;
 use kanon_algos::engine::MIN_PAR_SCAN_EVALS;
-use kanon_algos::fallible::{try_agglomerative_k_anonymize, try_sharded_k_anonymize, Budgeted};
+use kanon_algos::fallible::try_sharded_k_anonymize;
 use kanon_algos::shard::ShardConfig;
-use kanon_algos::AgglomerativeConfig;
 use kanon_core::cluster::Clustering;
 use kanon_core::error::{KanonError, KanonResult};
 use kanon_core::hierarchy::NodeId;
-use kanon_core::record::Record;
+use kanon_core::record::GeneralizedRecord;
 use kanon_core::schema::SharedSchema;
-use kanon_core::table::Table;
+use kanon_core::table::{GeneralizedTable, Table};
 use kanon_data::csv::{generalized_to_csv, table_from_csv_with_policy, RowPolicy};
 use kanon_measures::{EntropyMeasure, LmMeasure, NodeCostTable};
 use kanon_obs::{count, Counter};
@@ -97,7 +103,8 @@ pub struct ServeConfig {
     pub measure: Measure,
     /// Bad-row policy for batch ingestion.
     pub policy: RowPolicy,
-    /// Shard size cap for bootstrap/re-optimization sharded runs.
+    /// Shard size cap (≥ 1) of every sharded run: bootstrap, pending-pool
+    /// sub-clustering and re-optimization.
     pub shard_max: usize,
     /// Re-optimize every N applied batches (0 = only on demand).
     pub reopt_every: u64,
@@ -113,10 +120,24 @@ pub struct ServeConfig {
 struct Mature {
     /// Global row ids, ascending.
     members: Vec<u32>,
-    /// Per-attribute closure nodes.
+    /// Per-attribute closure nodes: what every member is published as.
     nodes: Vec<NodeId>,
     /// Closure cost under the base-epoch cost table.
     cost: f64,
+}
+
+impl Mature {
+    /// The cluster of `members` (any order) with its closure and cost.
+    fn new(ctx: &CostContext, mut members: Vec<u32>) -> Mature {
+        members.sort_unstable();
+        let nodes = ctx.closure_of(&members);
+        let cost = ctx.cost(&nodes);
+        Mature {
+            members,
+            nodes,
+            cost,
+        }
+    }
 }
 
 /// What one successful batch apply did.
@@ -163,21 +184,17 @@ pub struct ReoptOutcome {
 /// or fail and leave the state untouched.
 #[derive(Debug)]
 pub struct ServeState {
-    schema: SharedSchema,
     cfg: ServeConfig,
     /// Base-epoch node costs: node-indexed, so valid for every
     /// same-schema table regardless of appended rows.
     costs: NodeCostTable,
-    /// All rows ever accepted, base rows first, in arrival order.
-    records: Vec<Record>,
+    /// All rows ever accepted, base rows first, in arrival order; a
+    /// row's index is its global id.
+    table: Table,
     n_base: usize,
     matures: Vec<Mature>,
     /// Global ids of unpublished rows, ascending.
     pending: Vec<u32>,
-    /// Packed signatures of the mature clusters (slot i ↔ matures[i]);
-    /// probe slots are appended past `matures.len()` during a sweep and
-    /// truncated away afterwards.
-    arena: SigArena,
     seq: u64,
     batches_applied: u64,
     reopt_runs: u64,
@@ -205,18 +222,13 @@ impl ServeState {
         let out = try_sharded_k_anonymize(&table, &costs, &shard_config(&cfg))?
             .into_inner()
             .out;
-        let schema = table.schema().clone();
-        let n_base = table.num_rows();
-        let records = table.rows().to_vec();
         let mut state = ServeState {
-            schema,
             cfg,
             costs,
-            records,
-            n_base,
+            n_base: table.num_rows(),
+            table,
             matures: Vec::new(),
             pending: Vec::new(),
-            arena: SigArena::with_capacity(0, 0),
             seq: 0,
             batches_applied: 0,
             reopt_runs: 0,
@@ -227,39 +239,15 @@ impl ServeState {
     }
 
     /// Adopts a clustering over the *entire* current table: every row
-    /// published, pending cleared, arena rebuilt.
+    /// published, pending cleared.
     fn adopt_clustering(&mut self, clustering: &Clustering) {
-        let table = self.table();
-        let ctx = CostContext::new(&table, &self.costs);
+        let ctx = CostContext::new(&self.table, &self.costs);
         self.matures = clustering
             .clusters()
             .iter()
-            .map(|members| {
-                let mut members = members.clone();
-                members.sort_unstable();
-                let nodes = ctx.closure_of(&members);
-                let cost = ctx.cost(&nodes);
-                Mature {
-                    members,
-                    nodes,
-                    cost,
-                }
-            })
+            .map(|members| Mature::new(&ctx, members.clone()))
             .collect();
         self.pending.clear();
-        self.rebuild_arena();
-    }
-
-    fn table(&self) -> Table {
-        Table::new_unchecked(self.schema.clone(), self.records.clone())
-    }
-
-    fn rebuild_arena(&mut self) {
-        let mut arena = SigArena::with_capacity(self.schema.num_attrs(), self.matures.len());
-        for (slot, m) in self.matures.iter().enumerate() {
-            arena.store(slot, &m.nodes, m.members.len(), m.cost);
-        }
-        self.arena = arena;
     }
 
     /// Next batch sequence number (what the journal records before the
@@ -270,12 +258,12 @@ impl ServeState {
 
     /// Number of rows in the resident table.
     pub fn num_rows(&self) -> usize {
-        self.records.len()
+        self.table.num_rows()
     }
 
     /// Number of published (mature-cluster) rows.
     pub fn published_rows(&self) -> usize {
-        self.records.len() - self.pending.len()
+        self.table.num_rows() - self.pending.len()
     }
 
     /// Number of pending (unpublished) rows.
@@ -333,7 +321,7 @@ impl ServeState {
     ///
     /// With `epsilon == 0` the absorption sweep uses the exact free
     /// criterion: a row joins the *first* mature cluster whose closure
-    /// the join leaves bit-identical. With `epsilon > 0` the sweep
+    /// already covers it. With `epsilon > 0` the sweep
     /// instead measures, for every mature cluster `C`, how much the
     /// join would raise that cluster's per-member loss:
     ///
@@ -362,7 +350,7 @@ impl ServeState {
     ) -> KanonResult<ApplyReport> {
         kanon_fault::fail_point!(POINT_BATCH_APPLY);
         let (batch, ingest) =
-            table_from_csv_with_policy(&self.schema, body, false, self.cfg.policy)
+            table_from_csv_with_policy(self.table.schema(), body, false, self.cfg.policy)
                 .map_err(KanonError::Core)?;
         let staged = if budget_units > 0 {
             kanon_obs::with_work_budget(budget_units, || self.stage_batch(&batch, epsilon))
@@ -371,7 +359,7 @@ impl ServeState {
         }?;
         // Commit point: everything below is infallible.
         let rows_in = batch.num_rows();
-        self.records.extend(batch.rows().iter().cloned());
+        self.table = staged.table;
         for (slot, row) in &staged.absorbed {
             let m = &mut self.matures[*slot];
             let at = m.members.partition_point(|&x| x < *row);
@@ -384,7 +372,6 @@ impl ServeState {
         }
         self.matures.extend(staged.new_matures);
         self.pending = staged.pending;
-        self.rebuild_arena();
         self.seq += 1;
         self.batches_applied += 1;
         count(Counter::ServeBatchesApplied, 1);
@@ -404,83 +391,64 @@ impl ServeState {
         })
     }
 
-    /// Computes everything a batch apply will commit, without mutating
-    /// `self` (the arena's probe tail is scratch and reset on entry).
-    fn stage_batch(&mut self, batch: &Table, epsilon: f64) -> KanonResult<StagedApply> {
-        let n0 = self.records.len();
-        let mut records = self.records.clone();
-        records.extend(batch.rows().iter().cloned());
-        let table = Table::new_unchecked(self.schema.clone(), records);
+    /// Computes everything a batch apply will commit, including the
+    /// grown table, without touching `self`.
+    fn stage_batch(&self, batch: &Table, epsilon: f64) -> KanonResult<StagedApply> {
+        let n0 = self.table.num_rows();
+        let mut records = Vec::with_capacity(n0 + batch.num_rows());
+        records.extend_from_slice(self.table.rows());
+        records.extend_from_slice(batch.rows());
+        let table = Table::new_unchecked(Arc::clone(self.table.schema()), records);
         let ctx = CostContext::new(&table, &self.costs);
 
-        // Absorption sweep. Probe signatures are appended to the arena
-        // as slots M.., serially, then scanned read-only (possibly in
-        // parallel); the tail is dropped again before this fn returns.
-        let m_count = self.matures.len();
-        self.arena.truncate(m_count); // defensive: drop any tail a prior unwind left behind
-        let new_ids: Vec<u32> = (n0..table.num_rows()).map(|i| i as u32).collect();
-        for (i, &row) in new_ids.iter().enumerate() {
-            let leaves = ctx.leaf_nodes(row as usize);
-            let cost = ctx.cost(&leaves);
-            self.arena.store(m_count + i, &leaves, 1, cost);
-        }
-        let arena = &self.arena;
+        // Absorption sweep over the new rows n0..: every verdict reads
+        // the pre-batch matures only, so the rows can be decided in any
+        // order (or in parallel).
+        let n_new = batch.num_rows();
         let matures = &self.matures;
         let eps_on = epsilon.to_bits() != 0;
         let decide = |i: usize| -> Option<usize> {
-            let row = new_ids[i];
-            if eps_on {
-                // ε tier: a cluster is admissible when the join raises
-                // its per-member loss by less than ε — a closure-
-                // preserving join raises it by exactly zero, so every
-                // free home is admissible under any ε > 0. Among the
-                // admissible homes the row takes the one that publishes
-                // it most cheaply (smallest joined cost, ties toward
-                // the lowest slot), instead of the free tier's first
-                // fit. Verdicts are against the pre-batch matures, so
-                // they are order-independent and parallel-safe.
-                let leaves = ctx.leaf_nodes(row as usize);
-                let mut best: Option<(f64, usize)> = None;
-                for (s, mature) in matures.iter().enumerate() {
-                    let mut joined = mature.nodes.clone();
-                    ctx.join_nodes_into(&mut joined, &leaves);
-                    let joined_cost = ctx.cost(&joined);
-                    let raise = joined_cost - mature.cost;
-                    let improves = match best {
-                        None => true,
-                        Some((b, _)) => joined_cost.total_cmp(&b).is_lt(),
-                    };
-                    if raise.total_cmp(&epsilon).is_lt() && improves {
-                        best = Some((joined_cost, s));
-                    }
-                }
-                return best.map(|(_, s)| s);
+            let row = n0 + i;
+            if !eps_on {
+                return matures.iter().position(|m| ctx.covers_row(&m.nodes, row));
             }
-            (0..m_count).find(|&s| {
-                if ctx.arena_join_cost(arena, s, m_count + i).to_bits() != arena.cost(s).to_bits() {
-                    return false;
+            // ε tier: a cluster is admissible when the join raises its
+            // per-member loss by less than ε — a closure-preserving join
+            // raises it by exactly zero, so every free home is admissible
+            // under any ε > 0. Among the admissible homes the row takes
+            // the one that publishes it most cheaply (smallest joined
+            // cost, ties toward the lowest slot), instead of the free
+            // tier's first fit.
+            let leaves = ctx.leaf_nodes(row);
+            let mut best: Option<(f64, usize)> = None;
+            for (s, mature) in matures.iter().enumerate() {
+                let mut joined = mature.nodes.clone();
+                ctx.join_nodes_into(&mut joined, &leaves);
+                let joined_cost = ctx.cost(&joined);
+                let raise = joined_cost - mature.cost;
+                let improves = match best {
+                    None => true,
+                    Some((b, _)) => joined_cost.total_cmp(&b).is_lt(),
+                };
+                if raise.total_cmp(&epsilon).is_lt() && improves {
+                    best = Some((joined_cost, s));
                 }
-                // Cost equality is necessary; demand an unchanged
-                // closure so absorption provably never moves published
-                // output.
-                let mut joined = matures[s].nodes.clone();
-                ctx.join_nodes_into(&mut joined, &ctx.leaf_nodes(row as usize));
-                joined == matures[s].nodes
-            })
+            }
+            best.map(|(_, s)| s)
         };
-        let verdicts: Vec<Option<usize>> = if new_ids.len() * m_count >= MIN_PAR_SCAN_EVALS {
-            kanon_parallel::map(new_ids.len(), decide)
+        let verdicts: Vec<Option<usize>> = if n_new * matures.len() >= MIN_PAR_SCAN_EVALS {
+            kanon_parallel::map(n_new, decide)
         } else {
-            (0..new_ids.len()).map(decide).collect()
+            (0..n_new).map(decide).collect()
         };
-        self.arena.truncate(m_count);
 
         let mut absorbed: Vec<(usize, u32)> = Vec::new();
         let mut pending = self.pending.clone();
-        for (i, verdict) in verdicts.iter().enumerate() {
+        for (i, verdict) in verdicts.into_iter().enumerate() {
+            let row = (n0 + i) as u32;
             match verdict {
-                Some(slot) => absorbed.push((*slot, new_ids[i])),
-                None => pending.push(new_ids[i]),
+                Some(slot) => absorbed.push((slot, row)),
+                None => pending.push(row),
             }
         }
 
@@ -522,29 +490,30 @@ impl ServeState {
         if pending.len() >= self.cfg.k {
             let idx: Vec<usize> = pending.iter().map(|&r| r as usize).collect();
             let sub = table.select_rows(&idx).map_err(KanonError::Core)?;
-            let run = try_agglomerative_k_anonymize(
-                &sub,
-                &self.costs,
-                &AgglomerativeConfig::new(self.cfg.k),
-            )?;
-            budget_exhausted = matches!(run, Budgeted::BudgetExhausted { .. });
-            let out = run.into_inner();
-            for local in out.clustering.clusters() {
-                let mut members: Vec<u32> = local.iter().map(|&li| pending[li as usize]).collect();
-                members.sort_unstable();
-                clustered += members.len();
-                let nodes = ctx.closure_of(&members);
-                let cost = ctx.cost(&nodes);
-                new_matures.push(Mature {
-                    members,
-                    nodes,
-                    cost,
-                });
-            }
-            pending.clear();
+            let run = try_sharded_k_anonymize(&sub, &self.costs, &shard_config(&self.cfg))?;
+            budget_exhausted = run.is_exhausted();
+            let out = run.into_inner().out;
+            new_matures = out
+                .clustering
+                .clusters()
+                .iter()
+                .map(|local| {
+                    let members = local.iter().map(|&li| pending[li as usize]).collect();
+                    Mature::new(&ctx, members)
+                })
+                .collect();
+            // First fit takes the lowest covering slot, so append the new
+            // clusters cheapest first: a later row that two of them cover
+            // then lands in the tighter one.
+            new_matures.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+            // The clustering covers the whole sub-table: every pending
+            // row is now published.
+            clustered = std::mem::take(&mut pending).len();
         }
         pending.sort_unstable();
+        drop(ctx);
         Ok(StagedApply {
+            table,
             absorbed,
             absorbed_eps,
             widened,
@@ -557,51 +526,64 @@ impl ServeState {
 
     /// Generalized CSV of every published row, ascending global id.
     pub fn published_csv(&self) -> KanonResult<String> {
-        let (gtable, _) = self.published_gtable()?;
-        Ok(generalized_to_csv(&gtable))
+        Ok(generalized_to_csv(&self.published_gtable()))
     }
 
     /// Information loss of the published rows under the serve measure.
     pub fn published_loss(&self) -> KanonResult<f64> {
-        let (gtable, _) = self.published_gtable()?;
-        Ok(self.costs.table_loss(&gtable))
+        Ok(self.costs.table_loss(&self.published_gtable()))
     }
 
-    /// The published rows as a generalized sub-table plus the global
-    /// ids backing each of its rows (ascending).
-    fn published_gtable(&self) -> KanonResult<(kanon_core::table::GeneralizedTable, Vec<usize>)> {
-        let mut ids: Vec<(u32, usize)> = Vec::new();
-        for (c, m) in self.matures.iter().enumerate() {
-            for &row in &m.members {
-                ids.push((row, c));
+    /// The published rows, ascending global id, each as its cluster's
+    /// stored closure.
+    fn published_gtable(&self) -> GeneralizedTable {
+        let mut rows: Vec<(u32, &[NodeId])> = self
+            .matures
+            .iter()
+            .flat_map(|m| m.members.iter().map(|&row| (row, m.nodes.as_slice())))
+            .collect();
+        rows.sort_unstable_by_key(|&(row, _)| row);
+        GeneralizedTable::new_unchecked(
+            Arc::clone(self.table.schema()),
+            rows.into_iter()
+                .map(|(_, nodes)| GeneralizedRecord::new(nodes.iter().copied()))
+                .collect(),
+        )
+    }
+
+    /// Measures the loss drift of the published clustering against a
+    /// fresh sharded run over the same published rows. `full_loss` is
+    /// the loss of a fresh run over the whole table, reused as the
+    /// scratch loss when nothing is pending (the two runs would then be
+    /// the same run). `clusters` is the current mature count.
+    fn measure_drift(&self, full_loss: Option<f64>) -> KanonResult<ReoptOutcome> {
+        let loss_incremental = self.published_loss()?;
+        let loss_scratch = match full_loss {
+            Some(loss) if self.pending.is_empty() => loss,
+            _ => {
+                // Every row is either published or pending (sorted).
+                let idx: Vec<usize> = (0..self.table.num_rows())
+                    .filter(|&row| self.pending.binary_search(&(row as u32)).is_err())
+                    .collect();
+                let sub = self.table.select_rows(&idx).map_err(KanonError::Core)?;
+                try_sharded_k_anonymize(&sub, &self.costs, &shard_config(&self.cfg))?
+                    .into_inner()
+                    .out
+                    .loss
             }
-        }
-        ids.sort_unstable();
-        let idx: Vec<usize> = ids.iter().map(|&(row, _)| row as usize).collect();
-        let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); self.matures.len()];
-        for (local, &(_, c)) in ids.iter().enumerate() {
-            clusters[c].push(local as u32);
-        }
-        clusters.retain(|c| !c.is_empty());
-        let table = self.table();
-        let sub = table.select_rows(&idx).map_err(KanonError::Core)?;
-        let clustering =
-            Clustering::from_clusters(idx.len(), clusters).map_err(KanonError::Core)?;
-        let gtable = clustering
-            .to_generalized_table(&sub)
-            .map_err(KanonError::Core)?;
-        Ok((gtable, idx))
-    }
-
-    /// Relative loss drift of the incremental clustering against a
-    /// from-scratch run: `(incremental - scratch) / scratch`, zero when
-    /// the scratch loss is exactly zero.
-    fn drift_of(loss_incremental: f64, loss_scratch: f64) -> f64 {
-        if loss_scratch.total_cmp(&0.0) == std::cmp::Ordering::Equal {
+        };
+        // Relative drift, zero when the scratch loss is exactly zero.
+        let drift = if loss_scratch.total_cmp(&0.0).is_eq() {
             0.0
         } else {
             (loss_incremental - loss_scratch) / loss_scratch
-        }
+        };
+        Ok(ReoptOutcome {
+            loss_incremental,
+            loss_scratch,
+            drift,
+            clusters: self.matures.len(),
+        })
     }
 
     /// Measures loss drift against a fresh sharded run over the same
@@ -609,21 +591,7 @@ impl ServeState {
     /// half of [`ServeState::reopt`], used by the E-S5 drift-curve
     /// experiment to watch drift accumulate across many batches.
     pub fn probe_drift(&self) -> KanonResult<ReoptOutcome> {
-        let shard_cfg = shard_config(&self.cfg);
-        let (gtable, idx) = self.published_gtable()?;
-        let loss_incremental = self.costs.table_loss(&gtable);
-        let table = self.table();
-        let sub = table.select_rows(&idx).map_err(KanonError::Core)?;
-        let loss_scratch = try_sharded_k_anonymize(&sub, &self.costs, &shard_cfg)?
-            .into_inner()
-            .out
-            .loss;
-        Ok(ReoptOutcome {
-            loss_incremental,
-            loss_scratch,
-            drift: Self::drift_of(loss_incremental, loss_scratch),
-            clusters: self.matures.len(),
-        })
+        self.measure_drift(None)
     }
 
     /// Re-optimizes from scratch: measures the incremental clustering's
@@ -636,37 +604,17 @@ impl ServeState {
     /// calling this, so recovery replays the reopt at the same point in
     /// the batch sequence and reaches the same published clustering.
     pub fn reopt(&mut self) -> KanonResult<ReoptOutcome> {
-        let shard_cfg = shard_config(&self.cfg);
-        let table = self.table();
-        let full = try_sharded_k_anonymize(&table, &self.costs, &shard_cfg)?
+        let full = try_sharded_k_anonymize(&self.table, &self.costs, &shard_config(&self.cfg))?
             .into_inner()
             .out;
-
-        let (gtable, idx) = self.published_gtable()?;
-        let loss_incremental = self.costs.table_loss(&gtable);
-        let loss_scratch = if self.pending.is_empty() {
-            // Published set == full table: reuse the run we already did.
-            full.loss
-        } else {
-            let sub = table.select_rows(&idx).map_err(KanonError::Core)?;
-            try_sharded_k_anonymize(&sub, &self.costs, &shard_cfg)?
-                .into_inner()
-                .out
-                .loss
-        };
-        let drift = Self::drift_of(loss_incremental, loss_scratch);
-
+        let mut outcome = self.measure_drift(Some(full.loss))?;
         self.adopt_clustering(&full.clustering);
         self.seq += 1;
         self.reopt_runs += 1;
-        self.last_drift = Some(drift);
+        self.last_drift = Some(outcome.drift);
         count(Counter::ServeReoptRuns, 1);
-        Ok(ReoptOutcome {
-            loss_incremental,
-            loss_scratch,
-            drift,
-            clusters: self.matures.len(),
-        })
+        outcome.clusters = self.matures.len();
+        Ok(outcome)
     }
 
     // ------------------------------------------------------------------
@@ -687,7 +635,7 @@ impl ServeState {
             self.batches_applied,
             self.reopt_runs,
             self.n_base,
-            self.records.len(),
+            self.table.num_rows(),
             self.cfg.k,
             match self.cfg.measure {
                 Measure::Em => "em",
@@ -698,7 +646,7 @@ impl ServeState {
                 None => "-".to_string(),
             }
         );
-        text.push_str(&kanon_data::csv::table_to_csv(&self.table()));
+        text.push_str(&kanon_data::csv::table_to_csv(&self.table));
         text.push_str(&format!("MATURES {}\n", self.matures.len()));
         for m in &self.matures {
             let ids: Vec<String> = m.members.iter().map(|r| r.to_string()).collect();
@@ -824,38 +772,24 @@ impl ServeState {
             .select_rows(&(0..n_base).collect::<Vec<_>>())
             .map_err(KanonError::Core)?;
         let costs = cfg.measure.compute(&base);
-        let records = table.rows().to_vec();
-        let mut state = ServeState {
-            schema,
+        let ctx = CostContext::new(&table, &costs);
+        let matures = member_lists
+            .into_iter()
+            .map(|members| Mature::new(&ctx, members))
+            .collect();
+        drop(ctx);
+        Ok(ServeState {
             cfg,
             costs,
-            records,
+            table,
             n_base,
-            matures: Vec::new(),
+            matures,
             pending,
-            arena: SigArena::with_capacity(0, 0),
             seq,
             batches_applied: batches,
             reopt_runs: reopts,
             last_drift: drift,
-        };
-        let table = state.table();
-        let ctx = CostContext::new(&table, &state.costs);
-        state.matures = member_lists
-            .into_iter()
-            .map(|members| {
-                let nodes = ctx.closure_of(&members);
-                let cost = ctx.cost(&nodes);
-                Mature {
-                    members,
-                    nodes,
-                    cost,
-                }
-            })
-            .collect();
-        drop(ctx);
-        state.rebuild_arena();
-        Ok(state)
+        })
     }
 
     /// Replays a journal on top of this state: every `B` and `O` record
@@ -912,16 +846,7 @@ impl ServeState {
             if rec.seq > self.seq + 1 {
                 self.seq = rec.seq - 1;
             }
-            let outcome = match rec.kind {
-                RecordKind::Batch => {
-                    let body = std::str::from_utf8(&rec.payload).map_err(|_| {
-                        KanonError::Usage("journal payload is not UTF-8".to_string())
-                    })?;
-                    self.apply_replayed(rec, body)
-                }
-                RecordKind::Reopt => self.replay_reopt(rec),
-                RecordKind::Rollback => unreachable!("rollbacks are filtered above"),
-            };
+            let outcome = self.replay_record(rec);
             match outcome {
                 Ok(()) => replayed += 1,
                 Err(e) if idx == records.len() - 1 && !crate::transient(&e) => {
@@ -940,57 +865,40 @@ impl ServeState {
         Ok(replayed)
     }
 
-    fn apply_replayed(&mut self, rec: &JournalRecord, body: &str) -> KanonResult<()> {
-        // Each replayed apply runs under its own fresh collector so the
-        // recorded relative budget bites at the identical point it did
-        // in the original process; the inner counters are then folded
-        // into whatever collector the caller installed (the daemon's
-        // `recovery` collector), so a recovered daemon can report the
-        // replayed work distinctly from its own lifetime.
-        let collector = kanon_obs::Collector::new();
-        let guard = collector.install();
-        let applied = self.apply_batch(body, rec.budget, rec.epsilon());
-        drop(guard);
-        crate::fold_report(&collector.report());
-        count(Counter::ServeJournalReplays, 1);
-        match applied {
-            Ok(report) => {
-                debug_assert_eq!(report.seq, rec.seq);
-                Ok(())
+    /// Re-applies one journaled batch or reopt record. Like the live
+    /// request, it runs under a fresh collector ([`crate::metered`]), so
+    /// the recorded relative budget bites at the identical point it did
+    /// in the original process; the counters are then folded into
+    /// whatever collector the caller installed (the daemon's `recovery`
+    /// collector), so a recovered daemon reports the replayed work apart
+    /// from its own lifetime.
+    fn replay_record(&mut self, rec: &JournalRecord) -> KanonResult<()> {
+        let (outcome, report) = match rec.kind {
+            RecordKind::Batch => {
+                let body = std::str::from_utf8(&rec.payload)
+                    .map_err(|_| KanonError::Usage("journal payload is not UTF-8".to_string()))?;
+                crate::metered(|| self.apply_batch(body, rec.budget, rec.epsilon()).map(drop))
             }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Re-runs a journaled re-optimization pass. Unbudgeted and
-    /// deterministic, so the adopted clustering is byte-identical to
-    /// the one the pre-crash process published.
-    fn replay_reopt(&mut self, rec: &JournalRecord) -> KanonResult<()> {
-        let collector = kanon_obs::Collector::new();
-        let guard = collector.install();
-        let out = self.reopt();
-        drop(guard);
-        crate::fold_report(&collector.report());
+            RecordKind::Reopt => crate::metered(|| self.reopt().map(drop)),
+            RecordKind::Rollback => unreachable!("rollbacks are filtered above"),
+        };
+        crate::fold_report(&report);
         count(Counter::ServeJournalReplays, 1);
-        out.map(|_| {
-            debug_assert_eq!(self.seq, rec.seq);
-        })
+        debug_assert!(outcome.is_err() || self.seq == rec.seq);
+        outcome
     }
 }
 
-/// Sharded-run config for bootstrap/re-optimization; `shard_max == 0`
-/// means "use the default cap, `SHARD_MAX_DEFAULT`".
+/// Sharded-run config of bootstrap, pending sub-clustering and
+/// re-optimization.
 fn shard_config(cfg: &ServeConfig) -> ShardConfig {
-    let base = ShardConfig::new(cfg.k);
-    if cfg.shard_max > 0 {
-        base.with_shard_max(cfg.shard_max)
-    } else {
-        base
-    }
+    ShardConfig::new(cfg.k).with_shard_max(cfg.shard_max)
 }
 
 /// Staged (uncommitted) outcome of a batch apply.
 struct StagedApply {
+    /// The resident table grown by the batch's rows.
+    table: Table,
     /// `(mature slot, global row id)` absorption assignments.
     absorbed: Vec<(usize, u32)>,
     /// How many absorptions went through the ε tier with a changed
@@ -1008,6 +916,7 @@ struct StagedApply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Journal;
     use kanon_core::schema::SchemaBuilder;
 
     fn schema() -> SharedSchema {
@@ -1037,7 +946,7 @@ mod tests {
             k: 2,
             measure: Measure::Lm,
             policy: RowPolicy::Strict,
-            shard_max: 0,
+            shard_max: kanon_core::config::SHARD_MAX_DEFAULT,
             reopt_every: 0,
             absorb_epsilon: 0.0,
         }
@@ -1049,7 +958,15 @@ mod tests {
         ServeState::bootstrap(table, cfg()).unwrap()
     }
 
+    /// The whole state as one string. Also checks the invariant the
+    /// render relies on: every mature's stored closure and cost are
+    /// those of its member list.
     fn fingerprint(s: &ServeState) -> String {
+        let ctx = CostContext::new(&s.table, &s.costs);
+        for m in &s.matures {
+            assert_eq!(ctx.closure_of(&m.members), m.nodes, "{:?}", m.members);
+            assert_eq!(ctx.cost(&m.nodes).to_bits(), m.cost.to_bits());
+        }
         let matures: Vec<String> = s
             .matures
             .iter()
@@ -1066,11 +983,108 @@ mod tests {
             "seq={} batches={} rows={} pending={:?} matures=[{}] out={:?}",
             s.seq,
             s.batches_applied,
-            s.records.len(),
+            s.table.num_rows(),
             s.pending,
             matures.join(";"),
             s.published_csv().unwrap()
         )
+    }
+
+    /// A 4-row base whose two bootstrap clusters are both tight: no
+    /// closure covers a row that mixes the zip and age branches.
+    fn boot_tight() -> ServeState {
+        let (table, _) = table_from_csv_with_policy(
+            &schema(),
+            "10,20s\n10,30s\n20,60s\n21,70s\n",
+            false,
+            RowPolicy::Strict,
+        )
+        .unwrap();
+        ServeState::bootstrap(table, cfg()).unwrap()
+    }
+
+    /// Journals `body` under the next seq, then applies it: the
+    /// daemon's write-ahead order.
+    fn journal_then_apply(s: &mut ServeState, j: &mut Journal, body: &str, eps: f64) {
+        j.append(s.next_seq(), RecordKind::Batch, 0, eps, body.as_bytes())
+            .unwrap();
+        s.apply_batch(body, 0, eps).unwrap();
+    }
+
+    /// A fresh, empty directory for one test's journal or snapshot.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("kanon-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The base state with its matures replaced by clusters of the
+    /// given base rows, in slot order.
+    fn with_matures(slots: &[&[u32]]) -> ServeState {
+        let mut s = boot();
+        let ctx = CostContext::new(&s.table, &s.costs);
+        let matures = slots
+            .iter()
+            .map(|m| Mature::new(&ctx, m.to_vec()))
+            .collect();
+        drop(ctx);
+        s.matures = matures;
+        s
+    }
+
+    #[test]
+    fn a_row_covered_by_two_matures_goes_to_the_lower_slot() {
+        // "10,30s" lies inside both closures: {10,20s / 10,30s} is
+        // (10, 20s–30s) and the other four base rows span the root.
+        let tight: &[u32] = &[0, 1];
+        let wide: &[u32] = &[2, 3, 4, 5];
+        for slots in [[tight, wide], [wide, tight]] {
+            let mut s = with_matures(&slots);
+            let r = s.apply_batch("10,30s\n", 0, 0.0).unwrap();
+            assert_eq!(r.absorbed, 1);
+            let mut first = slots[0].to_vec();
+            first.push(6);
+            assert_eq!(s.matures[0].members, first, "first fit, not best fit");
+            assert_eq!(s.matures[1].members, slots[1]);
+            fingerprint(&s);
+        }
+    }
+
+    #[test]
+    fn parallel_absorption_sweep_is_thread_count_invariant() {
+        let full = kanon_data::art::generate(600, 5);
+        let base = full.select_rows(&(0..400).collect::<Vec<_>>()).unwrap();
+        let batch = full.select_rows(&(400..600).collect::<Vec<_>>()).unwrap();
+        let csv = kanon_data::csv::table_to_csv(&batch);
+        let body = csv.split_once('\n').unwrap().1;
+        let run = |threads: usize, epsilon: f64| {
+            kanon_parallel::with_threads(threads, || {
+                let cfg = ServeConfig {
+                    k: 3,
+                    measure: Measure::Em,
+                    ..cfg()
+                };
+                let mut s = ServeState::bootstrap(base.clone(), cfg).unwrap();
+                assert!(
+                    batch.num_rows() * s.mature_clusters() >= MIN_PAR_SCAN_EVALS,
+                    "premise: the sweep must cross the parallel cutover"
+                );
+                let (applied, counters) = crate::metered(|| s.apply_batch(body, 0, epsilon));
+                applied.unwrap();
+                let dispatched =
+                    counters.runtime_counter(kanon_obs::RuntimeCounter::PoolTasksDispatched);
+                assert_eq!(
+                    dispatched > 0,
+                    threads > 1,
+                    "{threads} threads: {dispatched} tasks"
+                );
+                (fingerprint(&s), counters.counters_json())
+            })
+        };
+        for epsilon in [0.0, 0.05] {
+            assert_eq!(run(1, epsilon), run(4, epsilon), "ε = {epsilon}");
+        }
     }
 
     #[test]
@@ -1115,6 +1129,21 @@ mod tests {
     }
 
     #[test]
+    fn new_clusters_are_appended_cheapest_first() {
+        // No bootstrap closure covers these rows; the pair with the
+        // higher row ids (6, 7) has the tighter closure.
+        let mut s = boot_tight();
+        s.apply_batch("10,60s\n11,70s\n20,20s\n20,30s\n", 0, 0.0)
+            .unwrap();
+        let new: Vec<(&[u32], f64)> = (s.matures[2..].iter())
+            .map(|m| (m.members.as_slice(), m.cost))
+            .collect();
+        assert_eq!(new.len(), 2, "{new:?}");
+        assert_eq!((new[0].0, new[1].0), (&[6, 7][..], &[4, 5][..]), "{new:?}");
+        assert!(new[0].1 < new[1].1, "{new:?}");
+    }
+
+    #[test]
     fn absorption_only_happens_when_closure_is_unchanged() {
         let mut s = boot();
         let before = s.published_csv().unwrap();
@@ -1155,9 +1184,7 @@ mod tests {
         s.apply_batch("10,60s\n11,70s\n10,70s\n11,60s\n", 0, 0.0)
             .unwrap();
         s.apply_batch("10,20s\n", 0, 0.0).unwrap();
-        let dir = std::env::temp_dir().join(format!("kanon-serve-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.snap");
+        let path = scratch_dir("snap").join("state.snap");
         assert!(s.write_snapshot(&path).unwrap());
         let text = std::fs::read_to_string(&path).unwrap();
         let restored = ServeState::restore_snapshot(&text, cfg(), schema()).unwrap();
@@ -1167,9 +1194,7 @@ mod tests {
     #[test]
     fn snapshot_k_mismatch_is_a_usage_error() {
         let s = boot();
-        let dir = std::env::temp_dir().join(format!("kanon-serve-snapk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.snap");
+        let path = scratch_dir("snapk").join("state.snap");
         s.write_snapshot(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let mut wrong = cfg();
@@ -1180,20 +1205,14 @@ mod tests {
 
     #[test]
     fn replay_reproduces_live_state_byte_identically() {
-        use crate::journal::{Journal, RecordKind};
-        let dir = std::env::temp_dir().join(format!("kanon-serve-replay-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let jpath = dir.join("journal.log");
+        let jpath = scratch_dir("replay").join("journal.log");
 
         let batches = ["10,60s\n11,70s\n", "10,70s\n11,60s\n", "10,20s\n21,60s\n"];
         // Live process: journal, then apply.
         let mut live = boot();
         let mut j = Journal::open(&jpath).unwrap();
         for b in &batches {
-            j.append(live.next_seq(), RecordKind::Batch, 0, 0.0, b.as_bytes())
-                .unwrap();
-            live.apply_batch(b, 0, 0.0).unwrap();
+            journal_then_apply(&mut live, &mut j, b, 0.0);
         }
         drop(j);
 
@@ -1206,17 +1225,11 @@ mod tests {
 
     #[test]
     fn replay_skips_rolled_back_batches() {
-        use crate::journal::{Journal, RecordKind};
-        let dir = std::env::temp_dir().join(format!("kanon-serve-rollback-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let jpath = dir.join("journal.log");
+        let jpath = scratch_dir("rollback").join("journal.log");
 
         let mut live = boot();
         let mut j = Journal::open(&jpath).unwrap();
-        j.append(1, RecordKind::Batch, 0, 0.0, b"10,60s\n11,70s\n")
-            .unwrap();
-        live.apply_batch("10,60s\n11,70s\n", 0, 0.0).unwrap();
+        journal_then_apply(&mut live, &mut j, "10,60s\n11,70s\n", 0.0);
         // Seq 2 was journaled but permanently failed -> rollback marker.
         j.append(2, RecordKind::Batch, 0, 0.0, b"10,70s\n").unwrap();
         j.append(2, RecordKind::Rollback, 0, 0.0, b"").unwrap();
@@ -1233,24 +1246,15 @@ mod tests {
 
     #[test]
     fn replay_reproduces_a_reopt_byte_identically() {
-        use crate::journal::{Journal, RecordKind};
-        let dir =
-            std::env::temp_dir().join(format!("kanon-serve-reopt-replay-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let jpath = dir.join("journal.log");
+        let jpath = scratch_dir("reopt-replay").join("journal.log");
 
         // Live process: batch, reopt, batch — each journaled first.
         let mut live = boot();
         let mut j = Journal::open(&jpath).unwrap();
-        j.append(1, RecordKind::Batch, 0, 0.0, b"10,60s\n11,70s\n")
-            .unwrap();
-        live.apply_batch("10,60s\n11,70s\n", 0, 0.0).unwrap();
+        journal_then_apply(&mut live, &mut j, "10,60s\n11,70s\n", 0.0);
         j.append(2, RecordKind::Reopt, 0, 0.0, b"").unwrap();
         live.reopt().unwrap();
-        j.append(3, RecordKind::Batch, 0, 0.0, b"10,20s\n21,60s\n")
-            .unwrap();
-        live.apply_batch("10,20s\n21,60s\n", 0, 0.0).unwrap();
+        journal_then_apply(&mut live, &mut j, "10,20s\n21,60s\n", 0.0);
         drop(j);
 
         let mut recovered = boot();
@@ -1265,21 +1269,14 @@ mod tests {
 
     #[test]
     fn permanently_failing_final_record_is_rolled_back_at_recovery() {
-        use crate::journal::{read_journal, Journal, RecordKind};
-        let dir =
-            std::env::temp_dir().join(format!("kanon-serve-crashwindow-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let jpath = dir.join("journal.log");
+        let jpath = scratch_dir("crashwindow").join("journal.log");
 
         // The crash window: seq 2 was journaled, its apply failed
         // deterministically (bad label under Strict), and the process
         // died before appending the rollback marker.
         let mut live = boot();
         let mut j = Journal::open(&jpath).unwrap();
-        j.append(1, RecordKind::Batch, 0, 0.0, b"10,60s\n11,70s\n")
-            .unwrap();
-        live.apply_batch("10,60s\n11,70s\n", 0, 0.0).unwrap();
+        journal_then_apply(&mut live, &mut j, "10,60s\n11,70s\n", 0.0);
         j.append(2, RecordKind::Batch, 0, 0.0, b"99,99\n").unwrap();
         drop(j);
 
@@ -1300,11 +1297,7 @@ mod tests {
 
     #[test]
     fn failing_mid_journal_record_still_propagates() {
-        use crate::journal::{Journal, RecordKind};
-        let dir = std::env::temp_dir().join(format!("kanon-serve-midfail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let jpath = dir.join("journal.log");
+        let jpath = scratch_dir("midfail").join("journal.log");
 
         // A deterministically failing record *followed by* another
         // record cannot be a crash window (the live process would have
@@ -1350,14 +1343,7 @@ mod tests {
         // cluster, and any real widening raises that cluster's loss by
         // far more than 1e-12 — so under a tiny ε it pends, exactly as
         // the free tier would have it.
-        let (table, _) = table_from_csv_with_policy(
-            &schema(),
-            "10,20s\n10,30s\n20,60s\n21,70s\n",
-            false,
-            RowPolicy::Strict,
-        )
-        .unwrap();
-        let mut s = ServeState::bootstrap(table, cfg()).unwrap();
+        let mut s = boot_tight();
         let r = s.apply_batch("10,60s\n", 0, 1e-12).unwrap();
         assert_eq!(r.absorbed, 0);
         assert_eq!(r.pending, 1);
@@ -1369,27 +1355,13 @@ mod tests {
         // fully-generalized cluster whose closure covers everything), so
         // "10,60s" cannot free-absorb — but a huge ε lets the cheapest
         // cluster widen around it.
-        let (table, _) = table_from_csv_with_policy(
-            &schema(),
-            "10,20s\n10,30s\n20,60s\n21,70s\n",
-            false,
-            RowPolicy::Strict,
-        )
-        .unwrap();
-        let mut s = ServeState::bootstrap(table, cfg()).unwrap();
+        let mut s = boot_tight();
         let before_clusters = s.mature_clusters();
         let free = s.apply_batch("10,60s\n", 0, 0.0).unwrap();
         assert_eq!(free.absorbed, 0, "premise: the row must not free-absorb");
         assert_eq!(free.pending, 1);
 
-        let (table, _) = table_from_csv_with_policy(
-            &schema(),
-            "10,20s\n10,30s\n20,60s\n21,70s\n",
-            false,
-            RowPolicy::Strict,
-        )
-        .unwrap();
-        let mut s = ServeState::bootstrap(table, cfg()).unwrap();
+        let mut s = boot_tight();
         let r = s.apply_batch("10,60s\n", 0, 1e9).unwrap();
         assert_eq!(r.absorbed, 1);
         assert_eq!(r.absorbed_eps, 1);
@@ -1398,9 +1370,7 @@ mod tests {
         // The widened closure must equal the closure a snapshot restore
         // recomputes from the member list — snapshot round-trip is the
         // sharpest check of that invariant.
-        let dir = std::env::temp_dir().join(format!("kanon-serve-epssnap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.snap");
+        let path = scratch_dir("epssnap").join("state.snap");
         assert!(s.write_snapshot(&path).unwrap());
         let text = std::fs::read_to_string(&path).unwrap();
         let restored = ServeState::restore_snapshot(&text, cfg(), schema()).unwrap();
@@ -1409,25 +1379,15 @@ mod tests {
 
     #[test]
     fn eps_batches_replay_byte_identically_from_the_journal() {
-        use crate::journal::{Journal, RecordKind};
-        let dir =
-            std::env::temp_dir().join(format!("kanon-serve-epsreplay-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let jpath = dir.join("journal.log");
+        let jpath = scratch_dir("epsreplay").join("journal.log");
 
         // Mixed history: an ε batch between two exact ones, journaled
         // with its effective ε so replay re-runs the same criterion.
         let mut live = boot();
         let mut j = Journal::open(&jpath).unwrap();
-        j.append(1, RecordKind::Batch, 0, 0.0, b"10,60s\n11,70s\n")
-            .unwrap();
-        live.apply_batch("10,60s\n11,70s\n", 0, 0.0).unwrap();
-        j.append(2, RecordKind::Batch, 0, 0.75, b"10,70s\n11,30s\n")
-            .unwrap();
-        live.apply_batch("10,70s\n11,30s\n", 0, 0.75).unwrap();
-        j.append(3, RecordKind::Batch, 0, 0.0, b"10,20s\n").unwrap();
-        live.apply_batch("10,20s\n", 0, 0.0).unwrap();
+        journal_then_apply(&mut live, &mut j, "10,60s\n11,70s\n", 0.0);
+        journal_then_apply(&mut live, &mut j, "10,70s\n11,30s\n", 0.75);
+        journal_then_apply(&mut live, &mut j, "10,20s\n", 0.0);
         drop(j);
 
         let mut recovered = boot();
@@ -1437,15 +1397,8 @@ mod tests {
 
     #[test]
     fn replay_rejects_out_of_order_journals() {
-        use crate::journal::{Journal, RecordKind};
         for (name, seqs) in [("dup", [1u64, 1]), ("decreasing", [2, 1])] {
-            let dir = std::env::temp_dir().join(format!(
-                "kanon-serve-seqcheck-{name}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let jpath = dir.join("journal.log");
+            let jpath = scratch_dir(&format!("seqcheck-{name}")).join("journal.log");
             let mut j = Journal::open(&jpath).unwrap();
             j.append(seqs[0], RecordKind::Batch, 0, 0.0, b"10,20s\n")
                 .unwrap();
@@ -1461,10 +1414,7 @@ mod tests {
             }
         }
         // Gaps stay fine: burned sequence numbers are normal.
-        let dir = std::env::temp_dir().join(format!("kanon-serve-seqgap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let jpath = dir.join("journal.log");
+        let jpath = scratch_dir("seqgap").join("journal.log");
         let mut j = Journal::open(&jpath).unwrap();
         j.append(1, RecordKind::Batch, 0, 0.0, b"10,20s\n").unwrap();
         j.append(5, RecordKind::Batch, 0, 0.0, b"10,30s\n").unwrap();
@@ -1493,9 +1443,7 @@ mod tests {
     #[test]
     fn snapshot_write_fail_point_degrades_gracefully() {
         let s = boot();
-        let dir = std::env::temp_dir().join(format!("kanon-serve-snapfp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.snap");
+        let path = scratch_dir("snapfp").join("state.snap");
         let _g = kanon_fault::scoped(&format!("{POINT_SNAPSHOT_WRITE}=once:1"));
         assert!(!s.write_snapshot(&path).unwrap());
         assert!(!path.exists());
@@ -1506,7 +1454,6 @@ mod tests {
 
     mod compaction_equivalence {
         use super::*;
-        use crate::journal::{Journal, RecordKind};
         use proptest::prelude::*;
         use std::path::PathBuf;
         use std::sync::atomic::{AtomicU64, Ordering};

@@ -55,7 +55,7 @@ fn daemon_addr() -> &'static str {
             k: 2,
             measure: Measure::Lm,
             policy: RowPolicy::SuppressRow,
-            shard_max: 0,
+            shard_max: kanon_core::config::SHARD_MAX_DEFAULT,
             reopt_every: 0,
             absorb_epsilon: 0.0,
         };
