@@ -16,13 +16,16 @@
 //! created cluster updates the others' caches in one pass. This is the
 //! standard "generic agglomerative clustering" scheme — same merge
 //! sequence, O(n²) expected time, O(n) memory beyond the table. The
-//! engine owns the cluster, its distance and the merge loop; this
-//! module supplies only the Algorithm 1/2 policy (size-k maturity, the
-//! Algorithm 2 shrink) and the leftover distribution.
+//! engine owns the whole run — singletons, merge loop and the leftover
+//! distribution of line 10; this module supplies only the Algorithm 1/2
+//! policy (size-k maturity, the Algorithm 2 shrink) and the
+//! [`KAnonOutput`] every clustering-based anonymizer in the crate
+//! returns.
 
 use crate::cost::CostContext;
 use crate::distance::ClusterDistance;
 use crate::engine::{self, ClusterPolicy};
+use crate::fallible::Budgeted;
 use kanon_core::cluster::Clustering;
 use kanon_core::error::{CoreError, Result};
 use kanon_core::hierarchy::NodeId;
@@ -75,6 +78,26 @@ pub struct KAnonOutput {
     pub loss: f64,
 }
 
+impl KAnonOutput {
+    /// The output for a partition of `table`'s rows into `clusters`:
+    /// the clustering, every record replaced by its cluster's closure,
+    /// and the loss.
+    pub(crate) fn from_clusters(
+        table: &Table,
+        costs: &NodeCostTable,
+        clusters: Vec<Vec<u32>>,
+    ) -> Result<Self> {
+        let clustering = Clustering::from_clusters(table.num_rows(), clusters)?;
+        let table = clustering.to_generalized_table(table)?;
+        let loss = costs.table_loss(&table);
+        Ok(KAnonOutput {
+            clustering,
+            table,
+            loss,
+        })
+    }
+}
+
 /// Algorithms 1–2 carry nothing beyond members and closure.
 type Cluster = engine::Cluster<()>;
 
@@ -90,6 +113,8 @@ struct Alg1Policy {
 impl ClusterPolicy for Alg1Policy {
     type Extra = ();
     const FAIL_POINT: &'static str = "algos/agglomerative/merge";
+
+    fn singleton_extra(&self, _: u32) {}
 
     fn fold(&self, _: &mut (), _: ()) {}
 
@@ -107,6 +132,30 @@ impl ClusterPolicy for Alg1Policy {
             Vec::new()
         }
     }
+
+    fn infeasible(&self, n: usize) -> String {
+        format!("cannot satisfy k = {} on {n} records", self.k)
+    }
+}
+
+/// Algorithm 1/2 member lists with budget-aware graceful degradation:
+/// validate, build the policy, run the engine.
+pub(crate) fn agglomerative_clusters(
+    table: &Table,
+    costs: &NodeCostTable,
+    cfg: &AgglomerativeConfig,
+) -> Result<Budgeted<Vec<Vec<u32>>>> {
+    let n = table.num_rows();
+    if cfg.k == 0 || cfg.k > n {
+        return Err(CoreError::InvalidK { k: cfg.k, n });
+    }
+    let _span = kanon_obs::span("agglomerative");
+    let policy = Alg1Policy {
+        distance: cfg.distance,
+        k: cfg.k,
+        modified: cfg.modified,
+    };
+    engine::run(&CostContext::new(table, costs), cfg.distance, &policy)
 }
 
 /// Algorithm 1/2 implementation with budget-aware graceful degradation.
@@ -114,83 +163,9 @@ pub(crate) fn agglomerative_impl(
     table: &Table,
     costs: &NodeCostTable,
     cfg: &AgglomerativeConfig,
-) -> Result<crate::Budgeted<KAnonOutput>> {
-    let n = table.num_rows();
-    if cfg.k == 0 || cfg.k > n {
-        return Err(CoreError::InvalidK { k: cfg.k, n });
-    }
-    let _span = kanon_obs::span("agglomerative");
-    let ctx = CostContext::new(table, costs);
-
-    // k = 1: the identity generalization is optimal (zero loss).
-    if cfg.k == 1 {
-        let clustering = Clustering::from_assignment((0..n as u32).collect())?;
-        let gtable = clustering.to_generalized_table(table)?;
-        let loss = costs.table_loss(&gtable);
-        return Ok(crate::Budgeted::Complete(KAnonOutput {
-            clustering,
-            table: gtable,
-            loss,
-        }));
-    }
-
-    // Hand the merge loop to the shared closest-pair engine; this module
-    // only supplies the policy. The engine owns the fail point, the
-    // budget checkpoints (combining the unfinished clusters when the
-    // budget trips) and the nearest-neighbour caches.
-    let singles: Vec<Cluster> = (0..n)
-        .map(|i| Cluster::singleton(&ctx, i as u32, ()))
-        .collect();
-    let policy = Alg1Policy {
-        distance: cfg.distance,
-        k: cfg.k,
-        modified: cfg.modified,
-    };
-    let engine::RunOutcome {
-        mut done,
-        leftover,
-        exhausted,
-    } = engine::run(&ctx, cfg.distance, &policy, singles);
-
-    // Leftover: at most one immature cluster; each of its records joins
-    // the mature cluster minimizing dist({R}, S) (line 10 of Algorithm 1).
-    if let Some(leftover) = leftover {
-        debug_assert!(leftover.size() < cfg.k);
-        debug_assert!(
-            !done.is_empty(),
-            "n ≥ k guarantees at least one mature cluster"
-        );
-        for &row in &leftover.members {
-            let single = Cluster::singleton(&ctx, row, ());
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (ci, c) in done.iter().enumerate() {
-                let cost_u = ctx.join_cost(&single.nodes, &c.nodes);
-                let d = cfg
-                    .distance
-                    .eval(1, single.cost, c.size(), c.cost, c.size() + 1, cost_u);
-                if d.total_cmp(&best_d).is_lt() {
-                    best_d = d;
-                    best = ci;
-                }
-            }
-            let c = &mut done[best];
-            c.members.push(row);
-            c.members.sort_unstable();
-            ctx.join_row_into(&mut c.nodes, row as usize);
-            c.cost = ctx.cost(&c.nodes);
-        }
-    }
-
-    let output = finish(table, costs, done)?;
-    Ok(match exhausted {
-        None => crate::Budgeted::Complete(output),
-        Some((budget, spent)) => crate::Budgeted::BudgetExhausted {
-            best_so_far: output,
-            budget,
-            spent,
-        },
-    })
+) -> Result<Budgeted<KAnonOutput>> {
+    agglomerative_clusters(table, costs, cfg)?
+        .try_map(|clusters| KAnonOutput::from_clusters(table, costs, clusters))
 }
 
 /// Algorithm 2: shrink a ripe cluster to exactly `k` records by repeatedly
@@ -240,19 +215,6 @@ fn shrink_to_k(
         evicted.push(row);
     }
     evicted
-}
-
-/// Converts the final cluster list into the output triple.
-fn finish(table: &Table, costs: &NodeCostTable, done: Vec<Cluster>) -> Result<KAnonOutput> {
-    let clusters: Vec<Vec<u32>> = done.into_iter().map(|c| c.members).collect();
-    let clustering = Clustering::from_clusters(table.num_rows(), clusters)?;
-    let gtable = clustering.to_generalized_table(table)?;
-    let loss = costs.table_loss(&gtable);
-    Ok(KAnonOutput {
-        clustering,
-        table: gtable,
-        loss,
-    })
 }
 
 #[cfg(test)]

@@ -23,20 +23,22 @@
 //!   with the `Runner` exactness state machine) and its repair rules;
 //! * the parallel initial scan and batched cache-repair rescans
 //!   (`kanon-parallel`, byte-identical at any worker count);
-//! * the merge loop itself: a `kanon-fault` failpoint
-//!   (`ClusterPolicy::FAIL_POINT`) and the deterministic work-budget
-//!   checkpoint (`KANON_WORK_BUDGET`) at the top of every iteration, the
-//!   global-min selection with its debug-build exactness assert, and the
-//!   `kanon-obs` counters (`merges_performed`, `cluster_dist_evals`,
-//!   `cache_repairs`, `nn_rescans`).
+//! * the whole run of Algorithm 1: the singletons (retiring those that
+//!   are already mature, which covers k = 1), the merge loop with a
+//!   `kanon-fault` failpoint (`ClusterPolicy::FAIL_POINT`) and the
+//!   deterministic work-budget checkpoint (`KANON_WORK_BUDGET`) at the
+//!   top of every iteration, the global-min selection with its
+//!   debug-build exactness assert, the `kanon-obs` counters
+//!   (`merges_performed`, `cluster_dist_evals`, `cache_repairs`,
+//!   `nn_rescans`), and the leftover distribution of line 10.
 //!
 //! ## What callers own
 //!
-//! The `ClusterPolicy`: how extras fold on merge, when a cluster
-//! matures, and an optional post-maturity eviction. Outside the loop
-//! they keep input validation and leftover-record distribution. `run`
-//! returns the matured clusters, at most one immature leftover and the
-//! budget verdict.
+//! The `ClusterPolicy`: a singleton's extra, how extras fold on merge,
+//! when a cluster matures, an optional post-maturity eviction, and the
+//! text of the error raised when nothing matures. Outside the engine
+//! they keep input validation. `run` returns the final member lists,
+//! marked with the budget verdict.
 //!
 //! ## Determinism contract
 //!
@@ -49,6 +51,8 @@
 
 use crate::cost::{CostContext, SigArena};
 use crate::distance::ClusterDistance;
+use crate::fallible::{Budget, Budgeted};
+use kanon_core::error::{CoreError, Result};
 use kanon_core::hierarchy::NodeId;
 use kanon_obs::Counter;
 
@@ -135,6 +139,9 @@ pub(crate) trait ClusterPolicy: Sync {
     /// merge iteration (see the catalogue in `kanon-fault`'s docs).
     const FAIL_POINT: &'static str;
 
+    /// The extra of the singleton `{row}`.
+    fn singleton_extra(&self, row: u32) -> Self::Extra;
+
     /// Folds `from` (the second merge operand's extra) into `into`.
     fn fold(&self, into: &mut Self::Extra, from: Self::Extra);
 
@@ -153,19 +160,10 @@ pub(crate) trait ClusterPolicy: Sync {
         let _ = (ctx, c);
         Vec::new()
     }
-}
 
-/// What [`run`] hands back to the caller.
-#[derive(Debug)]
-pub(crate) struct RunOutcome<X> {
-    /// Clusters that matured, in maturation order.
-    pub(crate) done: Vec<Cluster<X>>,
-    /// The immature cluster still active when the loop ended, if any.
-    /// When the budget tripped it is all unfinished clusters combined.
-    pub(crate) leftover: Option<Cluster<X>>,
-    /// `Some((budget, spent))` when the deterministic work budget
-    /// tripped mid-run and the engine stopped refining early.
-    pub(crate) exhausted: Option<(u64, u64)>,
+    /// Text of the [`CoreError::InvalidClustering`] raised when no
+    /// cluster of the `n` rows matured, so the leftover has nowhere to go.
+    fn infeasible(&self, n: usize) -> String;
 }
 
 /// Nearest-neighbour cache entry: distance and target slot.
@@ -206,6 +204,32 @@ struct NearestPair {
 #[inline]
 pub(crate) fn closer(d1: f64, t1: usize, d2: f64, t2: usize) -> bool {
     d1.total_cmp(&d2).is_lt() || (d1 == d2 && t1 < t2)
+}
+
+/// The two nearest of `(distance, slot)` candidates under `closer`, with
+/// an exact runner-up.
+fn top2(candidates: impl Iterator<Item = (f64, usize)>) -> Option<NearestPair> {
+    let mut best: Option<Nearest> = None;
+    let mut second: Option<Nearest> = None;
+    for (dist, target) in candidates {
+        let cand = Nearest { dist, target };
+        match best {
+            None => best = Some(cand),
+            Some(b) if closer(dist, target, b.dist, b.target) => {
+                second = best;
+                best = Some(cand);
+            }
+            Some(_) => match second {
+                None => second = Some(cand),
+                Some(sn) if closer(dist, target, sn.dist, sn.target) => second = Some(cand),
+                Some(_) => {}
+            },
+        }
+    }
+    best.map(|b| NearestPair {
+        best: b,
+        second: Runner::Exact(second),
+    })
 }
 
 struct State<'p, 'a, P: ClusterPolicy> {
@@ -259,34 +283,8 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
     /// neighbours of `slot`. Deterministic tie-break on slot index.
     fn scan_nearest(&self, slot: usize) -> Option<NearestPair> {
         kanon_obs::count(Counter::NnRescans, 1);
-        let mut best: Option<Nearest> = None;
-        let mut second: Option<Nearest> = None;
-        for &other in &self.active {
-            if other == slot {
-                continue;
-            }
-            let d = self.dist_between(slot, other);
-            let cand = Nearest {
-                dist: d,
-                target: other,
-            };
-            match best {
-                None => best = Some(cand),
-                Some(b) if closer(d, other, b.dist, b.target) => {
-                    second = best;
-                    best = Some(cand);
-                }
-                Some(_) => match second {
-                    None => second = Some(cand),
-                    Some(sn) if closer(d, other, sn.dist, sn.target) => second = Some(cand),
-                    Some(_) => {}
-                },
-            }
-        }
-        best.map(|b| NearestPair {
-            best: b,
-            second: Runner::Exact(second),
-        })
+        let others = self.active.iter().filter(|&&other| other != slot);
+        top2(others.map(|&other| (self.dist_between(slot, other), other)))
     }
 
     /// Adds a cluster as a new active slot; refreshes its own cache and
@@ -367,36 +365,11 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
             }
         }
         // The newcomer's own top-2 reuses the distances just computed —
-        // `eval_symmetric` is symmetric — inserted under the same
-        // `closer` total order as scan_nearest, so no distance is
-        // evaluated twice.
-        let mut best: Option<Nearest> = None;
-        let mut second: Option<Nearest> = None;
-        for (idx, &d) in dists.iter().enumerate() {
-            let other = self.active[idx];
-            let cand = Nearest {
-                dist: d,
-                target: other,
-            };
-            match best {
-                None => best = Some(cand),
-                Some(b) if closer(d, other, b.dist, b.target) => {
-                    second = best;
-                    best = Some(cand);
-                }
-                Some(_) => match second {
-                    None => second = Some(cand),
-                    Some(sn) if closer(d, other, sn.dist, sn.target) => second = Some(cand),
-                    Some(_) => {}
-                },
-            }
-        }
+        // `eval_symmetric` is symmetric — so no distance is evaluated
+        // twice.
+        self.nearest[slot] = top2(dists.iter().copied().zip(self.active.iter().copied()));
         self.dist_scratch = dists;
         self.active.push(slot);
-        self.nearest[slot] = best.map(|b| NearestPair {
-            best: b,
-            second: Runner::Exact(second),
-        });
         slot
     }
 
@@ -504,37 +477,88 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
     }
 }
 
-/// Runs the closest-pair merge loop over `initial` clusters under
-/// `distance` until at most one is left active (or the work budget
-/// trips).
+/// Runs Algorithm 1 under `distance` and `policy` over every row of
+/// `ctx`'s table and returns the final clusters' member lists.
 ///
-/// Per iteration: arm [`ClusterPolicy::FAIL_POINT`], checkpoint the
-/// deterministic work budget, select the globally closest active pair
-/// from the caches, merge it, and either output it (mature — recycling
-/// whatever [`ClusterPolicy::on_mature`] evicts) or re-activate it.
-/// Selection order is total (distance, then `(slot, target)`), so the
-/// merge sequence — and therefore the output — is byte-identical at any
+/// Singletons that are already mature retire at once (k = 1). The rest
+/// enter the merge loop, which runs until at most one cluster is left
+/// active (or the work budget trips). Per iteration: arm
+/// [`ClusterPolicy::FAIL_POINT`], checkpoint the deterministic work
+/// budget, select the globally closest active pair from the caches,
+/// merge it, and either output it (mature — recycling whatever
+/// [`ClusterPolicy::on_mature`] evicts) or re-activate it. Selection
+/// order is total (distance, then `(slot, target)`), so the merge
+/// sequence — and therefore the output — is byte-identical at any
 /// thread count.
 ///
 /// When the budget trips with several immature clusters outstanding,
 /// the engine skips the remaining O(n²) work and combines them all into
-/// one cluster (ascending first-member order, deterministic): it is done
-/// if it matures and the leftover otherwise, so the caller still builds
-/// a valid output, just with more generalization than a full run.
+/// one cluster (ascending first-member order, deterministic), which is
+/// output if it matures. A last immature cluster is the leftover of
+/// line 10: each of its records joins the mature cluster `S`
+/// minimizing `dist({R}, S)`, and the run fails with
+/// [`CoreError::InvalidClustering`] when no cluster matured.
 pub(crate) fn run<P: ClusterPolicy>(
     ctx: &CostContext<'_>,
     distance: ClusterDistance,
     policy: &P,
-    initial: Vec<Cluster<P::Extra>>,
-) -> RunOutcome<P::Extra> {
-    // Budget-aware runs need a collector for `spent_work` to be
-    // meaningful; install a private one when the caller has none.
-    let budget = kanon_obs::work_budget();
-    let _budget_obs = match (budget, kanon_obs::current()) {
-        (Some(_), None) => Some(kanon_obs::Collector::new().install()),
-        _ => None,
+) -> Result<Budgeted<Vec<Vec<u32>>>> {
+    let mut budget = Budget::arm();
+    let n = ctx.num_rows();
+    let (mut done, initial): (Vec<_>, Vec<_>) = (0..n as u32)
+        .map(|row| Cluster::singleton(ctx, row, policy.singleton_extra(row)))
+        .partition(|c| policy.is_mature(c));
+    let leftover = if initial.is_empty() {
+        None
+    } else {
+        merge_loop(ctx, distance, policy, &mut budget, initial, &mut done)
     };
 
+    if let Some(leftover) = leftover {
+        if done.is_empty() {
+            return Err(CoreError::InvalidClustering(policy.infeasible(n)));
+        }
+        // Pushes are sequential (each one updates the target's closure
+        // and cost, which the next record's choice sees), but member
+        // order feeds neither, so each touched cluster is sorted once.
+        let mut touched = vec![false; done.len()];
+        for &row in &leftover.members {
+            let nodes = ctx.leaf_nodes(row as usize);
+            let cost = ctx.cost(&nodes);
+            let mut best = 0usize;
+            let mut best_d = f64::INFINITY;
+            for (ci, c) in done.iter().enumerate() {
+                let cost_u = ctx.join_cost(&nodes, &c.nodes);
+                let d = distance.eval(1, cost, c.size(), c.cost, c.size() + 1, cost_u);
+                if d.total_cmp(&best_d).is_lt() {
+                    best_d = d;
+                    best = ci;
+                }
+            }
+            let c = &mut done[best];
+            c.members.push(row);
+            ctx.join_row_into(&mut c.nodes, row as usize);
+            c.cost = ctx.cost(&c.nodes);
+            touched[best] = true;
+        }
+        for (c, _) in done.iter_mut().zip(&touched).filter(|(_, &t)| t) {
+            c.members.sort_unstable();
+        }
+    }
+    Ok(budget.finish(done.into_iter().map(|c| c.members).collect()))
+}
+
+/// The closest-pair merge loop over the immature `initial` clusters:
+/// pushes every cluster that matures onto `done` and returns the one
+/// still immature at the end, if any.
+fn merge_loop<P: ClusterPolicy>(
+    ctx: &CostContext<'_>,
+    distance: ClusterDistance,
+    policy: &P,
+    budget: &mut Budget,
+    initial: Vec<Cluster<P::Extra>>,
+    done: &mut Vec<Cluster<P::Extra>>,
+) -> Option<Cluster<P::Extra>> {
     let n = initial.len();
     // Capacity 2n+1 covers the worst case: every merge adds one slot,
     // and n clusters admit at most n−1 merges plus recycled singletons;
@@ -558,16 +582,10 @@ pub(crate) fn run<P: ClusterPolicy>(
     // identical at any thread count.
     st.nearest = kanon_parallel::map(n, |slot| st.scan_nearest(slot));
 
-    let mut done: Vec<Cluster<P::Extra>> = Vec::new();
-    let mut exhausted: Option<(u64, u64)> = None;
     while st.active.len() > 1 {
         kanon_fault::fail_point!(P::FAIL_POINT);
-        if let Some(limit) = budget {
-            let spent = kanon_obs::spent_work();
-            if spent >= limit {
-                exhausted = Some((limit, spent));
-                break;
-            }
+        if budget.tripped() {
+            break;
         }
         // kanon-lint: allow(L006) two or more active clusters guarantee a closest pair
         let (i, j, _d) = st.closest_pair().expect("≥2 active clusters have a pair");
@@ -621,11 +639,7 @@ pub(crate) fn run<P: ClusterPolicy>(
             remaining.push(combined);
         }
     }
-    RunOutcome {
-        done,
-        leftover: remaining.pop(),
-        exhausted,
-    }
+    remaining.pop()
 }
 
 #[cfg(test)]
@@ -660,12 +674,6 @@ mod tests {
         (t, costs)
     }
 
-    fn singles(ctx: &CostContext<'_>) -> Vec<Cluster<()>> {
-        (0..ctx.table.num_rows() as u32)
-            .map(|row| Cluster::singleton(ctx, row, ()))
-            .collect()
-    }
-
     struct SizePolicy {
         k: usize,
     }
@@ -674,15 +682,30 @@ mod tests {
         type Extra = ();
         const FAIL_POINT: &'static str = "algos/agglomerative/merge";
 
+        fn singleton_extra(&self, _: u32) {}
+
         fn fold(&self, _: &mut (), _: ()) {}
 
         fn is_mature(&self, c: &Cluster<()>) -> bool {
             c.size() >= self.k
         }
+
+        fn infeasible(&self, n: usize) -> String {
+            format!("cannot satisfy k = {} on {n} records", self.k)
+        }
     }
 
-    fn run_sized(ctx: &CostContext<'_>, k: usize) -> RunOutcome<()> {
-        run(ctx, ClusterDistance::D3, &SizePolicy { k }, singles(ctx))
+    fn run_sized(ctx: &CostContext<'_>, k: usize) -> Result<Budgeted<Vec<Vec<u32>>>> {
+        run(ctx, ClusterDistance::D3, &SizePolicy { k })
+    }
+
+    /// The member lists of a complete run, in ascending first-row order.
+    fn complete(out: Result<Budgeted<Vec<Vec<u32>>>>) -> Vec<Vec<u32>> {
+        let out = out.unwrap();
+        assert!(!out.is_exhausted());
+        let mut clusters = out.into_inner();
+        clusters.sort();
+        clusters
     }
 
     #[test]
@@ -691,22 +714,38 @@ mod tests {
         // hierarchy groups.
         let (t, costs) = paired(0..6);
         let ctx = CostContext::new(&t, &costs);
-        let out = run_sized(&ctx, 2);
-        assert!(out.exhausted.is_none());
-        assert!(out.leftover.is_none());
-        let mut done: Vec<Vec<u32>> = out.done.into_iter().map(|c| c.members).collect();
-        done.sort();
-        assert_eq!(done, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
+        assert_eq!(
+            complete(run_sized(&ctx, 2)),
+            vec![vec![0, 1], vec![2, 3], vec![4, 5]]
+        );
     }
 
     #[test]
-    fn leftover_stays_active_when_it_cannot_mature() {
-        // Five rows a..e, k = 2: two pairs mature, row `e` remains.
-        let (t, costs) = paired(0..5);
+    fn leftover_row_joins_its_nearest_mature_cluster() {
+        // Rows a, b, c, d, c with k = 2: {c, c} and {a, b} mature, and
+        // the leftover row `d` joins {c, c} (closure {c, d}) rather than
+        // {a, b} (closure: the root).
+        let (t, costs) = paired([0, 1, 2, 3, 2]);
         let ctx = CostContext::new(&t, &costs);
-        let out = run_sized(&ctx, 2);
-        assert_eq!(out.done.len(), 2);
-        assert_eq!(out.leftover.expect("one row is left").members, vec![4]);
+        assert_eq!(
+            complete(run_sized(&ctx, 2)),
+            vec![vec![0, 1], vec![2, 3, 4]]
+        );
+    }
+
+    #[test]
+    fn k1_run_retires_every_singleton_without_merging() {
+        let (t, costs) = paired(0..6);
+        let ctx = CostContext::new(&t, &costs);
+        let c = kanon_obs::Collector::new();
+        let out = {
+            let _g = c.install();
+            complete(run_sized(&ctx, 1))
+        };
+        assert_eq!(out, (0..6).map(|row| vec![row]).collect::<Vec<_>>());
+        let r = c.report();
+        assert_eq!(r.counter(Counter::MergesPerformed), 0);
+        assert_eq!(r.counter(Counter::ClusterDistEvals), 0);
     }
 
     #[test]
@@ -714,40 +753,36 @@ mod tests {
         // A policy that evicts the largest row of every matured cluster
         // back into the pool: the recycled singletons must keep merging
         // until every row is consumed.
-        struct Evicting;
+        struct Evicting(std::sync::atomic::AtomicUsize);
         impl ClusterPolicy for Evicting {
             type Extra = ();
             const FAIL_POINT: &'static str = "algos/agglomerative/merge";
+            fn singleton_extra(&self, _: u32) {}
             fn fold(&self, _: &mut (), _: ()) {}
             fn is_mature(&self, c: &Cluster<()>) -> bool {
                 c.size() >= 3
             }
             fn on_mature(&self, ctx: &CostContext<'_>, c: &mut Cluster<()>) -> Vec<Cluster<()>> {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 // kanon-lint: allow(L006) matured clusters are non-empty
                 let evicted = c.members.pop().expect("matured cluster is non-empty");
                 vec![Cluster::singleton(ctx, evicted, ())]
             }
+            fn infeasible(&self, n: usize) -> String {
+                format!("nothing matured among {n} records")
+            }
         }
         let (t, costs) = paired((0..7).map(|v| v % 6));
         let ctx = CostContext::new(&t, &costs);
-        let out = run(&ctx, ClusterDistance::D3, &Evicting, singles(&ctx));
-        let covered: usize = out
-            .done
-            .iter()
-            .chain(out.leftover.iter())
-            .map(|c| c.size())
-            .sum();
-        assert_eq!(covered, 7, "recycling must not lose records");
-        for d in &out.done {
-            // Matured merges have 3 or 4 rows (2+1 or 2+2) before the
-            // hook evicts exactly one.
-            assert!(
-                d.size() == 2 || d.size() == 3,
-                "on_mature shrank every output cluster: {:?}",
-                d.members
-            );
-        }
-        assert!(!out.done.is_empty());
+        let policy = Evicting(Default::default());
+        let clusters = complete(run(&ctx, ClusterDistance::D3, &policy));
+        assert!(policy.0.into_inner() > 0, "some cluster matured");
+        let mut rows: Vec<u32> = clusters.iter().flatten().copied().collect();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..7).collect::<Vec<_>>(), "recycling lost records");
+        // Every output cluster kept at least the two rows left after its
+        // eviction; the leftover distribution only adds rows.
+        assert!(clusters.iter().all(|c| c.len() >= 2), "{clusters:?}");
     }
 
     #[test]
@@ -756,19 +791,25 @@ mod tests {
         let ctx = CostContext::new(&t, &costs);
         let all: Vec<u32> = (0..32).collect();
         // Nothing merges (the initial scan alone exceeds the budget), so
-        // all 32 singletons combine into one cluster: done at k = 4 …
-        let out = kanon_obs::with_work_budget(1, || run_sized(&ctx, 4));
-        let (budget, spent) = out.exhausted.expect("budget of 1 must trip");
-        assert_eq!(budget, 1);
+        // all 32 singletons combine into one mature cluster at k = 4 …
+        let out = kanon_obs::with_work_budget(1, || run_sized(&ctx, 4)).unwrap();
+        let Budgeted::BudgetExhausted {
+            best_so_far,
+            budget,
+            spent,
+        } = out
+        else {
+            panic!("budget of 1 must trip");
+        };
+        assert_eq!((budget, best_so_far), (1, vec![all]));
         assert!(spent >= 1);
-        assert_eq!(out.done.len(), 1);
-        assert_eq!(out.done[0].members, all);
-        assert!(out.leftover.is_none());
-        // … and the leftover when even the combination cannot mature.
-        let out = kanon_obs::with_work_budget(1, || run_sized(&ctx, 64));
-        assert!(out.exhausted.is_some());
-        assert!(out.done.is_empty());
-        assert_eq!(out.leftover.expect("combined leftover").members, all);
+        // … and at k = 64 even the combination cannot mature, so the
+        // leftover has nowhere to go: a typed error, budget or not.
+        let infeasible =
+            CoreError::InvalidClustering("cannot satisfy k = 64 on 32 records".to_string());
+        let err = kanon_obs::with_work_budget(1, || run_sized(&ctx, 64)).unwrap_err();
+        assert_eq!(err, infeasible);
+        assert_eq!(run_sized(&ctx, 64).unwrap_err(), infeasible);
     }
 
     #[test]
@@ -778,7 +819,7 @@ mod tests {
         let c = kanon_obs::Collector::new();
         {
             let _g = c.install();
-            run_sized(&ctx, 4);
+            run_sized(&ctx, 4).unwrap();
         }
         let r = c.report();
         assert!(r.counter(Counter::MergesPerformed) > 0);

@@ -17,11 +17,12 @@
 //!
 //! ## Graceful degradation
 //!
-//! The long-running algorithms (agglomerative, forest, and the best-k
-//! grid over them) honour the deterministic work budget
-//! (`KANON_WORK_BUDGET` / `kanon_obs::with_work_budget`): when the sum of
-//! the deterministic work counters reaches the budget, they stop refining
-//! and complete cheaply, returning
+//! The long-running algorithms (agglomerative, ℓ-diversity, forest,
+//! Mondrian, shard-and-conquer and the best-k grid) honour the
+//! deterministic work budget (`KANON_WORK_BUDGET` /
+//! `kanon_obs::with_work_budget`) through one crate-private checkpoint,
+//! `Budget`: when the sum of the deterministic work counters reaches the
+//! budget, they stop refining and complete cheaply, returning
 //! [`Budgeted::BudgetExhausted`]`{ best_so_far, .. }` — a *valid*
 //! k-anonymous result, just more generalized than a full run. With no
 //! budget armed they always return [`Budgeted::Complete`];
@@ -77,6 +78,95 @@ impl<T> Budgeted<T> {
     /// True when the work budget tripped mid-run.
     pub fn is_exhausted(&self) -> bool {
         matches!(self, Budgeted::BudgetExhausted { .. })
+    }
+
+    /// Applies `f` to the result, keeping the verdict.
+    pub(crate) fn try_map<U>(self, f: impl FnOnce(T) -> Result<U>) -> Result<Budgeted<U>> {
+        let mut verdict = Budget::observe();
+        let v = verdict.absorb(self);
+        Ok(verdict.finish(f(v)?))
+    }
+}
+
+/// The deterministic work-budget checkpoint of one budget-aware run. The
+/// first recorded `(budget, spent)` pair is the one reported.
+pub(crate) struct Budget {
+    limit: Option<u64>,
+    exhausted: Option<(u64, u64)>,
+    _collector: Option<kanon_obs::InstallGuard>,
+}
+
+impl Budget {
+    /// Arms the budget for a run that checkpoints it itself, installing
+    /// a private collector when the caller has none (so that
+    /// `spent_work` is meaningful).
+    pub(crate) fn arm() -> Self {
+        let mut budget = Budget::observe();
+        if budget.limit.is_some() && kanon_obs::current().is_none() {
+            budget._collector = Some(kanon_obs::Collector::new().install());
+        }
+        budget
+    }
+
+    /// Reads the budget without installing a collector: for a driver
+    /// whose nested runs each arm (and account) their own.
+    pub(crate) fn observe() -> Self {
+        Budget {
+            limit: kanon_obs::work_budget(),
+            exhausted: None,
+            _collector: None,
+        }
+    }
+
+    /// The checkpoint: true once the work spent has reached the budget.
+    pub(crate) fn tripped(&mut self) -> bool {
+        if let (Some(limit), None) = (self.limit, self.exhausted) {
+            let spent = kanon_obs::spent_work();
+            if spent >= limit {
+                self.exhausted = Some((limit, spent));
+            }
+        }
+        self.exhausted.is_some()
+    }
+
+    /// Takes a nested run's result, recording its exhaustion.
+    pub(crate) fn absorb<T>(&mut self, run: Budgeted<T>) -> T {
+        match run {
+            Budgeted::Complete(v) => v,
+            Budgeted::BudgetExhausted {
+                best_so_far,
+                budget,
+                spent,
+            } => {
+                self.exhausted.get_or_insert((budget, spent));
+                best_so_far
+            }
+        }
+    }
+
+    /// Runs `n` independent whole runs, results in index order: serially
+    /// when a budget is armed (the trip point reads the shared counter
+    /// sum, which concurrent runs would make wall-clock dependent), else
+    /// one coarse task each with the threads split evenly inside.
+    pub(crate) fn map_runs<T: Send>(&self, n: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        if self.limit.is_some() {
+            (0..n).map(run).collect()
+        } else {
+            let inner = (kanon_parallel::num_threads() / n.max(1)).max(1);
+            kanon_parallel::map_coarse(n, |i| kanon_parallel::with_threads(inner, || run(i)))
+        }
+    }
+
+    /// Marks `output` with the run's verdict.
+    pub(crate) fn finish<T>(self, output: T) -> Budgeted<T> {
+        match self.exhausted {
+            None => Budgeted::Complete(output),
+            Some((budget, spent)) => Budgeted::BudgetExhausted {
+                best_so_far: output,
+                budget,
+                spent,
+            },
+        }
     }
 }
 

@@ -25,7 +25,7 @@
 
 use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
-use kanon_core::cluster::Clustering;
+use crate::fallible::{Budget, Budgeted};
 use kanon_core::error::{CoreError, Result};
 use kanon_core::table::Table;
 use kanon_measures::NodeCostTable;
@@ -84,7 +84,7 @@ pub(crate) fn forest_impl(
     table: &Table,
     costs: &NodeCostTable,
     k: usize,
-) -> Result<crate::Budgeted<KAnonOutput>> {
+) -> Result<Budgeted<KAnonOutput>> {
     let n = table.num_rows();
     if k == 0 || k > n {
         return Err(CoreError::InvalidK { k, n });
@@ -93,28 +93,15 @@ pub(crate) fn forest_impl(
     let ctx = CostContext::new(table, costs);
 
     if k == 1 {
-        let clustering = Clustering::from_assignment((0..n as u32).collect())?;
-        let gtable = clustering.to_generalized_table(table)?;
-        let loss = costs.table_loss(&gtable);
-        return Ok(crate::Budgeted::Complete(KAnonOutput {
-            clustering,
-            table: gtable,
-            loss,
-        }));
+        let singletons = (0..n as u32).map(|row| vec![row]).collect();
+        return KAnonOutput::from_clusters(table, costs, singletons).map(Budgeted::Complete);
     }
 
-    // Budget-aware runs need a collector for `spent_work` to be
-    // meaningful; install a private one when the caller has none.
-    let budget = kanon_obs::work_budget();
-    let _budget_obs = match (budget, kanon_obs::current()) {
-        (Some(_), None) => Some(kanon_obs::Collector::new().install()),
-        _ => None,
-    };
+    let mut budget = Budget::arm();
 
     // ---------------- Phase 1: grow a forest with trees ≥ k ----------------
     let mut uf = UnionFind::new(n);
     let mut tree_edges: Vec<(u32, u32)> = Vec::with_capacity(n - 1);
-    let mut exhausted: Option<(u64, u64)> = None;
 
     loop {
         // Which components are still small?
@@ -129,12 +116,38 @@ pub(crate) fn forest_impl(
             break;
         }
         kanon_fault::fail_point!("algos/forest/round");
-        if let Some(limit) = budget {
-            let spent = kanon_obs::spent_work();
-            if spent >= limit {
-                exhausted = Some((limit, spent));
-                break;
+        if budget.tripped() {
+            // Graceful degradation: skip the remaining O(n²) best-edge
+            // scans and chain each small component to the first vertex
+            // outside it (smallest vertex first — deterministic), so
+            // every tree reaches ≥ k vertices at O(n) cost per link. Edge
+            // weights are ignored here, trading generalization quality
+            // for bounded work; Phase 2 still yields a valid k-anonymous
+            // clustering.
+            loop {
+                let mut small_u = None;
+                for u in 0..n as u32 {
+                    if uf.component_size(u) < k as u32 {
+                        small_u = Some(u);
+                        break;
+                    }
+                }
+                let Some(u) = small_u else { break };
+                let ru = uf.find(u);
+                let mut other = None;
+                for v in 0..n as u32 {
+                    if uf.find(v) != ru {
+                        other = Some(v);
+                        break;
+                    }
+                }
+                // A lone component always has n ≥ k vertices, so `other`
+                // exists whenever a small component does; break defensively.
+                let Some(v) = other else { break };
+                uf.union(u, v);
+                tree_edges.push((u.min(v), u.max(v)));
             }
+            break;
         }
         kanon_obs::count(kanon_obs::Counter::ForestRounds, 1);
         // Snapshot component roots and smallness once per round so the
@@ -223,39 +236,6 @@ pub(crate) fn forest_impl(
         }
     }
 
-    // Graceful degradation: the budget tripped with small components
-    // outstanding. Skip the remaining O(n²) best-edge scans and chain
-    // each small component to the first vertex outside it (smallest
-    // vertex first — deterministic), so every tree reaches ≥ k vertices
-    // at O(n) cost per link. Edge weights are ignored here, trading
-    // generalization quality for bounded work; Phase 2 still yields a
-    // valid k-anonymous clustering.
-    if exhausted.is_some() {
-        loop {
-            let mut small_u = None;
-            for u in 0..n as u32 {
-                if uf.component_size(u) < k as u32 {
-                    small_u = Some(u);
-                    break;
-                }
-            }
-            let Some(u) = small_u else { break };
-            let ru = uf.find(u);
-            let mut other = None;
-            for v in 0..n as u32 {
-                if uf.find(v) != ru {
-                    other = Some(v);
-                    break;
-                }
-            }
-            // A lone component always has n ≥ k vertices, so `other`
-            // exists whenever a small component does; break defensively.
-            let Some(v) = other else { break };
-            uf.union(u, v);
-            tree_edges.push((u.min(v), u.max(v)));
-        }
-    }
-
     // ---------------- Phase 2: split oversized trees ----------------
     // Group vertices and adjacency per component.
     let mut comp_of = vec![0u32; n];
@@ -281,22 +261,7 @@ pub(crate) fn forest_impl(
         split_tree(members, &adj, k, max_size, &mut clusters);
     }
 
-    let clustering = Clustering::from_clusters(n, clusters)?;
-    let gtable = clustering.to_generalized_table(table)?;
-    let loss = costs.table_loss(&gtable);
-    let output = KAnonOutput {
-        clustering,
-        table: gtable,
-        loss,
-    };
-    Ok(match exhausted {
-        None => crate::Budgeted::Complete(output),
-        Some((budget, spent)) => crate::Budgeted::BudgetExhausted {
-            best_so_far: output,
-            budget,
-            spent,
-        },
-    })
+    Ok(budget.finish(KAnonOutput::from_clusters(table, costs, clusters)?))
 }
 
 /// Recursively splits a tree (given by its member list and the global

@@ -17,6 +17,8 @@
 //! the first version of this module performed on every merge. This
 //! module supplies only what ℓ-diversity changes: the sensitive-value
 //! histogram each cluster carries and the two-part maturity condition.
+//! Everything else — the k = ℓ = 1 identity, the budget combine and the
+//! leftover distribution — is the engine's, shared with Algorithm 1.
 //! The first version's all-pairs loop is preserved as
 //! [`l_diverse_reference`]: the determinism suite proves the
 //! engine-based run byte-identical to it, and the scaling bench uses it
@@ -26,7 +28,7 @@ use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
 use crate::distance::ClusterDistance;
 use crate::engine::{self, ClusterPolicy};
-use kanon_core::cluster::Clustering;
+use crate::fallible::Budgeted;
 use kanon_core::error::{CoreError, Result};
 use kanon_core::table::Table;
 use kanon_measures::NodeCostTable;
@@ -60,22 +62,22 @@ type Histogram = BTreeMap<u32, u32>;
 /// A working cluster carrying its sensitive-value histogram.
 type Cluster = engine::Cluster<Histogram>;
 
-/// The singleton `{row}` with its one sensitive value.
-fn singleton(ctx: &CostContext<'_>, row: u32, sensitive: &[u32]) -> Cluster {
-    Cluster::singleton(ctx, row, BTreeMap::from([(sensitive[row as usize], 1)]))
-}
-
 /// The ℓ-diversity policy for the shared closest-pair engine: the
 /// sensitive-value fold on merge and the two-part maturity condition
 /// (size ≥ k ∧ distinct ≥ ℓ).
-struct LDivPolicy {
+struct LDivPolicy<'s> {
     k: usize,
     l: usize,
+    sensitive: &'s [u32],
 }
 
-impl ClusterPolicy for LDivPolicy {
+impl ClusterPolicy for LDivPolicy<'_> {
     type Extra = Histogram;
     const FAIL_POINT: &'static str = "algos/ldiversity/merge";
+
+    fn singleton_extra(&self, row: u32) -> Histogram {
+        BTreeMap::from([(self.sensitive[row as usize], 1)])
+    }
 
     fn fold(&self, into: &mut Histogram, from: Histogram) {
         for (v, c) in from {
@@ -85,6 +87,13 @@ impl ClusterPolicy for LDivPolicy {
 
     fn is_mature(&self, c: &Cluster) -> bool {
         c.size() >= self.k && c.extra.len() >= self.l
+    }
+
+    fn infeasible(&self, n: usize) -> String {
+        format!(
+            "cannot satisfy k = {} with \u{2113} = {} on {n} records",
+            self.k, self.l
+        )
     }
 }
 
@@ -116,60 +125,28 @@ fn validate(table: &Table, sensitive: &[u32], cfg: &LDiverseConfig) -> Result<us
     Ok(total_distinct)
 }
 
-/// Distributes the records of a single leftover (immature) cluster over
-/// the mature clusters, each record joining the cluster minimizing
-/// `dist({R}, S)`. Pushes are sequential (each push updates the target's
-/// closure and cost, which the next record's choice sees), but member
-/// lists are only re-sorted once per *touched* cluster at the end —
-/// member order feeds neither the distance nor the closure, so sorting
-/// lazily is observably identical to sorting after every push.
-fn distribute_leftover(
-    ctx: &CostContext<'_>,
-    cfg: &LDiverseConfig,
+/// ℓ-diverse member lists with budget-aware graceful degradation:
+/// validate, build the policy, run the engine.
+///
+/// The engine's budget combine keeps the output valid: when nothing
+/// matured, the combined cluster holds all n records — n ≥ k members,
+/// all sensitive values — so it matures; and distributing leftover
+/// records into mature clusters can only grow their sizes and
+/// sensitive-value sets.
+pub(crate) fn ldiversity_clusters(
+    table: &Table,
+    costs: &NodeCostTable,
     sensitive: &[u32],
-    done: &mut [Cluster],
-    leftover: &Cluster,
-) -> Result<()> {
-    if done.is_empty() {
-        // No cluster ever matured — infeasible combination.
-        return Err(CoreError::InvalidClustering(format!(
-            "cannot satisfy k = {} with \u{2113} = {} on {} records",
-            cfg.k,
-            cfg.l,
-            sensitive.len()
-        )));
-    }
-    let mut touched = vec![false; done.len()];
-    for &row in &leftover.members {
-        let single = singleton(ctx, row, sensitive);
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (ci, c) in done.iter().enumerate() {
-            let cost_u = ctx.join_cost(&single.nodes, &c.nodes);
-            let d = cfg.distance.eval_symmetric(
-                single.size(),
-                single.cost,
-                c.size(),
-                c.cost,
-                single.size() + c.size(),
-                cost_u,
-            );
-            if d.total_cmp(&best_d).is_lt() {
-                best_d = d;
-                best = ci;
-            }
-        }
-        let c = &mut done[best];
-        c.members.push(row);
-        ctx.join_row_into(&mut c.nodes, row as usize);
-        c.cost = ctx.cost(&c.nodes);
-        *c.extra.entry(sensitive[row as usize]).or_insert(0) += 1;
-        touched[best] = true;
-    }
-    for (c, _) in done.iter_mut().zip(&touched).filter(|(_, &t)| t) {
-        c.members.sort_unstable();
-    }
-    Ok(())
+    cfg: &LDiverseConfig,
+) -> Result<Budgeted<Vec<Vec<u32>>>> {
+    validate(table, sensitive, cfg)?;
+    let _span = kanon_obs::span("ldiversity");
+    let policy = LDivPolicy {
+        k: cfg.k,
+        l: cfg.l,
+        sensitive,
+    };
+    engine::run(&CostContext::new(table, costs), cfg.distance, &policy)
 }
 
 /// ℓ-diverse implementation with budget-aware graceful degradation.
@@ -178,61 +155,9 @@ pub(crate) fn ldiversity_impl(
     costs: &NodeCostTable,
     sensitive: &[u32],
     cfg: &LDiverseConfig,
-) -> Result<crate::Budgeted<KAnonOutput>> {
-    let n = table.num_rows();
-    validate(table, sensitive, cfg)?;
-    let _span = kanon_obs::span("ldiversity");
-    let ctx = CostContext::new(table, costs);
-
-    // Singletons are already mature when k = 1 = ℓ.
-    if cfg.k == 1 && cfg.l == 1 {
-        let clustering = Clustering::from_assignment((0..n as u32).collect())?;
-        let gtable = clustering.to_generalized_table(table)?;
-        let loss = costs.table_loss(&gtable);
-        return Ok(crate::Budgeted::Complete(KAnonOutput {
-            clustering,
-            table: gtable,
-            loss,
-        }));
-    }
-
-    // The engine's budget combine keeps the output valid: when nothing
-    // matured, the combined cluster holds all n records — n ≥ k members,
-    // all sensitive values — so it matures; and distributing leftover
-    // records into mature clusters can only grow their sizes and
-    // sensitive-value sets.
-    let singles: Vec<Cluster> = (0..n)
-        .map(|i| singleton(&ctx, i as u32, sensitive))
-        .collect();
-    let policy = LDivPolicy { k: cfg.k, l: cfg.l };
-    let engine::RunOutcome {
-        mut done,
-        leftover,
-        exhausted,
-    } = engine::run(&ctx, cfg.distance, &policy, singles);
-
-    // Leftover cluster: distribute its records over mature clusters.
-    if let Some(leftover) = leftover {
-        distribute_leftover(&ctx, cfg, sensitive, &mut done, &leftover)?;
-    }
-
-    let clusters: Vec<Vec<u32>> = done.into_iter().map(|c| c.members).collect();
-    let clustering = Clustering::from_clusters(n, clusters)?;
-    let gtable = clustering.to_generalized_table(table)?;
-    let loss = costs.table_loss(&gtable);
-    let output = KAnonOutput {
-        clustering,
-        table: gtable,
-        loss,
-    };
-    Ok(match exhausted {
-        None => crate::Budgeted::Complete(output),
-        Some((budget, spent)) => crate::Budgeted::BudgetExhausted {
-            best_so_far: output,
-            budget,
-            spent,
-        },
-    })
+) -> Result<Budgeted<KAnonOutput>> {
+    ldiversity_clusters(table, costs, sensitive, cfg)?
+        .try_map(|clusters| KAnonOutput::from_clusters(table, costs, clusters))
 }
 
 /// The original all-pairs implementation, kept as the byte-level
@@ -251,9 +176,19 @@ pub fn l_diverse_reference(
     validate(table, sensitive, cfg)?;
     let ctx = CostContext::new(table, costs);
 
-    let mut slots: Vec<Option<Cluster>> = (0..n)
-        .map(|i| Some(singleton(&ctx, i as u32, sensitive)))
-        .collect();
+    let policy = LDivPolicy {
+        k: cfg.k,
+        l: cfg.l,
+        sensitive,
+    };
+    let singleton = |row: u32| Cluster::singleton(&ctx, row, policy.singleton_extra(row));
+
+    if cfg.k == 1 && cfg.l == 1 {
+        let singletons = (0..n as u32).map(|row| vec![row]).collect();
+        return KAnonOutput::from_clusters(table, costs, singletons);
+    }
+
+    let mut slots: Vec<Option<Cluster>> = (0..n).map(|i| Some(singleton(i as u32))).collect();
     let mut active: Vec<usize> = (0..n).collect();
     let mut done: Vec<Cluster> = Vec::new();
 
@@ -269,19 +204,6 @@ pub fn l_diverse_reference(
             cost_u,
         )
     };
-
-    let policy = LDivPolicy { k: cfg.k, l: cfg.l };
-
-    if cfg.k == 1 && cfg.l == 1 {
-        let clustering = Clustering::from_assignment((0..n as u32).collect())?;
-        let gtable = clustering.to_generalized_table(table)?;
-        let loss = costs.table_loss(&gtable);
-        return Ok(KAnonOutput {
-            clustering,
-            table: gtable,
-            loss,
-        });
-    }
 
     while active.len() > 1 {
         // Closest pair among active clusters (quadratic scan per merge).
@@ -321,13 +243,10 @@ pub fn l_diverse_reference(
         // kanon-lint: allow(L006) the first active slot is live
         let leftover = slots[slot].take().unwrap();
         if done.is_empty() {
-            return Err(CoreError::InvalidClustering(format!(
-                "cannot satisfy k = {} with \u{2113} = {} on {} records",
-                cfg.k, cfg.l, n
-            )));
+            return Err(CoreError::InvalidClustering(policy.infeasible(n)));
         }
         for &row in &leftover.members {
-            let single = singleton(&ctx, row, sensitive);
+            let single = singleton(row);
             let mut best = 0usize;
             let mut best_d = f64::INFINITY;
             for (ci, c) in done.iter().enumerate() {
@@ -346,15 +265,8 @@ pub fn l_diverse_reference(
         }
     }
 
-    let clusters: Vec<Vec<u32>> = done.into_iter().map(|c| c.members).collect();
-    let clustering = Clustering::from_clusters(n, clusters)?;
-    let gtable = clustering.to_generalized_table(table)?;
-    let loss = costs.table_loss(&gtable);
-    Ok(KAnonOutput {
-        clustering,
-        table: gtable,
-        loss,
-    })
+    let clusters = done.into_iter().map(|c| c.members).collect();
+    KAnonOutput::from_clusters(table, costs, clusters)
 }
 
 #[cfg(test)]
@@ -506,19 +418,22 @@ mod tests {
 
     #[test]
     fn empty_done_distribution_is_a_typed_error() {
-        // The `done.is_empty()` infeasible path: unreachable organically
-        // (the final merge of all unmatured rows always matures — it has
-        // n ≥ k members and every sensitive value), so exercise the
-        // distribution helper directly. It must return the typed error,
-        // not panic.
+        // Nothing maturing is unreachable through the entry point (the
+        // final merge of all unmatured rows always matures — it has
+        // n ≥ k members and every sensitive value), so drive the engine
+        // directly with k > n. It must return the typed error naming
+        // k and ℓ, not panic.
         let (t, sensitive, costs) = setup(6);
         let ctx = CostContext::new(&t, &costs);
-        let cfg = LDiverseConfig::new(3, 2);
-        let leftover = singleton(&ctx, 0, &sensitive);
-        let err = distribute_leftover(&ctx, &cfg, &sensitive, &mut [], &leftover).unwrap_err();
+        let policy = LDivPolicy {
+            k: 7,
+            l: 2,
+            sensitive: &sensitive,
+        };
+        let err = engine::run(&ctx, ClusterDistance::D3, &policy).unwrap_err();
         assert!(matches!(err, CoreError::InvalidClustering(_)));
         let msg = err.to_string();
-        assert!(msg.contains("k = 3"), "{msg}");
+        assert!(msg.contains("k = 7"), "{msg}");
         assert!(msg.contains("\u{2113} = 2"), "{msg}");
     }
 

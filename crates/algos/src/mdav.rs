@@ -19,7 +19,6 @@
 
 use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
-use kanon_core::cluster::Clustering;
 use kanon_core::error::{CoreError, Result};
 use kanon_core::table::Table;
 use kanon_measures::NodeCostTable;
@@ -120,14 +119,7 @@ pub(crate) fn mdav_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Resul
         }
     }
 
-    let clustering = Clustering::from_clusters(n, clusters)?;
-    let gtable = clustering.to_generalized_table(table)?;
-    let loss = costs.table_loss(&gtable);
-    Ok(KAnonOutput {
-        clustering,
-        table: gtable,
-        loss,
-    })
+    KAnonOutput::from_clusters(table, costs, clusters)
 }
 
 #[cfg(test)]

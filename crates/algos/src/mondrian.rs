@@ -32,8 +32,7 @@
 
 use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
-use crate::fallible::Budgeted;
-use kanon_core::cluster::Clustering;
+use crate::fallible::{Budget, Budgeted};
 use kanon_core::error::{CoreError, Result};
 use kanon_core::hierarchy::{Hierarchy, NodeId};
 use kanon_core::schema::Schema;
@@ -187,15 +186,7 @@ pub(crate) fn mondrian_impl(
     let _span = kanon_obs::span("mondrian");
     let ctx = CostContext::new(table, costs);
 
-    // Budget-aware runs need a collector for `spent_work` to be
-    // meaningful; install a private one when the caller has none.
-    let budget = kanon_obs::work_budget();
-    let _budget_obs = match (budget, kanon_obs::current()) {
-        (Some(_), None) => Some(kanon_obs::Collector::new().install()),
-        _ => None,
-    };
-    let mut exhausted: Option<(u64, u64)> = None;
-
+    let mut budget = Budget::arm();
     let mut queue: Vec<Vec<u32>> = vec![(0..n as u32).collect()];
     let mut done: Vec<Vec<u32>> = Vec::new();
 
@@ -208,14 +199,10 @@ pub(crate) fn mondrian_impl(
         // Graceful degradation: every queue element already has ≥ k
         // members, so draining the queue into the output keeps the
         // clustering valid — just less refined than a full run.
-        if let Some(limit) = budget {
-            let spent = kanon_obs::spent_work();
-            if spent >= limit {
-                exhausted = Some((limit, spent));
-                done.push(members);
-                done.append(&mut queue);
-                break;
-            }
+        if budget.tripped() {
+            done.push(members);
+            done.append(&mut queue);
+            break;
         }
         let closure = closure_rooted(&ctx, schema, &rooted, &members);
         let current_cost = members.len() as f64 * ctx.cost(&closure);
@@ -264,25 +251,7 @@ pub(crate) fn mondrian_impl(
         }
     }
 
-    for c in &mut done {
-        c.sort_unstable();
-    }
-    let clustering = Clustering::from_clusters(n, done)?;
-    let gtable = clustering.to_generalized_table(table)?;
-    let loss = costs.table_loss(&gtable);
-    let output = KAnonOutput {
-        clustering,
-        table: gtable,
-        loss,
-    };
-    Ok(match exhausted {
-        None => Budgeted::Complete(output),
-        Some((budget, spent)) => Budgeted::BudgetExhausted {
-            best_so_far: output,
-            budget,
-            spent,
-        },
-    })
+    Ok(budget.finish(KAnonOutput::from_clusters(table, costs, done)?))
 }
 
 #[cfg(test)]

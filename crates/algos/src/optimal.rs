@@ -12,7 +12,6 @@
 
 use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
-use kanon_core::cluster::Clustering;
 use kanon_core::error::{CoreError, Result};
 use kanon_core::hierarchy::NodeId;
 use kanon_core::table::Table;
@@ -101,14 +100,7 @@ pub(crate) fn optimal_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Re
     search.recurse(0);
     // kanon-lint: allow(L006) a full partition always exists for n >= k
     let clusters = search.best.expect("a full partition always exists (n ≥ k)");
-    let clustering = Clustering::from_clusters(n, clusters)?;
-    let gtable = clustering.to_generalized_table(table)?;
-    let loss = costs.table_loss(&gtable);
-    Ok(KAnonOutput {
-        clustering,
-        table: gtable,
-        loss,
-    })
+    KAnonOutput::from_clusters(table, costs, clusters)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use crate::agglomerative::{agglomerative_impl, AgglomerativeConfig, KAnonOutput};
 use crate::distance::ClusterDistance;
-use crate::fallible::Budgeted;
+use crate::fallible::{Budget, Budgeted};
 use crate::global_one_k::{global_1k_from_kk, GlobalOutput};
 use crate::k1::{k1_expansion, k1_nearest_neighbors, GenOutput};
 use crate::one_k::one_k_impl;
@@ -152,40 +152,18 @@ pub(crate) fn best_k_impl(
             })
         })
         .collect();
-    // The protocol's variants are independent whole runs — a coarse grid.
-    // Each run keeps a fair share of the workers for its own inner
-    // parallelism; the winner is picked serially in config order (strict
-    // `<`, so the earliest of equal-loss variants wins, as in the serial
-    // sweep).
-    //
-    // With a work budget armed the grid runs serially instead: the trip
-    // point reads the shared counter sum, and concurrent variants would
-    // make each other's readings wall-clock dependent. Determinism
-    // outranks throughput in degraded mode.
-    let outputs: Vec<Result<Budgeted<KAnonOutput>>> = if kanon_obs::work_budget().is_some() {
-        (0..configs.len())
-            .map(|i| agglomerative_impl(table, costs, &configs[i]))
-            .collect()
-    } else {
-        let inner = (kanon_parallel::num_threads() / configs.len()).max(1);
-        kanon_parallel::map_coarse(configs.len(), |i| {
-            kanon_parallel::with_threads(inner, || agglomerative_impl(table, costs, &configs[i]))
-        })
-    };
+    // The protocol's variants are independent whole runs — a coarse grid
+    // (serial when a budget is armed, see `Budget::map_runs`); each run
+    // arms and accounts its own budget. The winner is picked serially in
+    // config order (strict `<`, so the earliest of equal-loss variants
+    // wins, as in the serial sweep).
+    let mut budget = Budget::observe();
+    let outputs = budget.map_runs(configs.len(), |i| {
+        agglomerative_impl(table, costs, &configs[i])
+    });
     let mut best: Option<(KAnonOutput, AgglomerativeConfig)> = None;
-    let mut exhausted: Option<(u64, u64)> = None;
     for (out, &cfg) in outputs.into_iter().zip(&configs) {
-        let out = match out? {
-            Budgeted::Complete(v) => v,
-            Budgeted::BudgetExhausted {
-                best_so_far,
-                budget,
-                spent,
-            } => {
-                exhausted.get_or_insert((budget, spent));
-                best_so_far
-            }
-        };
+        let out = budget.absorb(out?);
         let better = match &best {
             None => true,
             Some((b, _)) => out.loss < b.loss,
@@ -195,15 +173,7 @@ pub(crate) fn best_k_impl(
         }
     }
     // kanon-lint: allow(L006) the variant grid is non-empty, validated by the caller
-    let winner = best.expect("at least one variant ran");
-    Ok(match exhausted {
-        None => Budgeted::Complete(winner),
-        Some((budget, spent)) => Budgeted::BudgetExhausted {
-            best_so_far: winner,
-            budget,
-            spent,
-        },
-    })
+    Ok(budget.finish(best.expect("at least one variant ran")))
 }
 
 #[cfg(test)]

@@ -16,12 +16,13 @@
 //!    one oversized shard rather than violating the constraints.
 //! 2. **Conquer** — each shard runs the shared clustering engine
 //!    (agglomerative, or its ℓ-diverse variant) as a sub-table against
-//!    the *global* [`NodeCostTable`], so per-shard losses are comparable
-//!    and the union of per-shard clusterings is globally valid. Shards
-//!    are dispatched on the persistent worker pool, one coarse task per
-//!    shard with the remaining threads split evenly inside
-//!    (`with_threads`), exactly like the best-k grid — byte-identical
-//!    output at any `KANON_THREADS`.
+//!    the *global* [`NodeCostTable`], so per-shard costs are comparable
+//!    and the union of per-shard clusterings is globally valid. The
+//!    engine hands back member lists only; the generalized table and
+//!    loss are built once, for the final clustering. Shards are
+//!    dispatched like the best-k grid (one coarse task per shard with
+//!    the remaining threads split evenly inside, serial under a budget)
+//!    — byte-identical output at any `KANON_THREADS`.
 //! 3. **Boundary repair** — shard borders can leave *twin* clusters on
 //!    either side that generalize to the very same closure; merging such
 //!    twins is free (the generalized table is unchanged) and undoes the
@@ -36,13 +37,12 @@
 //! per-shard runs degrade internally, and the whole pipeline reports
 //! [`Budgeted::BudgetExhausted`] while still returning a valid result.
 
-use crate::agglomerative::{agglomerative_impl, AgglomerativeConfig, KAnonOutput};
+use crate::agglomerative::{agglomerative_clusters, AgglomerativeConfig, KAnonOutput};
 use crate::cost::CostContext;
 use crate::distance::ClusterDistance;
-use crate::fallible::Budgeted;
-use crate::ldiversity::{ldiversity_impl, LDiverseConfig};
+use crate::fallible::{Budget, Budgeted};
+use crate::ldiversity::{ldiversity_clusters, LDiverseConfig};
 use crate::mondrian::{closure_rooted, group_by_child, pack_two_bins, RootedCells};
-use kanon_core::cluster::Clustering;
 use kanon_core::error::{CoreError, Result};
 use kanon_core::table::Table;
 use kanon_measures::NodeCostTable;
@@ -182,12 +182,7 @@ pub(crate) fn sharded_impl(
     let _span = kanon_obs::span("sharded");
     let ctx = CostContext::new(table, costs);
 
-    let budget = kanon_obs::work_budget();
-    let _budget_obs = match (budget, kanon_obs::current()) {
-        (Some(_), None) => Some(kanon_obs::Collector::new().install()),
-        _ => None,
-    };
-    let mut exhausted: Option<(u64, u64)> = None;
+    let mut budget = Budget::arm();
 
     // Phase 1: partition into bounded shards (serial, deterministic).
     let mut queue: Vec<Vec<u32>> = vec![(0..n as u32).collect()];
@@ -200,14 +195,10 @@ pub(crate) fn sharded_impl(
         kanon_fault::fail_point!(SHARD_FAIL_POINT);
         // Degradation keeps every queue element as a (coarser) shard:
         // the per-shard engines still enforce k/ℓ, so validity holds.
-        if let Some(limit) = budget {
-            let spent = kanon_obs::spent_work();
-            if spent >= limit {
-                exhausted = Some((limit, spent));
-                shards.push(members);
-                shards.append(&mut queue);
-                break;
-            }
+        if budget.tripped() {
+            shards.push(members);
+            shards.append(&mut queue);
+            break;
         }
         let closure = closure_rooted(&ctx, schema, &rooted, &members);
         // Most balanced feasible binary split; ties to the lowest
@@ -263,10 +254,10 @@ pub(crate) fn sharded_impl(
 
     // Phase 2: run the clustering engine per shard against the GLOBAL
     // cost table (losses stay comparable; sub-clusterings stay globally
-    // valid). Same dispatch shape as the best-k grid: serial when a
-    // budget is armed (deterministic spend attribution), otherwise one
-    // coarse task per shard with the threads split evenly inside.
-    let run_one = |s: usize| -> Result<Budgeted<KAnonOutput>> {
+    // valid), one whole run per shard as in the best-k grid (see
+    // `Budget::map_runs`). Each run hands back its member lists, which
+    // map back to global rows through the sorted shard.
+    let run_one = |s: usize| -> Result<Budgeted<Vec<Vec<u32>>>> {
         let members = &shards[s];
         let records = members
             .iter()
@@ -278,7 +269,7 @@ pub(crate) fn sharded_impl(
                 let sub_cfg = AgglomerativeConfig::new(cfg.k)
                     .with_distance(cfg.distance)
                     .with_modified(cfg.modified);
-                agglomerative_impl(&sub, costs, &sub_cfg)
+                agglomerative_clusters(&sub, costs, &sub_cfg)
             }
             Some(sv) => {
                 let sub_sv: Vec<u32> = members.iter().map(|&r| sv[r as usize]).collect();
@@ -287,25 +278,17 @@ pub(crate) fn sharded_impl(
                     l: cfg.l,
                     distance: cfg.distance,
                 };
-                ldiversity_impl(&sub, costs, &sub_sv, &sub_cfg)
+                ldiversity_clusters(&sub, costs, &sub_sv, &sub_cfg)
             }
         }
     };
-    let results: Vec<Result<Budgeted<KAnonOutput>>> = if budget.is_some() {
-        (0..shards.len()).map(run_one).collect()
-    } else {
-        let inner = (kanon_parallel::num_threads() / shards.len()).max(1);
-        kanon_parallel::map_coarse(shards.len(), |s| {
-            kanon_parallel::with_threads(inner, || run_one(s))
-        })
-    };
     let mut clusters: Vec<Vec<u32>> = Vec::new();
-    for (s, result) in results.into_iter().enumerate() {
-        let budgeted = result?;
-        if let Budgeted::BudgetExhausted { budget, spent, .. } = &budgeted {
-            exhausted.get_or_insert((*budget, *spent));
-        }
-        for local in budgeted.into_inner().clustering.clusters() {
+    for (s, result) in budget
+        .map_runs(shards.len(), run_one)
+        .into_iter()
+        .enumerate()
+    {
+        for local in budget.absorb(result?) {
             clusters.push(local.iter().map(|&i| shards[s][i as usize]).collect());
         }
     }
@@ -372,29 +355,14 @@ pub(crate) fn sharded_impl(
     kanon_obs::count(kanon_obs::Counter::BoundaryRepairs, boundary_repairs as u64);
 
     clusters.sort_by_key(|c| c[0]);
-    let clustering = Clustering::from_clusters(n, clusters)?;
-    let gtable = clustering.to_generalized_table(table)?;
-    let loss = costs.table_loss(&gtable);
-    let output = ShardedOutput {
-        out: KAnonOutput {
-            clustering,
-            table: gtable,
-            loss,
-        },
+    Ok(budget.finish(ShardedOutput {
+        out: KAnonOutput::from_clusters(table, costs, clusters)?,
         stats: ShardStats {
             shards_built: shards.len(),
             shard_rows_max,
             boundary_repairs,
         },
-    };
-    Ok(match exhausted {
-        None => Budgeted::Complete(output),
-        Some((budget, spent)) => Budgeted::BudgetExhausted {
-            best_so_far: output,
-            budget,
-            spent,
-        },
-    })
+    }))
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 
 use kanon_algos::{
     try_agglomerative_k_anonymize, try_best_k_anonymize, try_forest_k_anonymize, try_kk_anonymize,
-    try_l_diverse_k_anonymize, AgglomerativeConfig, ClusterDistance, KkConfig, LDiverseConfig,
+    try_l_diverse_k_anonymize, try_mondrian_k_anonymize, try_sharded_k_anonymize,
+    try_sharded_l_diverse_k_anonymize, AgglomerativeConfig, Budgeted, ClusterDistance, KAnonOutput,
+    KkConfig, LDiverseConfig, ShardConfig, ShardedOutput,
 };
-use kanon_core::KanonError;
+use kanon_core::{KanonError, KanonResult};
 use kanon_data::art;
 use kanon_measures::{EntropyMeasure, NodeCostTable};
 use kanon_parallel::with_threads;
@@ -99,27 +101,6 @@ fn budget_exhaustion_ldiversity_yields_valid_diverse_partial_result() {
 }
 
 #[test]
-fn ldiversity_budget_trip_point_is_thread_count_invariant() {
-    let _faults = kanon_fault::scoped("");
-    let (table, costs) = setup(96, 23);
-    let sensitive = sensitive_mod3(96);
-    let cfg = LDiverseConfig::new(4, 2);
-    let runs: Vec<String> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| {
-            with_threads(t, || {
-                let out = kanon_obs::with_work_budget(2_000, || {
-                    try_l_diverse_k_anonymize(&table, &costs, &sensitive, &cfg).unwrap()
-                });
-                format!("{:?}", out)
-            })
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(runs[0], runs[2]);
-}
-
-#[test]
 fn injected_forest_round_fault_is_a_typed_error() {
     let _faults = kanon_fault::scoped("algos/forest/round=once:1");
     let (table, costs) = setup(24, 7);
@@ -203,40 +184,105 @@ fn budget_exhaustion_yields_valid_k_anonymous_partial_result() {
     assert!(out.loss >= full.loss - 1e-12);
 }
 
-#[test]
-fn budget_exhaustion_forest_yields_valid_partial_result() {
-    let _faults = kanon_fault::scoped("");
-    let (table, costs) = setup(64, 22);
-    let k = 4;
-    let budgeted =
-        kanon_obs::with_work_budget(200, || try_forest_k_anonymize(&table, &costs, k).unwrap());
-    assert!(budgeted.is_exhausted(), "tiny budget must trip mid-run");
-    let out = budgeted.into_inner();
-    assert!(out.clustering.min_cluster_size() >= k);
-    assert!(is_k_anonymous(&out.table, k));
+/// One budget-aware run, reporting its verdict and `{:?}` of its output.
+type EntryPoint<'a> = &'a dyn Fn() -> (bool, String);
+
+fn plain(out: &KAnonOutput) -> &KAnonOutput {
+    out
+}
+
+fn winner(out: &(KAnonOutput, AgglomerativeConfig)) -> &KAnonOutput {
+    &out.0
+}
+
+fn sharded(out: &ShardedOutput) -> &KAnonOutput {
+    &out.out
+}
+
+/// Checks that a budget-aware run's output, degraded or not, is a
+/// k-anonymous, ℓ-diverse partition of every row, and returns its
+/// verdict and `{:?}`.
+fn checked<T: std::fmt::Debug>(
+    run: KanonResult<Budgeted<T>>,
+    out: fn(&T) -> &KAnonOutput,
+    (k, l, sensitive): (usize, usize, &[u32]),
+) -> (bool, String) {
+    let run = run.unwrap();
+    let o = out(run.inner());
+    assert!(o.clustering.min_cluster_size() >= k);
+    assert!(is_k_anonymous(&o.table, k));
+    let covered: usize = o.clustering.clusters().iter().map(Vec::len).sum();
+    assert_eq!(covered, sensitive.len());
+    assert!(min_class_diversity(&o.clustering, sensitive) >= l);
+    (run.is_exhausted(), format!("{run:?}"))
 }
 
 #[test]
-fn budget_trip_point_is_thread_count_invariant() {
+fn every_budget_trip_point_is_thread_count_invariant() {
     // The budget is measured in deterministic work units and checked at
-    // serial checkpoints, so the degraded output must be byte-identical
-    // at every thread count.
+    // serial checkpoints, so every budget-aware entry point must degrade
+    // to valid, byte-identical output at every thread count. The smaller
+    // budget trips each of them; the larger one trips the engine clients
+    // after some merges and lets the others finish.
     let _faults = kanon_fault::scoped("");
     let (table, costs) = setup(96, 23);
-    let cfg = AgglomerativeConfig::new(4);
-    let runs: Vec<String> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| {
-            with_threads(t, || {
-                let out = kanon_obs::with_work_budget(2_000, || {
-                    try_agglomerative_k_anonymize(&table, &costs, &cfg).unwrap()
-                });
-                format!("{:?}", out)
-            })
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(runs[0], runs[2]);
+    let sensitive = sensitive_mod3(96);
+    let (t, c, s, k) = (&table, &costs, &sensitive[..], 4);
+    let (kanon, ldiv) = ((k, 1, s), (k, 2, s));
+    let agg = AgglomerativeConfig::new(k);
+    let modified = agg.with_modified(true);
+    let grid = ClusterDistance::paper_variants();
+    let l_cfg = LDiverseConfig::new(k, 2);
+    let shard = ShardConfig::new(k).with_l(2).with_shard_max(30);
+    let entry_points: [(&str, EntryPoint); 8] = [
+        ("agglomerative", &|| {
+            checked(try_agglomerative_k_anonymize(t, c, &agg), plain, kanon)
+        }),
+        ("modified", &|| {
+            checked(try_agglomerative_k_anonymize(t, c, &modified), plain, kanon)
+        }),
+        ("best-k", &|| {
+            checked(try_best_k_anonymize(t, c, k, &grid, true), winner, kanon)
+        }),
+        ("forest", &|| {
+            checked(try_forest_k_anonymize(t, c, k), plain, kanon)
+        }),
+        ("mondrian", &|| {
+            checked(try_mondrian_k_anonymize(t, c, k), plain, kanon)
+        }),
+        ("l-diversity", &|| {
+            checked(try_l_diverse_k_anonymize(t, c, s, &l_cfg), plain, ldiv)
+        }),
+        ("sharded k", &|| {
+            checked(try_sharded_k_anonymize(t, c, &shard), sharded, kanon)
+        }),
+        ("sharded l", &|| {
+            checked(
+                try_sharded_l_diverse_k_anonymize(t, c, s, &shard),
+                sharded,
+                ldiv,
+            )
+        }),
+    ];
+    for (name, run) in entry_points {
+        for budget in [2_000, 8_000_000] {
+            let runs: Vec<(bool, String)> = [1usize, 2, 8]
+                .iter()
+                .map(|&threads| with_threads(threads, || kanon_obs::with_work_budget(budget, run)))
+                .collect();
+            assert_eq!(
+                runs[0], runs[1],
+                "{name} at budget {budget}: 1 vs 2 threads"
+            );
+            assert_eq!(
+                runs[0], runs[2],
+                "{name} at budget {budget}: 1 vs 8 threads"
+            );
+            if budget == 2_000 {
+                assert!(runs[0].0, "{name}: budget {budget} must trip");
+            }
+        }
+    }
 }
 
 #[test]
@@ -257,36 +303,6 @@ fn huge_budget_completes_identically_to_unbudgeted_run() {
         format!("{:?}", plain.clustering)
     );
     assert_eq!(out.loss.to_bits(), plain.loss.to_bits());
-}
-
-#[test]
-fn best_k_grid_degrades_gracefully_under_budget() {
-    let _faults = kanon_fault::scoped("");
-    let (table, costs) = setup(64, 25);
-    let k = 3;
-    let distances = [ClusterDistance::D1, ClusterDistance::D2];
-    let budgeted = kanon_obs::with_work_budget(500, || {
-        try_best_k_anonymize(&table, &costs, k, &distances, false).unwrap()
-    });
-    assert!(budgeted.is_exhausted());
-    let (out, _cfg) = budgeted.into_inner();
-    assert!(out.clustering.min_cluster_size() >= k);
-    assert!(is_k_anonymous(&out.table, k));
-}
-
-#[test]
-fn forest_budget_completion_still_covers_every_row() {
-    let _faults = kanon_fault::scoped("");
-    let (table, costs) = setup(64, 26);
-    let n = table.num_rows();
-    let budgeted =
-        kanon_obs::with_work_budget(200, || try_forest_k_anonymize(&table, &costs, 4).unwrap());
-    let out = budgeted.into_inner();
-    let covered: usize = out.clustering.clusters().iter().map(|c| c.len()).sum();
-    assert_eq!(
-        covered, n,
-        "degraded clustering must still partition all rows"
-    );
 }
 
 #[test]
@@ -316,31 +332,4 @@ fn injected_shard_partition_fault_is_a_typed_error() {
         }
     );
     assert_eq!(err.exit_code(), 1);
-}
-
-#[test]
-fn sharded_budget_degradation_is_valid_and_marked() {
-    let _faults = kanon_fault::scoped("");
-    let (table, costs) = setup(120, 22);
-    let cfg = kanon_algos::ShardConfig::new(3).with_shard_max(30);
-    let budgeted = kanon_obs::with_work_budget(1, || {
-        kanon_algos::try_sharded_k_anonymize(&table, &costs, &cfg).unwrap()
-    });
-    assert!(budgeted.is_exhausted());
-    let out = budgeted.into_inner();
-    assert!(is_k_anonymous(&out.out.table, 3));
-    let covered: usize = out.out.clustering.clusters().iter().map(|c| c.len()).sum();
-    assert_eq!(covered, table.num_rows());
-}
-
-#[test]
-fn mondrian_budget_degradation_is_valid() {
-    let _faults = kanon_fault::scoped("");
-    let (table, costs) = setup(64, 23);
-    let budgeted = kanon_obs::with_work_budget(1, || {
-        kanon_algos::try_mondrian_k_anonymize(&table, &costs, 4).unwrap()
-    });
-    assert!(budgeted.is_exhausted());
-    let out = budgeted.into_inner();
-    assert!(is_k_anonymous(&out.table, 4));
 }

@@ -109,9 +109,7 @@ fn run_stream(full: &Table, p: &SweepParams, epsilon: f64, probes: &mut Vec<Prob
         let report = state.apply_batch(body, 0, epsilon).expect("apply batch");
         absorbed_total += report.absorbed;
         absorbed_eps_total += report.absorbed_eps;
-        // `u64::is_multiple_of` needs Rust 1.87; MSRV is 1.75.
-        #[allow(clippy::manual_is_multiple_of)]
-        if b % p.every == 0 || b == p.batches {
+        if b.is_multiple_of(p.every) || b == p.batches {
             let probe = state.probe_drift().expect("probe drift");
             println!(
                 "{b:>6} {:>8} {:>10} {:>8} {:>9} {absorbed_total:>9} \

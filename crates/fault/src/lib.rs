@@ -148,9 +148,7 @@ impl ArmedPoint {
     fn advance(&self) -> bool {
         let ordinal = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
         match self.mode {
-            // `u64::is_multiple_of` needs Rust 1.87; MSRV is 1.75.
-            #[allow(clippy::manual_is_multiple_of)]
-            Mode::Every(n) => n > 0 && ordinal % n == 0,
+            Mode::Every(n) => n > 0 && ordinal.is_multiple_of(n),
             Mode::Once(k) | Mode::Panic(k) => ordinal == k,
         }
     }

@@ -435,6 +435,11 @@ fn decode_record(bytes: &[u8], out: &mut Vec<JournalRecord>) -> Option<usize> {
 
 #[cfg(test)]
 mod tests {
+    //! Fault points are process-wide, so every test here holds a
+    //! `kanon_fault::scoped` guard for its whole run: `scoped("")` when
+    //! it arms nothing, else a guard swapped at each arming point (old
+    //! guard dropped first — the scope lock is not reentrant).
+
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -446,6 +451,7 @@ mod tests {
 
     #[test]
     fn crc32_matches_reference_vectors() {
+        let _faults = kanon_fault::scoped("");
         // Standard IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
@@ -453,6 +459,7 @@ mod tests {
 
     #[test]
     fn records_round_trip() {
+        let _faults = kanon_fault::scoped("");
         let path = tmp("roundtrip");
         let mut j = Journal::open(&path).unwrap();
         j.append(1, RecordKind::Batch, 500, 0.0, b"a,b\nc,d\n")
@@ -477,15 +484,17 @@ mod tests {
 
     #[test]
     fn failed_append_truncates_the_torn_record_away() {
+        let mut _faults = kanon_fault::scoped("");
         let path = tmp("torn-append");
         let mut j = Journal::open(&path).unwrap();
         j.append(1, RecordKind::Batch, 0, 0.0, b"first\n").unwrap();
         let len_before = std::fs::metadata(&path).unwrap().len();
-        {
-            let _g = kanon_fault::scoped(&format!("{POINT_JOURNAL_APPEND}=once:1"));
-            j.append(2, RecordKind::Batch, 0, 0.0, b"second\n")
-                .unwrap_err();
-        }
+        drop(_faults);
+        _faults = kanon_fault::scoped(&format!("{POINT_JOURNAL_APPEND}=once:1"));
+        j.append(2, RecordKind::Batch, 0, 0.0, b"second\n")
+            .unwrap_err();
+        drop(_faults);
+        _faults = kanon_fault::scoped("");
         // The partial record was rolled back — the file is exactly as
         // long as before the failed append, not torn mid-file.
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len_before);
@@ -502,12 +511,14 @@ mod tests {
 
     #[test]
     fn missing_journal_reads_empty() {
+        let _faults = kanon_fault::scoped("");
         let path = tmp("missing");
         assert!(read_journal(&path).unwrap().is_empty());
     }
 
     #[test]
     fn torn_tail_is_discarded_at_every_truncation_point() {
+        let _faults = kanon_fault::scoped("");
         let path = tmp("torn");
         let mut j = Journal::open(&path).unwrap();
         j.append(1, RecordKind::Batch, 0, 0.0, b"first\n").unwrap();
@@ -531,6 +542,7 @@ mod tests {
 
     #[test]
     fn corrupt_crc_stops_replay() {
+        let _faults = kanon_fault::scoped("");
         let path = tmp("crc");
         let mut j = Journal::open(&path).unwrap();
         j.append(1, RecordKind::Batch, 0, 0.0, b"good\n").unwrap();
@@ -548,6 +560,7 @@ mod tests {
 
     #[test]
     fn epsilon_records_round_trip_in_kj2_form() {
+        let _faults = kanon_fault::scoped("");
         let path = tmp("eps");
         let mut j = Journal::open(&path).unwrap();
         j.append(1, RecordKind::Batch, 0, 0.0, b"plain\n").unwrap();
@@ -565,6 +578,7 @@ mod tests {
 
     #[test]
     fn truncate_torn_tail_removes_exactly_the_tear() {
+        let _faults = kanon_fault::scoped("");
         let path = tmp("truncate");
         assert_eq!(truncate_torn_tail(&path).unwrap(), 0); // missing file
         let mut j = Journal::open(&path).unwrap();
@@ -606,6 +620,7 @@ mod tests {
 
     #[test]
     fn validate_order_accepts_gaps_and_rollback_pairs() {
+        let _faults = kanon_fault::scoped("");
         let b = |s| rec(s, RecordKind::Batch);
         assert!(validate_order(&[]).is_ok());
         assert!(validate_order(&[b(1), b(2), b(5)]).is_ok()); // gaps fine
@@ -621,6 +636,7 @@ mod tests {
 
     #[test]
     fn validate_order_rejects_duplicate_and_decreasing_seq() {
+        let _faults = kanon_fault::scoped("");
         let b = |s| rec(s, RecordKind::Batch);
         let err = validate_order(&[b(1), b(1)]).unwrap_err();
         assert!(err.contains("record 1"), "{err}");
@@ -642,6 +658,7 @@ mod tests {
 
     #[test]
     fn compact_drops_covered_records_atomically() {
+        let mut _faults = kanon_fault::scoped("");
         let path = tmp("compact");
         let mut j = Journal::open(&path).unwrap();
         for seq in 1..=5u64 {
@@ -656,10 +673,11 @@ mod tests {
         }
         let before = std::fs::metadata(&path).unwrap().len();
         // A fault-skipped compaction leaves the file untouched.
-        {
-            let _g = kanon_fault::scoped(&format!("{POINT_JOURNAL_COMPACT}=once:1"));
-            assert_eq!(j.compact(3).unwrap(), None);
-        }
+        drop(_faults);
+        _faults = kanon_fault::scoped(&format!("{POINT_JOURNAL_COMPACT}=once:1"));
+        assert_eq!(j.compact(3).unwrap(), None);
+        drop(_faults);
+        _faults = kanon_fault::scoped("");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
         // The real pass drops the covered prefix and keeps the suffix
         // byte-identical.
@@ -689,6 +707,7 @@ mod tests {
 
     #[test]
     fn appends_after_reopen_continue_the_log() {
+        let _faults = kanon_fault::scoped("");
         let path = tmp("reopen");
         let mut j = Journal::open(&path).unwrap();
         j.append(1, RecordKind::Batch, 0, 0.0, b"one\n").unwrap();

@@ -656,10 +656,11 @@ impl Daemon {
                 Ok(report) => {
                     core.fold(&counters);
                     let mut extra = String::new();
-                    // `u64::is_multiple_of` needs Rust 1.87; MSRV is 1.75.
-                    #[allow(clippy::manual_is_multiple_of)]
                     if core.state.reopt_every() > 0
-                        && core.state.batches_applied() % core.state.reopt_every() == 0
+                        && core
+                            .state
+                            .batches_applied()
+                            .is_multiple_of(core.state.reopt_every())
                     {
                         extra = match self.reopt(core) {
                             Ok(out) => format!(" drift={:+.6}", out.drift),
@@ -669,9 +670,11 @@ impl Daemon {
                     // Snapshot after any periodic reopt, not before it:
                     // the snapshot then captures the post-reopt state, so
                     // recovery needn't replay the reopt's journal record.
-                    #[allow(clippy::manual_is_multiple_of)]
                     if self.opts.snapshot_every > 0
-                        && core.state.batches_applied() % self.opts.snapshot_every == 0
+                        && core
+                            .state
+                            .batches_applied()
+                            .is_multiple_of(self.opts.snapshot_every)
                     {
                         self.snapshot(core);
                     }
@@ -824,6 +827,11 @@ fn io_err(path: &Path, e: &std::io::Error) -> KanonError {
 
 #[cfg(test)]
 mod tests {
+    //! Fault points are process-wide, so every test here holds a
+    //! `kanon_fault::scoped` guard for its whole run: `scoped("")` when
+    //! it arms nothing, else a guard swapped at each arming point (old
+    //! guard dropped first — the scope lock is not reentrant).
+
     use super::*;
     use kanon_core::schema::SchemaBuilder;
     use kanon_core::schema::SharedSchema;
@@ -899,6 +907,7 @@ mod tests {
 
     #[test]
     fn batch_output_stats_health_round_trip() {
+        let _faults = kanon_fault::scoped("");
         let d = Daemon::start(base_table(), cfg(), opts("roundtrip")).unwrap();
         let resp = request(&d, b"BATCH\n10,20s\n");
         assert!(resp.starts_with("OK seq=1 rows_in=1"), "{resp}");
@@ -913,8 +922,10 @@ mod tests {
 
     #[test]
     fn transient_faults_are_retried_and_succeed() {
+        let mut _faults = kanon_fault::scoped("");
         let d = Daemon::start(base_table(), cfg(), opts("retry")).unwrap();
-        let _g = kanon_fault::scoped("serve/batch/apply=once:1");
+        drop(_faults);
+        _faults = kanon_fault::scoped("serve/batch/apply=once:1");
         let resp = request(&d, b"BATCH\n10,20s\n");
         assert!(resp.starts_with("OK "), "{resp}");
         assert!(resp.contains("attempts=2"), "{resp}");
@@ -922,15 +933,18 @@ mod tests {
 
     #[test]
     fn exhausted_retries_roll_the_batch_back() {
+        let mut _faults = kanon_fault::scoped("");
         let mut o = opts("rollback");
         o.retries = 1;
         let d = Daemon::start(base_table(), cfg(), o).unwrap();
         // Fire on every hit: attempt 1 and its single retry both fail.
-        let _g = kanon_fault::scoped("serve/batch/apply=every:1");
+        drop(_faults);
+        _faults = kanon_fault::scoped("serve/batch/apply=every:1");
         let resp = request(&d, b"BATCH\n10,20s\n");
         assert!(resp.starts_with("ERR FaultInjected:"), "{resp}");
         assert!(resp.contains("attempts=2"), "{resp}");
-        drop(_g);
+        drop(_faults);
+        _faults = kanon_fault::scoped("");
         // State untouched; the next batch gets a fresh seq past the
         // rolled-back one.
         assert_eq!(d.with_state(|s| s.num_rows()), 6);
@@ -943,20 +957,22 @@ mod tests {
         // A rolled-back batch whose `R` marker never reaches the disk
         // must not come back: neither journaled behind by a later batch,
         // nor resurrected by recovery.
+        let mut _faults = kanon_fault::scoped("");
         let mut o = opts("lostmarker");
         o.retries = 1;
         let d = Daemon::start(base_table(), cfg(), o).unwrap();
         let resp = request(&d, b"BATCH\n10,60s\n11,70s\n");
         assert!(resp.starts_with("OK seq=1 "), "{resp}");
         let pre = request(&d, b"OUTPUT");
-        {
-            // Both apply attempts fail; journal append #1 is the batch
-            // record, #2 its rollback marker.
-            let _g = kanon_fault::scoped("serve/batch/apply=every:1,serve/journal/append=once:2");
-            let resp = request(&d, b"BATCH\n10,70s\n11,60s\n");
-            assert!(resp.starts_with("ERR FaultInjected:"), "{resp}");
-            assert!(resp.contains("attempts=2"), "{resp}");
-        }
+        // Both apply attempts fail; journal append #1 is the batch
+        // record, #2 its rollback marker.
+        drop(_faults);
+        _faults = kanon_fault::scoped("serve/batch/apply=every:1,serve/journal/append=once:2");
+        let resp = request(&d, b"BATCH\n10,70s\n11,60s\n");
+        assert!(resp.starts_with("ERR FaultInjected:"), "{resp}");
+        assert!(resp.contains("attempts=2"), "{resp}");
+        drop(_faults);
+        _faults = kanon_fault::scoped("");
         // Faults disarmed: the next batch is still refused, not
         // journaled behind the unmarked failure.
         let resp = request(&d, b"BATCH\n10,20s\n");
@@ -974,6 +990,7 @@ mod tests {
 
     #[test]
     fn deadline_maps_to_budget_and_commits_valid_partial() {
+        let _faults = kanon_fault::scoped("");
         // An absurdly tight deadline: 1ms at 1 unit/ms.
         let mut o = opts("deadline");
         o.work_rate = 1;
@@ -986,6 +1003,7 @@ mod tests {
 
     #[test]
     fn crash_recovery_reaches_byte_identical_output() {
+        let _faults = kanon_fault::scoped("");
         let o = opts("recovery");
         let d = Daemon::start(base_table(), cfg(), o.clone()).unwrap();
         request(&d, b"BATCH\n10,60s\n11,70s\n");
@@ -1013,6 +1031,7 @@ mod tests {
 
     #[test]
     fn double_crash_with_a_torn_tail_loses_nothing() {
+        let _faults = kanon_fault::scoped("");
         // The headline regression: a kill -9 mid-append leaves a torn
         // record at the journal tail. Recovery must truncate it before
         // reopening for append — otherwise the next acknowledged batch
@@ -1052,6 +1071,7 @@ mod tests {
 
     #[test]
     fn snapshot_compacts_the_journal_and_recovery_stays_identical() {
+        let _faults = kanon_fault::scoped("");
         let o = opts("compactlib");
         let d = Daemon::start(base_table(), cfg(), o.clone()).unwrap();
         request(&d, b"BATCH\n10,60s\n11,70s\n");
@@ -1080,14 +1100,16 @@ mod tests {
 
     #[test]
     fn compaction_fault_degrades_to_a_longer_journal() {
+        let mut _faults = kanon_fault::scoped("");
         let o = opts("compactfault");
         let d = Daemon::start(base_table(), cfg(), o.clone()).unwrap();
         request(&d, b"BATCH\n10,60s\n11,70s\n");
         let before = journal_len(&o);
-        let resp = {
-            let _g = kanon_fault::scoped("serve/journal/compact=every:1");
-            request(&d, b"SNAPSHOT")
-        };
+        drop(_faults);
+        _faults = kanon_fault::scoped("serve/journal/compact=every:1");
+        let resp = request(&d, b"SNAPSHOT");
+        drop(_faults);
+        _faults = kanon_fault::scoped("");
         // The snapshot itself succeeded; only the compaction was
         // skipped, so the covered records linger harmlessly.
         assert!(resp.starts_with("OK snapshot written"), "{resp}");
@@ -1101,6 +1123,7 @@ mod tests {
 
     #[test]
     fn recovered_stats_report_replay_in_a_separate_block() {
+        let _faults = kanon_fault::scoped("");
         let o = opts("recstats");
         let d = Daemon::start(base_table(), cfg(), o.clone()).unwrap();
         request(&d, b"BATCH\n10,60s\n11,70s\n");
@@ -1133,6 +1156,7 @@ mod tests {
 
     #[test]
     fn concurrent_reads_observe_only_committed_views() {
+        let _faults = kanon_fault::scoped("");
         let d = Daemon::start(base_table(), cfg(), opts("concread")).unwrap();
         request(&d, b"BATCH\n10,60s\n11,70s\n");
         let pre = request(&d, b"OUTPUT");
@@ -1169,6 +1193,7 @@ mod tests {
 
     #[test]
     fn reopt_survives_crash_recovery() {
+        let _faults = kanon_fault::scoped("");
         // The high-stakes invariant: a reopt rewrites the published
         // generalization of already-released rows, so recovering to the
         // pre-reopt clustering would publish two different
@@ -1195,15 +1220,17 @@ mod tests {
     fn failed_reopt_rolls_back_and_burns_its_seq() {
         // shard_max 2 forces the partitioner to split (and hence hit
         // its fail point) even on this tiny table.
+        let mut _faults = kanon_fault::scoped("");
         let mut c = cfg();
         c.shard_max = 2;
         let o = opts("reopt-rollback");
         let d = Daemon::start(base_table(), c.clone(), o).unwrap();
         request(&d, b"BATCH\n10,60s\n11,70s\n"); // seq 1
-        let resp = {
-            let _g = kanon_fault::scoped("algos/shard/partition=every:1");
-            request(&d, b"REOPT")
-        };
+        drop(_faults);
+        _faults = kanon_fault::scoped("algos/shard/partition=every:1");
+        let resp = request(&d, b"REOPT");
+        drop(_faults);
+        _faults = kanon_fault::scoped("");
         assert!(resp.starts_with("ERR FaultInjected:"), "{resp}");
         // The failed reopt journaled seq 2 and rolled it back; the next
         // batch numbers past it.
@@ -1219,6 +1246,7 @@ mod tests {
 
     #[test]
     fn pending_pool_larger_than_shard_max_is_sharded_under_a_deadline() {
+        let _faults = kanon_fault::scoped("");
         // Eight rows that mix the zip and age branches, so no bootstrap
         // closure covers any of them: all eight pend, and a pool of
         // eight against a cap of four must be split into shards.
@@ -1253,6 +1281,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn bind_refuses_to_clobber_a_regular_file() {
+        let _faults = kanon_fault::scoped("");
         let dir = std::env::temp_dir().join(format!("kanon-serve-bind-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1293,6 +1322,7 @@ mod tests {
 
     #[test]
     fn idle_connection_cannot_wedge_the_daemon() {
+        let _faults = kanon_fault::scoped("");
         let mut o = opts("idle");
         o.idle_timeout_ms = 100;
         let state_dir = o.state_dir.clone();
@@ -1316,6 +1346,7 @@ mod tests {
 
     #[test]
     fn usage_errors_do_not_kill_the_connection_loop() {
+        let _faults = kanon_fault::scoped("");
         let d = Daemon::start(base_table(), cfg(), opts("usage")).unwrap();
         let (resp, control) = match parse_request(b"NOPE") {
             Ok(req) => d.handle(req),
@@ -1331,6 +1362,7 @@ mod tests {
 
     #[test]
     fn tcp_listener_serves_frames_end_to_end() {
+        let _faults = kanon_fault::scoped("");
         let o = opts("tcp");
         let state_dir = o.state_dir.clone();
         let d = Arc::new(Daemon::start(base_table(), cfg(), o).unwrap());
@@ -1349,6 +1381,7 @@ mod tests {
 
     #[test]
     fn concurrent_tcp_readers_do_not_block_batches() {
+        let _faults = kanon_fault::scoped("");
         // End-to-end over TCP: readers hammer OUTPUT from their own
         // connections while batches commit; every response is a
         // complete committed view.

@@ -915,6 +915,11 @@ struct StagedApply {
 
 #[cfg(test)]
 mod tests {
+    //! Fault points are process-wide, so every test here holds a
+    //! `kanon_fault::scoped` guard for its whole run: `scoped("")` when
+    //! it arms nothing, else a guard swapped at each arming point (old
+    //! guard dropped first — the scope lock is not reentrant).
+
     use super::*;
     use crate::journal::Journal;
     use kanon_core::schema::SchemaBuilder;
@@ -1035,6 +1040,7 @@ mod tests {
 
     #[test]
     fn a_row_covered_by_two_matures_goes_to_the_lower_slot() {
+        let _faults = kanon_fault::scoped("");
         // "10,30s" lies inside both closures: {10,20s / 10,30s} is
         // (10, 20s–30s) and the other four base rows span the root.
         let tight: &[u32] = &[0, 1];
@@ -1053,6 +1059,7 @@ mod tests {
 
     #[test]
     fn parallel_absorption_sweep_is_thread_count_invariant() {
+        let _faults = kanon_fault::scoped("");
         let full = kanon_data::art::generate(600, 5);
         let base = full.select_rows(&(0..400).collect::<Vec<_>>()).unwrap();
         let batch = full.select_rows(&(400..600).collect::<Vec<_>>()).unwrap();
@@ -1089,6 +1096,7 @@ mod tests {
 
     #[test]
     fn bootstrap_publishes_every_base_row() {
+        let _faults = kanon_fault::scoped("");
         let s = boot();
         assert_eq!(s.num_rows(), 6);
         assert_eq!(s.published_rows(), 6);
@@ -1099,6 +1107,7 @@ mod tests {
 
     #[test]
     fn bootstrap_rejects_tiny_base() {
+        let _faults = kanon_fault::scoped("");
         let (table, _) =
             table_from_csv_with_policy(&schema(), "10,20s\n", false, RowPolicy::Strict).unwrap();
         let err = ServeState::bootstrap(table, cfg()).unwrap_err();
@@ -1107,6 +1116,7 @@ mod tests {
 
     #[test]
     fn small_batches_stay_pending_until_k() {
+        let _faults = kanon_fault::scoped("");
         let mut s = boot();
         let r = s.apply_batch("10,70s\n", 0, 0.0).unwrap();
         // The row either absorbs for free or waits as a pending singleton.
@@ -1117,6 +1127,7 @@ mod tests {
 
     #[test]
     fn pending_pool_clusters_once_it_reaches_k() {
+        let _faults = kanon_fault::scoped("");
         let mut s = boot();
         // Rows far from any existing closure (mixed zip branch + age branch).
         s.apply_batch("10,60s\n11,70s\n10,70s\n11,60s\n", 0, 0.0)
@@ -1130,6 +1141,7 @@ mod tests {
 
     #[test]
     fn new_clusters_are_appended_cheapest_first() {
+        let _faults = kanon_fault::scoped("");
         // No bootstrap closure covers these rows; the pair with the
         // higher row ids (6, 7) has the tighter closure.
         let mut s = boot_tight();
@@ -1145,6 +1157,7 @@ mod tests {
 
     #[test]
     fn absorption_only_happens_when_closure_is_unchanged() {
+        let _faults = kanon_fault::scoped("");
         let mut s = boot();
         let before = s.published_csv().unwrap();
         let r = s.apply_batch("10,20s\n", 0, 0.0).unwrap();
@@ -1161,6 +1174,7 @@ mod tests {
 
     #[test]
     fn failed_apply_leaves_state_untouched() {
+        let mut _faults = kanon_fault::scoped("");
         let mut s = boot();
         let before = fingerprint(&s);
         // Unknown label -> CoreError under Strict policy.
@@ -1168,7 +1182,8 @@ mod tests {
         assert!(matches!(err, KanonError::Core(_)));
         assert_eq!(fingerprint(&s), before);
         // An injected fault before staging also leaves no trace.
-        let _g = kanon_fault::scoped(&format!("{POINT_BATCH_APPLY}=once:1"));
+        drop(_faults);
+        _faults = kanon_fault::scoped(&format!("{POINT_BATCH_APPLY}=once:1"));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.apply_batch("10,20s\n", 0, 0.0)
         }))
@@ -1180,6 +1195,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_byte_identically() {
+        let _faults = kanon_fault::scoped("");
         let mut s = boot();
         s.apply_batch("10,60s\n11,70s\n10,70s\n11,60s\n", 0, 0.0)
             .unwrap();
@@ -1193,6 +1209,7 @@ mod tests {
 
     #[test]
     fn snapshot_k_mismatch_is_a_usage_error() {
+        let _faults = kanon_fault::scoped("");
         let s = boot();
         let path = scratch_dir("snapk").join("state.snap");
         s.write_snapshot(&path).unwrap();
@@ -1205,6 +1222,7 @@ mod tests {
 
     #[test]
     fn replay_reproduces_live_state_byte_identically() {
+        let _faults = kanon_fault::scoped("");
         let jpath = scratch_dir("replay").join("journal.log");
 
         let batches = ["10,60s\n11,70s\n", "10,70s\n11,60s\n", "10,20s\n21,60s\n"];
@@ -1225,6 +1243,7 @@ mod tests {
 
     #[test]
     fn replay_skips_rolled_back_batches() {
+        let _faults = kanon_fault::scoped("");
         let jpath = scratch_dir("rollback").join("journal.log");
 
         let mut live = boot();
@@ -1246,6 +1265,7 @@ mod tests {
 
     #[test]
     fn replay_reproduces_a_reopt_byte_identically() {
+        let _faults = kanon_fault::scoped("");
         let jpath = scratch_dir("reopt-replay").join("journal.log");
 
         // Live process: batch, reopt, batch — each journaled first.
@@ -1269,6 +1289,7 @@ mod tests {
 
     #[test]
     fn permanently_failing_final_record_is_rolled_back_at_recovery() {
+        let _faults = kanon_fault::scoped("");
         let jpath = scratch_dir("crashwindow").join("journal.log");
 
         // The crash window: seq 2 was journaled, its apply failed
@@ -1297,6 +1318,7 @@ mod tests {
 
     #[test]
     fn failing_mid_journal_record_still_propagates() {
+        let _faults = kanon_fault::scoped("");
         let jpath = scratch_dir("midfail").join("journal.log");
 
         // A deterministically failing record *followed by* another
@@ -1314,6 +1336,7 @@ mod tests {
 
     #[test]
     fn budgeted_apply_is_deterministic_for_replay() {
+        let _faults = kanon_fault::scoped("");
         let batch = "10,60s\n11,70s\n10,70s\n11,60s\n20,20s\n21,30s\n";
         let run = |budget: u64| {
             let collector = kanon_obs::Collector::new();
@@ -1330,6 +1353,7 @@ mod tests {
 
     #[test]
     fn tiny_epsilon_admits_free_joins_and_refuses_widening() {
+        let _faults = kanon_fault::scoped("");
         // "11,30s" absorbs for free: its leaves sit inside an existing
         // closure, so the join raises that cluster's loss by exactly
         // zero — admissible under every ε > 0. The tier is a superset
@@ -1351,6 +1375,7 @@ mod tests {
 
     #[test]
     fn large_epsilon_widens_a_cluster_and_stays_consistent() {
+        let _faults = kanon_fault::scoped("");
         // A 4-row base whose two bootstrap clusters are both tight (no
         // fully-generalized cluster whose closure covers everything), so
         // "10,60s" cannot free-absorb — but a huge ε lets the cheapest
@@ -1379,6 +1404,7 @@ mod tests {
 
     #[test]
     fn eps_batches_replay_byte_identically_from_the_journal() {
+        let _faults = kanon_fault::scoped("");
         let jpath = scratch_dir("epsreplay").join("journal.log");
 
         // Mixed history: an ε batch between two exact ones, journaled
@@ -1397,6 +1423,7 @@ mod tests {
 
     #[test]
     fn replay_rejects_out_of_order_journals() {
+        let _faults = kanon_fault::scoped("");
         for (name, seqs) in [("dup", [1u64, 1]), ("decreasing", [2, 1])] {
             let jpath = scratch_dir(&format!("seqcheck-{name}")).join("journal.log");
             let mut j = Journal::open(&jpath).unwrap();
@@ -1426,6 +1453,7 @@ mod tests {
 
     #[test]
     fn reopt_measures_drift_and_publishes_everything() {
+        let _faults = kanon_fault::scoped("");
         let mut s = boot();
         s.apply_batch("10,60s\n", 0, 0.0).unwrap();
         s.apply_batch("11,70s\n", 0, 0.0).unwrap();
@@ -1442,9 +1470,11 @@ mod tests {
 
     #[test]
     fn snapshot_write_fail_point_degrades_gracefully() {
+        let mut _faults = kanon_fault::scoped("");
         let s = boot();
         let path = scratch_dir("snapfp").join("state.snap");
-        let _g = kanon_fault::scoped(&format!("{POINT_SNAPSHOT_WRITE}=once:1"));
+        drop(_faults);
+        _faults = kanon_fault::scoped(&format!("{POINT_SNAPSHOT_WRITE}=once:1"));
         assert!(!s.write_snapshot(&path).unwrap());
         assert!(!path.exists());
         // Second attempt (fault exhausted) succeeds.
@@ -1524,10 +1554,8 @@ mod tests {
             }
 
             fn maybe_snapshot(&mut self) {
-                // `u64::is_multiple_of` needs Rust 1.87; MSRV is 1.75.
-                #[allow(clippy::manual_is_multiple_of)]
                 if self.snapshotting
-                    && self.state.batches_applied() % 2 == 0
+                    && self.state.batches_applied().is_multiple_of(2)
                     && self
                         .state
                         .write_snapshot(&self.dir.join("state.snap"))
@@ -1575,6 +1603,7 @@ mod tests {
             fn compacted_recovery_equals_full_journal_recovery(
                 ops in proptest::collection::vec(0u8..7, 0..12)
             ) {
+                let _faults = kanon_fault::scoped("");
                 let mut a = Rig::open(fresh_dir("a"), true);
                 let mut b = Rig::open(fresh_dir("b"), false);
                 for op in ops {

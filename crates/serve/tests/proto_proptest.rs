@@ -78,9 +78,7 @@ fn daemon_addr() -> &'static str {
 fn random_bytes(seed: u64, max_len: usize) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
     let len = rng.gen_range(0usize..max_len);
-    // `u64::is_multiple_of` needs Rust 1.87; MSRV is 1.75.
-    #[allow(clippy::manual_is_multiple_of)]
-    if seed % 3 == 0 {
+    if seed.is_multiple_of(3) {
         // Protocol-shaped text garbage: more likely to reach deep paths.
         const PALETTE: &[u8] =
             b"BATCH OUTPUT STATS HEALTH REOPT SNAPSHOT SHUTDOWN deadline_ms=retries=absorb_epsilon=.05-\n,0129ab\xff";
