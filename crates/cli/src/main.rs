@@ -460,60 +460,6 @@ fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
     write_out(flags, &csv::generalized_to_csv(&gtable))
 }
 
-/// Parses a generalized CSV produced by `kanon anonymize` back into a
-/// [`GeneralizedTable`] over the given schema.
-fn parse_generalized_csv(schema: &SharedSchema, text: &str) -> Result<GeneralizedTable, String> {
-    let mut rows = csv::parse_csv(text);
-    if rows.is_empty() {
-        return Err("empty file".into());
-    }
-    rows.remove(0); // header
-    let mut grecords = Vec::with_capacity(rows.len());
-    for fields in &rows {
-        if fields.len() == 1 && fields[0].trim().is_empty() {
-            continue;
-        }
-        if fields.len() != schema.num_attrs() {
-            return Err(format!(
-                "row has {} fields, schema expects {}",
-                fields.len(),
-                schema.num_attrs()
-            ));
-        }
-        let mut nodes = Vec::with_capacity(fields.len());
-        for (j, raw) in fields.iter().enumerate() {
-            let attr = schema.attr(j);
-            let h = attr.hierarchy();
-            let raw = raw.trim();
-            // A literal value label always wins: domains may legitimately
-            // contain labels that *look* like the generalized notations
-            // ("*", "{…}"), and `generalized_to_csv` prints leaf labels
-            // verbatim. (A domain whose label is exactly "*" remains
-            // ambiguous with full suppression in this text format — the
-            // leaf interpretation is chosen; avoid such labels.)
-            let node = if let Ok(v) = attr.domain().value_of(raw) {
-                h.leaf(v)
-            } else if raw == "*" {
-                h.root()
-            } else if let Some(inner) = raw.strip_prefix('{').and_then(|r| r.strip_suffix('}')) {
-                let values: Result<Vec<_>, _> = inner
-                    .split(',')
-                    .map(|l| attr.domain().value_of(l.trim()))
-                    .collect();
-                let values = values.map_err(|e| e.to_string())?;
-                h.node_of_exact_set(&values).ok_or_else(|| {
-                    format!("{raw} is not a permissible subset of {}", attr.name())
-                })?
-            } else {
-                h.leaf(attr.domain().value_of(raw).map_err(|e| e.to_string())?)
-            };
-            nodes.push(node);
-        }
-        grecords.push(kanon_core::GeneralizedRecord::new(nodes));
-    }
-    GeneralizedTable::new(std::sync::Arc::clone(schema), grecords).map_err(|e| e.to_string())
-}
-
 fn cmd_verify(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
     let k: usize = flags.parse_or("k", 0);
@@ -524,10 +470,11 @@ fn cmd_verify(name: &str, flags: &Flags) -> CmdResult {
         .get("anon")
         .ok_or_else(|| KanonError::Usage("verify requires --anon ANON.csv".to_string()))?;
     let table = csv::table_from_csv(&schema, &read_file(original)?, true)?;
-    let gtable = parse_generalized_csv(&schema, &read_file(anon)?).map_err(|e| KanonError::Io {
-        path: anon.to_string(),
-        message: format!("cannot parse: {e}"),
-    })?;
+    let gtable =
+        csv::generalized_from_csv(&schema, &read_file(anon)?).map_err(|e| KanonError::Io {
+            path: anon.to_string(),
+            message: format!("cannot parse: {e}"),
+        })?;
 
     let profile = AnonymityProfile::compute(&table, &gtable)?;
     println!("anonymity profile (largest k for which each notion holds):");
@@ -791,54 +738,5 @@ mod tests {
             dataset_schema("nope", &f),
             Err(KanonError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn generalized_csv_roundtrip() {
-        let schema = art::schema();
-        let table = art::generate_with_schema(&schema, 30, 5);
-        let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-        let out = try_kk_anonymize(&table, &costs, &KkConfig::new(3)).unwrap();
-        let text = csv::generalized_to_csv(&out.table);
-        let back = parse_generalized_csv(&schema, &text).unwrap();
-        assert_eq!(out.table.rows(), back.rows());
-    }
-
-    #[test]
-    fn generalized_csv_rejects_bad_subset() {
-        let schema = art::schema();
-        // {a1,a3} is not a permissible subset of A2.
-        let text = "A1,A2,A3,A4,A5,A6\na1,\"{a1,a3}\",a1,a1,a1,a1\n";
-        assert!(parse_generalized_csv(&schema, text).is_err());
-    }
-
-    #[test]
-    fn literal_labels_beat_generalized_notation() {
-        // A domain containing labels that look like generalized notation
-        // must round-trip as leaves.
-        let schema =
-            kanon_data::parse_schema("attr x = {low}, low, high\ngroup x = low, high\n").unwrap();
-        let text = "x\n\"{low}\"\nlow\n\"{low,high}\"\n";
-        let g = parse_generalized_csv(&schema, text).unwrap();
-        let h = schema.attr(0).hierarchy();
-        // "{low}" is a real label → its leaf, not the {low} subset.
-        let lit = schema.attr(0).domain().value_of("{low}").unwrap();
-        assert_eq!(g.row(0).get(0), h.leaf(lit));
-        let low = schema.attr(0).domain().value_of("low").unwrap();
-        assert_eq!(g.row(1).get(0), h.leaf(low));
-        // "{low,high}" is not a label → parsed as the permissible pair.
-        let high = schema.attr(0).domain().value_of("high").unwrap();
-        let pair = h.closure([low, high]).unwrap();
-        assert_eq!(g.row(2).get(0), pair);
-    }
-
-    #[test]
-    fn generalized_csv_parses_star_and_leaf() {
-        let schema = art::schema();
-        let text = "A1,A2,A3,A4,A5,A6\n*,a2,a1,a1,a1,a1\n";
-        let g = parse_generalized_csv(&schema, text).unwrap();
-        assert_eq!(g.num_rows(), 1);
-        let h = schema.attr(0).hierarchy();
-        assert_eq!(g.row(0).get(0), h.root());
     }
 }

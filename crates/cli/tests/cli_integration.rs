@@ -91,6 +91,35 @@ fn k_larger_than_n_is_a_runtime_error() {
 }
 
 #[test]
+fn verify_rejects_a_release_whose_header_names_other_attributes() {
+    let gen = kanon(&["generate", "art", "--n", "30", "--seed", "7"], &[]);
+    assert_eq!(gen.status.code(), Some(0));
+    let orig = tmp_file(
+        "verify_header_orig.csv",
+        &String::from_utf8(gen.stdout).unwrap(),
+    );
+    let orig = orig.to_str().unwrap();
+    let anon = kanon(&["anonymize", "art", "--k", "3", "--in", orig], &[]);
+    assert_eq!(anon.status.code(), Some(0), "stderr: {}", stderr_of(&anon));
+    let release = String::from_utf8(anon.stdout).unwrap();
+
+    // The release as written verifies.
+    let good = tmp_file("verify_header_good.csv", &release);
+    let args = ["verify", "art", "--k", "3", "--in", orig, "--anon"];
+    let out = kanon(&[&args[..], &[good.to_str().unwrap()]].concat(), &[]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+
+    // The same rows under a header naming other attributes do not.
+    let body = release.split_once('\n').unwrap().1;
+    let bad = tmp_file("verify_header_bad.csv", &format!("x,y,z,w,v,u\n{body}"));
+    let out = kanon(&[&args[..], &[bad.to_str().unwrap()]].concat(), &[]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("cannot parse"), "{err}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("SATISFIED"));
+}
+
+#[test]
 fn malformed_csv_fails_strict_but_degrades_under_policy() {
     // Generate a small valid ART csv, then corrupt one row.
     let gen = kanon(&["generate", "art", "--n", "30", "--seed", "7"], &[]);

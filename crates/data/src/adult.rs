@@ -20,9 +20,8 @@
 //!   supplies one (comma-separated UCI format; rows with `?` in a public
 //!   attribute are skipped, as is customary).
 
-use crate::csv::{IngestReport, RowPolicy};
+use crate::csv::{clamp_int_cell, convert_row, parse_csv, IngestReport, RowPolicy};
 use crate::sampling::Categorical;
-use kanon_core::domain::ValueId;
 use kanon_core::error::Result;
 use kanon_core::record::Record;
 use kanon_core::schema::{SchemaBuilder, SharedSchema};
@@ -496,80 +495,29 @@ pub fn load_csv(text: &str, limit: usize) -> Result<Table> {
 /// Like [`load_csv`], but routes rows that fail to parse (unknown labels,
 /// unparsable ages, or injected `data/csv/row` faults) through `policy`.
 /// Rows with a missing (`?`) attribute or fewer than 14 columns are still
-/// silently skipped — that is UCI data semantics, not a parse fault.
+/// silently skipped — that is UCI data semantics, not a parse fault — and
+/// keep their row index. Every other row has its age clamped into the
+/// domain and is converted by the same code as any schema CSV row
+/// (`csv::convert_row`); report indices count every parsed row.
 pub fn load_csv_with_policy(
     text: &str,
     limit: usize,
     policy: RowPolicy,
 ) -> Result<(Table, IngestReport)> {
     let schema = schema();
-    let rows = crate::csv::parse_csv(text);
     let mut report = IngestReport::default();
     let mut records = Vec::new();
-    'rows: for (row_idx, fields) in rows.iter().enumerate() {
-        if fields.len() < 14 {
-            continue; // blank/short line
+    for (row_idx, fields) in parse_csv(text).iter().enumerate() {
+        if fields.len() < 14 || UCI_COLUMNS.iter().any(|&c| fields[c].trim() == "?") {
+            continue; // blank/short line, or a missing public attribute
         }
-        if kanon_fault::armed() && kanon_fault::fires(crate::csv::ROW_FAIL_POINT) {
-            match policy {
-                RowPolicy::Strict => std::panic::panic_any(kanon_fault::InjectedFault {
-                    point: crate::csv::ROW_FAIL_POINT.to_string(),
-                }),
-                _ => {
-                    report.suppressed_rows.push(row_idx);
-                    continue;
-                }
+        let mut cells: Vec<String> = UCI_COLUMNS.iter().map(|&c| fields[c].clone()).collect();
+        clamp_int_cell(&mut cells[0], AGE_MIN, AGE_MAX);
+        if let Some(rec) = convert_row(&schema, &cells, row_idx, policy, &mut report)? {
+            records.push(rec);
+            if records.len() == limit {
+                break;
             }
-        }
-        let mut values = Vec::with_capacity(9);
-        for (attr, &col) in UCI_COLUMNS.iter().enumerate() {
-            let raw = fields[col].trim();
-            if raw == "?" {
-                continue 'rows;
-            }
-            // Clamp out-of-range ages into the domain rather than failing.
-            let label = if attr == 0 {
-                match raw.parse::<i64>() {
-                    Ok(age) => age.clamp(AGE_MIN, AGE_MAX).to_string(),
-                    Err(_) => match policy {
-                        RowPolicy::Strict => {
-                            return Err(kanon_core::CoreError::UnknownLabel {
-                                attr: "age".into(),
-                                label: raw.into(),
-                            })
-                        }
-                        RowPolicy::SuppressRow => {
-                            report.suppressed_rows.push(row_idx);
-                            continue 'rows;
-                        }
-                        RowPolicy::GeneralizeToRoot => {
-                            report.rooted_cells.push((row_idx, attr));
-                            values.push(ValueId(0));
-                            continue;
-                        }
-                    },
-                }
-            } else {
-                raw.to_string()
-            };
-            match schema.attr(attr).domain().value_of(&label) {
-                Ok(v) => values.push(v),
-                Err(e) => match policy {
-                    RowPolicy::Strict => return Err(e),
-                    RowPolicy::SuppressRow => {
-                        report.suppressed_rows.push(row_idx);
-                        continue 'rows;
-                    }
-                    RowPolicy::GeneralizeToRoot => {
-                        report.rooted_cells.push((row_idx, attr));
-                        values.push(ValueId(0));
-                    }
-                },
-            }
-        }
-        records.push(Record::new(values.into_iter().collect::<Vec<ValueId>>()));
-        if limit != 0 && records.len() == limit {
-            break;
         }
     }
     Ok((Table::new(schema, records)?, report))

@@ -1,25 +1,20 @@
-//! Chunked (streaming) CSV ingestion: build a [`Table`] from a reader
-//! without ever holding the full CSV text in memory.
+//! The ingestion loop: every [`Table`] read from CSV text is built here,
+//! one *logical row* at a time.
 //!
-//! The whole-text loader ([`crate::table_from_csv_with_policy`]) keeps
-//! the raw text *and* every parsed field alive at once — at a million
-//! rows that is several times the size of the final record store, which
-//! is what actually needs to stay resident. This module consumes the
-//! input one *logical row* at a time: physical lines are accumulated
-//! until the running double-quote count is even (RFC 4180: a newline
-//! inside a quoted field does not end the row), the completed row is
-//! parsed and converted immediately, and its text buffer is reused. Peak
-//! transient memory is O(longest logical row), not O(file).
+//! Physical lines are accumulated until the running double-quote count
+//! is even (RFC 4180: a newline inside a quoted field does not end the
+//! row); the completed row is parsed, checked as the header or converted
+//! by `csv::convert_row`, and its buffer is reused, so peak transient
+//! memory is O(longest logical row), not O(file).
 //!
-//! Semantics are byte-identical to the whole-text loader for every input
-//! and [`RowPolicy`] — both route each parsed row through the same
-//! conversion (`csv::convert_row`), including the failpoint, blank-line,
-//! arity and unterminated-quote handling. An equivalence test in
-//! `tests/ingest_robustness.rs` pins this on arbitrary bytes.
+//! The loop is generic over its line source: the streaming reader
+//! ([`table_from_reader_with_policy`]) feeds it `read_line`, the
+//! whole-text loader ([`crate::table_from_csv_with_policy`]) the lines of
+//! a `&str`. The header check, the unterminated-quote rule and every row
+//! policy therefore exist once.
 
-use crate::csv::{convert_row, parse_csv_report, IngestReport, RowPolicy};
+use crate::csv::{convert_row, parse_csv_report, validate_header, IngestReport, RowPolicy};
 use kanon_core::error::{CoreError, KanonError, KanonResult};
-use kanon_core::record::Record;
 use kanon_core::schema::SharedSchema;
 use kanon_core::table::Table;
 use std::io::BufRead;
@@ -37,19 +32,33 @@ pub fn table_from_reader_with_policy<R: BufRead>(
     has_header: bool,
     policy: RowPolicy,
 ) -> KanonResult<(Table, IngestReport)> {
+    let next_line = |buf: &mut String| {
+        reader.read_line(buf).map_err(|e| KanonError::Io {
+            path: source.to_string(),
+            message: e.to_string(),
+        })
+    };
+    read_rows(schema, next_line, has_header, policy)
+}
+
+/// The one ingestion loop. `next_line` appends the next physical line,
+/// terminator included, to its buffer and returns the number of bytes
+/// appended (0 at end of input) — the contract of [`BufRead::read_line`].
+pub(crate) fn read_rows<E: From<CoreError>>(
+    schema: &SharedSchema,
+    mut next_line: impl FnMut(&mut String) -> Result<usize, E>,
+    has_header: bool,
+    policy: RowPolicy,
+) -> Result<(Table, IngestReport), E> {
     let mut report = IngestReport::default();
-    let mut records: Vec<Record> = Vec::new();
+    let mut records = Vec::new();
     let mut buf = String::new();
     let mut header_pending = has_header;
     let mut row_idx = 0usize;
 
     loop {
         let start = buf.len();
-        let read = reader.read_line(&mut buf).map_err(|e| KanonError::Io {
-            path: source.to_string(),
-            message: e.to_string(),
-        })?;
-        let at_eof = read == 0;
+        let at_eof = next_line(&mut buf)? == 0;
         // A logical row ends at a newline outside quotes, i.e. when the
         // total number of double quotes so far is even (an escaped `""`
         // contributes two, so parity tracks the in-quotes state exactly).
@@ -64,9 +73,10 @@ pub fn table_from_reader_with_policy<R: BufRead>(
         let (rows, parse_report) = parse_csv_report(&buf);
         if parse_report.unterminated_quote {
             // Only possible at EOF (mid-stream the parity check keeps
-            // reading). Mirror the whole-text loader: strict fails, the
-            // lenient policies suppress the partial final row — unless it
-            // would have been the header, which is always strict.
+            // reading). Strict fails; the lenient policies suppress the
+            // partial final row — there is no trustworthy cell to patch,
+            // the field may have swallowed arbitrarily much of the input —
+            // unless it would have been the header, which is always strict.
             if header_pending || policy == RowPolicy::Strict {
                 return Err(CoreError::UnterminatedQuote.into());
             }
@@ -91,8 +101,7 @@ pub fn table_from_reader_with_policy<R: BufRead>(
             break;
         }
     }
-    let table = Table::new(Arc::clone(schema), records).map_err(KanonError::Core)?;
-    Ok((table, report))
+    Ok((Table::new(Arc::clone(schema), records)?, report))
 }
 
 /// Opens `path` and streams it through [`table_from_reader_with_policy`].
@@ -121,27 +130,6 @@ fn quote_count(s: &str, acc: usize) -> usize {
     acc + s.bytes().filter(|&b| b == b'"').count()
 }
 
-/// Header validation identical to the whole-text loader's.
-fn validate_header(schema: &SharedSchema, fields: &[String]) -> KanonResult<()> {
-    if fields.len() != schema.num_attrs() {
-        return Err(CoreError::ArityMismatch {
-            expected: schema.num_attrs(),
-            found: fields.len(),
-        }
-        .into());
-    }
-    for (j, name) in fields.iter().enumerate() {
-        if name.trim() != schema.attr(j).name() {
-            return Err(CoreError::UnknownLabel {
-                attr: schema.attr(j).name().to_string(),
-                label: name.trim().to_string(),
-            }
-            .into());
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,20 +145,36 @@ mod tests {
             .unwrap()
     }
 
-    type Loaded<E> = std::result::Result<(Table, IngestReport), E>;
+    const POLICIES: [RowPolicy; 3] = [
+        RowPolicy::Strict,
+        RowPolicy::SuppressRow,
+        RowPolicy::GeneralizeToRoot,
+    ];
 
-    fn both(
-        text: &str,
-        has_header: bool,
-        policy: RowPolicy,
-    ) -> (Loaded<KanonError>, Loaded<kanon_core::error::CoreError>) {
+    type Outcome = std::result::Result<(Vec<[u32; 2]>, Vec<usize>, Vec<(usize, usize)>), CoreError>;
+
+    /// Loads `text` through both line sources, checks they agree, and
+    /// returns the rows (raw value ids), suppressed rows and rooted cells.
+    fn outcome(text: &str, has_header: bool, policy: RowPolicy) -> Outcome {
         let s = schema();
-        let chunked =
-            table_from_reader_with_policy(&s, Cursor::new(text), "<test>", has_header, policy);
         let whole = table_from_csv_with_policy(&s, text, has_header, policy);
-        (chunked, whole)
+        let chunked =
+            table_from_reader_with_policy(&s, Cursor::new(text), "<test>", has_header, policy)
+                .map_err(|e| match e {
+                    KanonError::Core(e) => e,
+                    other => panic!("non-core error {other:?}"),
+                });
+        let pack = |(t, r): (Table, IngestReport)| {
+            let rows = t.rows().iter().map(|rec| [rec.get(0).0, rec.get(1).0]);
+            (rows.collect(), r.suppressed_rows, r.rooted_cells)
+        };
+        let (whole, chunked) = (whole.map(pack), chunked.map(pack));
+        assert_eq!(whole, chunked, "{text:?} {has_header} {policy:?}");
+        whole
     }
 
+    /// The two line sources (`read_line` and the `&str` splitter) agree
+    /// on every crafted input, policy and header flag.
     #[test]
     fn matches_whole_text_loader_on_crafted_inputs() {
         let texts = [
@@ -189,25 +193,71 @@ mod tests {
         ];
         for text in texts {
             for has_header in [false, true] {
-                for policy in [
-                    RowPolicy::Strict,
-                    RowPolicy::SuppressRow,
-                    RowPolicy::GeneralizeToRoot,
-                ] {
-                    let (chunked, whole) = both(text, has_header, policy);
-                    match (chunked, whole) {
-                        (Ok((ct, cr)), Ok((wt, wr))) => {
-                            assert_eq!(ct.rows(), wt.rows(), "{text:?} {has_header} {policy:?}");
-                            assert_eq!(cr, wr, "{text:?} {has_header} {policy:?}");
-                        }
-                        (Err(KanonError::Core(ce)), Err(we)) => {
-                            assert_eq!(ce, we, "{text:?} {has_header} {policy:?}");
-                        }
-                        (c, w) => {
-                            panic!("divergence on {text:?} {has_header} {policy:?}: {c:?} vs {w:?}")
-                        }
-                    }
+                for policy in POLICIES {
+                    let _ = outcome(text, has_header, policy); // asserts agreement
                 }
+            }
+        }
+    }
+
+    /// Absolute expectations on the inputs the loop must get right. Each
+    /// text is read without a header, and again behind a `g,c` header
+    /// line with the header flag set: row indices count data rows only,
+    /// so both give the same outcome. With the flag set and no header
+    /// line, the first row fails the header check under every policy.
+    #[test]
+    fn crafted_inputs_have_pinned_outcomes() {
+        let ok = |rows: &[[u32; 2]], suppressed: &[usize], rooted: &[(usize, usize)]| -> Outcome {
+            Ok((rows.to_vec(), suppressed.to_vec(), rooted.to_vec()))
+        };
+        let unknown = |attr: &str, label: &str| -> Outcome {
+            Err(CoreError::UnknownLabel {
+                attr: attr.into(),
+                label: label.into(),
+            })
+        };
+        let both_rows = || ok(&[[0, 0], [1, 1]], &[], &[]);
+        let first_row = || ok(&[[0, 0]], &[], &[]);
+        // Outcomes under Strict, SuppressRow and GeneralizeToRoot.
+        let cases = [
+            // The quoted newline belongs to row 0's `c` cell, which then
+            // matches no label.
+            (
+                "M,\"r\nstill r\"\nF,b\n",
+                [
+                    unknown("c", "r\nstill r (data row 1)"),
+                    ok(&[[1, 1]], &[0], &[]),
+                    ok(&[[0, 0], [1, 1]], &[], &[(0, 1)]),
+                ],
+            ),
+            ("M,r\r\nF,b\r\n", [both_rows(), both_rows(), both_rows()]),
+            // The blank line yields no record but keeps its index: the bad
+            // row after it is data row 2 (1-based 3).
+            (
+                "M,r\n\nF,purple\n",
+                [
+                    unknown("c", "purple (data row 3)"),
+                    ok(&[[0, 0]], &[2], &[]),
+                    ok(&[[0, 0], [1, 0]], &[], &[(2, 1)]),
+                ],
+            ),
+            // A final `""` is a row of one empty field: a blank line.
+            ("M,r\n\"\"", [first_row(), first_row(), first_row()]),
+            (
+                "M,r\nF,\"b",
+                [
+                    Err(CoreError::UnterminatedQuote),
+                    ok(&[[0, 0]], &[1], &[]),
+                    ok(&[[0, 0]], &[1], &[]),
+                ],
+            ),
+        ];
+        for (text, wants) in cases {
+            for (policy, want) in POLICIES.into_iter().zip(wants) {
+                assert_eq!(outcome(text, false, policy), want, "{text:?} {policy:?}");
+                let with_header = format!("g,c\n{text}");
+                assert_eq!(outcome(&with_header, true, policy), want, "{text:?}");
+                assert_eq!(outcome(text, true, policy), unknown("g", "M"), "{text:?}");
             }
         }
     }

@@ -12,10 +12,9 @@
 //! 2 = long-term, 3 = short-term) is returned alongside the table for use
 //! with the CM measure.
 
-use crate::csv::{IngestReport, RowPolicy};
+use crate::csv::{clamp_int_cell, convert_row, parse_csv, IngestReport, RowPolicy};
 use crate::sampling::Categorical;
-use kanon_core::domain::ValueId;
-use kanon_core::error::Result;
+use kanon_core::error::{CoreError, Result};
 use kanon_core::record::Record;
 use kanon_core::schema::{SchemaBuilder, SharedSchema};
 use kanon_core::table::Table;
@@ -217,96 +216,40 @@ pub fn load_csv(text: &str) -> Result<LabeledTable> {
 
 /// Like [`load_csv`], but routes rows that fail to parse (non-numeric
 /// fields, unknown labels, or injected `data/csv/row` faults) through
-/// `policy`. An unreadable class label always suppresses the row under
-/// the non-strict policies — there is no "root" label to fall back to.
+/// `policy`. Rows with fewer than 10 columns are skipped. The class label
+/// is read first: it has no "root" to fall back to, so under the
+/// non-strict policies an unreadable label suppresses the row. The nine
+/// attributes, with age and children clamped into the domain, are then
+/// converted by the same code as any schema CSV row (`csv::convert_row`).
 pub fn load_csv_with_policy(text: &str, policy: RowPolicy) -> Result<(LabeledTable, IngestReport)> {
     let schema = schema();
-    let rows = crate::csv::parse_csv(text);
     let mut report = IngestReport::default();
     let mut records = Vec::new();
     let mut labels = Vec::new();
-    'rows: for (row_idx, fields) in rows.iter().enumerate() {
+    for (row_idx, fields) in parse_csv(text).iter().enumerate() {
         if fields.len() < 10 {
             continue;
         }
-        if kanon_fault::armed() && kanon_fault::fires(crate::csv::ROW_FAIL_POINT) {
-            match policy {
-                RowPolicy::Strict => std::panic::panic_any(kanon_fault::InjectedFault {
-                    point: crate::csv::ROW_FAIL_POINT.to_string(),
-                }),
-                _ => {
-                    report.suppressed_rows.push(row_idx);
-                    continue;
-                }
-            }
-        }
-        let parse = |s: &str| -> Result<i64> {
-            s.trim()
-                .parse()
-                .map_err(|_| kanon_core::CoreError::UnknownLabel {
-                    attr: "cmc".into(),
-                    label: s.trim().to_string(),
-                })
-        };
-        // The class label has no generalization root: any policy other
-        // than Strict suppresses the row when it is unreadable.
-        let label = match parse(&fields[9]) {
+        let label = match fields[9].trim().parse::<i64>() {
             Ok(l) => l as u32,
-            Err(e) => match policy {
-                RowPolicy::Strict => return Err(e),
-                _ => {
-                    report.suppressed_rows.push(row_idx);
-                    continue;
-                }
-            },
-        };
-        // Per-attribute labels: clamped integers for age/children, plain
-        // lookups elsewhere. `None` = unreadable cell.
-        let cells: Vec<Option<ValueId>> = (0..9)
-            .map(|j| {
-                let label = match j {
-                    0 => parse(&fields[0])
-                        .ok()
-                        .map(|v| v.clamp(AGE_MIN, AGE_MAX).to_string()),
-                    3 => parse(&fields[3])
-                        .ok()
-                        .map(|v| v.clamp(0, CHILDREN_MAX).to_string()),
-                    _ => Some(fields[j].trim().to_string()),
-                };
-                label.and_then(|l| schema.attr(j).domain().value_of(&l).ok())
-            })
-            .collect();
-        let mut values = Vec::with_capacity(9);
-        for (j, cell) in cells.into_iter().enumerate() {
-            match cell {
-                Some(v) => values.push(v),
-                None => match policy {
-                    RowPolicy::Strict => {
-                        // Re-derive the original error for the first bad
-                        // cell, preserving historical error messages.
-                        return Err(match j {
-                            0 | 3 => parse(&fields[j]).map(|_| ()).unwrap_err(),
-                            _ => schema
-                                .attr(j)
-                                .domain()
-                                .value_of(fields[j].trim())
-                                .map(|_| ())
-                                .unwrap_err(),
-                        });
-                    }
-                    RowPolicy::SuppressRow => {
-                        report.suppressed_rows.push(row_idx);
-                        continue 'rows;
-                    }
-                    RowPolicy::GeneralizeToRoot => {
-                        report.rooted_cells.push((row_idx, j));
-                        values.push(ValueId(0));
-                    }
-                },
+            Err(_) if policy == RowPolicy::Strict => {
+                return Err(CoreError::UnknownLabel {
+                    attr: "cmc".into(),
+                    label: fields[9].trim().to_string(),
+                })
             }
+            Err(_) => {
+                report.suppressed_rows.push(row_idx);
+                continue;
+            }
+        };
+        let mut cells = fields[..9].to_vec();
+        clamp_int_cell(&mut cells[0], AGE_MIN, AGE_MAX);
+        clamp_int_cell(&mut cells[3], 0, CHILDREN_MAX);
+        if let Some(rec) = convert_row(&schema, &cells, row_idx, policy, &mut report)? {
+            records.push(rec);
+            labels.push(label);
         }
-        records.push(Record::new(values));
-        labels.push(label);
     }
     Ok((
         LabeledTable {

@@ -4,7 +4,7 @@
 
 use kanon_core::domain::ValueId;
 use kanon_core::error::{CoreError, Result};
-use kanon_core::record::Record;
+use kanon_core::record::{GeneralizedRecord, Record};
 use kanon_core::schema::SharedSchema;
 use kanon_core::table::{GeneralizedTable, Table};
 use std::sync::Arc;
@@ -61,14 +61,6 @@ impl IngestReport {
     pub fn is_clean(&self) -> bool {
         self.suppressed_rows.is_empty() && self.rooted_cells.is_empty()
     }
-}
-
-/// Raises the typed injected fault for a poisoned row under `Strict`
-/// (caught and converted by the `try_*`/CLI layer).
-fn raise_row_fault() -> ! {
-    std::panic::panic_any(kanon_fault::InjectedFault {
-        point: ROW_FAIL_POINT.to_string(),
-    })
 }
 
 /// What [`parse_csv_report`] observed beyond the parsed rows.
@@ -187,71 +179,53 @@ pub fn table_from_csv(schema: &SharedSchema, text: &str, has_header: bool) -> Re
 /// Like [`table_from_csv`], but routes every unparseable data row through
 /// `policy` and reports what was dropped or patched. Header validation is
 /// always strict — a wrong header is a schema mismatch, not a bad row.
+///
+/// The text is fed line by line through the same loop as the streaming
+/// reader ([`crate::table_from_reader_with_policy`]).
 pub fn table_from_csv_with_policy(
     schema: &SharedSchema,
     text: &str,
     has_header: bool,
     policy: RowPolicy,
 ) -> Result<(Table, IngestReport)> {
-    let (mut rows, parse_report) = parse_csv_report(text);
-    // An unterminated quoted field can only affect the final parsed row.
-    // It is never interpreted as a header; under `Strict` the ingestion
-    // fails (after earlier rows had their chance to surface their own,
-    // stream-earlier errors); the lenient policies suppress it — there is
-    // no trustworthy cell to patch, the field may have swallowed
-    // arbitrarily much of the file.
-    let mut suppressed_tail: Option<usize> = None;
-    let mut unterminated_strict = false;
-    if parse_report.unterminated_quote {
-        if rows.len() <= has_header as usize {
-            return Err(CoreError::UnterminatedQuote);
-        }
-        rows.pop();
-        match policy {
-            RowPolicy::Strict => unterminated_strict = true,
-            _ => suppressed_tail = Some(rows.len() - has_header as usize),
-        }
+    let mut rest = text;
+    let next_line = |buf: &mut String| {
+        let end = rest.find('\n').map_or(rest.len(), |i| i + 1);
+        buf.push_str(&rest[..end]);
+        rest = &rest[end..];
+        Ok(end)
+    };
+    crate::chunked::read_rows(schema, next_line, has_header, policy)
+}
+
+/// Checks a header row against the schema's attribute names, in order
+/// (fields are trimmed first).
+pub(crate) fn validate_header(schema: &SharedSchema, fields: &[String]) -> Result<()> {
+    if fields.len() != schema.num_attrs() {
+        return Err(CoreError::ArityMismatch {
+            expected: schema.num_attrs(),
+            found: fields.len(),
+        });
     }
-    if has_header && !rows.is_empty() {
-        let header = rows.remove(0);
-        if header.len() != schema.num_attrs() {
-            return Err(CoreError::ArityMismatch {
-                expected: schema.num_attrs(),
-                found: header.len(),
+    for (j, name) in fields.iter().enumerate() {
+        if name.trim() != schema.attr(j).name() {
+            return Err(CoreError::UnknownLabel {
+                attr: schema.attr(j).name().to_string(),
+                label: name.trim().to_string(),
             });
         }
-        for (j, name) in header.iter().enumerate() {
-            if name.trim() != schema.attr(j).name() {
-                return Err(CoreError::UnknownLabel {
-                    attr: schema.attr(j).name().to_string(),
-                    label: name.trim().to_string(),
-                });
-            }
-        }
     }
-    let mut report = IngestReport::default();
-    let mut records = Vec::with_capacity(rows.len());
-    for (row_idx, fields) in rows.iter().enumerate() {
-        if let Some(rec) = convert_row(schema, fields, row_idx, policy, &mut report)? {
-            records.push(rec);
-        }
-    }
-    if unterminated_strict {
-        return Err(CoreError::UnterminatedQuote);
-    }
-    if let Some(idx) = suppressed_tail {
-        report.suppressed_rows.push(idx);
-    }
-    Ok((Table::new(Arc::clone(schema), records)?, report))
+    Ok(())
 }
 
 /// Converts one parsed data row against the schema under `policy`.
 ///
 /// `Ok(None)` means the row contributes no record: it was a blank line,
-/// or the policy suppressed it (recorded in `report`). Shared by the
-/// whole-text loader above and the chunked reader
-/// ([`crate::chunked::table_from_reader_with_policy`]), so both produce
-/// byte-identical tables and reports for the same input.
+/// or the policy suppressed it (recorded in `report`). This is the only
+/// place a data row becomes a [`Record`]: the ingestion loop
+/// (`chunked::read_rows`) and the UCI loaders ([`crate::adult`],
+/// [`crate::cmc`]) all call it, so the `data/csv/row` fail point, the
+/// arity check and the strict/suppress/root decision exist once.
 pub(crate) fn convert_row(
     schema: &SharedSchema,
     fields: &[String],
@@ -264,7 +238,11 @@ pub(crate) fn convert_row(
     }
     if kanon_fault::armed() && kanon_fault::fires(ROW_FAIL_POINT) {
         match policy {
-            RowPolicy::Strict => raise_row_fault(),
+            // The typed injected fault, caught and converted by the
+            // `try_*`/CLI layer.
+            RowPolicy::Strict => std::panic::panic_any(kanon_fault::InjectedFault {
+                point: ROW_FAIL_POINT.to_string(),
+            }),
             _ => {
                 report.suppressed_rows.push(row_idx);
                 return Ok(None);
@@ -317,6 +295,15 @@ pub(crate) fn convert_row(
     Ok(Some(Record::new(values)))
 }
 
+/// Clamps an integer cell into `[min, max]` in place; a cell that is not
+/// an integer is left for [`convert_row`] to reject. The UCI loaders use
+/// this for ages and numbers of children outside the schema's domain.
+pub(crate) fn clamp_int_cell(cell: &mut String, min: i64, max: i64) {
+    if let Ok(v) = cell.trim().parse::<i64>() {
+        *cell = v.clamp(min, max).to_string();
+    }
+}
+
 /// Serializes a [`Table`] as CSV (with a header row of attribute names).
 pub fn table_to_csv(table: &Table) -> String {
     let schema = table.schema();
@@ -353,6 +340,59 @@ pub fn generalized_to_csv(gtable: &GeneralizedTable) -> String {
         );
     }
     write_csv(&rows)
+}
+
+/// Reads back a generalized CSV written by [`generalized_to_csv`]: a
+/// header of attribute names, then one generalized record per row, each
+/// entry a leaf label, `*` (the hierarchy root) or `{v1,v2,…}` (the node
+/// covering exactly those values). Blank lines are skipped.
+pub fn generalized_from_csv(schema: &SharedSchema, text: &str) -> Result<GeneralizedTable> {
+    let rows = parse_csv(text);
+    validate_header(schema, rows.first().map_or(&[], Vec::as_slice))?;
+    let mut grecords = Vec::with_capacity(rows.len());
+    for fields in rows.iter().skip(1) {
+        if fields.len() == 1 && fields[0].trim().is_empty() {
+            continue;
+        }
+        if fields.len() != schema.num_attrs() {
+            return Err(CoreError::ArityMismatch {
+                expected: schema.num_attrs(),
+                found: fields.len(),
+            });
+        }
+        let mut nodes = Vec::with_capacity(fields.len());
+        for (j, raw) in fields.iter().enumerate() {
+            let attr = schema.attr(j);
+            let h = attr.hierarchy();
+            let raw = raw.trim();
+            // A literal value label always wins: domains may legitimately
+            // contain labels that *look* like the generalized notations
+            // ("*", "{…}"), and `generalized_to_csv` prints leaf labels
+            // verbatim. (A domain whose label is exactly "*" remains
+            // ambiguous with full suppression in this text format — the
+            // leaf interpretation is chosen; avoid such labels.)
+            let node = if let Ok(v) = attr.domain().value_of(raw) {
+                h.leaf(v)
+            } else if raw == "*" {
+                h.root()
+            } else if let Some(inner) = raw.strip_prefix('{').and_then(|r| r.strip_suffix('}')) {
+                let values = inner
+                    .split(',')
+                    .map(|l| attr.domain().value_of(l.trim()))
+                    .collect::<Result<Vec<_>>>()?;
+                h.node_of_exact_set(&values)
+                    .ok_or_else(|| CoreError::UnknownLabel {
+                        attr: attr.name().to_string(),
+                        label: raw.to_string(),
+                    })?
+            } else {
+                h.leaf(attr.domain().value_of(raw)?)
+            };
+            nodes.push(node);
+        }
+        grecords.push(GeneralizedRecord::new(nodes));
+    }
+    GeneralizedTable::new(Arc::clone(schema), grecords)
 }
 
 #[cfg(test)]
@@ -420,36 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn unterminated_quote_routes_through_policy() {
-        let s = SchemaBuilder::new()
-            .categorical("g", ["M", "F"])
-            .categorical("c", ["r", "b"])
-            .build_shared()
-            .unwrap();
-        let text = "M,r\nF,\"b";
-        assert_eq!(
-            table_from_csv_with_policy(&s, text, false, RowPolicy::Strict).unwrap_err(),
-            CoreError::UnterminatedQuote
-        );
-        for policy in [RowPolicy::SuppressRow, RowPolicy::GeneralizeToRoot] {
-            let (t, report) = table_from_csv_with_policy(&s, text, false, policy).unwrap();
-            assert_eq!(t.num_rows(), 1);
-            assert_eq!(report.suppressed_rows, vec![1]);
-        }
-        // An unterminated header stays strict under every policy.
-        for policy in [
-            RowPolicy::Strict,
-            RowPolicy::SuppressRow,
-            RowPolicy::GeneralizeToRoot,
-        ] {
-            assert_eq!(
-                table_from_csv_with_policy(&s, "g,\"c", true, policy).unwrap_err(),
-                CoreError::UnterminatedQuote
-            );
-        }
-    }
-
-    #[test]
     fn roundtrip_with_escapes() {
         let rows = vec![
             vec!["plain".to_string(), "with,comma".to_string()],
@@ -513,5 +523,71 @@ mod tests {
         let g = cl.to_generalized_table(&t).unwrap();
         let csv = generalized_to_csv(&g);
         assert_eq!(csv, "c\n*\n*\n");
+    }
+
+    #[test]
+    fn generalized_csv_roundtrip() {
+        use kanon_core::cluster::Clustering;
+        let schema = crate::art::schema();
+        let table = crate::art::generate_with_schema(&schema, 30, 5);
+        let cl = Clustering::from_assignment((0..30).map(|i| i / 3).collect()).unwrap();
+        let g = cl.to_generalized_table(&table).unwrap();
+        let back = generalized_from_csv(&schema, &generalized_to_csv(&g)).unwrap();
+        assert_eq!(g.rows(), back.rows());
+    }
+
+    #[test]
+    fn generalized_csv_rejects_bad_subset() {
+        let schema = crate::art::schema();
+        // {a1,a3} is not a permissible subset of A2.
+        let text = "A1,A2,A3,A4,A5,A6\na1,\"{a1,a3}\",a1,a1,a1,a1\n";
+        assert!(generalized_from_csv(&schema, text).is_err());
+    }
+
+    #[test]
+    fn generalized_csv_rejects_a_header_naming_other_attributes() {
+        let schema = crate::art::schema();
+        let body = "*,a2,a1,a1,a1,a1\n";
+        assert_eq!(
+            generalized_from_csv(&schema, &format!("x,y,z,w,v,u\n{body}")).unwrap_err(),
+            CoreError::UnknownLabel {
+                attr: "A1".into(),
+                label: "x".into()
+            }
+        );
+        for (text, found) in [(format!("A1,A2\n{body}"), 2), (String::new(), 0)] {
+            let err = generalized_from_csv(&schema, &text).unwrap_err();
+            assert_eq!(err, CoreError::ArityMismatch { expected: 6, found });
+        }
+    }
+
+    #[test]
+    fn literal_labels_beat_generalized_notation() {
+        // A domain containing labels that look like generalized notation
+        // must round-trip as leaves.
+        let schema =
+            crate::parse_schema("attr x = {low}, low, high\ngroup x = low, high\n").unwrap();
+        let text = "x\n\"{low}\"\nlow\n\"{low,high}\"\n";
+        let g = generalized_from_csv(&schema, text).unwrap();
+        let h = schema.attr(0).hierarchy();
+        // "{low}" is a real label → its leaf, not the {low} subset.
+        let lit = schema.attr(0).domain().value_of("{low}").unwrap();
+        assert_eq!(g.row(0).get(0), h.leaf(lit));
+        let low = schema.attr(0).domain().value_of("low").unwrap();
+        assert_eq!(g.row(1).get(0), h.leaf(low));
+        // "{low,high}" is not a label → parsed as the permissible pair.
+        let high = schema.attr(0).domain().value_of("high").unwrap();
+        let pair = h.closure([low, high]).unwrap();
+        assert_eq!(g.row(2).get(0), pair);
+    }
+
+    #[test]
+    fn generalized_csv_parses_star_and_leaf() {
+        let schema = crate::art::schema();
+        let text = "A1,A2,A3,A4,A5,A6\n*,a2,a1,a1,a1,a1\n";
+        let g = generalized_from_csv(&schema, text).unwrap();
+        assert_eq!(g.num_rows(), 1);
+        let h = schema.attr(0).hierarchy();
+        assert_eq!(g.row(0).get(0), h.root());
     }
 }

@@ -96,33 +96,98 @@ fn policy_parse_spellings() {
 
 #[test]
 fn adult_loader_policies() {
-    // Build a 15-column UCI-shaped row from a generated table, then break
-    // one copy's education label.
+    // 15-column UCI rows: a good row, a bad education label, a `?` row
+    // and a short row (both skipped, unreported, but they keep their row
+    // index), and out-of-range ages (clamped into 17..=90).
     let good = "39, Private, 77516, Bachelors, 13, Never-married, Adm-clerical, \
                 Not-in-family, White, Male, 2174, 0, 40, United-States, <=50K";
     let bad = good.replace("Bachelors", "NoSuchDegree");
-    let text = format!("{good}\n{bad}\n{good}\n");
-    assert!(adult::load_csv(&text, 0).is_err());
+    let missing = good.replace("Private", "?");
+    let old = good.replacen("39", "95", 1);
+    let young = good.replacen("39", "5", 1);
+    let text = format!("{good}\n{bad}\n{missing}\n39, Private\n{old}\n{young}\n");
+    let ages = |t: &kanon_core::table::Table| -> Vec<String> {
+        let age = t.schema().attr(0).domain();
+        t.rows()
+            .iter()
+            .map(|r| age.label(r.get(0)).to_string())
+            .collect()
+    };
+    // A strict error names the attribute and the 1-based data row.
+    assert_eq!(
+        adult::load_csv(&text, 0).unwrap_err(),
+        kanon_core::error::CoreError::UnknownLabel {
+            attr: "education".into(),
+            label: "NoSuchDegree (data row 2)".into(),
+        }
+    );
     let (t, report) = adult::load_csv_with_policy(&text, 0, RowPolicy::SuppressRow).unwrap();
-    assert_eq!(t.num_rows(), 2);
+    assert_eq!(ages(&t), ["39", "90", "17"]);
     assert_eq!(report.suppressed_rows, vec![1]);
+    assert!(report.rooted_cells.is_empty());
     let (t, report) = adult::load_csv_with_policy(&text, 0, RowPolicy::GeneralizeToRoot).unwrap();
-    assert_eq!(t.num_rows(), 3);
+    assert_eq!(ages(&t), ["39", "39", "90", "17"]);
+    assert!(report.suppressed_rows.is_empty());
     assert_eq!(report.rooted_cells, vec![(1, 2)]); // education = attr 2
+                                                   // Without the bad row every policy reads the same three rows.
+    let clean = format!("{good}\n{missing}\n39, Private\n{old}\n{young}\n");
+    for policy in POLICIES {
+        let (t, report) = adult::load_csv_with_policy(&clean, 0, policy).unwrap();
+        assert_eq!(ages(&t), ["39", "90", "17"], "{policy:?}");
+        assert!(report.is_clean(), "{policy:?}");
+    }
+}
+
+#[test]
+fn adult_question_mark_row_is_skipped_whatever_else_it_holds() {
+    // A `?` row is skipped before any cell is read, so a bad label in it
+    // is never an error, a suppression or a rooted cell — even one in a
+    // column before the `?`.
+    let row = "39, Private, 77516, NoSuchDegree, 13, Never-married, Adm-clerical, \
+               Not-in-family, White, Male, 2174, 0, 40, ?, <=50K\n";
+    for policy in POLICIES {
+        let (t, report) = adult::load_csv_with_policy(row, 0, policy).unwrap();
+        assert_eq!(t.num_rows(), 0, "{policy:?}");
+        assert!(report.is_clean(), "{policy:?}");
+    }
 }
 
 #[test]
 fn cmc_loader_policies() {
-    let text = "24,2,3,3,1,1,2,3,0,1\n24,9,3,3,1,1,2,3,0,1\n24,2,3,3,1,1,2,3,0,oops\n";
-    assert!(cmc::load_csv(text).is_err());
+    // Rows: good, bad class label, bad wife-education, short (skipped,
+    // keeps its index), out-of-range age and children (clamped to 49 and
+    // 16), and a `?` cell (an unreadable wife-education, not a skip).
+    let text = "24,2,3,3,1,1,2,3,0,1\n24,2,3,3,1,1,2,3,0,oops\n24,9,3,3,1,1,2,3,0,1\n\
+                24,2,3\n99,4,4,20,1,0,1,1,1,3\n24,?,3,3,1,1,2,3,0,2\n";
+    let cells = |lt: &cmc::LabeledTable, j: usize| -> Vec<String> {
+        let d = lt.table.schema().attr(j).domain();
+        lt.table
+            .rows()
+            .iter()
+            .map(|r| d.label(r.get(j)).to_string())
+            .collect()
+    };
+    // The class label is read first, and strict fails on it.
+    assert_eq!(
+        cmc::load_csv(text).unwrap_err(),
+        kanon_core::error::CoreError::UnknownLabel {
+            attr: "cmc".into(),
+            label: "oops".into(),
+        }
+    );
     let (lt, report) = cmc::load_csv_with_policy(text, RowPolicy::SuppressRow).unwrap();
-    assert_eq!(lt.table.num_rows(), 1);
-    assert_eq!(report.suppressed_rows, vec![1, 2]);
+    assert_eq!(cells(&lt, 0), ["24", "49"]);
+    assert_eq!(cells(&lt, 3), ["3", "16"]);
+    assert_eq!(lt.labels, vec![1, 3]);
+    assert_eq!(report.suppressed_rows, vec![1, 2, 5]);
+    assert!(report.rooted_cells.is_empty());
     let (lt, report) = cmc::load_csv_with_policy(text, RowPolicy::GeneralizeToRoot).unwrap();
     // Bad education roots; the bad class label still suppresses its row.
-    assert_eq!(lt.table.num_rows(), 2);
-    assert_eq!(report.suppressed_rows, vec![2]);
-    assert_eq!(report.rooted_cells, vec![(1, 1)]);
+    assert_eq!(cells(&lt, 0), ["24", "24", "49", "24"]);
+    assert_eq!(cells(&lt, 1), ["2", "1", "4", "1"]);
+    assert_eq!(lt.labels, vec![1, 1, 3, 2]);
+    assert_eq!(report.suppressed_rows, vec![1]);
+    assert_eq!(report.rooted_cells, vec![(2, 1), (5, 1)]);
 }
 
 const POLICIES: [RowPolicy; 3] = [

@@ -117,8 +117,9 @@ pub enum Counter {
     /// Rows ingested by the serve daemon's batch-apply path (after the
     /// `--on-bad-row` policy; suppressed rows are not counted).
     ServeRowsIngested,
-    /// Pending rows absorbed for free into a resident mature cluster by
-    /// the serve daemon's packed absorption scan (closure unchanged).
+    /// Batch rows absorbed into a resident mature cluster by the serve
+    /// daemon's absorption sweep: free joins (closure unchanged) plus the
+    /// ε-bounded joins also counted in [`Counter::ServeRowsAbsorbedEps`].
     ServeRowsAbsorbed,
     /// From-scratch re-optimization passes run by the serve daemon.
     ServeReoptRuns,

@@ -17,12 +17,11 @@
 //!   `k` even on (k,k)-anonymous tables. Global (1,k)-anonymity is exactly
 //!   the defence against her.
 
-use crate::graph::consistency_graph;
+use crate::graph::{consistency_graph, match_oracle};
 use kanon_core::error::Result;
-use kanon_core::generalize::{is_consistent, is_generalization_of};
+use kanon_core::generalize::is_consistent;
 use kanon_core::record::Record;
 use kanon_core::table::{GeneralizedTable, Table};
-use kanon_matching::{AllowedEdges, Matching};
 
 /// Outcome of an attack against one target record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,16 +149,7 @@ impl Adversary2 {
     ) -> Result<AttackReport> {
         let g = consistency_graph(table, gtable)?;
         let n = table.num_rows();
-        let allowed = if n > 0 && is_generalization_of(table, gtable)? {
-            let identity = Matching {
-                pair_left: (0..n as u32).collect(),
-                pair_right: (0..n as u32).collect(),
-                size: n,
-            };
-            AllowedEdges::compute_with_matching(&g, &identity)
-        } else {
-            AllowedEdges::compute(&g)
-        };
+        let allowed = match_oracle(table, gtable, &g)?;
         let results = (0..n)
             .map(|i| LinkageResult {
                 target: i,

@@ -3,11 +3,9 @@
 //! (1,k)-anonymity (Def. 4.6), plus an [`AnonymityProfile`] computing the
 //! largest `k` for which each property holds.
 
-use crate::graph::consistency_graph;
+use crate::graph::{consistency_graph, match_oracle};
 use kanon_core::error::Result;
-use kanon_core::generalize::is_generalization_of;
 use kanon_core::table::{GeneralizedTable, Table};
-use kanon_matching::{AllowedEdges, Matching};
 // kanon-lint: allow(L001) values feed min() only — commutative, order cannot escape
 use std::collections::HashMap;
 
@@ -73,25 +71,10 @@ pub fn is_global_1k_anonymous(table: &Table, gtable: &GeneralizedTable, k: usize
 }
 
 /// The largest `k` for which `g(D)` is globally (1,k)-anonymous: the
-/// minimum match count over original records. When `g(D)` is a record-wise
-/// generalization of `D`, the identity pairing is a perfect matching and
-/// seeds the oracle for free.
+/// minimum match count over original records (0 for an empty table).
 pub fn global_1k_level(table: &Table, gtable: &GeneralizedTable) -> Result<usize> {
     let g = consistency_graph(table, gtable)?;
-    let n = table.num_rows();
-    if n == 0 {
-        return Ok(0);
-    }
-    let allowed = if is_generalization_of(table, gtable)? {
-        let identity = Matching {
-            pair_left: (0..n as u32).collect(),
-            pair_right: (0..n as u32).collect(),
-            size: n,
-        };
-        AllowedEdges::compute_with_matching(&g, &identity)
-    } else {
-        AllowedEdges::compute(&g)
-    };
+    let allowed = match_oracle(table, gtable, &g)?;
     Ok(allowed.match_counts().into_iter().min().unwrap_or(0))
 }
 
@@ -126,19 +109,9 @@ impl AnonymityProfile {
     /// one matching-oracle pass.
     pub fn compute(table: &Table, gtable: &GeneralizedTable) -> Result<Self> {
         let g = consistency_graph(table, gtable)?;
-        let n = table.num_rows();
         let one_k = (0..g.n_left()).map(|u| g.degree(u)).min().unwrap_or(0);
         let k_one = g.right_degrees().into_iter().min().unwrap_or(0);
-        let allowed = if n > 0 && is_generalization_of(table, gtable)? {
-            let identity = Matching {
-                pair_left: (0..n as u32).collect(),
-                pair_right: (0..n as u32).collect(),
-                size: n,
-            };
-            AllowedEdges::compute_with_matching(&g, &identity)
-        } else {
-            AllowedEdges::compute(&g)
-        };
+        let allowed = match_oracle(table, gtable, &g)?;
         let global_1k = allowed.match_counts().into_iter().min().unwrap_or(0);
         Ok(AnonymityProfile {
             k_anonymity: k_anonymity_level(gtable),

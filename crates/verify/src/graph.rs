@@ -4,15 +4,37 @@
 //! (Def. 3.3).
 
 use kanon_core::error::Result;
-use kanon_core::generalize::consistency_adjacency;
+use kanon_core::generalize::{consistency_adjacency, is_generalization_of};
 use kanon_core::table::{GeneralizedTable, Table};
-use kanon_matching::BipartiteGraph;
+use kanon_matching::{AllowedEdges, BipartiteGraph, Matching};
 
 /// Builds `V_{D,g(D)}` as a [`BipartiteGraph`]. Fails if the tables are
 /// not row-aligned over the same schema.
 pub fn consistency_graph(table: &Table, gtable: &GeneralizedTable) -> Result<BipartiteGraph> {
     let adj = consistency_adjacency(table, gtable)?;
     Ok(BipartiteGraph::from_adjacency(gtable.num_rows(), &adj))
+}
+
+/// The matching oracle over `g`, the consistency graph of `(table,
+/// gtable)`: which edges lie on some perfect matching (Def. 4.6). When
+/// `g(D)` is a record-wise generalization of `D`, the identity pairing is
+/// a perfect matching and seeds the oracle for free.
+pub(crate) fn match_oracle(
+    table: &Table,
+    gtable: &GeneralizedTable,
+    g: &BipartiteGraph,
+) -> Result<AllowedEdges> {
+    let n = table.num_rows();
+    Ok(if n > 0 && is_generalization_of(table, gtable)? {
+        let identity = Matching {
+            pair_left: (0..n as u32).collect(),
+            pair_right: (0..n as u32).collect(),
+            size: n,
+        };
+        AllowedEdges::compute_with_matching(g, &identity)
+    } else {
+        AllowedEdges::compute(g)
+    })
 }
 
 #[cfg(test)]

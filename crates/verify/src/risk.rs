@@ -15,11 +15,9 @@
 //! caps prosecutor risk at `1/k` — these correspondences are asserted in
 //! the tests.
 
-use crate::graph::consistency_graph;
+use crate::graph::{consistency_graph, match_oracle};
 use kanon_core::error::Result;
-use kanon_core::generalize::is_generalization_of;
 use kanon_core::table::{GeneralizedTable, Table};
-use kanon_matching::{AllowedEdges, Matching};
 
 /// Aggregate re-identification risk over all records of a table.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,17 +72,7 @@ pub fn journalist_risk(table: &Table, gtable: &GeneralizedTable) -> Result<RiskR
 /// paper's second adversary, with perfect-matching pruning).
 pub fn prosecutor_risk(table: &Table, gtable: &GeneralizedTable) -> Result<RiskReport> {
     let g = consistency_graph(table, gtable)?;
-    let n = table.num_rows();
-    let allowed = if n > 0 && is_generalization_of(table, gtable)? {
-        let identity = Matching {
-            pair_left: (0..n as u32).collect(),
-            pair_right: (0..n as u32).collect(),
-            size: n,
-        };
-        AllowedEdges::compute_with_matching(&g, &identity)
-    } else {
-        AllowedEdges::compute(&g)
-    };
+    let allowed = match_oracle(table, gtable, &g)?;
     Ok(RiskReport::from_candidates(allowed.match_counts()))
 }
 
