@@ -27,9 +27,9 @@ use crate::distance::ClusterDistance;
 use crate::engine::{self, ClusterPolicy};
 use crate::fallible::Budgeted;
 use kanon_core::cluster::Clustering;
-use kanon_core::error::{CoreError, Result};
+use kanon_core::error::Result;
 use kanon_core::hierarchy::NodeId;
-use kanon_core::table::{GeneralizedTable, Table};
+use kanon_core::table::{check_k, GeneralizedTable, Table};
 use kanon_measures::NodeCostTable;
 
 /// Configuration for the agglomerative algorithms.
@@ -146,9 +146,7 @@ pub(crate) fn agglomerative_clusters(
     cfg: &AgglomerativeConfig,
 ) -> Result<Budgeted<Vec<Vec<u32>>>> {
     let n = table.num_rows();
-    if cfg.k == 0 || cfg.k > n {
-        return Err(CoreError::InvalidK { k: cfg.k, n });
-    }
+    check_k(cfg.k, n)?;
     let _span = kanon_obs::span("agglomerative");
     let policy = Alg1Policy {
         distance: cfg.distance,
@@ -221,6 +219,7 @@ fn shrink_to_k(
 mod tests {
     use super::*;
     use crate::try_agglomerative_k_anonymize;
+    use kanon_core::error::CoreError;
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
     use kanon_core::KanonError;

@@ -26,8 +26,8 @@
 use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
 use crate::fallible::{Budget, Budgeted};
-use kanon_core::error::{CoreError, Result};
-use kanon_core::table::Table;
+use kanon_core::error::Result;
+use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
 
 /// Union-find with path compression and union by size.
@@ -86,9 +86,7 @@ pub(crate) fn forest_impl(
     k: usize,
 ) -> Result<Budgeted<KAnonOutput>> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     let _span = kanon_obs::span("forest");
     let ctx = CostContext::new(table, costs);
 

@@ -12,18 +12,18 @@
 //! Incognito pruning property: once a node is k-anonymous, all its
 //! ancestors are, so their k-checks can be skipped.
 //!
-//! [`crate::try_fulldomain_k_anonymize`] enumerates the lattice bottom-up with that
-//! pruning and returns the minimum-loss k-anonymous node. Lattices here
-//! are small (the paper's hierarchies are 2–5 levels deep), so exhaustive
-//! enumeration with pruning is exact and fast.
+//! [`crate::try_fulldomain_k_anonymize`] scans the shared lattice
+//! (the `lattice` module, also behind [`crate::samarati`]) bottom-up with
+//! that pruning and returns the minimum-loss k-anonymous node. Lattices
+//! here are small (the paper's hierarchies are 2–5 levels deep), so
+//! exhaustive enumeration with pruning is exact and fast; a lattice too
+//! large to hold is a typed error.
 
 use crate::agglomerative::KAnonOutput;
-use kanon_core::cluster::Clustering;
-use kanon_core::error::{CoreError, Result};
-use kanon_core::hierarchy::{Hierarchy, NodeId};
-use kanon_core::table::Table;
+use crate::lattice::Lattice;
+use kanon_core::error::Result;
+use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
-use std::collections::BTreeMap;
 
 /// A full-domain recoding: one generalization level per attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,18 +44,6 @@ pub struct FullDomainOutput {
     pub lattice_size: usize,
 }
 
-/// The ancestor of `leaf` exactly `steps` levels up, clamped at the root.
-fn ancestor_at(h: &Hierarchy, leaf: NodeId, steps: u8) -> NodeId {
-    let mut cur = leaf;
-    for _ in 0..steps {
-        match h.parent(cur) {
-            Some(p) => cur = p,
-            None => break,
-        }
-    }
-    cur
-}
-
 /// Full-domain lattice enumeration (the implementation behind
 /// [`crate::try_fulldomain_k_anonymize`]).
 pub(crate) fn fulldomain_impl(
@@ -64,145 +52,51 @@ pub(crate) fn fulldomain_impl(
     k: usize,
 ) -> Result<FullDomainOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
-    let schema = table.schema();
-    let r = schema.num_attrs();
+    check_k(k, n)?;
+    let r = table.num_attrs();
+    let lattice = Lattice::new(table)?;
 
-    // Per-attribute maximum level = the deepest leaf's depth.
-    let max_level: Vec<u8> = (0..r)
-        .map(|j| {
-            let h = schema.attr(j).hierarchy();
-            (0..h.domain_size() as u32)
-                .map(|v| h.depth(h.leaf(kanon_core::ValueId(v))) as u8)
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    let lattice_size: usize = max_level.iter().map(|&m| m as usize + 1).product();
-
-    // Precompute recodings: recode[j][level][value] = node.
-    let recode: Vec<Vec<Vec<NodeId>>> = (0..r)
-        .map(|j| {
-            let h = schema.attr(j).hierarchy();
-            (0..=max_level[j])
-                .map(|l| {
-                    (0..h.domain_size() as u32)
-                        .map(|v| ancestor_at(h, h.leaf(kanon_core::ValueId(v)), l))
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-
-    // Enumerate lattice nodes in non-decreasing total level order so that
-    // monotonicity pruning (k-anonymous ⇒ ancestors k-anonymous) applies.
-    let mut nodes: Vec<Vec<u8>> = Vec::with_capacity(lattice_size);
-    let mut cur = vec![0u8; r];
-    loop {
-        nodes.push(cur.clone());
-        // Odometer increment.
-        let mut j = 0;
-        loop {
-            if j == r {
-                break;
-            }
-            if cur[j] < max_level[j] {
-                cur[j] += 1;
-                break;
-            }
-            cur[j] = 0;
-            j += 1;
-        }
-        if j == r {
-            break;
-        }
-    }
-    nodes.sort_by_key(|levels| levels.iter().map(|&l| l as u32).sum::<u32>());
-
-    let mut known_anonymous: Vec<Vec<u8>> = Vec::new();
+    // Nodes in non-decreasing height order, so that monotonicity pruning
+    // (k-anonymous ⇒ ancestors k-anonymous) applies.
+    let mut known_anonymous: Vec<&[u8]> = Vec::new();
     let mut nodes_tested = 0usize;
-    let mut best: Option<(f64, Vec<u8>, Vec<NodeId>)> = None;
-
-    let mut recoded: Vec<NodeId> = vec![NodeId(0); r];
-    for levels in &nodes {
+    let mut best: Option<(f64, usize)> = None;
+    for node in 0..lattice.size() {
+        let levels = lattice.node(node);
         // Monotonicity pruning: dominated by a known-anonymous node?
         let dominated = known_anonymous
             .iter()
             .any(|a| a.iter().zip(levels).all(|(&al, &l)| l >= al));
-        let is_anon = if dominated {
-            true
-        } else {
+        if !dominated {
             nodes_tested += 1;
-            // Group rows by recoded tuple.
-            let mut classes: BTreeMap<Vec<NodeId>, usize> = BTreeMap::new();
-            for rec in table.rows() {
-                for j in 0..r {
-                    recoded[j] = recode[j][levels[j] as usize][rec.get(j).index()];
-                }
-                *classes.entry(recoded.clone()).or_insert(0) += 1;
+            let sizes = lattice.classes(levels, |size: &mut usize, _| *size += 1);
+            if !sizes.values().all(|&size| size >= k) {
+                continue;
             }
-            let ok = classes.values().all(|&c| c >= k);
-            if ok {
-                known_anonymous.push(levels.clone());
-            }
-            ok
-        };
-        if !is_anon {
-            continue;
+            known_anonymous.push(levels);
         }
-        // Loss of this recoding.
+        // Loss of this recoding, summed row by row.
         let mut sum = 0.0;
-        for rec in table.rows() {
-            for j in 0..r {
-                sum += costs.entry_cost(j, recode[j][levels[j] as usize][rec.get(j).index()]);
+        for row in 0..n {
+            for (j, v) in lattice.recode(levels, row).enumerate() {
+                sum += costs.entry_cost(j, v);
             }
         }
         let loss = sum / (n as f64 * r as f64);
-        let better = match &best {
-            None => true,
-            Some((bl, ..)) => loss < *bl,
-        };
-        if better {
-            best = Some((loss, levels.clone(), Vec::new()));
+        if best.is_none_or(|(bl, _)| loss < bl) {
+            best = Some((loss, node));
         }
     }
 
     // kanon-lint: allow(L006) the all-root node is always feasible, so best is Some
-    let (_, levels, _) = best.expect("the all-root node is always k-anonymous for k ≤ n");
-
-    // Materialize the winning recoding as a clustering (equivalence
-    // classes of identical recoded tuples). The published table must be
-    // the recoded tuples themselves — NOT per-class closures, which can
-    // be strictly finer than the chosen lattice node and would make the
-    // published loss disagree with the loss that ranked the nodes
-    // (breaking the optimality contract and full-domain uniformity).
-    let mut class_of: BTreeMap<Vec<NodeId>, u32> = BTreeMap::new();
-    let mut assignment = Vec::with_capacity(n);
-    let mut grows = Vec::with_capacity(n);
-    for rec in table.rows() {
-        let tuple: Vec<NodeId> = (0..r)
-            .map(|j| recode[j][levels[j] as usize][rec.get(j).index()])
-            .collect();
-        let next = class_of.len() as u32;
-        let id = *class_of.entry(tuple.clone()).or_insert(next);
-        assignment.push(id);
-        grows.push(kanon_core::GeneralizedRecord::new(tuple));
-    }
-    let clustering = Clustering::from_assignment(assignment)?;
-    let gtable =
-        kanon_core::GeneralizedTable::new_unchecked(std::sync::Arc::clone(table.schema()), grows);
-    let loss = costs.table_loss(&gtable);
+    let (_, node) = best.expect("the all-root node is always k-anonymous for k ≤ n");
+    let levels = lattice.node(node);
+    let output = lattice.publish(costs, (0..n).map(|i| lattice.recode(levels, i).collect()))?;
     Ok(FullDomainOutput {
-        output: KAnonOutput {
-            clustering,
-            table: gtable,
-            loss,
-        },
-        levels: RecodingLevels(levels),
+        output,
+        levels: RecodingLevels(levels.to_vec()),
         nodes_tested,
-        lattice_size,
+        lattice_size: lattice.size(),
     })
 }
 

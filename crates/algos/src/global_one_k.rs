@@ -28,7 +28,7 @@
 
 use kanon_core::error::{CoreError, Result};
 use kanon_core::generalize::{is_consistent, is_generalization_of, record_join_ground};
-use kanon_core::table::{check_aligned, GeneralizedTable, Table};
+use kanon_core::table::{check_aligned, check_k, GeneralizedTable, Table};
 use kanon_matching::AllowedEdges;
 use kanon_measures::NodeCostTable;
 use kanon_obs::{count, Counter};
@@ -101,9 +101,7 @@ pub fn global_1k_from_kk(
     k: usize,
 ) -> Result<GlobalOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     check_aligned(table, gtable)?;
     if !is_generalization_of(table, gtable)? {
         return Err(CoreError::InvalidClustering(
@@ -230,9 +228,7 @@ mod tests {
         k: usize,
     ) -> Result<GlobalOutput> {
         let n = table.num_rows();
-        if k == 0 || k > n {
-            return Err(CoreError::InvalidK { k, n });
-        }
+        check_k(k, n)?;
         check_aligned(table, gtable)?;
         if !is_generalization_of(table, gtable)? {
             return Err(CoreError::InvalidClustering("not a generalization".into()));

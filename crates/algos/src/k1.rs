@@ -16,8 +16,8 @@
 //! pure, so results are identical at any thread count).
 
 use crate::cost::CostContext;
-use kanon_core::error::{CoreError, Result};
-use kanon_core::table::{GeneralizedTable, Table};
+use kanon_core::error::Result;
+use kanon_core::table::{check_k, GeneralizedTable, Table};
 use kanon_measures::NodeCostTable;
 use std::sync::Arc;
 
@@ -38,9 +38,7 @@ pub struct GenOutput {
 /// publishes the closure of the k-set.
 pub fn k1_nearest_neighbors(table: &Table, costs: &NodeCostTable, k: usize) -> Result<GenOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     let _span = kanon_obs::span("k1_nearest_neighbors");
     let ctx = CostContext::new(table, costs);
 
@@ -79,9 +77,7 @@ pub fn k1_nearest_neighbors(table: &Table, costs: &NodeCostTable, k: usize) -> R
 /// then publishes the closure of `S_i`.
 pub fn k1_expansion(table: &Table, costs: &NodeCostTable, k: usize) -> Result<GenOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     let _span = kanon_obs::span("k1_expansion");
     let ctx = CostContext::new(table, costs);
 
@@ -130,9 +126,7 @@ pub fn k1_expansion(table: &Table, costs: &NodeCostTable, k: usize) -> Result<Ge
 /// n ≲ 15.
 pub fn k1_optimal_bruteforce(table: &Table, costs: &NodeCostTable, k: usize) -> Result<GenOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     let ctx = CostContext::new(table, costs);
 
     /// Advances `combo` to the next lexicographic (|combo|)-combination of

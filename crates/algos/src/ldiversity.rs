@@ -30,7 +30,7 @@ use crate::distance::ClusterDistance;
 use crate::engine::{self, ClusterPolicy};
 use crate::fallible::Budgeted;
 use kanon_core::error::{CoreError, Result};
-use kanon_core::table::Table;
+use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
 use std::collections::BTreeMap;
 
@@ -101,9 +101,7 @@ impl ClusterPolicy for LDivPolicy<'_> {
 /// of distinct sensitive values.
 fn validate(table: &Table, sensitive: &[u32], cfg: &LDiverseConfig) -> Result<usize> {
     let n = table.num_rows();
-    if cfg.k == 0 || cfg.k > n {
-        return Err(CoreError::InvalidK { k: cfg.k, n });
-    }
+    check_k(cfg.k, n)?;
     if sensitive.len() != n {
         return Err(CoreError::RowCountMismatch {
             left: n,

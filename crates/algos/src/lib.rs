@@ -59,6 +59,7 @@ pub mod forest;
 pub mod fulldomain;
 pub mod global_one_k;
 pub mod k1;
+mod lattice;
 pub mod ldiversity;
 pub mod mdav;
 pub mod mondrian;
@@ -67,6 +68,7 @@ pub mod optimal;
 pub mod pipeline;
 pub mod samarati;
 pub mod shard;
+mod split;
 
 pub use agglomerative::{AgglomerativeConfig, KAnonOutput};
 pub use cost::CostContext;

@@ -19,17 +19,15 @@
 
 use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
-use kanon_core::error::{CoreError, Result};
-use kanon_core::table::Table;
+use kanon_core::error::Result;
+use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
 
 /// MDAV round loop (the implementation behind
 /// [`crate::try_mdav_k_anonymize`]).
 pub(crate) fn mdav_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Result<KAnonOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     let ctx = CostContext::new(table, costs);
 
     let mut remaining: Vec<u32> = (0..n as u32).collect();

@@ -2,172 +2,63 @@
 //! the paper's laminar-hierarchy model) — an extra baseline contrasting
 //! the paper's bottom-up agglomerative family. Not part of the original
 //! evaluation; included as an ablation (DESIGN.md E-A6) because top-down
-//! partitioners are the other standard local-recoding approach. It also
-//! powers the shard-and-conquer pre-partitioning stage
-//! ([`crate::shard`]), which reuses the split machinery below.
+//! partitioners are the other standard local-recoding approach.
 //!
-//! The algorithm keeps a queue of clusters, starting from one cluster
-//! holding the whole table. For each cluster it considers, per attribute,
-//! the partition of the cluster induced by the children of its closure
-//! node, greedily packs those child groups into two bins of balanced
-//! size, and performs the feasible (both bins ≥ k) binary split that
-//! reduces the clustering cost `Σ |S| d(S)` the most. Clusters with no
-//! feasible cost-reducing split are final. The result is k-anonymous by
-//! construction.
-//!
-//! ## Rooted cells
-//!
-//! `--on-bad-row root` ingestion patches unreadable cells with the
-//! attribute's first domain value and records them in
-//! `IngestReport::rooted_cells` (kanon-data) — semantically
-//! those cells hold the hierarchy *root* ("unknown"), not the patched
-//! leaf. The splitter used to place every member by the child containing
-//! its leaf value, panicking when a cell's effective value was an
-//! interior/root node no child contains.
-//! [`crate::try_mondrian_k_anonymize_rooted`] threads the rooted-cell
-//! set through: a rooted attribute's closure is lifted to the root, and
-//! an attribute whose closure node *is* some member's effective value is
-//! unsplittable for that cluster. Truly inconsistent annotations (cells
-//! outside the table) are a typed [`CoreError`] instead of a panic.
+//! This module is one policy of the shared top-down splitter (the
+//! `split` module, also behind [`crate::shard`]): a cluster of fewer than
+//! `2k` rows is final, and the split taken is the one, with both bins
+//! ≥ k rows, that reduces the clustering cost `Σ |S| d(S)` the most. The
+//! result is k-anonymous by construction.
+//! [`crate::try_mondrian_k_anonymize_rooted`] passes the rooted cells of
+//! an `--on-bad-row root` ingest to the splitter.
 
 use crate::agglomerative::KAnonOutput;
-use crate::cost::CostContext;
 use crate::fallible::{Budget, Budgeted};
-use kanon_core::error::{CoreError, Result};
-use kanon_core::hierarchy::{Hierarchy, NodeId};
-use kanon_core::schema::Schema;
-use kanon_core::table::Table;
+use crate::split::{SplitPolicy, Splitter};
+use kanon_core::error::Result;
+use kanon_core::hierarchy::NodeId;
+use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
 
 /// Failpoint name firing once per Mondrian split attempt (see the
 /// `kanon-fault` catalogue).
-pub const MONDRIAN_FAIL_POINT: &str = "algos/mondrian/split";
+pub const MONDRIAN_FAIL_POINT: &str = MondrianPolicy::SPLIT_POINT;
 
-/// Validated, sorted `(row, attr)` set of cells whose *effective* value
-/// is the attribute's hierarchy root rather than the stored leaf (the
-/// `--on-bad-row root` placeholder).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RootedCells {
-    cells: Vec<(u32, u32)>,
+/// Mondrian's rules for the splitter.
+struct MondrianPolicy {
+    k: usize,
 }
 
-impl RootedCells {
-    /// Validates and indexes the raw `(row, attr)` pairs of an
-    /// `kanon_data::IngestReport`. Out-of-range entries
-    /// are inconsistent input, reported as a typed error.
-    pub(crate) fn new(n: usize, num_attrs: usize, cells: &[(usize, usize)]) -> Result<Self> {
-        let mut v = Vec::with_capacity(cells.len());
-        for &(row, attr) in cells {
-            if row >= n {
-                return Err(CoreError::InconsistentInput(format!(
-                    "rooted cell (row {row}, attr {attr}) is outside a table of {n} rows"
-                )));
-            }
-            if attr >= num_attrs {
-                return Err(CoreError::AttrOutOfRange { attr, num_attrs });
-            }
-            v.push((row as u32, attr as u32));
+impl SplitPolicy for MondrianPolicy {
+    const SPLIT_POINT: &'static str = "algos/mondrian/split";
+    type Score = f64;
+
+    fn is_final(&self, len: usize) -> bool {
+        len < 2 * self.k
+    }
+
+    fn score(
+        &self,
+        splitter: &Splitter<'_>,
+        members: &[u32],
+        closure: &[NodeId],
+        left: &[u32],
+        right: &[u32],
+    ) -> Option<f64> {
+        if left.len() < self.k || right.len() < self.k {
+            return None;
         }
-        v.sort_unstable();
-        v.dedup();
-        Ok(RootedCells { cells: v })
+        let ctx = splitter.ctx();
+        let current_cost = members.len() as f64 * ctx.cost(closure);
+        let split_cost = left.len() as f64 * ctx.cost(&splitter.closure(left))
+            + right.len() as f64 * ctx.cost(&splitter.closure(right));
+        (split_cost < current_cost - 1e-12).then_some(split_cost)
     }
 
-    /// True when no cell is rooted (the fast path stays untouched).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+    fn on_split(&self, packed: usize) {
+        kanon_obs::count(kanon_obs::Counter::MondrianSplits, 1);
+        kanon_obs::count(kanon_obs::Counter::MondrianGroupsPacked, packed as u64);
     }
-
-    /// Whether `(row, attr)` is rooted.
-    pub(crate) fn is_rooted(&self, row: u32, attr: usize) -> bool {
-        self.cells.binary_search(&(row, attr as u32)).is_ok()
-    }
-
-    /// The attributes rooted for `row`, ascending.
-    pub(crate) fn attrs_of(&self, row: u32) -> impl Iterator<Item = usize> + '_ {
-        let lo = self.cells.partition_point(|&(r, _)| r < row);
-        self.cells[lo..]
-            .iter()
-            .take_while(move |&&(r, _)| r == row)
-            .map(|&(_, a)| a as usize)
-    }
-}
-
-/// Cluster closure with rooted cells honoured: the leaf-based closure,
-/// then every attribute holding a rooted member cell lifted to the root
-/// (the join of "unknown" with anything is the root).
-pub(crate) fn closure_rooted(
-    ctx: &CostContext<'_>,
-    schema: &Schema,
-    rooted: &RootedCells,
-    members: &[u32],
-) -> Vec<NodeId> {
-    let mut nodes = ctx.closure_of(members);
-    if !rooted.is_empty() {
-        for &row in members {
-            for j in rooted.attrs_of(row) {
-                nodes[j] = schema.attr(j).hierarchy().root();
-            }
-        }
-    }
-    nodes
-}
-
-/// Partitions `members` by the child of `node` covering each member's
-/// effective value at attribute `j`.
-///
-/// `Ok(None)` means the attribute is unsplittable for this cluster: some
-/// member's effective node *is* `node` itself (a rooted cell at the
-/// closure root — no child can contain it). `Err` means a member's value
-/// escapes `node` entirely, which no closure computed by this crate can
-/// produce — truly inconsistent input, surfaced as a typed error instead
-/// of the historical `.expect` panic.
-pub(crate) fn group_by_child(
-    table: &Table,
-    h: &Hierarchy,
-    j: usize,
-    node: NodeId,
-    children: &[NodeId],
-    members: &[u32],
-    rooted: &RootedCells,
-) -> Result<Option<Vec<Vec<u32>>>> {
-    let mut groups: Vec<Vec<u32>> = vec![Vec::new(); children.len()];
-    for &row in members {
-        let eff = if rooted.is_rooted(row, j) {
-            h.root()
-        } else {
-            h.leaf(table.row(row as usize).get(j))
-        };
-        if eff == node {
-            return Ok(None);
-        }
-        match children.iter().position(|&c| h.is_ancestor_or_eq(c, eff)) {
-            Some(ci) => groups[ci].push(row),
-            None => {
-                return Err(CoreError::InconsistentInput(format!(
-                    "row {row}, attribute {j}: value lies outside its cluster's closure node"
-                )))
-            }
-        }
-    }
-    Ok(Some(groups))
-}
-
-/// Greedy balanced packing of child groups into two bins (largest group
-/// first, always into the currently smaller bin). Deterministic: ties go
-/// to the left bin, and the group order is the stable child order.
-pub(crate) fn pack_two_bins(groups: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by_key(|&g| std::cmp::Reverse(groups[g].len()));
-    let (mut left, mut right): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-    for g in order {
-        if left.len() <= right.len() {
-            left.extend_from_slice(&groups[g]);
-        } else {
-            right.extend_from_slice(&groups[g]);
-        }
-    }
-    (left, right)
 }
 
 /// Mondrian implementation with budget-aware graceful degradation.
@@ -177,87 +68,19 @@ pub(crate) fn mondrian_impl(
     k: usize,
     rooted_cells: &[(usize, usize)],
 ) -> Result<Budgeted<KAnonOutput>> {
-    let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
-    let schema = table.schema().as_ref();
-    let rooted = RootedCells::new(n, schema.num_attrs(), rooted_cells)?;
+    check_k(k, table.num_rows())?;
     let _span = kanon_obs::span("mondrian");
-    let ctx = CostContext::new(table, costs);
-
+    let splitter = Splitter::new(table, costs, rooted_cells)?;
     let mut budget = Budget::arm();
-    let mut queue: Vec<Vec<u32>> = vec![(0..n as u32).collect()];
-    let mut done: Vec<Vec<u32>> = Vec::new();
-
-    while let Some(members) = queue.pop() {
-        if members.len() < 2 * k {
-            done.push(members);
-            continue;
-        }
-        kanon_fault::fail_point!(MONDRIAN_FAIL_POINT);
-        // Graceful degradation: every queue element already has ≥ k
-        // members, so draining the queue into the output keeps the
-        // clustering valid — just less refined than a full run.
-        if budget.tripped() {
-            done.push(members);
-            done.append(&mut queue);
-            break;
-        }
-        let closure = closure_rooted(&ctx, schema, &rooted, &members);
-        let current_cost = members.len() as f64 * ctx.cost(&closure);
-
-        // Best feasible binary split over attributes.
-        let mut best: Option<(f64, usize, Vec<u32>, Vec<u32>)> = None;
-        for (j, &node) in closure.iter().enumerate() {
-            let h = schema.attr(j).hierarchy();
-            let children = h.children(node);
-            if children.len() < 2 {
-                continue;
-            }
-            // Group members by the child of `node` covering their
-            // effective value; a rooted cell at the closure node makes
-            // the attribute unsplittable for this cluster.
-            let groups = match group_by_child(table, h, j, node, children, &members, &rooted)? {
-                Some(g) => g,
-                None => continue,
-            };
-            let (left, right) = pack_two_bins(&groups);
-            if left.len() < k || right.len() < k {
-                continue;
-            }
-            let split_cost = left.len() as f64
-                * ctx.cost(&closure_rooted(&ctx, schema, &rooted, &left))
-                + right.len() as f64 * ctx.cost(&closure_rooted(&ctx, schema, &rooted, &right));
-            if split_cost < current_cost - 1e-12 {
-                let better = match &best {
-                    None => true,
-                    Some((bc, ..)) => split_cost < *bc,
-                };
-                if better {
-                    best = Some((split_cost, groups.len(), left, right));
-                }
-            }
-        }
-
-        match best {
-            Some((_, packed, left, right)) => {
-                kanon_obs::count(kanon_obs::Counter::MondrianSplits, 1);
-                kanon_obs::count(kanon_obs::Counter::MondrianGroupsPacked, packed as u64);
-                queue.push(left);
-                queue.push(right);
-            }
-            None => done.push(members),
-        }
-    }
-
-    Ok(budget.finish(KAnonOutput::from_clusters(table, costs, done)?))
+    let clusters = splitter.run(&MondrianPolicy { k }, &mut budget)?;
+    Ok(budget.finish(KAnonOutput::from_clusters(table, costs, clusters)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{try_mondrian_k_anonymize, try_mondrian_k_anonymize_rooted};
+    use kanon_core::error::CoreError;
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
     use kanon_core::KanonError;

@@ -12,9 +12,9 @@
 
 use crate::cost::CostContext;
 use crate::k1::GenOutput;
-use kanon_core::error::{CoreError, Result};
+use kanon_core::error::Result;
 use kanon_core::generalize::{is_consistent, record_join_ground};
-use kanon_core::table::{check_aligned, GeneralizedTable, Table};
+use kanon_core::table::{check_aligned, check_k, GeneralizedTable, Table};
 use kanon_measures::NodeCostTable;
 
 pub(crate) fn one_k_impl(
@@ -24,9 +24,7 @@ pub(crate) fn one_k_impl(
     k: usize,
 ) -> Result<GenOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     check_aligned(table, gtable)?;
     let _span = kanon_obs::span("one_k_anonymize");
     let _ctx = CostContext::new(table, costs); // validates attr counts

@@ -12,9 +12,9 @@
 
 use crate::agglomerative::KAnonOutput;
 use crate::cost::CostContext;
-use kanon_core::error::{CoreError, Result};
+use kanon_core::error::Result;
 use kanon_core::hierarchy::NodeId;
-use kanon_core::table::Table;
+use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
 
 struct Search<'a> {
@@ -85,9 +85,7 @@ impl Search<'_> {
 /// [`crate::try_optimal_k_anonymize`]).
 pub(crate) fn optimal_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Result<KAnonOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     let ctx = CostContext::new(table, costs);
     let mut search = Search {
         ctx,

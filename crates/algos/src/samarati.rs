@@ -13,18 +13,13 @@
 //! Suppressed records are published fully generalized (all attributes at
 //! the hierarchy root) — the conventional representation of record
 //! suppression in this model.
+//! The lattice is the `lattice` module shared with [`crate::fulldomain`].
 
 use crate::agglomerative::KAnonOutput;
-use kanon_core::cluster::Clustering;
-use kanon_core::error::{CoreError, Result};
-use kanon_core::hierarchy::NodeId;
-use kanon_core::table::Table;
+use crate::lattice::Lattice;
+use kanon_core::error::Result;
+use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
-// BTreeMap keyed by recoded tuples: `evaluate` accumulates the float loss
-// while iterating the classes, so the iteration order must be a function
-// of the data alone (float addition is not associative — a HashMap here
-// made the published loss hasher-seed dependent in the last ulp).
-use std::collections::BTreeMap;
 
 /// Output of Samarati's algorithm.
 #[derive(Debug, Clone)]
@@ -48,83 +43,17 @@ pub(crate) fn samarati_impl(
     max_sup: usize,
 ) -> Result<SamaratiOutput> {
     let n = table.num_rows();
-    if k == 0 || k > n {
-        return Err(CoreError::InvalidK { k, n });
-    }
+    check_k(k, n)?;
     let schema = table.schema();
     let r = schema.num_attrs();
-
-    let max_level: Vec<u8> = (0..r)
-        .map(|j| {
-            let h = schema.attr(j).hierarchy();
-            (0..h.domain_size() as u32)
-                .map(|v| h.depth(h.leaf(kanon_core::ValueId(v))) as u8)
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    let recode: Vec<Vec<Vec<NodeId>>> = (0..r)
-        .map(|j| {
-            let h = schema.attr(j).hierarchy();
-            (0..=max_level[j])
-                .map(|l| {
-                    (0..h.domain_size() as u32)
-                        .map(|v| {
-                            let mut cur = h.leaf(kanon_core::ValueId(v));
-                            for _ in 0..l {
-                                match h.parent(cur) {
-                                    Some(p) => cur = p,
-                                    None => break,
-                                }
-                            }
-                            cur
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-
-    // All lattice nodes, grouped by height (sum of levels).
-    let mut by_height: Vec<Vec<Vec<u8>>> = Vec::new();
-    let mut cur = vec![0u8; r];
-    loop {
-        let h: u32 = cur.iter().map(|&l| l as u32).sum();
-        if by_height.len() <= h as usize {
-            by_height.resize(h as usize + 1, Vec::new());
-        }
-        by_height[h as usize].push(cur.clone());
-        let mut j = 0;
-        loop {
-            if j == r {
-                break;
-            }
-            if cur[j] < max_level[j] {
-                cur[j] += 1;
-                break;
-            }
-            cur[j] = 0;
-            j += 1;
-        }
-        if j == r {
-            break;
-        }
-    }
-    let max_height = by_height.len() as u32 - 1;
+    let lattice = Lattice::new(table)?;
 
     // Feasibility of a node: number of records in classes smaller than k
     // must be ≤ max_sup. Returns (feasible, suppressed rows, loss).
     let evaluate = |levels: &[u8]| -> (bool, Vec<u32>, f64) {
-        let mut classes: BTreeMap<Vec<NodeId>, Vec<u32>> = BTreeMap::new();
-        let mut recoded = vec![NodeId(0); r];
-        for (i, rec) in table.rows().iter().enumerate() {
-            for j in 0..r {
-                recoded[j] = recode[j][levels[j] as usize][rec.get(j).index()];
-            }
-            classes.entry(recoded.clone()).or_default().push(i as u32);
-        }
         let mut suppressed = Vec::new();
         let mut sum = 0.0;
+        let classes = lattice.classes(levels, |rows: &mut Vec<u32>, i| rows.push(i));
         for (tuple, rows) in &classes {
             if rows.len() < k {
                 suppressed.extend_from_slice(rows);
@@ -144,13 +73,16 @@ pub(crate) fn samarati_impl(
         (suppressed.len() <= max_sup, suppressed, loss)
     };
 
-    let height_feasible =
-        |h: u32| -> bool { by_height[h as usize].iter().any(|node| evaluate(node).0) };
+    let height_feasible = |h: u32| -> bool {
+        lattice
+            .at_height(h)
+            .any(|node| evaluate(lattice.node(node)).0)
+    };
 
     // Binary search for the minimal feasible height. (The all-root node at
     // max height is always feasible, so the search is well-defined;
     // feasibility is monotone in height by Samarati's observation.)
-    let (mut lo, mut hi) = (0u32, max_height);
+    let (mut lo, mut hi) = (0u32, lattice.max_height());
     while lo < hi {
         let mid = (lo + hi) / 2;
         if height_feasible(mid) {
@@ -161,58 +93,35 @@ pub(crate) fn samarati_impl(
     }
 
     // Minimal-loss feasible node at that height.
-    let mut best: Option<(f64, Vec<u8>, Vec<u32>)> = None;
-    for node in &by_height[lo as usize] {
-        let (ok, suppressed, loss) = evaluate(node);
-        if ok {
-            let better = best.as_ref().is_none_or(|(bl, ..)| loss < *bl);
-            if better {
-                best = Some((loss, node.clone(), suppressed));
-            }
+    let mut best: Option<(f64, usize, Vec<u32>)> = None;
+    for node in lattice.at_height(lo) {
+        let (ok, suppressed, loss) = evaluate(lattice.node(node));
+        if ok && best.as_ref().is_none_or(|(bl, ..)| loss < *bl) {
+            best = Some((loss, node, suppressed));
         }
     }
     // kanon-lint: allow(L006) the binary search maintains a feasible height
-    let (_, levels, suppressed) = best.expect("binary search returned a feasible height");
+    let (_, node, suppressed) = best.expect("binary search returned a feasible height");
+    let levels = lattice.node(node);
 
-    // Materialize: suppressed rows form their own all-root "class"; note
-    // that with fewer than k suppressed rows the published table is only
-    // k-anonymous *outside* the suppressed records, which is the accepted
-    // semantics of record suppression (those individuals are removed from
-    // the linkage game entirely).
-    let sup_set: std::collections::BTreeSet<u32> = suppressed.iter().copied().collect();
-    let mut class_of: BTreeMap<Vec<NodeId>, u32> = BTreeMap::new();
-    let mut assignment = Vec::with_capacity(n);
-    let all_root: Vec<NodeId> = schema.suppressed_nodes();
-    let mut recoded = vec![NodeId(0); r];
-    let mut grows = Vec::with_capacity(n);
-    for (i, rec) in table.rows().iter().enumerate() {
-        let tuple = if sup_set.contains(&(i as u32)) {
-            all_root.clone()
-        } else {
-            for j in 0..r {
-                recoded[j] = recode[j][levels[j] as usize][rec.get(j).index()];
+    // Suppressed rows are published all-root and form their own class;
+    // with fewer than k of them the table is k-anonymous only *outside*
+    // them, the accepted semantics of record suppression.
+    let all_root = schema.suppressed_nodes();
+    let mut next_suppressed = suppressed.iter().peekable();
+    let output = lattice.publish(
+        costs,
+        (0..n).map(|i| {
+            if next_suppressed.next_if_eq(&&(i as u32)).is_some() {
+                all_root.clone()
+            } else {
+                lattice.recode(levels, i).collect()
             }
-            recoded.clone()
-        };
-        let next = class_of.len() as u32;
-        let id = *class_of.entry(tuple.clone()).or_insert(next);
-        assignment.push(id);
-        grows.push(kanon_core::GeneralizedRecord::new(tuple));
-    }
-    let clustering = Clustering::from_assignment(assignment)?;
-    // Publish the recoded tuples directly: suppressed rows must appear
-    // fully generalized, NOT as the closure of the suppressed class
-    // (which could be narrower and leak).
-    let gtable =
-        kanon_core::GeneralizedTable::new_unchecked(std::sync::Arc::clone(table.schema()), grows);
-    let loss = costs.table_loss(&gtable);
+        }),
+    )?;
     Ok(SamaratiOutput {
-        output: KAnonOutput {
-            clustering,
-            table: gtable,
-            loss,
-        },
-        levels,
+        output,
+        levels: levels.to_vec(),
         suppressed,
         height: lo,
     })

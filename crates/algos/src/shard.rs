@@ -5,8 +5,8 @@
 //! a million rows is out of reach directly. This module makes it
 //! tractable in three deterministic phases:
 //!
-//! 1. **Partition** — a Mondrian-style top-down pass (reusing
-//!    [`crate::mondrian`]'s split machinery, including its rooted-cell
+//! 1. **Partition** — the shared top-down splitter (the `split` module,
+//!    also behind [`crate::mondrian`], including its rooted-cell
 //!    handling) cuts the table into shards of at most
 //!    [`ShardConfig::shard_max`] rows. Splits are chosen for *balance*
 //!    (smallest size imbalance, lowest attribute index on ties) and are
@@ -38,20 +38,20 @@
 //! [`Budgeted::BudgetExhausted`] while still returning a valid result.
 
 use crate::agglomerative::{agglomerative_clusters, AgglomerativeConfig, KAnonOutput};
-use crate::cost::CostContext;
 use crate::distance::ClusterDistance;
 use crate::fallible::{Budget, Budgeted};
 use crate::ldiversity::{ldiversity_clusters, LDiverseConfig};
-use crate::mondrian::{closure_rooted, group_by_child, pack_two_bins, RootedCells};
+use crate::split::{SplitPolicy, Splitter};
 use kanon_core::error::{CoreError, Result};
-use kanon_core::table::Table;
+use kanon_core::hierarchy::NodeId;
+use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Failpoint name firing once per shard-partition split attempt (see the
 /// `kanon-fault` catalogue).
-pub const SHARD_FAIL_POINT: &str = "algos/shard/partition";
+pub const SHARD_FAIL_POINT: &str = ShardPolicy::SPLIT_POINT;
 
 /// Configuration for the shard-and-conquer pipeline.
 #[derive(Debug, Clone)]
@@ -152,6 +152,42 @@ fn distinct_of(sensitive: &[u32], members: &[u32]) -> usize {
         .len()
 }
 
+/// The partition phase's rules for the splitter (phase 1 of the module
+/// doc). No cost evaluations: balance is what bounds shard sizes fast.
+struct ShardPolicy<'s> {
+    cfg: &'s ShardConfig,
+    sensitive: Option<&'s [u32]>,
+}
+
+impl SplitPolicy for ShardPolicy<'_> {
+    const SPLIT_POINT: &'static str = "algos/shard/partition";
+    type Score = usize;
+
+    fn is_final(&self, len: usize) -> bool {
+        len <= self.cfg.shard_max
+    }
+
+    fn score(
+        &self,
+        _splitter: &Splitter<'_>,
+        _members: &[u32],
+        _closure: &[NodeId],
+        left: &[u32],
+        right: &[u32],
+    ) -> Option<usize> {
+        let (k, l) = (self.cfg.k, self.cfg.l);
+        if left.len() < k || right.len() < k {
+            return None;
+        }
+        if let Some(s) = self.sensitive {
+            if distinct_of(s, left) < l || distinct_of(s, right) < l {
+                return None;
+            }
+        }
+        Some(left.len().abs_diff(right.len()))
+    }
+}
+
 /// The shard-and-conquer implementation. `sensitive` selects the
 /// ℓ-diverse engine (with `cfg.l`) for the per-shard runs.
 pub(crate) fn sharded_impl(
@@ -161,9 +197,7 @@ pub(crate) fn sharded_impl(
     cfg: &ShardConfig,
 ) -> Result<Budgeted<ShardedOutput>> {
     let n = table.num_rows();
-    if cfg.k == 0 || cfg.k > n {
-        return Err(CoreError::InvalidK { k: cfg.k, n });
-    }
+    check_k(cfg.k, n)?;
     if cfg.shard_max == 0 {
         return Err(CoreError::InconsistentInput(
             "shard-max must be at least 1".to_string(),
@@ -177,72 +211,17 @@ pub(crate) fn sharded_impl(
             });
         }
     }
-    let schema = table.schema().as_ref();
-    let rooted = RootedCells::new(n, schema.num_attrs(), &cfg.rooted_cells)?;
     let _span = kanon_obs::span("sharded");
-    let ctx = CostContext::new(table, costs);
+    let splitter = Splitter::new(table, costs, &cfg.rooted_cells)?;
+    let ctx = splitter.ctx();
 
     let mut budget = Budget::arm();
 
-    // Phase 1: partition into bounded shards (serial, deterministic).
-    let mut queue: Vec<Vec<u32>> = vec![(0..n as u32).collect()];
-    let mut shards: Vec<Vec<u32>> = Vec::new();
-    while let Some(members) = queue.pop() {
-        if members.len() <= cfg.shard_max {
-            shards.push(members);
-            continue;
-        }
-        kanon_fault::fail_point!(SHARD_FAIL_POINT);
-        // Degradation keeps every queue element as a (coarser) shard:
-        // the per-shard engines still enforce k/ℓ, so validity holds.
-        if budget.tripped() {
-            shards.push(members);
-            shards.append(&mut queue);
-            break;
-        }
-        let closure = closure_rooted(&ctx, schema, &rooted, &members);
-        // Most balanced feasible binary split; ties to the lowest
-        // attribute (strict `<` over ascending attribute order). No cost
-        // evaluations here — balance is what bounds shard sizes fast.
-        let mut best: Option<(usize, Vec<u32>, Vec<u32>)> = None;
-        for (j, &node) in closure.iter().enumerate() {
-            let h = schema.attr(j).hierarchy();
-            let children = h.children(node);
-            if children.len() < 2 {
-                continue;
-            }
-            let groups = match group_by_child(table, h, j, node, children, &members, &rooted)? {
-                Some(g) => g,
-                None => continue,
-            };
-            let (left, right) = pack_two_bins(&groups);
-            if left.len() < cfg.k || right.len() < cfg.k {
-                continue;
-            }
-            if let Some(s) = sensitive {
-                if distinct_of(s, &left) < cfg.l || distinct_of(s, &right) < cfg.l {
-                    continue;
-                }
-            }
-            let imbalance = left.len().abs_diff(right.len());
-            let better = match &best {
-                None => true,
-                Some((bi, ..)) => imbalance < *bi,
-            };
-            if better {
-                best = Some((imbalance, left, right));
-            }
-        }
-        match best {
-            Some((_, left, right)) => {
-                queue.push(left);
-                queue.push(right);
-            }
-            // No feasible split under the k/ℓ constraints: keep the
-            // oversized shard instead of producing an invalid one.
-            None => shards.push(members),
-        }
-    }
+    // Phase 1: partition into bounded shards (serial, deterministic). A
+    // cluster with no feasible split stays one oversized shard; budget
+    // degradation keeps every queue element as a (coarser) shard — the
+    // per-shard engines still enforce k/ℓ, so validity holds.
+    let mut shards = splitter.run(&ShardPolicy { cfg, sensitive }, &mut budget)?;
     for s in &mut shards {
         s.sort_unstable();
     }
@@ -296,7 +275,7 @@ pub(crate) fn sharded_impl(
     // Phase 3a: free boundary merges — clusters from different shards
     // whose closures coincide generalize identically, so merging them is
     // loss-neutral and k/ℓ-preserving.
-    let mut keyed: Vec<(Vec<kanon_core::hierarchy::NodeId>, Vec<u32>)> = clusters
+    let mut keyed: Vec<(Vec<NodeId>, Vec<u32>)> = clusters
         .into_iter()
         .map(|c| (ctx.closure_of(&c), c))
         .collect();

@@ -16,8 +16,10 @@
 
 use kanon_algos::{
     k1_expansion, k1_nearest_neighbors, try_agglomerative_k_anonymize, try_best_k_anonymize,
-    try_forest_k_anonymize, try_global_1k_anonymize, try_kk_anonymize, try_l_diverse_k_anonymize,
-    AgglomerativeConfig, ClusterDistance, GlobalConfig, K1Method, KkConfig, LDiverseConfig,
+    try_forest_k_anonymize, try_fulldomain_k_anonymize, try_global_1k_anonymize, try_kk_anonymize,
+    try_l_diverse_k_anonymize, try_mondrian_k_anonymize, try_samarati_k_anonymize,
+    try_sharded_k_anonymize, try_sharded_l_diverse_k_anonymize, AgglomerativeConfig,
+    ClusterDistance, GlobalConfig, K1Method, KkConfig, LDiverseConfig, ShardConfig, ShardStats,
 };
 use kanon_core::table::Table;
 use kanon_data::art;
@@ -309,4 +311,79 @@ fn agglomerative_losses_are_pinned_for_every_distance() {
         }
     }
     assert_eq!(got, PINNED);
+}
+
+#[test]
+fn top_down_and_lattice_searches_are_pinned() {
+    // Absolute results of the two shared searches — the top-down splitter
+    // (Mondrian, the shard partitioner) and the full-domain lattice
+    // (full-domain recoding, Samarati) — on one fixed table. The
+    // cross-run tests above only compare runs with each other; a moved
+    // split, shard boundary or lattice order changes these.
+    let table = art::generate(300, 7);
+    let costs = NodeCostTable::compute(&table, &EntropyMeasure);
+
+    let m = try_mondrian_k_anonymize(&table, &costs, 4)
+        .unwrap()
+        .into_inner();
+    assert_eq!(
+        (m.loss.to_bits(), m.clustering.num_clusters()),
+        (0x3ff44650a675b78f, 58)
+    );
+
+    let rooted = vec![(0, 0), (17, 1), (123, 2), (250, 0)];
+    let sensitive: Vec<u32> = (0..300u32).map(|i| i % 3).collect();
+    let eight_shards = ShardStats {
+        shards_built: 8,
+        shard_rows_max: 49,
+        boundary_repairs: 0,
+    };
+    let base = ShardConfig::new(4).with_shard_max(60);
+    let runs = [
+        try_sharded_k_anonymize(&table, &costs, &base),
+        try_sharded_k_anonymize(&table, &costs, &base.clone().with_rooted_cells(rooted)),
+        try_sharded_l_diverse_k_anonymize(&table, &costs, &sensitive, &base.with_l(2)),
+    ];
+    let got: Vec<_> = runs
+        .into_iter()
+        .map(|run| {
+            let out = run.unwrap().into_inner();
+            (out.stats, out.out.loss.to_bits())
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (eight_shards, 0x3ff345d5327a885b),
+            (eight_shards, 0x3ff38d60c43b799d),
+            (eight_shards, 0x3ff39bbd688b694c),
+        ]
+    );
+
+    let f = try_fulldomain_k_anonymize(&table, &costs, 4).unwrap();
+    assert_eq!(
+        (
+            f.levels.0.as_slice(),
+            f.nodes_tested,
+            f.lattice_size,
+            f.output.loss.to_bits()
+        ),
+        (&[1, 2, 1, 3, 0, 3][..], 1088, 1152, 0x3ffa4f0fb70ed4d5)
+    );
+
+    let s = try_samarati_k_anonymize(&table, &costs, 4, 3).unwrap();
+    assert_eq!(
+        (
+            s.levels.as_slice(),
+            s.height,
+            s.suppressed.as_slice(),
+            s.output.loss.to_bits()
+        ),
+        (
+            &[1, 1, 1, 3, 0, 3][..],
+            9,
+            &[55, 112, 151][..],
+            0x3ff7dcfe8f651313
+        )
+    );
 }

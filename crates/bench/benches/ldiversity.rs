@@ -14,8 +14,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kanon_algos::{ldiversity::l_diverse_reference, try_l_diverse_k_anonymize, LDiverseConfig};
-use kanon_bench::{measure_costs, Measure};
 use kanon_data::art;
+use kanon_measures::Measure;
 use std::hint::black_box;
 
 fn bench_ldiversity(c: &mut Criterion) {
@@ -23,7 +23,7 @@ fn bench_ldiversity(c: &mut Criterion) {
     group.sample_size(10);
     for n in [100usize, 200, 400] {
         let table = art::generate(n, 42);
-        let costs = measure_costs(&table, Measure::Em);
+        let costs = Measure::Em.costs(&table);
         let sensitive: Vec<u32> = (0..n).map(|i| (i % 5) as u32).collect();
         let cfg = LDiverseConfig::new(5, 3);
         group.bench_with_input(BenchmarkId::new("engine", n), &n, |b, _| {

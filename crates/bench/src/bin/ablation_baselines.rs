@@ -19,9 +19,8 @@ use kanon_algos::{
     try_kk_anonymize, try_mdav_k_anonymize, try_mondrian_k_anonymize, try_samarati_k_anonymize,
     AgglomerativeConfig, KkConfig,
 };
-use kanon_bench::{
-    load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
-};
+use kanon_bench::{load_dataset, render_table, Args, DatasetName, TextTable};
+use kanon_measures::Measure;
 
 fn main() {
     let mut args = Args::from_env();
@@ -35,7 +34,7 @@ fn main() {
         let n = dataset.table.num_rows();
         let max_sup = n / 100; // Samarati's customary ~1 % budget
         for measure in Measure::ALL {
-            let costs = measure_costs(&dataset.table, measure);
+            let costs = measure.costs(&dataset.table);
             let mut table = TextTable::new(
                 std::iter::once(format!("{} {}", name.label(), measure.label()))
                     .chain(args.ks.iter().map(|k| format!("k={k}"))),

@@ -8,9 +8,8 @@
 #![forbid(unsafe_code)]
 
 use kanon_algos::{try_kk_anonymize, K1Method, KkConfig};
-use kanon_bench::{
-    load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
-};
+use kanon_bench::{load_dataset, render_table, Args, DatasetName, TextTable};
+use kanon_measures::Measure;
 
 fn main() {
     let args = Args::from_env();
@@ -22,7 +21,7 @@ fn main() {
     for name in DatasetName::ALL {
         let dataset = load_dataset(name, &args);
         for measure in Measure::ALL {
-            let costs = measure_costs(&dataset.table, measure);
+            let costs = measure.costs(&dataset.table);
             let mut table = TextTable::new(
                 std::iter::once(format!("{} {}", name.label(), measure.label()))
                     .chain(args.ks.iter().map(|k| format!("k={k}"))),

@@ -15,11 +15,10 @@
 #![forbid(unsafe_code)]
 
 use kanon_algos::{global_1k_from_kk, try_kk_anonymize, KkConfig};
-use kanon_bench::{
-    load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
-};
+use kanon_bench::{load_dataset, render_table, Args, DatasetName, TextTable};
 use kanon_core::generalize::consistency_adjacency;
 use kanon_matching::{AllowedEdges, BipartiteGraph, Matching};
+use kanon_measures::Measure;
 
 fn main() {
     let mut args = Args::from_env();
@@ -46,7 +45,7 @@ fn main() {
 
     for name in DatasetName::ALL {
         let dataset = load_dataset(name, &args);
-        let costs = measure_costs(&dataset.table, Measure::Em);
+        let costs = Measure::Em.costs(&dataset.table);
         let n = dataset.table.num_rows();
         for &k in &args.ks {
             // Reference: exact global (1,k) via Algorithm 6 on plain (k,k).

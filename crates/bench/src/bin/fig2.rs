@@ -7,14 +7,15 @@
 #![forbid(unsafe_code)]
 
 use kanon_bench::{
-    load_dataset, measure_costs, render_series, run_best_k_anon, run_forest, run_kk_best,
-    series_to_csv, Args, DatasetName, Measure, Series,
+    load_dataset, render_series, run_best_k_anon, run_forest, run_kk_best, series_to_csv, Args,
+    DatasetName, Series,
 };
+use kanon_measures::Measure;
 
 fn main() {
     let args = Args::from_env();
     let dataset = load_dataset(DatasetName::Adt, &args);
-    let costs = measure_costs(&dataset.table, Measure::Em);
+    let costs = Measure::Em.costs(&dataset.table);
 
     let mut kanon = Vec::new();
     let mut forest = Vec::new();

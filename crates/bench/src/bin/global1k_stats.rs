@@ -12,9 +12,8 @@
 #![forbid(unsafe_code)]
 
 use kanon_algos::{global_1k_from_kk, try_kk_anonymize, KkConfig};
-use kanon_bench::{
-    load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
-};
+use kanon_bench::{load_dataset, render_table, Args, DatasetName, TextTable};
+use kanon_measures::Measure;
 use kanon_verify::consistency_graph;
 
 fn main() {
@@ -39,7 +38,7 @@ fn main() {
 
     for name in DatasetName::ALL {
         let dataset = load_dataset(name, &args);
-        let costs = measure_costs(&dataset.table, Measure::Em);
+        let costs = Measure::Em.costs(&dataset.table);
         for &k in &args.ks {
             if k >= dataset.table.num_rows() {
                 continue;

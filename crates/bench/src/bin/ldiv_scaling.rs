@@ -25,8 +25,8 @@
 #![forbid(unsafe_code)]
 
 use kanon_algos::{ldiversity::l_diverse_reference, try_l_diverse_k_anonymize, LDiverseConfig};
-use kanon_bench::{measure_costs, Measure};
 use kanon_data::art;
+use kanon_measures::Measure;
 use std::time::Instant;
 
 struct Row {
@@ -105,7 +105,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &n in &ns {
         let t = art::generate(n, seed);
-        let costs = measure_costs(&t, Measure::Em);
+        let costs = Measure::Em.costs(&t);
         let sensitive = sensitive_mod5(n);
         let cfg = LDiverseConfig::new(k, l);
         for algo in &algos {

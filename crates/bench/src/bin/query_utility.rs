@@ -12,10 +12,8 @@ use kanon_algos::{
     try_agglomerative_k_anonymize, try_forest_k_anonymize, try_global_1k_anonymize,
     try_kk_anonymize, AgglomerativeConfig, GlobalConfig, KkConfig,
 };
-use kanon_bench::{
-    load_dataset, measure_costs, render_table, Args, DatasetName, Measure, TextTable,
-};
-use kanon_measures::{mean_relative_error, QueryWorkload};
+use kanon_bench::{load_dataset, render_table, Args, DatasetName, TextTable};
+use kanon_measures::{mean_relative_error, Measure, QueryWorkload};
 
 fn main() {
     let mut args = Args::from_env();
@@ -35,7 +33,7 @@ fn main() {
     for name in DatasetName::ALL {
         let dataset = load_dataset(name, &args);
         let workload = QueryWorkload::random(dataset.table.schema(), num_queries, dims, 2024);
-        let costs = measure_costs(&dataset.table, Measure::Em);
+        let costs = Measure::Em.costs(&dataset.table);
         let mut table = TextTable::new(
             std::iter::once(format!("{} (n={})", name.label(), dataset.table.num_rows()))
                 .chain(args.ks.iter().map(|k| format!("k={k}"))),

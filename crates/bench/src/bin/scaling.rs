@@ -25,8 +25,8 @@ use kanon_algos::{
     try_l_diverse_k_anonymize, try_sharded_k_anonymize, AgglomerativeConfig, KkConfig,
     LDiverseConfig, ShardConfig,
 };
-use kanon_bench::{measure_costs, Measure};
 use kanon_data::art;
+use kanon_measures::Measure;
 use std::time::Instant;
 
 struct Row {
@@ -100,7 +100,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &n in &ns {
         let t = art::generate(n, seed);
-        let costs = measure_costs(&t, Measure::Em);
+        let costs = Measure::Em.costs(&t);
         // Sensitive labelling for the ldiv rows: five classes, feasible
         // for ℓ = 3 and independent of the quasi-identifiers (same
         // scheme as the ldiv_scaling binary).

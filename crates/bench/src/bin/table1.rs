@@ -11,9 +11,10 @@
 #![forbid(unsafe_code)]
 
 use kanon_bench::{
-    load_dataset, measure_costs, render_table, run_best_k_anon, run_forest, run_kk_best, Args,
-    DatasetName, Measure, TextTable,
+    load_dataset, render_table, run_best_k_anon, run_forest, run_kk_best, Args, DatasetName,
+    TextTable,
 };
+use kanon_measures::Measure;
 
 /// Paper's Table I values: `[dataset][measure][row][k_index]`.
 /// Rows: best k-anon, forest, (k,k)-anon. k ∈ {5, 10, 15, 20}.
@@ -78,7 +79,7 @@ fn main() {
             args.seed
         );
         for (m_idx, measure) in Measure::ALL.iter().enumerate() {
-            let costs = measure_costs(&dataset.table, *measure);
+            let costs = measure.costs(&dataset.table);
             let mut table = TextTable::new(
                 std::iter::once(format!("{} {}", name.label(), measure.label())).chain(
                     args.ks

@@ -1,44 +1,14 @@
-//! The three competitor protocols of Table I and shared measure dispatch.
+//! The three competitor protocols of Table I.
 
 use kanon_algos::{
     try_best_k_anonymize, try_forest_k_anonymize, try_kk_anonymize, ClusterDistance, K1Method,
     KkConfig,
 };
 use kanon_core::table::Table;
-use kanon_measures::{EntropyMeasure, LmMeasure, NodeCostTable};
+use kanon_measures::NodeCostTable;
 
 /// The k values of Table I and Figures 2–3.
 pub const PAPER_KS: [usize; 4] = [5, 10, 15, 20];
-
-/// The two information-loss measures used in the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Measure {
-    /// Entropy measure (Eq. 3).
-    Em,
-    /// LM measure (Eq. 4).
-    Lm,
-}
-
-impl Measure {
-    /// Both measures, in the paper's order.
-    pub const ALL: [Measure; 2] = [Measure::Em, Measure::Lm];
-
-    /// The paper's label ("EM" / "LM").
-    pub fn label(&self) -> &'static str {
-        match self {
-            Measure::Em => "EM",
-            Measure::Lm => "LM",
-        }
-    }
-}
-
-/// Precomputes the node-cost table of a measure over a table.
-pub fn measure_costs(table: &Table, measure: Measure) -> NodeCostTable {
-    match measure {
-        Measure::Em => NodeCostTable::compute(table, &EntropyMeasure),
-        Measure::Lm => NodeCostTable::compute(table, &LmMeasure),
-    }
-}
 
 /// One competitor's result for a (dataset, measure, k) cell.
 #[derive(Debug, Clone)]
@@ -117,6 +87,7 @@ pub fn run_kk_best(table: &Table, costs: &NodeCostTable, k: usize) -> Competitor
 mod tests {
     use super::*;
     use kanon_data::art;
+    use kanon_measures::Measure;
 
     #[test]
     fn competitor_ordering_holds_on_art() {
@@ -124,7 +95,7 @@ mod tests {
         // best-k-anon ≤ forest and kk ≤ best-k-anon.
         let table = art::generate(150, 1);
         for measure in Measure::ALL {
-            let costs = measure_costs(&table, measure);
+            let costs = measure.costs(&table);
             let k = 5;
             let best = run_best_k_anon(&table, &costs, k);
             let forest = run_forest(&table, &costs, k);
@@ -149,7 +120,7 @@ mod tests {
     #[test]
     fn losses_grow_with_k() {
         let table = art::generate(120, 2);
-        let costs = measure_costs(&table, Measure::Lm);
+        let costs = Measure::Lm.costs(&table);
         let l5 = run_best_k_anon(&table, &costs, 5).loss;
         let l10 = run_best_k_anon(&table, &costs, 10).loss;
         assert!(l5 <= l10 + 1e-9, "loss should grow with k: {l5} vs {l10}");
@@ -158,7 +129,7 @@ mod tests {
     #[test]
     fn winners_are_reported() {
         let table = art::generate(80, 3);
-        let costs = measure_costs(&table, Measure::Em);
+        let costs = Measure::Em.costs(&table);
         let best = run_best_k_anon(&table, &costs, 5);
         assert!(["D1", "D2", "D3", "D4"]
             .iter()

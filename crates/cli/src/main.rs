@@ -33,7 +33,7 @@ use kanon_core::schema::SharedSchema;
 use kanon_core::table::{GeneralizedTable, Table};
 use kanon_core::{KanonError, TableStats};
 use kanon_data::{adult, art, cmc, csv, RowPolicy};
-use kanon_measures::{EntropyMeasure, LmMeasure, NodeCostTable};
+use kanon_measures::{Measure, NodeCostTable};
 use kanon_verify::{journalist_risk, prosecutor_risk, AnonymityProfile};
 use std::collections::HashMap;
 use std::process::exit;
@@ -330,6 +330,13 @@ fn report_sharded(what: &str, out: &kanon_algos::ShardedOutput, costs: &NodeCost
     );
 }
 
+/// The `--measure em|lm` flag (default `em`).
+fn measure_flag(flags: &Flags) -> Result<Measure, KanonError> {
+    let name = flags.get("measure").unwrap_or("em");
+    Measure::parse(name)
+        .ok_or_else(|| KanonError::Usage(format!("unknown measure {name:?} (expected em|lm)")))
+}
+
 fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
     let (table, rooted_cells) = load_table(name, &schema, flags)?;
@@ -337,15 +344,7 @@ fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
     if k == 0 {
         return Err(KanonError::Usage("anonymize requires --k".to_string()));
     }
-    let costs = match flags.get("measure").unwrap_or("em") {
-        "em" => NodeCostTable::compute(&table, &EntropyMeasure),
-        "lm" => NodeCostTable::compute(&table, &LmMeasure),
-        other => {
-            return Err(KanonError::Usage(format!(
-                "unknown measure {other:?} (expected em|lm)"
-            )))
-        }
-    };
+    let costs = measure_flag(flags)?.costs(&table);
     let notion = flags.get("notion").unwrap_or("kk");
     let shard_max = shard_max(flags, notion)?;
     let gtable: GeneralizedTable = match notion {
@@ -544,10 +543,7 @@ fn cmd_serve(name: &str, flags: &Flags) -> CmdResult {
     let state_dir = flags.get("state-dir").ok_or_else(|| {
         KanonError::Usage("serve requires --state-dir DIR (journal + snapshots)".to_string())
     })?;
-    let measure_name = flags.get("measure").unwrap_or("em");
-    let measure = kanon_serve::state::Measure::parse(measure_name).ok_or_else(|| {
-        KanonError::Usage(format!("unknown measure {measure_name:?} (expected em|lm)"))
-    })?;
+    let measure = measure_flag(flags)?;
     let absorb_epsilon = match flags.get("absorb-epsilon") {
         None => 0.0,
         Some(v) => match v.parse::<f64>() {

@@ -190,6 +190,15 @@ pub fn check_aligned(table: &Table, gtable: &GeneralizedTable) -> Result<()> {
     Ok(())
 }
 
+/// Validates an anonymity parameter against a table of `n` rows:
+/// `1 ≤ k ≤ n`, else [`CoreError::InvalidK`].
+pub fn check_k(k: usize, n: usize) -> Result<()> {
+    if k == 0 || k > n {
+        return Err(CoreError::InvalidK { k, n });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,8 +43,8 @@
 //! | `algos/forest/round`         | top of each forest Borůvka round         |
 //! | `algos/k1/row`               | per-row loop of the (k,1) algorithms     |
 //! | `algos/one_k/upgrade`        | per-upgrade loop of Algorithm 6          |
-//! | `algos/mondrian/split`       | per-cluster loop of the Mondrian splitter |
-//! | `algos/shard/partition`      | per-split loop of the shard partitioner  |
+//! | `algos/mondrian/split`       | per split attempt of the top-down splitter (Mondrian policy) |
+//! | `algos/shard/partition`      | per split attempt of the top-down splitter (shard policy) |
 //! | `data/csv/row`               | per-row CSV ingestion (poisons the row)  |
 //! | `parallel/worker`            | every spawned worker (index semantics)   |
 //! | `serve/accept`               | per accepted daemon connection (drops it) |

@@ -9,6 +9,8 @@
 //! * [`EntropyMeasure`] — the entropy measure Π_E of Eq. (3);
 //! * [`LmMeasure`] — the LM measure of Eq. (4).
 //!
+//! [`Measure`] selects between the two by their `em`/`lm` spelling.
+//!
 //! The related-work measures reviewed in Sec. II are provided as well:
 //! [`TreeMeasure`] (Aggarwal et al.), [`SuppressionMeasure`] (Meyerson &
 //! Williams), [`nonuniform_entropy_loss`] (the non-uniform entropy
@@ -45,6 +47,7 @@ pub mod lm;
 pub mod measure;
 pub mod nonuniform;
 pub mod queries;
+pub mod select;
 pub mod suppression;
 pub mod tree;
 
@@ -55,5 +58,6 @@ pub use lm::LmMeasure;
 pub use measure::{EntryMeasure, MeasureContext, NodeCostTable};
 pub use nonuniform::nonuniform_entropy_loss;
 pub use queries::{mean_relative_error, CountQuery, QueryWorkload};
+pub use select::Measure;
 pub use suppression::SuppressionMeasure;
 pub use tree::TreeMeasure;

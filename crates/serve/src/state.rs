@@ -53,7 +53,7 @@ use kanon_core::record::GeneralizedRecord;
 use kanon_core::schema::SharedSchema;
 use kanon_core::table::{GeneralizedTable, Table};
 use kanon_data::csv::{generalized_to_csv, table_from_csv_with_policy, RowPolicy};
-use kanon_measures::{EntropyMeasure, LmMeasure, NodeCostTable};
+use kanon_measures::NodeCostTable;
 use kanon_obs::{count, Counter};
 
 use crate::journal::{read_journal, JournalRecord, RecordKind};
@@ -66,31 +66,7 @@ pub const POINT_JOURNAL_REPLAY: &str = "serve/journal/replay";
 pub const POINT_SNAPSHOT_WRITE: &str = "serve/snapshot/write";
 
 /// Loss-measure selection, mirroring the CLI `--measure` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Measure {
-    /// Entropy measure (`em`).
-    Em,
-    /// Loss metric (`lm`).
-    Lm,
-}
-
-impl Measure {
-    /// Parses the CLI spelling.
-    pub fn parse(s: &str) -> Option<Measure> {
-        match s {
-            "em" => Some(Measure::Em),
-            "lm" => Some(Measure::Lm),
-            _ => None,
-        }
-    }
-
-    fn compute(self, table: &Table) -> NodeCostTable {
-        match self {
-            Measure::Em => NodeCostTable::compute(table, &EntropyMeasure),
-            Measure::Lm => NodeCostTable::compute(table, &LmMeasure),
-        }
-    }
-}
+pub use kanon_measures::Measure;
 
 /// Static configuration of a serve instance. Not snapshotted: a restart
 /// must be launched with the same flags (the snapshot header carries
@@ -218,7 +194,7 @@ impl ServeState {
                 table.num_rows()
             )));
         }
-        let costs = cfg.measure.compute(&table);
+        let costs = cfg.measure.costs(&table);
         let out = try_sharded_k_anonymize(&table, &costs, &shard_config(&cfg))?
             .into_inner()
             .out;
@@ -637,10 +613,7 @@ impl ServeState {
             self.n_base,
             self.table.num_rows(),
             self.cfg.k,
-            match self.cfg.measure {
-                Measure::Em => "em",
-                Measure::Lm => "lm",
-            },
+            self.cfg.measure.name(),
             match self.last_drift {
                 Some(d) => format!("{:016x}", d.to_bits()),
                 None => "-".to_string(),
@@ -771,7 +744,7 @@ impl ServeState {
         let base = table
             .select_rows(&(0..n_base).collect::<Vec<_>>())
             .map_err(KanonError::Core)?;
-        let costs = cfg.measure.compute(&base);
+        let costs = cfg.measure.costs(&base);
         let ctx = CostContext::new(&table, &costs);
         let matures = member_lists
             .into_iter()
