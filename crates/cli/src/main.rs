@@ -93,11 +93,13 @@ fn usage() -> ! {
          takes host:port (default 127.0.0.1:0, bound port written to\n\
          <state-dir>/serve.addr) or a socket path containing '/'. The\n\
          write-ahead journal and snapshots in --state-dir make kill -9\n\
-         recovery byte-identical; each snapshot compacts the journal to\n\
-         the records it does not cover. --absorb-epsilon X absorbs a new\n\
-         row into a mature cluster when the join raises the cluster's\n\
-         loss contribution by less than X (0 disables; a BATCH request\n\
-         may override per batch). Defaults: --snapshot-every 8,\n\
+         recovery byte-identical; --snapshot-every N snapshots every N\n\
+         batches and after every reopt, and each snapshot compacts the\n\
+         journal to the records it does not cover (0 = journal only).\n\
+         --absorb-epsilon X absorbs a new row into a mature cluster when\n\
+         the join raises the cluster's loss contribution by less than X\n\
+         (0 disables; a BATCH request may override per batch).\n\
+         Defaults: --snapshot-every 8,\n\
          --reopt-every 0, --absorb-epsilon 0, --shard-max 10000. Knobs:\n\
          KANON_SERVE_WORK_RATE, KANON_SERVE_RETRIES,\n\
          KANON_SERVE_BACKOFF_MS, KANON_SERVE_MAX_FRAME,\n\

@@ -216,10 +216,12 @@ fn reopt_survives_kill_minus_9() {
     // rows; recovering to the pre-reopt clustering would publish two
     // different generalizations of the same rows. The journaled reopt
     // record must carry it through kill -9 — with no snapshot in the
-    // way (journal-only persistence is the worst case).
+    // way (journal-only persistence is the worst case; with snapshots
+    // on, the reopt would be snapshotted and never replayed).
     let dir = tmp_dir("serve-reopt-kill");
     let batches = batches();
-    let mut d = Daemon::spawn(&dir, &[], &[]);
+    let journal_only = ["--snapshot-every", "0"];
+    let mut d = Daemon::spawn(&dir, &journal_only, &[]);
     for b in &batches {
         d.request(format!("BATCH\n{b}").as_bytes());
     }
@@ -230,7 +232,7 @@ fn reopt_survives_kill_minus_9() {
     assert!(live_health.contains("\"reopts\":1"), "{live_health}");
     d.kill_dash_nine();
 
-    let mut r = Daemon::spawn(&dir, &[], &[]);
+    let mut r = Daemon::spawn(&dir, &journal_only, &[]);
     assert_eq!(r.request(b"OUTPUT"), live_output);
     let health = r.request(b"HEALTH");
     assert!(health.contains("\"reopts\":1"), "{health}");

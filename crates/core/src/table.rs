@@ -62,6 +62,13 @@ impl Table {
         &self.rows
     }
 
+    /// Appends the rows of `other`, which must be schema-valid for this
+    /// table's schema (checked in debug builds for the attribute count).
+    pub fn append_unchecked(&mut self, other: Table) {
+        debug_assert_eq!(self.num_attrs(), other.num_attrs());
+        self.rows.extend(other.rows);
+    }
+
     /// Returns a new table containing only the selected row indices
     /// (useful for sampling experiment subsets).
     pub fn select_rows(&self, indices: &[usize]) -> Result<Table> {

@@ -4,8 +4,9 @@
 
 use kanon_core::domain::ValueId;
 use kanon_core::error::{CoreError, Result};
+use kanon_core::hierarchy::NodeId;
 use kanon_core::record::{GeneralizedRecord, Record};
-use kanon_core::schema::SharedSchema;
+use kanon_core::schema::{Schema, SharedSchema};
 use kanon_core::table::{GeneralizedTable, Table};
 use std::sync::Arc;
 
@@ -145,28 +146,56 @@ pub fn parse_csv(text: &str) -> Vec<Vec<String>> {
     parse_csv_report(text).0
 }
 
-/// Escapes one field for CSV output.
-fn escape(field: &str) -> String {
+/// Appends one field to `out`, quoted when it holds a comma, a quote or
+/// a line break (inner quotes doubled).
+fn push_field(out: &mut String, field: &str) {
     if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
-        format!("\"{}\"", field.replace('"', "\"\""))
+        out.push('"');
+        out.push_str(&field.replace('"', "\"\""));
+        out.push('"');
     } else {
-        field.to_string()
+        out.push_str(field);
     }
+}
+
+/// Appends one LF-terminated CSV line of `fields` to `out`. Every line
+/// this module writes goes through here.
+fn push_row<S: AsRef<str>>(out: &mut String, fields: impl IntoIterator<Item = S>) {
+    for (i, f) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_field(out, f.as_ref());
+    }
+    out.push('\n');
 }
 
 /// Serializes rows of fields as CSV text (LF line endings).
 pub fn write_csv<S: AsRef<str>>(rows: &[Vec<S>]) -> String {
     let mut out = String::new();
     for row in rows {
-        for (i, f) in row.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&escape(f.as_ref()));
-        }
-        out.push('\n');
+        push_row(&mut out, row);
     }
     out
+}
+
+/// Appends the header line of attribute names that [`table_to_csv`] and
+/// [`generalized_to_csv`] start with.
+pub fn push_header(out: &mut String, schema: &Schema) {
+    push_row(out, schema.attrs().map(|(_, a)| a.name()));
+}
+
+/// Appends the line [`generalized_to_csv`] writes for a generalized
+/// record with closure `nodes`: leaf labels, `*` for a root and
+/// `{v1,v2,…}` for an inner node, escaped like every other field.
+pub fn push_generalized_row(out: &mut String, schema: &Schema, nodes: &[NodeId]) {
+    push_row(
+        out,
+        nodes.iter().enumerate().map(|(j, &n)| {
+            let a = schema.attr(j);
+            a.hierarchy().format_node(n, |v| a.domain().label(v))
+        }),
+    );
 }
 
 /// Reads a [`Table`] from CSV text using the schema's label lookup. When
@@ -307,39 +336,27 @@ pub(crate) fn clamp_int_cell(cell: &mut String, min: i64, max: i64) {
 /// Serializes a [`Table`] as CSV (with a header row of attribute names).
 pub fn table_to_csv(table: &Table) -> String {
     let schema = table.schema();
-    let mut rows: Vec<Vec<String>> = Vec::with_capacity(table.num_rows() + 1);
-    rows.push(schema.attrs().map(|(_, a)| a.name().to_string()).collect());
+    let mut out = String::new();
+    push_header(&mut out, schema);
     for rec in table.rows() {
-        rows.push(
-            rec.values()
-                .iter()
-                .enumerate()
-                .map(|(j, &v)| schema.attr(j).domain().label(v).to_string())
-                .collect(),
+        push_row(
+            &mut out,
+            (rec.values().iter().enumerate()).map(|(j, &v)| schema.attr(j).domain().label(v)),
         );
     }
-    write_csv(&rows)
+    out
 }
 
 /// Serializes a [`GeneralizedTable`] as CSV; generalized entries render as
 /// `{v1,v2,…}` and fully suppressed entries as `*`.
 pub fn generalized_to_csv(gtable: &GeneralizedTable) -> String {
     let schema = gtable.schema();
-    let mut rows: Vec<Vec<String>> = Vec::with_capacity(gtable.num_rows() + 1);
-    rows.push(schema.attrs().map(|(_, a)| a.name().to_string()).collect());
+    let mut out = String::new();
+    push_header(&mut out, schema);
     for rec in gtable.rows() {
-        rows.push(
-            rec.nodes()
-                .iter()
-                .enumerate()
-                .map(|(j, &n)| {
-                    let a = schema.attr(j);
-                    a.hierarchy().format_node(n, |v| a.domain().label(v))
-                })
-                .collect(),
-        );
+        push_generalized_row(&mut out, schema, rec.nodes());
     }
-    write_csv(&rows)
+    out
 }
 
 /// Reads back a generalized CSV written by [`generalized_to_csv`]: a

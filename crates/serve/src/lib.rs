@@ -14,12 +14,13 @@
 //!   failures roll the batch back (journal `R` marker) and leave state
 //!   untouched.
 //! * **Recovery** — every batch is journaled (fsync) *before* it is
-//!   applied ([`journal`]), and state snapshots periodically
-//!   ([`state`]); a `kill -9` at any instant recovers to byte-identical
-//!   state on restart — including a *second* `kill -9` after a torn
-//!   tail: recovery truncates the journal to its intact prefix before
-//!   anything reopens it for append, so post-restart acknowledgments
-//!   can never land behind crash garbage.
+//!   applied ([`journal`]), and state snapshots periodically and after
+//!   every adopted reopt ([`state`]), so recovery never re-runs a
+//!   snapshotted reopt; a `kill -9` at any instant recovers to
+//!   byte-identical state on restart — including a *second* `kill -9`
+//!   after a torn tail: recovery truncates the journal to its intact
+//!   prefix before anything reopens it for append, so post-restart
+//!   acknowledgments can never land behind crash garbage.
 //! * **Compaction** — after each successful snapshot the journal is
 //!   atomically rewritten down to the records the snapshot does not
 //!   cover, so disk usage is O(batches since last snapshot) instead of
@@ -27,8 +28,9 @@
 //! * **Concurrent reads** — batches stay strictly serialized behind the
 //!   single-writer core lock, but `OUTPUT`/`STATS`/`HEALTH` are served
 //!   from per-connection threads against an immutable published view
-//!   that is swapped wholesale after every commit: a slow reader never
-//!   blocks ingestion, and no reader ever observes a mid-commit state.
+//!   that is swapped wholesale after every commit and written to the
+//!   socket straight from its `Arc`: a slow reader never blocks
+//!   ingestion, and no reader ever observes a mid-commit state.
 //! * **Degradation** — bad rows follow the `--on-bad-row` policy, a
 //!   failed snapshot or compaction only lengthens recovery, and the
 //!   `STATS`/`HEALTH` endpoints serve the aggregated `kanon-obs`
@@ -126,6 +128,22 @@ impl ServeOptions {
     }
 }
 
+/// A response: text built for the request, or one part of a published
+/// view, written to the socket straight from the shared `Arc`.
+enum Reply {
+    Text(String),
+    View(Arc<PublishedView>, fn(&PublishedView) -> &str),
+}
+
+impl Reply {
+    fn as_str(&self) -> &str {
+        match self {
+            Reply::Text(text) => text,
+            Reply::View(view, part) => part(view),
+        }
+    }
+}
+
 /// What the connection loop should do after a response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Control {
@@ -183,6 +201,9 @@ impl Listener {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
+                // Every response is one frame in one write: send it now
+                // rather than hold it for the peer's delayed ACK.
+                let _ = s.set_nodelay(true);
                 let _ = s.set_read_timeout(idle);
                 let kick = s.try_clone().ok().map(Kick::Tcp);
                 Ok((Box::new(s), kick))
@@ -534,11 +555,11 @@ impl Daemon {
                     return;
                 }
             };
-            let (response, control) = match parse_request(&payload) {
+            let (reply, control) = match parse_request(&payload) {
                 Ok(req) => self.handle(req),
-                Err(msg) => (format!("ERR Usage: {msg}"), Control::Continue),
+                Err(msg) => (Reply::Text(format!("ERR Usage: {msg}")), Control::Continue),
             };
-            if write_frame(&mut conn, response.as_bytes()).is_err() {
+            if write_frame(&mut conn, reply.as_str().as_bytes()).is_err() {
                 return; // client went away mid-response
             }
             if control == Control::Shutdown {
@@ -553,9 +574,19 @@ impl Daemon {
 
     /// Dispatches one parsed request. Write requests (`BATCH`, `REOPT`,
     /// `SNAPSHOT`) take the core lock and republish the read view after
-    /// committing; read requests answer from the published view without
-    /// locking the core.
-    fn handle(&self, req: Request) -> (String, Control) {
+    /// committing; read requests clone the published view's `Arc` under
+    /// the read lock and answer from it without locking the core.
+    fn handle(&self, req: Request) -> (Reply, Control) {
+        let write = |f: &dyn Fn(&mut Core) -> String| {
+            let mut core = self.core.lock().unwrap();
+            let resp = f(&mut core);
+            self.publish(&mut core);
+            (Reply::Text(resp), Control::Continue)
+        };
+        let read = |part: fn(&PublishedView) -> &str| {
+            let view = Arc::clone(&self.published.read().unwrap());
+            (Reply::View(view, part), Control::Continue)
+        };
         match req {
             Request::Batch {
                 deadline_ms,
@@ -563,47 +594,27 @@ impl Daemon {
                 absorb_epsilon,
                 body,
             } => {
-                let mut core = self.core.lock().unwrap();
-                let resp =
-                    self.handle_batch(&mut core, deadline_ms, retries, absorb_epsilon, &body);
-                self.publish(&mut core);
-                (resp, Control::Continue)
+                write(&|core| self.handle_batch(core, deadline_ms, retries, absorb_epsilon, &body))
             }
-            Request::Reopt => {
-                let mut core = self.core.lock().unwrap();
-                let resp = match self.reopt(&mut core) {
-                    Ok(out) => format!(
-                        "OK loss_incremental={:.6} loss_scratch={:.6} drift={:+.6} clusters={}",
-                        out.loss_incremental, out.loss_scratch, out.drift, out.clusters
-                    ),
-                    Err(e) => format!("ERR {}: {e}", class(&e)),
-                };
-                self.publish(&mut core);
-                (resp, Control::Continue)
-            }
-            Request::Snapshot => {
-                let mut core = self.core.lock().unwrap();
-                let resp = match self.snapshot(&mut core) {
-                    Some(true) => "OK snapshot written".to_string(),
-                    Some(false) => "OK snapshot skipped (fault injected)".to_string(),
-                    None => "ERR Io: snapshot write failed".to_string(),
-                };
-                self.publish(&mut core);
-                (resp, Control::Continue)
-            }
-            Request::Output => (
-                self.published.read().unwrap().output.clone(),
-                Control::Continue,
+            Request::Reopt => write(&|core| match self.reopt(core) {
+                Ok(out) => format!(
+                    "OK loss_incremental={:.6} loss_scratch={:.6} drift={:+.6} clusters={}",
+                    out.loss_incremental, out.loss_scratch, out.drift, out.clusters
+                ),
+                Err(e) => format!("ERR {}: {e}", class(&e)),
+            }),
+            Request::Snapshot => write(&|core| match self.snapshot(core) {
+                Some(true) => "OK snapshot written".to_string(),
+                Some(false) => "OK snapshot skipped (fault injected)".to_string(),
+                None => "ERR Io: snapshot write failed".to_string(),
+            }),
+            Request::Output => read(|v| &v.output),
+            Request::Stats => read(|v| &v.stats),
+            Request::Health => read(|v| &v.health),
+            Request::Shutdown => (
+                Reply::Text("OK shutting down".to_string()),
+                Control::Shutdown,
             ),
-            Request::Stats => (
-                self.published.read().unwrap().stats.clone(),
-                Control::Continue,
-            ),
-            Request::Health => (
-                self.published.read().unwrap().health.clone(),
-                Control::Continue,
-            ),
-            Request::Shutdown => ("OK shutting down".to_string(), Control::Shutdown),
         }
     }
 
@@ -656,6 +667,7 @@ impl Daemon {
                 Ok(report) => {
                     core.fold(&counters);
                     let mut extra = String::new();
+                    let mut reopted = false;
                     if core.state.reopt_every() > 0
                         && core
                             .state
@@ -663,14 +675,17 @@ impl Daemon {
                             .is_multiple_of(core.state.reopt_every())
                     {
                         extra = match self.reopt(core) {
-                            Ok(out) => format!(" drift={:+.6}", out.drift),
+                            Ok(out) => {
+                                reopted = true;
+                                format!(" drift={:+.6}", out.drift)
+                            }
                             Err(e) => format!(" reopt_failed={e}"),
                         };
                     }
-                    // Snapshot after any periodic reopt, not before it:
-                    // the snapshot then captures the post-reopt state, so
-                    // recovery needn't replay the reopt's journal record.
-                    if self.opts.snapshot_every > 0
+                    // An adopted reopt has just taken this batch's
+                    // snapshot, which covers the batch too.
+                    if !reopted
+                        && self.opts.snapshot_every > 0
                         && core
                             .state
                             .batches_applied()
@@ -718,6 +733,11 @@ impl Daemon {
     /// never to the pre-reopt generalization of the same rows. A failed
     /// reopt rolls its journal record back and burns the seq, exactly
     /// like a permanently failed batch.
+    ///
+    /// When snapshots are on, an adopted reopt is snapshotted (and the
+    /// journal compacted) at once, so recovery restores the reopt's
+    /// result instead of re-running it. If that snapshot fails, the `O`
+    /// record stays in the journal and replay re-runs the reopt.
     fn reopt(&self, core: &mut Core) -> KanonResult<state::ReoptOutcome> {
         let seq = core.state.next_seq();
         core.journal
@@ -728,6 +748,9 @@ impl Daemon {
         match out {
             Ok(outcome) => {
                 debug_assert_eq!(core.state.next_seq(), seq + 1);
+                if self.opts.snapshot_every > 0 {
+                    self.snapshot(core);
+                }
                 Ok(outcome)
             }
             Err(e) => {
@@ -895,8 +918,8 @@ mod tests {
     }
 
     fn request(d: &Daemon, req: &[u8]) -> String {
-        let (resp, _) = d.handle(parse_request(req).unwrap());
-        resp
+        let (reply, _) = d.handle(parse_request(req).unwrap());
+        reply.as_str().to_string()
     }
 
     fn journal_len(o: &ServeOptions) -> u64 {
@@ -1198,8 +1221,10 @@ mod tests {
         // generalization of already-released rows, so recovering to the
         // pre-reopt clustering would publish two different
         // generalizations of the same rows. The journaled `O` record
-        // must carry the reopt through `kill -9`.
-        let o = opts("reopt-recovery");
+        // must carry the reopt through `kill -9`. Snapshots stay off, so
+        // recovery has to replay that record.
+        let mut o = opts("reopt-recovery");
+        o.snapshot_every = 0;
         let d = Daemon::start(base_table(), cfg(), o.clone()).unwrap();
         request(&d, b"BATCH\n10,60s\n11,70s\n");
         let resp = request(&d, b"REOPT");
@@ -1213,6 +1238,50 @@ mod tests {
         assert_eq!(r.replayed(), 2); // the batch and the reopt
         assert_eq!(request(&r, b"OUTPUT"), live_out);
         let rec_health = request(&r, b"HEALTH").replace("\"replayed\":2", "\"replayed\":0");
+        assert_eq!(rec_health, live_health);
+    }
+
+    /// Two batches, the second followed by a periodic reopt, on a daemon
+    /// that snapshots every 8 batches; returns OUTPUT and HEALTH, then
+    /// drops the daemon (a `kill -9`: nothing runs at drop).
+    fn batches_then_periodic_reopt(tag: &str) -> (ServeOptions, String, String) {
+        let mut c = cfg();
+        c.reopt_every = 2;
+        let mut o = opts(tag);
+        o.snapshot_every = 8;
+        let d = Daemon::start(base_table(), c, o.clone()).unwrap();
+        request(&d, b"BATCH\n10,60s\n11,70s\n");
+        let resp = request(&d, b"BATCH\n10,70s\n11,60s\n");
+        assert!(resp.contains(" drift="), "{resp}");
+        (o, request(&d, b"OUTPUT"), request(&d, b"HEALTH"))
+    }
+
+    #[test]
+    fn an_adopted_reopt_is_snapshotted_and_never_replayed() {
+        let _faults = kanon_fault::scoped("");
+        let (o, live_out, live_health) = batches_then_periodic_reopt("reopt-snap");
+        // The reopt's snapshot covers both batches and the reopt: the
+        // journal compacts to nothing.
+        assert_eq!(journal_len(&o), 0);
+        let mut c = cfg();
+        c.reopt_every = 2;
+        let r = Daemon::start(base_table(), c, o).unwrap();
+        assert_eq!(r.replayed(), 0);
+        assert_eq!(request(&r, b"OUTPUT"), live_out);
+        assert_eq!(request(&r, b"HEALTH"), live_health);
+    }
+
+    #[test]
+    fn a_failed_reopt_snapshot_leaves_the_reopt_to_replay() {
+        let _faults = kanon_fault::scoped("serve/snapshot/write=once:1");
+        let (o, live_out, live_health) = batches_then_periodic_reopt("reopt-snapfail");
+        let mut c = cfg();
+        c.reopt_every = 2;
+        let r = Daemon::start(base_table(), c, o).unwrap();
+        // No snapshot: the two batches and the `O` record replay.
+        assert_eq!(r.replayed(), 3);
+        assert_eq!(request(&r, b"OUTPUT"), live_out);
+        let rec_health = request(&r, b"HEALTH").replace("\"replayed\":3", "\"replayed\":0");
         assert_eq!(rec_health, live_health);
     }
 
@@ -1349,7 +1418,10 @@ mod tests {
         let _faults = kanon_fault::scoped("");
         let d = Daemon::start(base_table(), cfg(), opts("usage")).unwrap();
         let (resp, control) = match parse_request(b"NOPE") {
-            Ok(req) => d.handle(req),
+            Ok(req) => {
+                let (reply, control) = d.handle(req);
+                (reply.as_str().to_string(), control)
+            }
             Err(msg) => (format!("ERR Usage: {msg}"), Control::Continue),
         };
         assert!(resp.starts_with("ERR Usage:"), "{resp}");

@@ -4,7 +4,12 @@
 //! ## Frame format
 //!
 //! Every request and every response is one frame: a 4-byte big-endian
-//! payload length followed by exactly that many payload bytes. The
+//! payload length followed by exactly that many payload bytes.
+//! [`write_frame`] hands the length and the payload to the socket in one
+//! gather write (repeated only if the kernel takes part of it), and the
+//! daemon sets `TCP_NODELAY` on every accepted TCP stream: a frame leaves
+//! at once, instead of its payload waiting behind Nagle's algorithm for
+//! the client's delayed ACK of the length. The
 //! request payload is UTF-8 text — a command line, then (for `BATCH`)
 //! the batch body:
 //!
@@ -23,7 +28,7 @@
 //! `Err(String)`, never a panic — property-tested in
 //! `tests/proto_proptest.rs`.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// A parsed client request.
 ///
@@ -83,16 +88,33 @@ pub fn read_frame(r: &mut impl Read, max_frame: u64) -> io::Result<Option<Vec<u8
     Ok(Some(payload))
 }
 
-/// Writes one frame and flushes.
+/// Writes one frame and flushes. The length and the payload go out in
+/// one vectored write, without copying the payload; a partial write is
+/// continued from where it stopped.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame payload exceeds u32 length",
-        )
-    })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let len = u32::try_from(payload.len())
+        .map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame payload exceeds u32 length",
+            )
+        })?
+        .to_be_bytes();
+    let mut parts = [IoSlice::new(&len), IoSlice::new(payload)];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -185,6 +207,80 @@ mod tests {
         assert_eq!(read_frame(&mut r, 1024).unwrap().unwrap(), b"HEALTH");
         assert_eq!(read_frame(&mut r, 1024).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r, 1024).unwrap().is_none());
+    }
+
+    /// Records every write call; writes at most `max` bytes per call.
+    struct Recorder {
+        bytes: Vec<u8>,
+        calls: usize,
+        max: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.max - n);
+                self.bytes.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+        let mut v = (payload.len() as u32).to_be_bytes().to_vec();
+        v.extend_from_slice(payload);
+        v
+    }
+
+    #[test]
+    fn a_small_frame_is_one_write_call() {
+        let payload = b"OK seq=1 rows_in=50 absorbed=50";
+        let mut w = Recorder {
+            bytes: Vec::new(),
+            calls: 0,
+            max: usize::MAX,
+        };
+        write_frame(&mut w, payload).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.bytes, frame_bytes(payload));
+    }
+
+    #[test]
+    fn partial_writes_still_produce_the_exact_frame() {
+        for payload in [&b"HEALTH"[..], b""] {
+            let mut w = Recorder {
+                bytes: Vec::new(),
+                calls: 0,
+                max: 1,
+            };
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.bytes, frame_bytes(payload));
+            assert_eq!(w.calls, 4 + payload.len());
+        }
+    }
+
+    #[test]
+    fn accepted_tcp_streams_set_nodelay() {
+        let (listener, addr) = crate::Listener::bind("127.0.0.1:0").unwrap();
+        let _client = std::net::TcpStream::connect(&addr).unwrap();
+        let (_conn, kick) = listener.accept(None).unwrap();
+        // The kick handle is a clone of the accepted socket, so it reads
+        // the socket's own options.
+        match kick {
+            Some(crate::Kick::Tcp(stream)) => assert!(stream.nodelay().unwrap()),
+            _ => panic!("no TCP handle for an accepted TCP stream"),
+        }
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! each holding its member ids and its closure. The published table,
 //! its loss and the snapshot are all derived from those two.
 //!
+//! Since every member of a cluster publishes the same line, each mature
+//! caches that CSV line and its cost, and a row→cluster index
+//! (`slot_of`) lists the published rows in id order. Rendering `OUTPUT`
+//! is then one pass that appends cached lines; no cell is formatted at
+//! commit time except in the clusters the commit created or widened.
+//!
 //! ## Incremental model
 //!
 //! The daemon bootstraps from a base table of at least `k` rows through
@@ -49,10 +55,9 @@ use kanon_algos::shard::ShardConfig;
 use kanon_core::cluster::Clustering;
 use kanon_core::error::{KanonError, KanonResult};
 use kanon_core::hierarchy::NodeId;
-use kanon_core::record::GeneralizedRecord;
-use kanon_core::schema::SharedSchema;
-use kanon_core::table::{GeneralizedTable, Table};
-use kanon_data::csv::{generalized_to_csv, table_from_csv_with_policy, RowPolicy};
+use kanon_core::schema::{Schema, SharedSchema};
+use kanon_core::table::Table;
+use kanon_data::csv::{push_generalized_row, push_header, table_from_csv_with_policy, RowPolicy};
 use kanon_measures::NodeCostTable;
 use kanon_obs::{count, Counter};
 
@@ -91,6 +96,9 @@ pub struct ServeConfig {
     pub absorb_epsilon: f64,
 }
 
+/// The `slot_of` entry of a pending (unpublished) row.
+const PENDING: u32 = u32::MAX;
+
 /// One mature (published) cluster.
 #[derive(Debug, Clone)]
 struct Mature {
@@ -100,19 +108,33 @@ struct Mature {
     nodes: Vec<NodeId>,
     /// Closure cost under the base-epoch cost table.
     cost: f64,
+    /// The closure as the LF-terminated CSV line every member publishes.
+    line: String,
 }
 
 impl Mature {
-    /// The cluster of `members` (any order) with its closure and cost.
-    fn new(ctx: &CostContext, mut members: Vec<u32>) -> Mature {
-        members.sort_unstable();
-        let nodes = ctx.closure_of(&members);
-        let cost = ctx.cost(&nodes);
-        Mature {
-            members,
-            nodes,
-            cost,
-        }
+    /// The cluster of `rows` (rows of `ctx.table`, any order) with its
+    /// closure, cost and line. `global` maps a row of `ctx.table` to its
+    /// global id and must preserve order, so members stay ascending.
+    fn new(ctx: &CostContext, mut rows: Vec<u32>, global: impl Fn(u32) -> u32) -> Mature {
+        rows.sort_unstable();
+        let nodes = ctx.closure_of(&rows);
+        let mut mature = Mature {
+            members: rows.into_iter().map(global).collect(),
+            nodes: Vec::new(),
+            cost: 0.0,
+            line: String::new(),
+        };
+        mature.set_closure(ctx.table.schema(), ctx.costs, nodes);
+        mature
+    }
+
+    /// Stores `nodes` as the closure, with its cost and published line.
+    fn set_closure(&mut self, schema: &Schema, costs: &NodeCostTable, nodes: Vec<NodeId>) {
+        self.cost = costs.nodes_cost(&nodes);
+        self.line.clear();
+        push_generalized_row(&mut self.line, schema, &nodes);
+        self.nodes = nodes;
     }
 }
 
@@ -169,6 +191,8 @@ pub struct ServeState {
     table: Table,
     n_base: usize,
     matures: Vec<Mature>,
+    /// Row → index of its mature cluster, [`PENDING`] for a pending row.
+    slot_of: Vec<u32>,
     /// Global ids of unpublished rows, ascending.
     pending: Vec<u32>,
     seq: u64,
@@ -204,6 +228,7 @@ impl ServeState {
             n_base: table.num_rows(),
             table,
             matures: Vec::new(),
+            slot_of: Vec::new(),
             pending: Vec::new(),
             seq: 0,
             batches_applied: 0,
@@ -221,9 +246,20 @@ impl ServeState {
         self.matures = clustering
             .clusters()
             .iter()
-            .map(|members| Mature::new(&ctx, members.clone()))
+            .map(|members| Mature::new(&ctx, members.clone(), |row| row))
             .collect();
         self.pending.clear();
+        self.index_slots();
+    }
+
+    /// Rebuilds `slot_of` from the matures; a row in none is pending.
+    fn index_slots(&mut self) {
+        self.slot_of = vec![PENDING; self.table.num_rows()];
+        for (slot, m) in self.matures.iter().enumerate() {
+            for &row in &m.members {
+                self.slot_of[row as usize] = slot as u32;
+            }
+        }
     }
 
     /// Next batch sequence number (what the journal records before the
@@ -335,18 +371,23 @@ impl ServeState {
         }?;
         // Commit point: everything below is infallible.
         let rows_in = batch.num_rows();
-        self.table = staged.table;
-        for (slot, row) in &staged.absorbed {
-            let m = &mut self.matures[*slot];
-            let at = m.members.partition_point(|&x| x < *row);
-            m.members.insert(at, *row);
-        }
-        for (slot, nodes, cost) in staged.widened {
+        self.table.append_unchecked(batch);
+        self.slot_of.resize(self.table.num_rows(), PENDING);
+        for &(slot, row) in &staged.absorbed {
             let m = &mut self.matures[slot];
-            m.nodes = nodes;
-            m.cost = cost;
+            let at = m.members.partition_point(|&x| x < row);
+            m.members.insert(at, row);
+            self.slot_of[row as usize] = slot as u32;
         }
-        self.matures.extend(staged.new_matures);
+        for (slot, nodes) in staged.widened {
+            self.matures[slot].set_closure(self.table.schema(), &self.costs, nodes);
+        }
+        for m in staged.new_matures {
+            for &row in &m.members {
+                self.slot_of[row as usize] = self.matures.len() as u32;
+            }
+            self.matures.push(m);
+        }
         self.pending = staged.pending;
         self.seq += 1;
         self.batches_applied += 1;
@@ -367,24 +408,21 @@ impl ServeState {
         })
     }
 
-    /// Computes everything a batch apply will commit, including the
-    /// grown table, without touching `self`.
+    /// Computes everything a batch apply will commit without touching
+    /// `self`. It reads only the batch rows, the pending rows and the
+    /// matures, so its cost is O(batch + pending), not O(table).
     fn stage_batch(&self, batch: &Table, epsilon: f64) -> KanonResult<StagedApply> {
-        let n0 = self.table.num_rows();
-        let mut records = Vec::with_capacity(n0 + batch.num_rows());
-        records.extend_from_slice(self.table.rows());
-        records.extend_from_slice(batch.rows());
-        let table = Table::new_unchecked(Arc::clone(self.table.schema()), records);
-        let ctx = CostContext::new(&table, &self.costs);
+        // Batch row i gets global id n0 + i at commit.
+        let n0 = self.table.num_rows() as u32;
+        let ctx = CostContext::new(batch, &self.costs);
 
-        // Absorption sweep over the new rows n0..: every verdict reads
-        // the pre-batch matures only, so the rows can be decided in any
+        // Absorption sweep over the batch rows: every verdict reads the
+        // pre-batch matures only, so the rows can be decided in any
         // order (or in parallel).
         let n_new = batch.num_rows();
         let matures = &self.matures;
         let eps_on = epsilon.to_bits() != 0;
-        let decide = |i: usize| -> Option<usize> {
-            let row = n0 + i;
+        let decide = |row: usize| -> Option<usize> {
             if !eps_on {
                 return matures.iter().position(|m| ctx.covers_row(&m.nodes, row));
             }
@@ -421,19 +459,19 @@ impl ServeState {
         let mut absorbed: Vec<(usize, u32)> = Vec::new();
         let mut pending = self.pending.clone();
         for (i, verdict) in verdicts.into_iter().enumerate() {
-            let row = (n0 + i) as u32;
+            let row = n0 + i as u32;
             match verdict {
                 Some(slot) => absorbed.push((slot, row)),
                 None => pending.push(row),
             }
         }
 
-        // ε-joins may widen a cluster closure: recompute the nodes and
-        // cost of every touched slot over all its absorbed rows (the
-        // closure of the union — identical to what a snapshot restore
-        // recomputes from the member list). Under ε = 0 closures are
-        // unchanged by construction and this stays empty.
-        let mut widened: Vec<(usize, Vec<NodeId>, f64)> = Vec::new();
+        // ε-joins may widen a cluster closure: recompute the nodes of
+        // every touched slot over all its absorbed rows (the closure of
+        // the union — identical to what a snapshot restore recomputes
+        // from the member list). Under ε = 0 closures are unchanged by
+        // construction and this stays empty.
+        let mut widened: Vec<(usize, Vec<NodeId>)> = Vec::new();
         let mut absorbed_eps = 0usize;
         if eps_on {
             let mut by_slot: Vec<(usize, Vec<u32>)> = Vec::new();
@@ -447,14 +485,13 @@ impl ServeState {
                 let mut joined = matures[slot].nodes.clone();
                 for &row in &rows {
                     let before = joined.clone();
-                    ctx.join_nodes_into(&mut joined, &ctx.leaf_nodes(row as usize));
+                    ctx.join_nodes_into(&mut joined, &ctx.leaf_nodes((row - n0) as usize));
                     if joined != before {
                         absorbed_eps += 1;
                     }
                 }
                 if joined != matures[slot].nodes {
-                    let cost = ctx.cost(&joined);
-                    widened.push((slot, joined, cost));
+                    widened.push((slot, joined));
                 }
             }
         }
@@ -464,19 +501,25 @@ impl ServeState {
         let mut clustered = 0;
         let mut budget_exhausted = false;
         if pending.len() >= self.cfg.k {
-            let idx: Vec<usize> = pending.iter().map(|&r| r as usize).collect();
-            let sub = table.select_rows(&idx).map_err(KanonError::Core)?;
+            // The pool in id order: the old pending rows, then the
+            // batch's, each ascending — sub-table row i is `pending[i]`.
+            let rows = pending
+                .iter()
+                .map(|&row| match row.checked_sub(n0) {
+                    Some(i) => batch.row(i as usize).clone(),
+                    None => self.table.row(row as usize).clone(),
+                })
+                .collect();
+            let sub = Table::new_unchecked(Arc::clone(self.table.schema()), rows);
             let run = try_sharded_k_anonymize(&sub, &self.costs, &shard_config(&self.cfg))?;
             budget_exhausted = run.is_exhausted();
             let out = run.into_inner().out;
+            let sub_ctx = CostContext::new(&sub, &self.costs);
             new_matures = out
                 .clustering
                 .clusters()
                 .iter()
-                .map(|local| {
-                    let members = local.iter().map(|&li| pending[li as usize]).collect();
-                    Mature::new(&ctx, members)
-                })
+                .map(|local| Mature::new(&sub_ctx, local.clone(), |i| pending[i as usize]))
                 .collect();
             // First fit takes the lowest covering slot, so append the new
             // clusters cheapest first: a later row that two of them cover
@@ -486,10 +529,7 @@ impl ServeState {
             // row is now published.
             clustered = std::mem::take(&mut pending).len();
         }
-        pending.sort_unstable();
-        drop(ctx);
         Ok(StagedApply {
-            table,
             absorbed,
             absorbed_eps,
             widened,
@@ -500,31 +540,39 @@ impl ServeState {
         })
     }
 
-    /// Generalized CSV of every published row, ascending global id.
+    /// The mature cluster of every published row, ascending row id.
+    fn published_matures(&self) -> impl Iterator<Item = &Mature> + '_ {
+        (self.slot_of.iter())
+            .filter(|&&slot| slot != PENDING)
+            .map(|&slot| &self.matures[slot as usize])
+    }
+
+    /// Generalized CSV of every published row, ascending global id: the
+    /// header, then each row's cached cluster line.
     pub fn published_csv(&self) -> KanonResult<String> {
-        Ok(generalized_to_csv(&self.published_gtable()))
+        let mut out = String::new();
+        push_header(&mut out, self.table.schema());
+        let rows: usize = (self.matures.iter())
+            .map(|m| m.line.len() * m.members.len())
+            .sum();
+        out.reserve(rows);
+        for m in self.published_matures() {
+            out.push_str(&m.line);
+        }
+        Ok(out)
     }
 
-    /// Information loss of the published rows under the serve measure.
+    /// Information loss of the published rows under the serve measure:
+    /// the mean closure cost per published row, summed in row order
+    /// (bit-identical to `NodeCostTable::table_loss` of the published
+    /// table).
     pub fn published_loss(&self) -> KanonResult<f64> {
-        Ok(self.costs.table_loss(&self.published_gtable()))
-    }
-
-    /// The published rows, ascending global id, each as its cluster's
-    /// stored closure.
-    fn published_gtable(&self) -> GeneralizedTable {
-        let mut rows: Vec<(u32, &[NodeId])> = self
-            .matures
-            .iter()
-            .flat_map(|m| m.members.iter().map(|&row| (row, m.nodes.as_slice())))
-            .collect();
-        rows.sort_unstable_by_key(|&(row, _)| row);
-        GeneralizedTable::new_unchecked(
-            Arc::clone(self.table.schema()),
-            rows.into_iter()
-                .map(|(_, nodes)| GeneralizedRecord::new(nodes.iter().copied()))
-                .collect(),
-        )
+        let published = self.published_rows();
+        if published == 0 {
+            return Ok(0.0);
+        }
+        let sum: f64 = self.published_matures().map(|m| m.cost).sum();
+        Ok(sum / published as f64)
     }
 
     /// Measures the loss drift of the published clustering against a
@@ -537,9 +585,8 @@ impl ServeState {
         let loss_scratch = match full_loss {
             Some(loss) if self.pending.is_empty() => loss,
             _ => {
-                // Every row is either published or pending (sorted).
                 let idx: Vec<usize> = (0..self.table.num_rows())
-                    .filter(|&row| self.pending.binary_search(&(row as u32)).is_err())
+                    .filter(|&row| self.slot_of[row] != PENDING)
                     .collect();
                 let sub = self.table.select_rows(&idx).map_err(KanonError::Core)?;
                 try_sharded_k_anonymize(&sub, &self.costs, &shard_config(&self.cfg))?
@@ -748,21 +795,24 @@ impl ServeState {
         let ctx = CostContext::new(&table, &costs);
         let matures = member_lists
             .into_iter()
-            .map(|members| Mature::new(&ctx, members))
+            .map(|members| Mature::new(&ctx, members, |row| row))
             .collect();
         drop(ctx);
-        Ok(ServeState {
+        let mut state = ServeState {
             cfg,
             costs,
             table,
             n_base,
             matures,
+            slot_of: Vec::new(),
             pending,
             seq,
             batches_applied: batches,
             reopt_runs: reopts,
             last_drift: drift,
-        })
+        };
+        state.index_slots();
+        Ok(state)
     }
 
     /// Replays a journal on top of this state: every `B` and `O` record
@@ -870,16 +920,14 @@ fn shard_config(cfg: &ServeConfig) -> ShardConfig {
 
 /// Staged (uncommitted) outcome of a batch apply.
 struct StagedApply {
-    /// The resident table grown by the batch's rows.
-    table: Table,
     /// `(mature slot, global row id)` absorption assignments.
     absorbed: Vec<(usize, u32)>,
     /// How many absorptions went through the ε tier with a changed
     /// closure (0 whenever ε = 0).
     absorbed_eps: usize,
-    /// Post-join closure nodes and cost of every slot an ε-join
-    /// widened (empty whenever ε = 0).
-    widened: Vec<(usize, Vec<NodeId>, f64)>,
+    /// Post-join closure nodes of every slot an ε-join widened (empty
+    /// whenever ε = 0).
+    widened: Vec<(usize, Vec<NodeId>)>,
     new_matures: Vec<Mature>,
     pending: Vec<u32>,
     clustered: usize,
@@ -895,7 +943,10 @@ mod tests {
 
     use super::*;
     use crate::journal::Journal;
+    use kanon_core::record::GeneralizedRecord;
     use kanon_core::schema::SchemaBuilder;
+    use kanon_core::table::GeneralizedTable;
+    use kanon_data::csv::generalized_to_csv;
 
     fn schema() -> SharedSchema {
         // Two attributes with small two-level hierarchies, mirroring the
@@ -936,15 +987,52 @@ mod tests {
         ServeState::bootstrap(table, cfg()).unwrap()
     }
 
-    /// The whole state as one string. Also checks the invariant the
-    /// render relies on: every mature's stored closure and cost are
-    /// those of its member list.
+    /// The published table as the render built it before clusters
+    /// cached their lines: every published row, ascending global id, as
+    /// its cluster's stored closure. The reference the cached render is
+    /// checked against.
+    fn reference_gtable(s: &ServeState) -> GeneralizedTable {
+        let mut rows: Vec<(u32, &[NodeId])> = (s.matures.iter())
+            .flat_map(|m| m.members.iter().map(|&row| (row, m.nodes.as_slice())))
+            .collect();
+        rows.sort_unstable_by_key(|&(row, _)| row);
+        GeneralizedTable::new_unchecked(
+            Arc::clone(s.table.schema()),
+            rows.into_iter()
+                .map(|(_, nodes)| GeneralizedRecord::new(nodes.iter().copied()))
+                .collect(),
+        )
+    }
+
+    /// Asserts that `OUTPUT`'s CSV and loss equal the reference render's
+    /// bytes and bits.
+    fn assert_render_matches_reference(s: &ServeState) {
+        let reference = reference_gtable(s);
+        assert_eq!(s.published_csv().unwrap(), generalized_to_csv(&reference));
+        assert_eq!(
+            s.published_loss().unwrap().to_bits(),
+            s.costs.table_loss(&reference).to_bits()
+        );
+    }
+
+    /// The whole state as one string. Also checks the invariants the
+    /// render relies on: every mature's stored closure, cost and line
+    /// are those of its member list, `slot_of` maps each row to its
+    /// cluster, and the render equals the reference render.
     fn fingerprint(s: &ServeState) -> String {
         let ctx = CostContext::new(&s.table, &s.costs);
-        for m in &s.matures {
-            assert_eq!(ctx.closure_of(&m.members), m.nodes, "{:?}", m.members);
-            assert_eq!(ctx.cost(&m.nodes).to_bits(), m.cost.to_bits());
+        let mut slot_of = vec![PENDING; s.table.num_rows()];
+        for (slot, m) in s.matures.iter().enumerate() {
+            let fresh = Mature::new(&ctx, m.members.clone(), |row| row);
+            assert_eq!(fresh.nodes, m.nodes, "{:?}", m.members);
+            assert_eq!(fresh.cost.to_bits(), m.cost.to_bits());
+            assert_eq!(fresh.line, m.line);
+            for &row in &m.members {
+                slot_of[row as usize] = slot as u32;
+            }
         }
+        assert_eq!(slot_of, s.slot_of);
+        assert_render_matches_reference(s);
         let matures: Vec<String> = s
             .matures
             .iter()
@@ -1004,10 +1092,11 @@ mod tests {
         let ctx = CostContext::new(&s.table, &s.costs);
         let matures = slots
             .iter()
-            .map(|m| Mature::new(&ctx, m.to_vec()))
+            .map(|m| Mature::new(&ctx, m.to_vec(), |row| row))
             .collect();
         drop(ctx);
         s.matures = matures;
+        s.index_slots();
         s
     }
 
@@ -1439,6 +1528,80 @@ mod tests {
         );
         assert_eq!(s.last_drift(), Some(out.drift));
         assert_eq!(s.reopt_runs(), 1);
+    }
+
+    /// A schema whose every published cell needs CSV quoting: the leaf
+    /// labels hold a double quote and the inner nodes `{…,…}` a comma.
+    fn quoting_schema() -> SharedSchema {
+        SchemaBuilder::new()
+            .categorical_with_groups(
+                "size",
+                ["4\"", "5\"", "8\"", "9\""],
+                &[&["4\"", "5\""], &["8\"", "9\""]],
+            )
+            .categorical_with_groups(
+                "zip",
+                ["10", "11", "20", "21"],
+                &[&["10", "11"], &["20", "21"]],
+            )
+            .build_shared()
+            .unwrap()
+    }
+
+    #[test]
+    fn cached_render_matches_the_reference_render_at_every_step() {
+        let _faults = kanon_fault::scoped("");
+        let schema = quoting_schema();
+        let dir = scratch_dir("render");
+        let jpath = dir.join("journal.log");
+        let boot = || {
+            let base = "\"4\"\"\",10\n\"5\"\"\",10\n\"8\"\"\",20\n\"9\"\"\",21\n";
+            let (table, _) =
+                table_from_csv_with_policy(&schema, base, false, RowPolicy::Strict).unwrap();
+            ServeState::bootstrap(table, cfg()).unwrap()
+        };
+        let mut s = boot();
+        assert_render_matches_reference(&s);
+        let out = s.published_csv().unwrap();
+        assert!(
+            out.contains("\n\"{4\"\",5\"\"}\",10\n"),
+            "premise: quoted cells\n{out}"
+        );
+        let mut j = Journal::open(&jpath).unwrap();
+        let step = |s: &mut ServeState, j: &mut Journal, body: &str, eps: f64| {
+            j.append(s.next_seq(), RecordKind::Batch, 0, eps, body.as_bytes())
+                .unwrap();
+            let r = s.apply_batch(body, 0, eps).unwrap();
+            fingerprint(s);
+            r
+        };
+        // Free absorption: the row lies inside the first closure.
+        let r = step(&mut s, &mut j, "\"5\"\"\",10\n", 0.0);
+        assert_eq!((r.absorbed, r.absorbed_eps), (1, 0), "{r:?}");
+        // Pending sub-clustering: no closure covers either row.
+        let r = step(&mut s, &mut j, "\"4\"\"\",20\n\"5\"\"\",21\n", 0.0);
+        assert_eq!((r.absorbed, r.clustered), (0, 2), "{r:?}");
+        // ε widening: a huge ε lets a cluster grow around the row.
+        let r = step(&mut s, &mut j, "\"8\"\"\",10\n", 1e9);
+        assert_eq!(r.absorbed_eps, 1, "{r:?}");
+        // REOPT, journaled first, then one more batch on the new clusters.
+        j.append(s.next_seq(), RecordKind::Reopt, 0, 0.0, b"")
+            .unwrap();
+        s.reopt().unwrap();
+        fingerprint(&s);
+        step(&mut s, &mut j, "\"9\"\"\",11\n\"4\"\"\",21\n", 0.0);
+        drop(j);
+
+        // Snapshot restore and journal replay rebuild the cached lines
+        // and the row index: both render the live bytes.
+        let snap = dir.join("state.snap");
+        assert!(s.write_snapshot(&snap).unwrap());
+        let text = std::fs::read_to_string(&snap).unwrap();
+        let restored = ServeState::restore_snapshot(&text, cfg(), schema.clone()).unwrap();
+        assert_eq!(fingerprint(&restored), fingerprint(&s));
+        let mut replayed = boot();
+        assert_eq!(replayed.replay_journal(&jpath).unwrap(), 5);
+        assert_eq!(fingerprint(&replayed), fingerprint(&s));
     }
 
     #[test]
