@@ -104,10 +104,10 @@ type Cluster = engine::Cluster<()>;
 /// The Algorithm 1/2 policy plugged into the shared closest-pair engine:
 /// maturity at size ≥ k and (for Algorithm 2) the shrink-to-k eviction on
 /// maturation.
-struct Alg1Policy {
-    distance: ClusterDistance,
-    k: usize,
-    modified: bool,
+pub(crate) struct Alg1Policy {
+    pub(crate) distance: ClusterDistance,
+    pub(crate) k: usize,
+    pub(crate) modified: bool,
 }
 
 impl ClusterPolicy for Alg1Policy {

@@ -24,13 +24,26 @@
 //! * the parallel initial scan and batched cache-repair rescans
 //!   (`kanon-parallel`, byte-identical at any worker count);
 //! * the whole run of Algorithm 1: the singletons (retiring those that
-//!   are already mature, which covers k = 1), the merge loop with a
+//!   are already mature, which covers k = 1), the replay of the loop's
+//!   zero-distance prefix per tuple class (below), the merge loop with a
 //!   `kanon-fault` failpoint (`ClusterPolicy::FAIL_POINT`) and the
 //!   deterministic work-budget checkpoint (`KANON_WORK_BUDGET`) at the
 //!   top of every iteration, the global-min selection with its
 //!   debug-build exactness assert, the `kanon-obs` counters
-//!   (`merges_performed`, `cluster_dist_evals`, `cache_repairs`,
-//!   `nn_rescans`), and the leftover distribution of line 10.
+//!   (`distinct_tuples`, `merges_performed`, `cluster_dist_evals`,
+//!   `cache_repairs`, `nn_rescans`), and the leftover distribution of
+//!   line 10.
+//!
+//! ## Duplicates
+//!
+//! Rows with one tuple are at distance 0 under EM and LM, and nothing
+//! else is, so the loop opens by merging copies. When the costs and the
+//! distance make that exact (`zero_distance_is_duplicate`: leaves cost
+//! 0, inner LCAs cost more, D1 or D3), `replay_duplicates` makes those
+//! merges per [`TupleClasses`] class in the loop's order, from two cache
+//! rules, without a distance evaluation; the loop then starts from the
+//! survivors. The output, merge count and failpoint hits match the plain
+//! loop, which the unit tests keep as the oracle.
 //!
 //! ## What callers own
 //!
@@ -52,9 +65,11 @@
 use crate::cost::{CostContext, SigArena};
 use crate::distance::ClusterDistance;
 use crate::fallible::{Budget, Budgeted};
+use kanon_core::classes::TupleClasses;
 use kanon_core::error::{CoreError, Result};
 use kanon_core::hierarchy::NodeId;
 use kanon_obs::Counter;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Minimum estimated distance evaluations in one batch before the
 /// engine fans the batch out to the worker pool. Measured, not guessed:
@@ -489,7 +504,9 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
 /// [`ClusterPolicy::on_mature`] evicts) or re-activate it. Selection
 /// order is total (distance, then `(slot, target)`), so the merge
 /// sequence — and therefore the output — is byte-identical at any
-/// thread count.
+/// thread count. When [`zero_distance_is_duplicate`] holds, the loop's
+/// zero-distance prefix is replayed per tuple class by
+/// [`replay_duplicates`] instead, with the same merges in the same order.
 ///
 /// When the budget trips with several immature clusters outstanding,
 /// the engine skips the remaining O(n²) work and combines them all into
@@ -503,17 +520,36 @@ pub(crate) fn run<P: ClusterPolicy>(
     distance: ClusterDistance,
     policy: &P,
 ) -> Result<Budgeted<Vec<Vec<u32>>>> {
+    run_engine(ctx, distance, policy, true)
+}
+
+/// [`run`], with the duplicate replay allowed or not.
+fn run_engine<P: ClusterPolicy>(
+    ctx: &CostContext<'_>,
+    distance: ClusterDistance,
+    policy: &P,
+    replay: bool,
+) -> Result<Budgeted<Vec<Vec<u32>>>> {
     let mut budget = Budget::arm();
     let n = ctx.num_rows();
+    let classes = TupleClasses::of(ctx.table);
+    kanon_obs::count(Counter::DistinctTuples, classes.len() as u64);
     let (mut done, initial): (Vec<_>, Vec<_>) = (0..n as u32)
         .map(|row| Cluster::singleton(ctx, row, policy.singleton_extra(row)))
         .partition(|c| policy.is_mature(c));
     let leftover = if initial.is_empty() {
         None
+    } else if replay && zero_distance_is_duplicate(ctx, distance, &classes) {
+        let (survivors, tripped) =
+            replay_duplicates(ctx, policy, &classes, &mut budget, initial, &mut done);
+        if tripped {
+            combine_unfinished(ctx, policy, survivors, &mut done)
+        } else {
+            merge_loop(ctx, distance, policy, &mut budget, survivors, &mut done)
+        }
     } else {
         merge_loop(ctx, distance, policy, &mut budget, initial, &mut done)
     };
-
     if let Some(leftover) = leftover {
         if done.is_empty() {
             return Err(CoreError::InvalidClustering(policy.infeasible(n)));
@@ -546,6 +582,157 @@ pub(crate) fn run<P: ClusterPolicy>(
         }
     }
     Ok(budget.finish(done.into_iter().map(|c| c.members).collect()))
+}
+
+/// True when, in this run, a zero cluster distance means "the same
+/// tuple": then the merge loop's opening merges all join copies of one
+/// tuple, and [`replay_duplicates`] can make them without a distance
+/// evaluation. Checked once per run:
+///
+/// * every leaf present in the run costs 0 and every node costs ≥ 0;
+/// * every node that is the LCA of two distinct present leaves costs
+///   more than 0 — so two single-tuple clusters are at distance 0
+///   exactly when their tuples agree (`SuppressionMeasure`, whose inner
+///   nodes cost 0, fails here);
+/// * the distance is D1 or D3. Growing a cluster of one tuple then
+///   strictly moves its distance to every other tuple (D1 up, D3 down),
+///   so no nearest-neighbour cache ever keeps an equal-distance newcomer
+///   of another class, and the scan that opens [`merge_loop`] after the
+///   replay finds exactly the neighbours the plain loop would hold. D2,
+///   D4 and NC ignore sizes: a cache whose neighbour grew adopts the
+///   grown cluster where a fresh scan would pick a lower slot at the same
+///   distance, so they run the plain loop.
+fn zero_distance_is_duplicate(
+    ctx: &CostContext<'_>,
+    distance: ClusterDistance,
+    classes: &TupleClasses,
+) -> bool {
+    if !matches!(distance, ClusterDistance::D1 | ClusterDistance::D3) {
+        return false;
+    }
+    let schema = ctx.table.schema();
+    (0..ctx.num_attrs()).all(|j| {
+        let h = schema.attr(j).hierarchy();
+        let cost = ctx.costs.attr_costs(j);
+        if !cost.iter().all(|&c| c >= 0.0) {
+            return false;
+        }
+        // Climb from each present leaf until the first node an earlier
+        // climb reached: that node is the LCA of two distinct present
+        // leaves, and every such LCA is met this way.
+        let mut reached = vec![false; h.num_nodes()];
+        (0..classes.len()).all(|class| {
+            let leaf = h.leaf(ctx.table.row(classes.first_row(class)).get(j));
+            if reached[leaf.index()] {
+                return true;
+            }
+            reached[leaf.index()] = true;
+            if cost[leaf.index()].abs().total_cmp(&0.0).is_ne() {
+                return false;
+            }
+            let mut node = leaf;
+            while let Some(up) = h.parent(node) {
+                if reached[up.index()] {
+                    return cost[up.index()] > 0.0;
+                }
+                reached[up.index()] = true;
+                node = up;
+            }
+            true
+        })
+    })
+}
+
+/// Makes the merges the merge loop makes while its global minimum
+/// distance is 0, in the same order, without evaluating a distance;
+/// returns the surviving clusters in slot order, and whether the budget
+/// tripped first.
+///
+/// Under [`zero_distance_is_duplicate`] the loop's caches are simple
+/// inside one tuple class. The loop selects the lowest slot `i` with a
+/// zero-distance neighbour — the front of the lowest class with two
+/// active clusters — and merges it with its cached nearest neighbour,
+/// which is one of two slots:
+///
+/// * the second slot of the class, when the class has only singletons
+///   or has just matured a cluster: the opening scan, and every repair
+///   after a maturity, give each slot the lowest live copy (a repair
+///   falls back to an exact runner-up or rescans, and both find the
+///   lowest live candidate);
+/// * the class's last slot, when its previous merge stayed immature: the
+///   merged cluster is the newest slot, and every copy whose cached
+///   neighbour just merged away adopts it at the same distance 0, even
+///   where a lower live copy exists.
+///
+/// Slots are numbered as in the loop (the immature singletons, then one
+/// per merged or recycled cluster), so the survivors keep the loop's
+/// tie-break order. Clusters recycled by [`ClusterPolicy::on_mature`]
+/// are carved from the matured cluster and keep its tuple. Each merge
+/// arms the failpoint and checkpoints the budget first, as the loop does.
+fn replay_duplicates<P: ClusterPolicy>(
+    ctx: &CostContext<'_>,
+    policy: &P,
+    classes: &TupleClasses,
+    budget: &mut Budget,
+    initial: Vec<Cluster<P::Extra>>,
+    done: &mut Vec<Cluster<P::Extra>>,
+) -> (Vec<Cluster<P::Extra>>, bool) {
+    // Per class: its active slots, ascending (new slots are the largest),
+    // and whether its last merge stayed immature.
+    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); classes.len()];
+    let mut grown = vec![false; classes.len()];
+    let mut slots: Vec<Option<Cluster<P::Extra>>> = Vec::with_capacity(2 * initial.len());
+    for c in initial {
+        queues[classes.class_of(c.members[0] as usize)].push_back(slots.len());
+        slots.push(Some(c));
+    }
+    // Classes with two or more active slots, keyed by their lowest slot.
+    let mut ready: BTreeSet<(usize, usize)> = queues
+        .iter()
+        .enumerate()
+        .filter(|(_, q)| q.len() >= 2)
+        .map(|(class, q)| (q[0], class))
+        .collect();
+    while let Some((i, class)) = ready.pop_first() {
+        kanon_fault::fail_point!(P::FAIL_POINT);
+        if budget.tripped() {
+            return (slots.into_iter().flatten().collect(), true);
+        }
+        let q = &mut queues[class];
+        q.pop_front();
+        let j = if grown[class] {
+            q.pop_back()
+        } else {
+            q.pop_front()
+        };
+        // kanon-lint: allow(L006) a ready class holds two or more live slots
+        let j = j.expect("ready class has a second slot");
+        // kanon-lint: allow(L006) queued slots are live
+        let a = slots[i].take().expect("queued slot i live");
+        // kanon-lint: allow(L006) queued slots are live
+        let b = slots[j].take().expect("queued slot j live");
+        kanon_obs::count(Counter::MergesPerformed, 1);
+
+        let mut merged = Cluster::merge(ctx, a, b, |x, y| policy.fold(x, y));
+        let mature = policy.is_mature(&merged);
+        let fresh = if mature {
+            let recycled = policy.on_mature(ctx, &mut merged);
+            done.push(merged);
+            recycled
+        } else {
+            vec![merged]
+        };
+        grown[class] = !mature;
+        for c in fresh {
+            debug_assert_eq!(classes.class_of(c.members[0] as usize), class);
+            queues[class].push_back(slots.len());
+            slots.push(Some(c));
+        }
+        if queues[class].len() >= 2 {
+            ready.insert((queues[class][0], class));
+        }
+    }
+    (slots.into_iter().flatten().collect(), false)
 }
 
 /// The closest-pair merge loop over the immature `initial` clusters:
@@ -616,14 +803,26 @@ fn merge_loop<P: ClusterPolicy>(
         }
     }
 
-    let mut remaining: Vec<Cluster<P::Extra>> = st
+    let remaining: Vec<Cluster<P::Extra>> = st
         .active
         .iter()
         // kanon-lint: allow(L006) active slots are live by construction
         .map(|&slot| st.slots[slot].take().expect("active slot live"))
         .collect();
+    combine_unfinished(ctx, policy, remaining, done)
+}
+
+/// The end of a run: with two or more clusters `remaining` the budget
+/// tripped, so they combine into one (ascending first-member order),
+/// pushed onto `done` if it matures. Returns the cluster still immature,
+/// if any.
+fn combine_unfinished<P: ClusterPolicy>(
+    ctx: &CostContext<'_>,
+    policy: &P,
+    mut remaining: Vec<Cluster<P::Extra>>,
+    done: &mut Vec<Cluster<P::Extra>>,
+) -> Option<Cluster<P::Extra>> {
     if remaining.len() > 1 {
-        // The budget tripped: combine the unfinished clusters.
         remaining.sort_by_key(|c| c.members[0]);
         let mut combined = remaining.swap_remove(0);
         for c in remaining.drain(..) {
@@ -655,7 +854,9 @@ mod tests {
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
     use kanon_core::table::Table;
-    use kanon_measures::{EntropyMeasure, NodeCostTable};
+    use kanon_measures::{EntropyMeasure, LmMeasure, NodeCostTable, SuppressionMeasure};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     /// Rows holding `values` (indices into a..f) and their EM costs.
@@ -814,6 +1015,11 @@ mod tests {
 
     #[test]
     fn engine_counts_its_work() {
+        // Rows a..f, a..f, a..d at k = 4: a–d occur three times, e and f
+        // twice. The replay makes the ten duplicate merges without a
+        // distance evaluation; the loop scans the six survivors once (6
+        // rescans, 30 evaluations) and pairs them in three mature merges
+        // whose caches all stay fresh.
         let (t, costs) = paired((0..16).map(|v| v % 6));
         let ctx = CostContext::new(&t, &costs);
         let c = kanon_obs::Collector::new();
@@ -822,9 +1028,260 @@ mod tests {
             run_sized(&ctx, 4).unwrap();
         }
         let r = c.report();
-        assert!(r.counter(Counter::MergesPerformed) > 0);
-        assert!(r.counter(Counter::NnRescans) >= 16, "initial scan counts");
-        // n = 16 singletons: the initial scan alone is 16·15 evaluations.
-        assert!(r.counter(Counter::ClusterDistEvals) >= 240);
+        assert_eq!(r.counter(Counter::DistinctTuples), 6);
+        assert_eq!(r.counter(Counter::MergesPerformed), 13);
+        assert_eq!(r.counter(Counter::NnRescans), 6);
+        assert_eq!(r.counter(Counter::CacheRepairs), 0);
+        // Debug builds also count the exactness assert, which evaluates
+        // every active pair before each loop merge: 15 + 6 + 1.
+        let checked = if cfg!(debug_assertions) { 22 } else { 0 };
+        assert_eq!(r.counter(Counter::ClusterDistEvals), 30 + checked);
+    }
+
+    /// A policy that logs every merge as its two operands' rows, in
+    /// operand order, and matures at size ≥ k.
+    struct LoggingPolicy {
+        k: usize,
+        log: std::sync::Mutex<Vec<(Vec<u32>, Vec<u32>)>>,
+    }
+
+    impl ClusterPolicy for LoggingPolicy {
+        type Extra = Vec<u32>;
+        const FAIL_POINT: &'static str = "algos/agglomerative/merge";
+
+        fn singleton_extra(&self, row: u32) -> Vec<u32> {
+            vec![row]
+        }
+
+        fn fold(&self, into: &mut Vec<u32>, from: Vec<u32>) {
+            self.log.lock().unwrap().push((into.clone(), from.clone()));
+            into.extend(from);
+        }
+
+        fn is_mature(&self, c: &Cluster<Vec<u32>>) -> bool {
+            c.size() >= self.k
+        }
+
+        fn infeasible(&self, n: usize) -> String {
+            format!("cannot satisfy k = {} on {n} records", self.k)
+        }
+    }
+
+    #[test]
+    fn grown_duplicate_adopts_the_merged_cluster() {
+        // Four copies of `a` (rows 0–3) and one `c` at k = 5. After
+        // {0, 1} merges, rows 2 and 3 both cached row 0 as their nearest
+        // neighbour; it merged away, so both adopt the merged cluster at
+        // the same distance 0. Row 2 then joins {0, 1} rather than the
+        // live lower-slot copy row 3, and so does row 3 after it.
+        let (t, costs) = paired([0, 0, 0, 0, 2]);
+        let ctx = CostContext::new(&t, &costs);
+        let logged = |replay: bool| {
+            let policy = LoggingPolicy {
+                k: 5,
+                log: Default::default(),
+            };
+            let out = run_engine(&ctx, ClusterDistance::D3, &policy, replay).unwrap();
+            (out, policy.log.into_inner().unwrap())
+        };
+        let (out, log) = logged(true);
+        assert_eq!(out, Budgeted::Complete(vec![vec![0, 1, 2, 3, 4]]));
+        let expected: Vec<(Vec<u32>, Vec<u32>)> = vec![
+            (vec![0], vec![1]),
+            (vec![2], vec![0, 1]),
+            (vec![3], vec![2, 0, 1]),
+            (vec![4], vec![3, 2, 0, 1]),
+        ];
+        assert_eq!(log, expected);
+        assert_eq!(
+            logged(false),
+            (out, log),
+            "the plain loop merges the same way"
+        );
+    }
+
+    #[test]
+    fn suppression_costs_fall_back_to_the_plain_loop() {
+        // Suppression prices the inner node {a, b} at 0, so rows a and b
+        // are at distance 0 without being copies: the replay must not
+        // run, and the output is the plain loop's.
+        let (t, _) = paired([0, 1, 0, 2, 1, 3, 0]);
+        let sup = NodeCostTable::compute(&t, &SuppressionMeasure);
+        let ctx = CostContext::new(&t, &sup);
+        let classes = TupleClasses::of(&t);
+        assert!(!zero_distance_is_duplicate(
+            &ctx,
+            ClusterDistance::D3,
+            &classes
+        ));
+        let policy = SizePolicy { k: 3 };
+        let counted = |replay: bool| {
+            let c = kanon_obs::Collector::new();
+            let out = {
+                let _g = c.install();
+                run_engine(&ctx, ClusterDistance::D3, &policy, replay).unwrap()
+            };
+            (out, c.report().counters_json())
+        };
+        assert_eq!(counted(true), counted(false));
+        // EM and LM price every inner node above two present leaves.
+        let em = NodeCostTable::compute(&t, &EntropyMeasure);
+        let lm = NodeCostTable::compute(&t, &LmMeasure);
+        for costs in [&em, &lm] {
+            let ctx = CostContext::new(&t, costs);
+            assert!(zero_distance_is_duplicate(
+                &ctx,
+                ClusterDistance::D3,
+                &classes
+            ));
+            assert!(zero_distance_is_duplicate(
+                &ctx,
+                ClusterDistance::D1,
+                &classes
+            ));
+            for d in [
+                ClusterDistance::D2,
+                ClusterDistance::d4(),
+                ClusterDistance::NergizClifton,
+            ] {
+                assert!(!zero_distance_is_duplicate(&ctx, d, &classes), "{d}");
+            }
+        }
+    }
+
+    /// A three-attribute schema with hierarchies of depth 1 and 2 and at
+    /// most six values per attribute.
+    fn small_schema() -> kanon_core::schema::SharedSchema {
+        SchemaBuilder::new()
+            .categorical_with_groups(
+                "c",
+                ["a", "b", "c", "d", "e", "f"],
+                &[&["a", "b"], &["c", "d"], &["e", "f"]],
+            )
+            .categorical_with_groups("g", ["w", "x", "y", "z"], &[&["w", "x"], &["y", "z"]])
+            .categorical("h", ["p", "q", "r"])
+            .build_shared()
+            .unwrap()
+    }
+
+    /// `f`'s result and the merges it performed.
+    fn with_merges<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let c = kanon_obs::Collector::new();
+        let out = {
+            let _g = c.install();
+            f()
+        };
+        (out, c.report().counter(Counter::MergesPerformed))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The replay plus the loop make exactly the plain loop's run:
+        /// the same member lists in the same output order, and the same
+        /// number of merges, on duplicate-heavy tables under every
+        /// distance, EM and LM, Algorithms 1 and 2, and ℓ-diversity —
+        /// and, for a policy that logs them, the same merges in order.
+        #[test]
+        fn replay_matches_the_plain_merge_loop(
+            pool in vec(0u32..72, 1..8),
+            picks in vec(0usize..8, 1..48),
+            sensitive in vec(0u32..3, 48..49),
+            k in 0usize..4,
+            distance in 0usize..5,
+            lm in any::<bool>(),
+            algo in 0usize..5,
+        ) {
+            // Rows drawn from a pool of at most seven tuples.
+            let rows = picks
+                .iter()
+                .map(|&p| {
+                    let v = pool[p % pool.len()];
+                    Record::from_raw([v % 6, v / 6 % 4, v / 24])
+                })
+                .collect();
+            let k = [1, 2, 3, 10][k];
+            let distance = [
+                ClusterDistance::D1,
+                ClusterDistance::D2,
+                ClusterDistance::D3,
+                ClusterDistance::d4(),
+                ClusterDistance::NergizClifton,
+            ][distance];
+            let t = Table::new(small_schema(), rows).unwrap();
+            let costs = if lm {
+                NodeCostTable::compute(&t, &LmMeasure)
+            } else {
+                NodeCostTable::compute(&t, &EntropyMeasure)
+            };
+            let ctx = CostContext::new(&t, &costs);
+            let sensitive = &sensitive[..t.num_rows()];
+            let both = |replay: bool| match algo {
+                0 | 1 => {
+                    let policy = crate::agglomerative::Alg1Policy { distance, k, modified: algo == 1 };
+                    (with_merges(|| run_engine(&ctx, distance, &policy, replay)), vec![])
+                }
+                2 | 3 => {
+                    let policy = crate::ldiversity::LDivPolicy { k, l: algo - 1, sensitive };
+                    (with_merges(|| run_engine(&ctx, distance, &policy, replay)), vec![])
+                }
+                _ => {
+                    let policy = LoggingPolicy { k, log: Default::default() };
+                    let out = with_merges(|| run_engine(&ctx, distance, &policy, replay));
+                    (out, policy.log.into_inner().unwrap())
+                }
+            };
+            prop_assert_eq!(both(true), both(false));
+        }
+    }
+
+    #[test]
+    fn size_blind_distances_keep_the_plain_loop() {
+        // Rows a, c, e, c at k = 4. After {c, c} merges, row a's cached
+        // neighbour (row 1, a `c`) is gone, and every size-blind distance
+        // puts the merged {c, c} at row 1's distance, so the cache adopts
+        // it: the plain loop merges a into {c, c}. A scan made after the
+        // replay would pick the lower slot at that distance, row e, and
+        // merge a with e. D1 and D3 move the distance as {c, c} grows, so
+        // there both agree. Only they pass the guard.
+        let (t, costs) = paired([0, 2, 4, 2]);
+        let ctx = CostContext::new(&t, &costs);
+        let classes = TupleClasses::of(&t);
+        let log = |distance: ClusterDistance, forced: bool| {
+            let policy = LoggingPolicy {
+                k: 4,
+                log: Default::default(),
+            };
+            if forced {
+                let mut budget = Budget::observe();
+                let (mut done, initial) = (
+                    Vec::new(),
+                    (0..4)
+                        .map(|row| Cluster::singleton(&ctx, row, vec![row]))
+                        .collect(),
+                );
+                let (survivors, _) =
+                    replay_duplicates(&ctx, &policy, &classes, &mut budget, initial, &mut done);
+                merge_loop(&ctx, distance, &policy, &mut budget, survivors, &mut done);
+            } else {
+                run_engine(&ctx, distance, &policy, false).unwrap();
+            }
+            policy.log.into_inner().unwrap()
+        };
+        for d in ClusterDistance::paper_variants()
+            .into_iter()
+            .chain([ClusterDistance::NergizClifton])
+        {
+            let exact = zero_distance_is_duplicate(&ctx, d, &classes);
+            assert_eq!(log(d, true) == log(d, false), exact, "{d}");
+        }
+        assert_eq!(
+            log(ClusterDistance::D2, false),
+            vec![
+                (vec![1], vec![3]),
+                (vec![0], vec![1, 3]),
+                (vec![2], vec![0, 1, 3]),
+            ]
+        );
     }
 }

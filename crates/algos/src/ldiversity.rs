@@ -65,10 +65,10 @@ type Cluster = engine::Cluster<Histogram>;
 /// The ℓ-diversity policy for the shared closest-pair engine: the
 /// sensitive-value fold on merge and the two-part maturity condition
 /// (size ≥ k ∧ distinct ≥ ℓ).
-struct LDivPolicy<'s> {
-    k: usize,
-    l: usize,
-    sensitive: &'s [u32],
+pub(crate) struct LDivPolicy<'s> {
+    pub(crate) k: usize,
+    pub(crate) l: usize,
+    pub(crate) sensitive: &'s [u32],
 }
 
 impl ClusterPolicy for LDivPolicy<'_> {

@@ -185,6 +185,34 @@ fn serve_applies_batches_and_recovers_byte_identically_after_kill_minus_9() {
 }
 
 #[test]
+fn edited_snapshot_is_a_typed_error_not_a_panic() {
+    let dir = tmp_dir("serve-bad-snapshot");
+    let mut d = Daemon::spawn(&dir, &["--snapshot-every", "1"], &[]);
+    let resp = d.request(format!("BATCH\n{}", batches()[0]).as_bytes());
+    assert!(resp.starts_with("OK seq=1 "), "{resp}");
+    assert_eq!(d.shutdown(), Some(0));
+
+    // Point the first mature cluster at a row the snapshot does not hold.
+    let path = dir.join("state.snap");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let at = text.find("\nM ").expect("a mature cluster line") + 1;
+    let end = at + text[at..].find('\n').unwrap();
+    let edited = format!("{} 99999{}", &text[..end], &text[end..]);
+    std::fs::write(&path, edited).unwrap();
+
+    let mut r = Daemon::spawn(&dir, &["--snapshot-every", "1"], &[]);
+    let status = r.child.wait().unwrap();
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut r.child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("corrupt snapshot: row id 99999 out of range"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn torn_journal_tail_recovers_to_the_last_intact_batch() {
     let dir = tmp_dir("serve-torn");
     let batches = batches();

@@ -12,6 +12,8 @@
 //! * [`schema`] — ordered quasi-identifier schemas;
 //! * [`record`] / [`table`] — the databases `D` and `g(D)` of Eq. (1) and
 //!   Def. 3.2 (local recoding: row-aligned generalizations);
+//! * [`classes`] — a table as a multiset: its distinct tuples, their
+//!   multiplicities and the row → class map;
 //! * [`generalize`] — consistency (Def. 3.3), record joins `R̄ + R̄'`,
 //!   closures of record sets;
 //! * [`cluster`] — partitions `γ` and their translation into generalized
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod classes;
 pub mod cluster;
 pub mod config;
 pub mod domain;
@@ -38,6 +41,7 @@ pub mod schema;
 pub mod stats;
 pub mod table;
 
+pub use classes::TupleClasses;
 pub use cluster::Clustering;
 pub use domain::{AttrId, AttributeDomain, ValueId};
 pub use error::{CoreError, KanonError, KanonResult, Result};

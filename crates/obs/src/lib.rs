@@ -111,6 +111,10 @@ pub enum Counter {
     /// Boundary-repair merges performed after the per-shard runs
     /// (equal-closure cluster re-merges plus validity repairs).
     BoundaryRepairs,
+    /// Distinct quasi-identifier tuples among the rows entering the
+    /// clustering engine, summed over engine runs (a sharded run counts
+    /// every shard's).
+    DistinctTuples,
     /// Micro-batches applied by the `kanon serve` daemon (journal
     /// replays at recovery count here too — a replay *is* an apply).
     ServeBatchesApplied,
@@ -136,7 +140,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in canonical report order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 30] = [
         Counter::MergesPerformed,
         Counter::NnRescans,
         Counter::JoinTableHits,
@@ -159,6 +163,7 @@ impl Counter {
         Counter::ShardsBuilt,
         Counter::ShardRowsMax,
         Counter::BoundaryRepairs,
+        Counter::DistinctTuples,
         Counter::ServeBatchesApplied,
         Counter::ServeRowsIngested,
         Counter::ServeRowsAbsorbed,
@@ -193,6 +198,7 @@ impl Counter {
             Counter::ShardsBuilt => "shards_built",
             Counter::ShardRowsMax => "shard_rows_max",
             Counter::BoundaryRepairs => "boundary_repairs",
+            Counter::DistinctTuples => "distinct_tuples",
             Counter::ServeBatchesApplied => "serve_batches_applied",
             Counter::ServeRowsIngested => "serve_rows_ingested",
             Counter::ServeRowsAbsorbed => "serve_rows_absorbed",

@@ -747,13 +747,16 @@ impl ServeState {
         // The CSV block is n_rows data rows plus its header line.
         let mut lines = rest.split_inclusive('\n');
         let mut csv = String::new();
-        for _ in 0..n_rows + 1 {
+        for _ in 0..=n_rows {
             csv.push_str(lines.next().ok_or_else(|| bad("truncated rows"))?);
         }
         let (table, _) = table_from_csv_with_policy(&schema, &csv, true, RowPolicy::Strict)
             .map_err(KanonError::Core)?;
         if table.num_rows() != n_rows {
             return Err(bad("row count mismatch"));
+        }
+        if n_base > n_rows {
+            return Err(bad("base larger than rows"));
         }
 
         let parse_ids = |line: &str, tag: &str| -> KanonResult<Vec<u32>> {
@@ -771,7 +774,8 @@ impl ServeState {
             .strip_prefix("MATURES ")
             .and_then(|w| w.parse().ok())
             .ok_or_else(|| bad("bad MATURES line"))?;
-        let mut member_lists = Vec::with_capacity(n_matures);
+        // The count is untrusted: the lines, not it, size the list.
+        let mut member_lists = Vec::new();
         for _ in 0..n_matures {
             let line = lines.next().ok_or_else(|| bad("truncated matures"))?;
             member_lists.push(parse_ids(line, "M ")?);
@@ -784,6 +788,31 @@ impl ServeState {
         };
         if lines.next().map(|l| l.trim_end_matches('\n')) != Some("END") {
             return Err(bad("missing END marker"));
+        }
+        // Every row sits in exactly one place: one mature cluster of at
+        // least k rows, or the pending pool.
+        let mut placed = vec![false; n_rows];
+        let mut place = |id: u32| -> KanonResult<()> {
+            let seen = placed
+                .get_mut(id as usize)
+                .ok_or_else(|| bad(&format!("row id {id} out of range")))?;
+            if std::mem::replace(seen, true) {
+                return Err(bad(&format!("row {id} listed twice")));
+            }
+            Ok(())
+        };
+        for members in &member_lists {
+            if members.is_empty() {
+                return Err(bad("empty cluster"));
+            }
+            if members.len() < cfg.k {
+                return Err(bad("cluster smaller than k"));
+            }
+            members.iter().try_for_each(|&id| place(id))?;
+        }
+        pending.iter().try_for_each(|&id| place(id))?;
+        if let Some(row) = placed.iter().position(|&p| !p) {
+            return Err(bad(&format!("row {row} neither clustered nor pending")));
         }
 
         // Costs are pinned to the base epoch: recompute them from the
@@ -1267,6 +1296,92 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let restored = ServeState::restore_snapshot(&text, cfg(), schema()).unwrap();
         assert_eq!(fingerprint(&restored), fingerprint(&s));
+    }
+
+    /// A valid snapshot, as text, whose last row is pending: the boot
+    /// state plus one batch row, moved from its cluster to the pool.
+    fn snapshot_text(tag: &str) -> String {
+        let mut s = boot();
+        s.apply_batch("10,20s\n", 0, 0.0).unwrap();
+        let path = scratch_dir(tag).join("state.snap");
+        assert!(s.write_snapshot(&path).unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.contains(" rows=7 ") && text.contains("\nM 0 1 6\n"),
+            "{text}"
+        );
+        let text = text.replace("\nM 0 1 6\n", "\nM 0 1\n");
+        text.replace("\nPENDING \n", "\nPENDING 6\n")
+    }
+
+    /// `text` with its first line starting `prefix` replaced by `line`.
+    fn edit_line(text: &str, prefix: &str, line: &str) -> String {
+        let at = text.find(&format!("\n{prefix}")).unwrap() + 1;
+        let end = at + text[at..].find('\n').unwrap();
+        format!("{}{line}{}", &text[..at], &text[end..])
+    }
+
+    fn corrupt_reason(text: &str) -> String {
+        match ServeState::restore_snapshot(text, cfg(), schema()) {
+            Err(KanonError::Usage(why)) => why,
+            other => panic!("expected a corrupt-snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_with_bad_membership_is_rejected() {
+        let _faults = kanon_fault::scoped("");
+        let text = snapshot_text("snapbad");
+        assert!(ServeState::restore_snapshot(&text, cfg(), schema()).is_ok());
+        let cases = [
+            (
+                "M ",
+                "M 0 99999",
+                "corrupt snapshot: row id 99999 out of range",
+            ),
+            (
+                "PENDING",
+                "PENDING 7",
+                "corrupt snapshot: row id 7 out of range",
+            ),
+            ("M ", "M ", "corrupt snapshot: empty cluster"),
+            ("M ", "M 0", "corrupt snapshot: cluster smaller than k"),
+            ("M ", "M 0 2", "corrupt snapshot: row 2 listed twice"),
+            (
+                "PENDING",
+                "PENDING 0 6",
+                "corrupt snapshot: row 0 listed twice",
+            ),
+            (
+                "PENDING",
+                "PENDING",
+                "corrupt snapshot: row 6 neither clustered nor pending",
+            ),
+        ];
+        for (prefix, line, why) in cases {
+            assert_eq!(
+                corrupt_reason(&edit_line(&text, prefix, line)),
+                why,
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_count_does_not_size_allocations() {
+        let _faults = kanon_fault::scoped("");
+        let text = snapshot_text("snapcount");
+        let huge = edit_line(&text, "MATURES", &format!("MATURES {}", usize::MAX));
+        assert_eq!(corrupt_reason(&huge), "corrupt snapshot: bad section tag");
+        let rows = text.replacen(" rows=7 ", &format!(" rows={} ", usize::MAX), 1);
+        assert_ne!(rows, text);
+        assert_eq!(corrupt_reason(&rows), "corrupt snapshot: truncated rows");
+        let base = text.replacen(" base=6 ", &format!(" base={} ", usize::MAX), 1);
+        assert_ne!(base, text);
+        assert_eq!(
+            corrupt_reason(&base),
+            "corrupt snapshot: base larger than rows"
+        );
     }
 
     #[test]
