@@ -6,18 +6,24 @@
 //! ## The fused signature kernel
 //!
 //! The hot read path of every algorithm is `cost(join(a, b))` per
-//! attribute, evaluated O(n²) times. With the split tables that is two
-//! dependent probes — the dense LCA table, then the cost row — each a
-//! pointer-chase into a different allocation. [`CostContext::new`] fuses
-//! them: one interleaved `(node, cost)` entry per `(a, b)` pair, so a
-//! distance evaluation streams exactly one 16-byte probe per attribute.
-//! Fused probes count [`kanon_obs::Counter::SignatureBytesStreamed`]
-//! (bytes, thread-count invariant) *instead of* `JoinTableHits`; the
-//! materializing joins (`join_row_into`/`join_nodes_into`, O(n) merge
-//! work) keep the split tables and the old counters. Costs in the fused
-//! table are bit-copied from the cost row and summed in the same
-//! ascending-attribute order, so every result is byte-identical to the
-//! two-probe path.
+//! attribute, evaluated O(n²) times. [`CostContext::new`] builds, per
+//! attribute whose hierarchy carries its dense join table, one
+//! interleaved `(node, cost)` entry per `(a, b)` pair, so a join and its
+//! cost are one 16-byte probe. Attributes over the join-table node budget
+//! keep the hierarchy and its cost row and climb parent pointers instead.
+//! This one kernel serves every join and join cost of the crate: the four
+//! cost entry points (`join_cost`, `arena_join_cost`, `join_row_cost`,
+//! `pair_cost`) are thin calls into one fold over attribute-wise node
+//! pairs, and the materializing joins read the node half of the same
+//! probe. Costs in the fused table are bit-copied from the cost row and
+//! summed in ascending-attribute order, so every result is bit-identical
+//! to [`NodeCostTable::nodes_cost`] of the materialized join.
+//!
+//! Work accounting: cost probes and the node-vector joins
+//! (`join_nodes_into`, `covers_row`) count
+//! [`kanon_obs::Counter::SignatureBytesStreamed`] (bytes, thread-count
+//! invariant); row joins (`join_row_into`, `closure_of`) count one
+//! `JoinTableHits` per probe; every climb counts one `ClimbFallbackHits`.
 //!
 //! Row leaf signatures are also flattened once ([`CostContext::new`])
 //! into a contiguous `n × r` lane (`row_sigs`), which turns
@@ -30,50 +36,8 @@ use kanon_core::hierarchy::{Hierarchy, NodeId};
 use kanon_core::record::GeneralizedRecord;
 use kanon_core::table::Table;
 use kanon_measures::NodeCostTable;
+use kanon_obs::Counter;
 use std::sync::Arc;
-
-/// Per-attribute join/cost kernel: the hierarchy, its dense pairwise join
-/// table (when built under the node budget — see
-/// [`Hierarchy::rebuild_join_table`]), and the measure's dense cost row.
-/// With the table present, `join ∘ cost` for one attribute is two array
-/// loads; without it, the join falls back to the parent-pointer climb.
-#[derive(Clone, Copy)]
-struct AttrKernel<'a> {
-    hierarchy: &'a Hierarchy,
-    /// Dense `num_nodes × num_nodes` LCA table, row-major, or `None`
-    /// when the hierarchy exceeded its join-table node budget.
-    join_table: Option<&'a [u32]>,
-    /// Stride of `join_table` rows (= the hierarchy's node count).
-    num_nodes: usize,
-    /// `cost_row[node.index()]` = measure cost of that node.
-    cost_row: &'a [f64],
-}
-
-impl<'a> AttrKernel<'a> {
-    #[inline]
-    fn join(&self, a: NodeId, b: NodeId) -> NodeId {
-        match self.join_table {
-            Some(t) => {
-                kanon_obs::count(kanon_obs::Counter::JoinTableHits, 1);
-                NodeId(t[a.index() * self.num_nodes + b.index()])
-            }
-            None => {
-                kanon_obs::count(kanon_obs::Counter::ClimbFallbackHits, 1);
-                self.hierarchy.join_uncached(a, b)
-            }
-        }
-    }
-
-    #[inline]
-    fn leaf(&self, v: kanon_core::domain::ValueId) -> NodeId {
-        self.hierarchy.leaf(v)
-    }
-
-    #[inline]
-    fn cost(&self, n: NodeId) -> f64 {
-        self.cost_row[n.index()]
-    }
-}
 
 /// One interleaved entry of a fused join×cost table: the joined node and
 /// its measure cost, loaded together with a single probe.
@@ -87,19 +51,73 @@ struct FusedEntry {
 /// `SignatureBytesStreamed`).
 const FUSED_PROBE_BYTES: u64 = std::mem::size_of::<FusedEntry>() as u64;
 
-/// Fused per-attribute table: `entries[a * stride + b]` holds the join
-/// of nodes `a`,`b` *and* that join's cost, interleaved so the hot
-/// `cost(join(a, b))` read is one contiguous probe instead of two
-/// dependent lookups in separate allocations.
-struct FusedAttr {
-    entries: Vec<FusedEntry>,
-    stride: usize,
+/// Per-attribute join/cost kernel.
+enum AttrJoin<'a> {
+    /// `entries[a * stride + b]` holds the join of nodes `a`, `b` and
+    /// that join's cost: built from the hierarchy's dense join table.
+    Fused {
+        entries: Vec<FusedEntry>,
+        stride: usize,
+    },
+    /// The hierarchy is over its join-table node budget (see
+    /// [`kanon_core::hierarchy::JOIN_TABLE_LIMIT`]): joins climb parent
+    /// pointers and read the cost row.
+    Climb {
+        hierarchy: &'a Hierarchy,
+        cost_row: &'a [f64],
+    },
 }
 
-impl FusedAttr {
+impl<'a> AttrJoin<'a> {
+    /// The kernel of one attribute: fused when the hierarchy has its
+    /// dense join table. O(nodes²), bounded by the node budget —
+    /// negligible next to the O(n²) scans it accelerates.
+    fn new(hierarchy: &'a Hierarchy, cost_row: &'a [f64]) -> Self {
+        if !hierarchy.has_join_table() {
+            return AttrJoin::Climb {
+                hierarchy,
+                cost_row,
+            };
+        }
+        let entries = hierarchy
+            .node_ids()
+            .flat_map(|a| {
+                hierarchy.node_ids().map(move |b| {
+                    let node = hierarchy.join(a, b);
+                    FusedEntry {
+                        node: node.0,
+                        cost: cost_row[node.index()],
+                    }
+                })
+            })
+            .collect();
+        AttrJoin::Fused {
+            entries,
+            stride: hierarchy.num_nodes(),
+        }
+    }
+
+    /// `join(a, b)` and its cost. A fused probe adds its bytes to
+    /// `streamed`; a climb counts one `ClimbFallbackHits`.
     #[inline]
-    fn probe(&self, a: u32, b: u32) -> FusedEntry {
-        self.entries[a as usize * self.stride + b as usize]
+    fn probe(&self, a: u32, b: u32, streamed: &mut u64) -> FusedEntry {
+        match self {
+            AttrJoin::Fused { entries, stride } => {
+                *streamed += FUSED_PROBE_BYTES;
+                entries[a as usize * stride + b as usize]
+            }
+            AttrJoin::Climb {
+                hierarchy,
+                cost_row,
+            } => {
+                kanon_obs::count(Counter::ClimbFallbackHits, 1);
+                let node = hierarchy.join_uncached(NodeId(a), NodeId(b));
+                FusedEntry {
+                    node: node.0,
+                    cost: cost_row[node.index()],
+                }
+            }
+        }
     }
 }
 
@@ -175,22 +193,19 @@ impl SigArena {
 
 /// Borrowed bundle of everything the algorithms need to evaluate cluster
 /// costs: the original table (for record values), its schema, and the
-/// measure's node costs — plus a per-attribute `AttrKernel` cache that
-/// turns the hot `join`/`cost` pair into O(1) array loads.
+/// measure's node costs — plus one join/cost kernel per attribute that
+/// turns the hot `cost(join(a, b))` pair into one probe.
 #[derive(Clone)]
 pub struct CostContext<'a> {
     /// The original table `D`.
     pub table: &'a Table,
     /// Precomputed per-node measure costs over `D`.
     pub costs: &'a NodeCostTable,
-    /// One kernel per attribute, resolved once at construction.
-    attrs: Vec<AttrKernel<'a>>,
-    /// Fused `(join, cost)` tables, one per attribute with a dense join
-    /// table (`None` = over the node budget, climb fallback). Behind an
-    /// `Arc` so cloning the context stays cheap.
-    fused: Arc<Vec<Option<FusedAttr>>>,
+    /// One kernel per attribute, resolved once at construction. Behind
+    /// an `Arc` so cloning the context stays cheap.
+    attrs: Arc<[AttrJoin<'a>]>,
     /// Flattened row leaf signatures, row-major `n × r`.
-    row_sigs: Arc<Vec<u32>>,
+    row_sigs: Arc<[u32]>,
 }
 
 impl<'a> CostContext<'a> {
@@ -203,52 +218,20 @@ impl<'a> CostContext<'a> {
             "cost table and table disagree on attribute count"
         );
         let schema = table.schema();
-        let attrs: Vec<AttrKernel<'a>> = (0..schema.num_attrs())
-            .map(|j| {
-                let h = schema.attr(j).hierarchy();
-                AttrKernel {
-                    hierarchy: h,
-                    join_table: h.join_table_slice(),
-                    num_nodes: h.num_nodes(),
-                    cost_row: costs.attr_costs(j),
-                }
-            })
+        let attrs: Arc<[AttrJoin<'a>]> = (0..schema.num_attrs())
+            .map(|j| AttrJoin::new(schema.attr(j).hierarchy(), costs.attr_costs(j)))
             .collect();
-        // Fuse each dense join table with its cost row: costs are
-        // bit-copied, so fused sums are bit-identical to the two-probe
-        // path. O(nodes²) per attribute, bounded by the join-table node
-        // budget — negligible next to the O(n²) scans it accelerates.
-        let fused = Arc::new(
-            attrs
-                .iter()
-                .map(|k| {
-                    k.join_table.map(|t| FusedAttr {
-                        stride: k.num_nodes,
-                        entries: t
-                            .iter()
-                            .map(|&n| FusedEntry {
-                                node: n,
-                                cost: k.cost_row[n as usize],
-                            })
-                            .collect(),
-                    })
-                })
-                .collect(),
-        );
-        let r = attrs.len();
-        let mut row_sigs = Vec::with_capacity(table.num_rows() * r);
-        for row in 0..table.num_rows() {
-            let rec = table.row(row);
-            for (j, k) in attrs.iter().enumerate() {
-                row_sigs.push(k.leaf(rec.get(j)).0);
+        let mut row_sigs = Vec::with_capacity(table.num_rows() * attrs.len());
+        for rec in table.rows() {
+            for j in 0..attrs.len() {
+                row_sigs.push(schema.attr(j).hierarchy().leaf(rec.get(j)).0);
             }
         }
         CostContext {
             table,
             costs,
             attrs,
-            fused,
-            row_sigs: Arc::new(row_sigs),
+            row_sigs: row_sigs.into(),
         }
     }
 
@@ -277,55 +260,38 @@ impl<'a> CostContext<'a> {
         &self.row_sigs[row * r..(row + 1) * r]
     }
 
-    /// `cost(join(a, b))` for attribute `j` plus the bytes streamed:
-    /// one fused probe when the attribute has a fused table, else the
-    /// split-table / climb fallback (which counts its own hits).
+    /// The one cost fold: `c(join)` of two signatures given as their
+    /// attribute-wise node pairs, summed in ascending attribute order,
+    /// counting the streamed bytes once per call.
     #[inline]
-    fn fused_cost(&self, j: usize, na: u32, nb: u32, streamed: &mut u64) -> f64 {
-        match &self.fused[j] {
-            Some(f) => {
-                *streamed += FUSED_PROBE_BYTES;
-                f.probe(na, nb).cost
-            }
-            None => {
-                let k = &self.attrs[j];
-                k.cost(k.join(NodeId(na), NodeId(nb)))
-            }
+    fn fold_cost(&self, pairs: impl Iterator<Item = (u32, u32)>) -> f64 {
+        let mut sum = 0.0;
+        let mut streamed = 0u64;
+        for (k, (a, b)) in self.attrs.iter().zip(pairs) {
+            sum += k.probe(a, b, &mut streamed).cost;
         }
-    }
-
-    /// `join(a, b)` for attribute `j`: the fused table's interleaved
-    /// node id where available (one probe), else the split-table /
-    /// climb kernel.
-    #[inline]
-    fn fused_join(&self, j: usize, a: NodeId, b: NodeId, streamed: &mut u64) -> NodeId {
-        match &self.fused[j] {
-            Some(f) => {
-                *streamed += FUSED_PROBE_BYTES;
-                NodeId(f.probe(a.0, b.0).node)
-            }
-            None => self.attrs[j].join(a, b),
-        }
+        kanon_obs::count(Counter::SignatureBytesStreamed, streamed);
+        sum / self.attrs.len() as f64
     }
 
     /// Joins row `row` into the closure `acc` in place.
     pub fn join_row_into(&self, acc: &mut [NodeId], row: usize) {
-        let rec = self.table.row(row);
-        for (j, (slot, k)) in acc.iter_mut().zip(&self.attrs).enumerate() {
-            *slot = k.join(*slot, k.leaf(rec.get(j)));
+        let mut streamed = 0u64;
+        for ((slot, k), &leaf) in acc.iter_mut().zip(self.attrs.iter()).zip(self.row_sig(row)) {
+            *slot = NodeId(k.probe(slot.0, leaf, &mut streamed).node);
         }
+        // A materializing row join counts table hits, one per probe.
+        kanon_obs::count(Counter::JoinTableHits, streamed / FUSED_PROBE_BYTES);
     }
 
-    /// Joins closure `other` into `acc` in place: one fused probe per
-    /// attribute where available, the split-table/climb kernel otherwise.
+    /// Joins closure `other` into `acc` in place: one probe per
+    /// attribute.
     pub fn join_nodes_into(&self, acc: &mut [NodeId], other: &[NodeId]) {
         let mut streamed = 0u64;
-        for (j, (slot, &o)) in acc.iter_mut().zip(other).enumerate() {
-            *slot = self.fused_join(j, *slot, o, &mut streamed);
+        for ((slot, k), o) in acc.iter_mut().zip(self.attrs.iter()).zip(other) {
+            *slot = NodeId(k.probe(slot.0, o.0, &mut streamed).node);
         }
-        if streamed > 0 {
-            kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
-        }
+        kanon_obs::count(Counter::SignatureBytesStreamed, streamed);
     }
 
     /// Cost of a closure: `d(S) = c(closure(S))`.
@@ -334,35 +300,17 @@ impl<'a> CostContext<'a> {
         self.costs.nodes_cost(nodes)
     }
 
-    /// Cost of the join of two closures without materializing it: one
-    /// fused probe per attribute.
+    /// Cost of the join of two closures without materializing it.
     pub fn join_cost(&self, a: &[NodeId], b: &[NodeId]) -> f64 {
-        let mut sum = 0.0;
-        let mut streamed = 0u64;
-        for (j, (&na, &nb)) in a.iter().zip(b).enumerate() {
-            sum += self.fused_cost(j, na.0, nb.0, &mut streamed);
-        }
-        if streamed > 0 {
-            kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
-        }
-        sum / self.num_attrs() as f64
+        self.fold_cost(a.iter().zip(b).map(|(x, y)| (x.0, y.0)))
     }
 
     /// Cost of the join of two [`SigArena`] slots: the engine's packed
-    /// scan path. Same per-attribute values, same ascending-attribute
-    /// summation order and same counters as [`Self::join_cost`], so the
-    /// result is bit-identical — the arena only changes *where* the
-    /// signatures live (contiguous lanes instead of per-cluster vecs).
+    /// scan path. The arena only changes *where* the signatures live
+    /// (contiguous lanes instead of per-cluster vecs), so the result is
+    /// bit-identical to [`Self::join_cost`].
     pub fn arena_join_cost(&self, arena: &SigArena, a: usize, b: usize) -> f64 {
-        let mut sum = 0.0;
-        let mut streamed = 0u64;
-        for (j, lane) in arena.lanes.iter().enumerate() {
-            sum += self.fused_cost(j, lane[a], lane[b], &mut streamed);
-        }
-        if streamed > 0 {
-            kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
-        }
-        sum / self.num_attrs() as f64
+        self.fold_cost(arena.lanes.iter().map(|lane| (lane[a], lane[b])))
     }
 
     /// True when the closure `nodes` already covers row `row`: joining
@@ -372,49 +320,27 @@ impl<'a> CostContext<'a> {
     pub fn covers_row(&self, nodes: &[NodeId], row: usize) -> bool {
         let mut streamed = 0u64;
         let covered = self
-            .row_sig(row)
+            .attrs
             .iter()
+            .zip(self.row_sig(row))
             .zip(nodes)
-            .enumerate()
-            .all(|(j, (&leaf, &node))| {
-                self.fused_join(j, node, NodeId(leaf), &mut streamed) == node
-            });
-        if streamed > 0 {
-            kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
-        }
+            .all(|((k, &leaf), node)| k.probe(node.0, leaf, &mut streamed).node == node.0);
+        kanon_obs::count(Counter::SignatureBytesStreamed, streamed);
         covered
     }
 
     /// Cost of the join of a closure with one row without materializing
     /// it, using the flattened row signature.
     pub fn join_row_cost(&self, a: &[NodeId], row: usize) -> f64 {
-        let sig = self.row_sig(row);
-        let mut sum = 0.0;
-        let mut streamed = 0u64;
-        for (j, (&na, &nb)) in a.iter().zip(sig).enumerate() {
-            sum += self.fused_cost(j, na.0, nb, &mut streamed);
-        }
-        if streamed > 0 {
-            kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
-        }
-        sum / self.num_attrs() as f64
+        self.fold_cost(a.iter().zip(self.row_sig(row)).map(|(x, &y)| (x.0, y)))
     }
 
     /// Pairwise record cost `d({R_i, R_j})` — the edge weight used by
-    /// Algorithm 3 and the forest baseline. Streams the two flattened
-    /// row signatures with one fused probe per attribute.
+    /// Algorithm 3 and the forest baseline.
     pub fn pair_cost(&self, i: usize, j: usize) -> f64 {
-        kanon_obs::count(kanon_obs::Counter::PairCostEvals, 1);
+        kanon_obs::count(Counter::PairCostEvals, 1);
         let (si, sj) = (self.row_sig(i), self.row_sig(j));
-        let mut sum = 0.0;
-        let mut streamed = 0u64;
-        for (a, (&na, &nb)) in si.iter().zip(sj).enumerate() {
-            sum += self.fused_cost(a, na, nb, &mut streamed);
-        }
-        if streamed > 0 {
-            kanon_obs::count(kanon_obs::Counter::SignatureBytesStreamed, streamed);
-        }
-        sum / self.num_attrs() as f64
+        self.fold_cost(si.iter().copied().zip(sj.iter().copied()))
     }
 
     /// Closure of an explicit row set (panics on empty input).
@@ -563,6 +489,149 @@ mod tests {
             0,
             "distance evaluations must not touch the split join table"
         );
+    }
+
+    /// Rows over one attribute under the join-table node budget and one
+    /// over it (a 600-value interval ladder, 667 nodes: climbs only).
+    fn setup_mixed() -> (Table, NodeCostTable) {
+        use kanon_core::domain::AttributeDomain;
+        use kanon_core::hierarchy::JOIN_TABLE_LIMIT;
+        use kanon_core::schema::Attribute;
+        let big = Attribute::new(
+            AttributeDomain::anonymous("big", 600).unwrap(),
+            Hierarchy::intervals(600, &[10, 100]).unwrap(),
+        )
+        .unwrap();
+        let s = SchemaBuilder::new()
+            .categorical_with_groups("c", ["a", "b", "c", "d"], &[&["a", "b"], &["c", "d"]])
+            .attribute(big)
+            .build_shared()
+            .unwrap();
+        assert!(s.attr(0).hierarchy().has_join_table());
+        assert!(s.attr(1).hierarchy().num_nodes() > JOIN_TABLE_LIMIT);
+        assert!(!s.attr(1).hierarchy().has_join_table());
+        let rows = [[0, 3], [1, 7], [0, 15], [2, 250], [3, 599], [1, 3]];
+        let t = Table::new(
+            Arc::clone(&s),
+            rows.iter().map(|&r| Record::from_raw(r)).collect(),
+        )
+        .unwrap();
+        let c = NodeCostTable::compute(&t, &LmMeasure);
+        (t, c)
+    }
+
+    #[test]
+    fn every_entry_point_matches_the_climb_reference_and_counts_its_probes() {
+        use kanon_obs::{Collector, Counter};
+        let (t, c) = setup_mixed();
+        let ctx = CostContext::new(&t, &c);
+        let schema = t.schema();
+        let r = schema.num_attrs();
+        let join = |a: &[NodeId], b: &[NodeId]| -> Vec<NodeId> {
+            (0..r)
+                .map(|j| schema.attr(j).hierarchy().join_uncached(a[j], b[j]))
+                .collect()
+        };
+        let cost = |nodes: &[NodeId]| -> u64 {
+            let mut sum = 0.0;
+            for (j, &n) in nodes.iter().enumerate() {
+                sum += c.entry_cost(j, n);
+            }
+            (sum / r as f64).to_bits()
+        };
+        let leaf = |row: usize| -> Vec<NodeId> {
+            (0..r)
+                .map(|j| schema.attr(j).hierarchy().leaf(t.row(row).get(j)))
+                .collect()
+        };
+        let closure = |rows: &[u32]| -> Vec<NodeId> {
+            rows[1..].iter().fold(leaf(rows[0] as usize), |acc, &i| {
+                join(&acc, &leaf(i as usize))
+            })
+        };
+        // [bytes streamed, join-table hits, climbs, pair evaluations].
+        let counted = |f: &mut dyn FnMut()| -> [u64; 4] {
+            let col = Collector::new();
+            {
+                let _g = col.install();
+                f();
+            }
+            let rep = col.report();
+            [
+                Counter::SignatureBytesStreamed,
+                Counter::JoinTableHits,
+                Counter::ClimbFallbackHits,
+                Counter::PairCostEvals,
+            ]
+            .map(|k| rep.counter(k))
+        };
+        // One fused probe (16 bytes) on attribute 0, one climb on 1.
+        let streamed = [16, 0, 1, 0];
+
+        let sets: [&[u32]; 6] = [&[0], &[1], &[0, 2], &[0, 1, 5], &[3, 4], &[0, 1, 2, 3]];
+        for (x, &sa) in sets.iter().enumerate() {
+            let a = closure(sa);
+            let mut got = Vec::new();
+            assert_eq!(counted(&mut || got = ctx.closure_of(sa)), {
+                let joins = sa.len() as u64 - 1;
+                [0, joins, joins, 0]
+            });
+            assert_eq!(got, a, "closure_of {sa:?}");
+            for &sb in &sets[x..] {
+                let b = closure(sb);
+                let want = join(&a, &b);
+                let mut bits = 0;
+                assert_eq!(
+                    counted(&mut || bits = ctx.join_cost(&a, &b).to_bits()),
+                    streamed
+                );
+                assert_eq!(bits, cost(&want), "join_cost {sa:?} {sb:?}");
+                let mut arena = SigArena::with_capacity(r, 2);
+                arena.store(0, &a, sa.len(), ctx.cost(&a));
+                arena.store(1, &b, sb.len(), ctx.cost(&b));
+                assert_eq!(
+                    counted(&mut || bits = ctx.arena_join_cost(&arena, 0, 1).to_bits()),
+                    streamed
+                );
+                assert_eq!(bits, cost(&want), "arena_join_cost {sa:?} {sb:?}");
+                let mut acc = a.clone();
+                assert_eq!(counted(&mut || ctx.join_nodes_into(&mut acc, &b)), streamed);
+                assert_eq!(acc, want, "join_nodes_into {sa:?} {sb:?}");
+            }
+            for row in 0..t.num_rows() {
+                let want = join(&a, &leaf(row));
+                let mut bits = 0;
+                assert_eq!(
+                    counted(&mut || bits = ctx.join_row_cost(&a, row).to_bits()),
+                    streamed
+                );
+                assert_eq!(bits, cost(&want), "join_row_cost {sa:?} {row}");
+                let mut acc = a.clone();
+                assert_eq!(
+                    counted(&mut || ctx.join_row_into(&mut acc, row)),
+                    [0, 1, 1, 0]
+                );
+                assert_eq!(acc, want, "join_row_into {sa:?} {row}");
+                // Stops at the first attribute the row escapes.
+                let mut covered = false;
+                let climbs = u64::from(want[0] == a[0]);
+                assert_eq!(
+                    counted(&mut || covered = ctx.covers_row(&a, row)),
+                    [16, 0, climbs, 0]
+                );
+                assert_eq!(covered, want == a, "covers_row {sa:?} {row}");
+            }
+        }
+        for i in 0..t.num_rows() {
+            for j in 0..t.num_rows() {
+                let mut bits = 0;
+                assert_eq!(
+                    counted(&mut || bits = ctx.pair_cost(i, j).to_bits()),
+                    [16, 0, 1, 1]
+                );
+                assert_eq!(bits, cost(&join(&leaf(i), &leaf(j))), "pair_cost {i} {j}");
+            }
+        }
     }
 
     #[test]

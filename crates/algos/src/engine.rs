@@ -455,9 +455,13 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
     /// Debug-build check: the selected merge distance equals the true
     /// global minimum over all active pairs (the cache's exactness
     /// invariant). Tie *partners* may differ between the cache and a
-    /// fresh rescan; the minimal *value* must not.
+    /// fresh rescan; the minimal *value* must not. Evaluated under a
+    /// throwaway collector, so a debug build reports the same work
+    /// counters, and trips the work budget at the same point, as a
+    /// release build.
     #[cfg(debug_assertions)]
     fn is_global_min_distance(&self, d: f64) -> bool {
+        let _uncounted = kanon_obs::Collector::new().install();
         let mut min = f64::INFINITY;
         for (x, &a) in self.active.iter().enumerate() {
             for &b in &self.active[x + 1..] {
@@ -1032,10 +1036,8 @@ mod tests {
         assert_eq!(r.counter(Counter::MergesPerformed), 13);
         assert_eq!(r.counter(Counter::NnRescans), 6);
         assert_eq!(r.counter(Counter::CacheRepairs), 0);
-        // Debug builds also count the exactness assert, which evaluates
-        // every active pair before each loop merge: 15 + 6 + 1.
-        let checked = if cfg!(debug_assertions) { 22 } else { 0 };
-        assert_eq!(r.counter(Counter::ClusterDistEvals), 30 + checked);
+        // The same in debug builds: the exactness assert counts nothing.
+        assert_eq!(r.counter(Counter::ClusterDistEvals), 30);
     }
 
     /// A policy that logs every merge as its two operands' rows, in

@@ -26,8 +26,9 @@
 //! counter is bounded by `upgrade_steps + 1`: every recompute after the
 //! initial one is triggered by at least one intervening upgrade.
 
+use crate::cost::CostContext;
 use kanon_core::error::{CoreError, Result};
-use kanon_core::generalize::{is_consistent, is_generalization_of, record_join_ground};
+use kanon_core::generalize::{consistency_adjacency, is_consistent, is_generalization_of};
 use kanon_core::table::{check_aligned, check_k, GeneralizedTable, Table};
 use kanon_matching::AllowedEdges;
 use kanon_measures::NodeCostTable;
@@ -55,19 +56,10 @@ struct ConsistencyState {
 }
 
 impl ConsistencyState {
-    fn build(table: &Table, gtable: &GeneralizedTable) -> Self {
-        let schema = table.schema();
-        let n = table.num_rows();
-        let mut adj = vec![Vec::new(); n];
-        for (i, item) in adj.iter_mut().enumerate() {
-            let rec = table.row(i);
-            for j in 0..n {
-                if is_consistent(schema, rec, gtable.row(j)) {
-                    item.push(j as u32);
-                }
-            }
-        }
-        ConsistencyState { adj }
+    fn build(table: &Table, gtable: &GeneralizedTable) -> Result<Self> {
+        Ok(ConsistencyState {
+            adj: consistency_adjacency(table, gtable)?,
+        })
     }
 
     /// Generalized row `col` changed: recompute the column (which left
@@ -108,10 +100,10 @@ pub fn global_1k_from_kk(
             "input to Algorithm 6 must be a row-wise generalization of the table".into(),
         ));
     }
-    let schema = table.schema();
     let _span = kanon_obs::span("global_1k_from_kk");
+    let ctx = CostContext::new(table, costs);
     let mut out = gtable.clone();
-    let mut state = ConsistencyState::build(table, &out);
+    let mut state = ConsistencyState::build(table, &out)?;
 
     // The identity pairing R_i ↔ R̄_i is a perfect matching of the
     // consistency graph (generalization precondition), so the oracle is a
@@ -155,13 +147,13 @@ pub fn global_1k_from_kk(
             let matches = oracle.matches_of(i);
             // Non-match neighbours Q \ P, cheapest to absorb into R̄_i.
             let mut best: Option<(f64, u32)> = None;
-            let ci = costs.record_cost(out.row(i));
+            let ri = out.row(i).nodes();
+            let ci = ctx.cost(ri);
             for &j in &state.adj[i] {
                 if matches.binary_search(&j).is_ok() {
                     continue;
                 }
-                let joined = record_join_ground(schema, out.row(i), table.row(j as usize));
-                let dh = costs.record_cost(&joined) - ci;
+                let dh = ctx.join_row_cost(ri, j as usize) - ci;
                 let better = match best {
                     None => true,
                     Some((bd, bj)) => {
@@ -184,8 +176,9 @@ pub fn global_1k_from_kk(
                 )));
             };
             // Upgrade: R̄_i ← R̄_i + R_{j_h}.
-            let upgraded = record_join_ground(schema, out.row(i), table.row(jh as usize));
-            *out.row_mut(i) = upgraded;
+            let mut upgraded = ri.to_vec();
+            ctx.join_row_into(&mut upgraded, jh as usize);
+            *out.row_mut(i) = ctx.to_record(&upgraded);
             upgrade_steps += 1;
             // Column i of the consistency graph changed; the oracle now
             // lags it, but R̄_{j_h} is already known to be a match of R_i.
@@ -211,6 +204,7 @@ mod tests {
     use super::*;
     use crate::k1::k1_expansion;
     use crate::try_one_k_anonymize;
+    use kanon_core::generalize::record_join_ground;
     use kanon_core::record::Record;
     use kanon_core::schema::{SchemaBuilder, SharedSchema};
     use kanon_matching::Matching;
@@ -235,7 +229,7 @@ mod tests {
         }
         let schema = table.schema();
         let mut out = gtable.clone();
-        let mut state = ConsistencyState::build(table, &out);
+        let mut state = ConsistencyState::build(table, &out)?;
         let identity = Matching {
             pair_left: (0..n as u32).collect(),
             pair_right: (0..n as u32).collect(),
@@ -312,7 +306,7 @@ mod tests {
     }
 
     fn global_level(t: &Table, g: &GeneralizedTable) -> usize {
-        let state = ConsistencyState::build(t, g);
+        let state = ConsistencyState::build(t, g).unwrap();
         let n = t.num_rows();
         let identity = Matching {
             pair_left: (0..n as u32).collect(),

@@ -13,7 +13,7 @@
 use crate::cost::CostContext;
 use crate::k1::GenOutput;
 use kanon_core::error::Result;
-use kanon_core::generalize::{is_consistent, record_join_ground};
+use kanon_core::generalize::is_consistent;
 use kanon_core::table::{check_aligned, check_k, GeneralizedTable, Table};
 use kanon_measures::NodeCostTable;
 
@@ -27,7 +27,7 @@ pub(crate) fn one_k_impl(
     check_k(k, n)?;
     check_aligned(table, gtable)?;
     let _span = kanon_obs::span("one_k_anonymize");
-    let _ctx = CostContext::new(table, costs); // validates attr counts
+    let ctx = CostContext::new(table, costs);
     let schema = table.schema();
     let mut out = gtable.clone();
 
@@ -46,9 +46,8 @@ pub(crate) fn one_k_impl(
         let mut cand: Vec<(f64, usize)> = (0..n)
             .filter(|&j| !consistent[j])
             .map(|j| {
-                let upgraded = record_join_ground(schema, out.row(j), rec);
-                let delta = costs.record_cost(&upgraded) - costs.record_cost(out.row(j));
-                (delta, j)
+                let nodes = out.row(j).nodes();
+                (ctx.join_row_cost(nodes, i) - ctx.cost(nodes), j)
             })
             .collect();
         let need = k - ell;
@@ -56,8 +55,9 @@ pub(crate) fn one_k_impl(
         debug_assert!(cand.len() >= need, "n ≥ k guarantees enough candidates");
         cand.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         for &(_, j) in &cand[..need] {
-            let upgraded = record_join_ground(schema, out.row(j), rec);
-            *out.row_mut(j) = upgraded;
+            let mut nodes = out.row(j).nodes().to_vec();
+            ctx.join_row_into(&mut nodes, i);
+            *out.row_mut(j) = ctx.to_record(&nodes);
         }
     }
 

@@ -15,14 +15,15 @@
 //!    independently solvable. A cluster with no feasible split stays as
 //!    one oversized shard rather than violating the constraints.
 //! 2. **Conquer** — each shard runs the shared clustering engine
-//!    (agglomerative, or its ℓ-diverse variant) as a sub-table against
-//!    the *global* [`NodeCostTable`], so per-shard costs are comparable
-//!    and the union of per-shard clusterings is globally valid. The
-//!    engine hands back member lists only; the generalized table and
-//!    loss are built once, for the final clustering. Shards are
-//!    dispatched like the best-k grid (one coarse task per shard with
-//!    the remaining threads split evenly inside, serial under a budget)
-//!    — byte-identical output at any `KANON_THREADS`.
+//!    (basic Algorithm 1 under D3, or its ℓ-diverse variant) as a
+//!    sub-table against the *global* [`NodeCostTable`], so per-shard
+//!    costs are comparable and the union of per-shard clusterings is
+//!    globally valid. The engine hands back member lists only; the
+//!    generalized table and loss are built once, for the final
+//!    clustering. Shards are dispatched like the best-k grid (one coarse
+//!    task per shard with the remaining threads split evenly inside,
+//!    serial under a budget) — byte-identical output at any
+//!    `KANON_THREADS`.
 //! 3. **Boundary repair** — shard borders can leave *twin* clusters on
 //!    either side that generalize to the very same closure; merging such
 //!    twins is free (the generalized table is unchanged) and undoes the
@@ -38,7 +39,6 @@
 //! [`Budgeted::BudgetExhausted`] while still returning a valid result.
 
 use crate::agglomerative::{agglomerative_clusters, AgglomerativeConfig, KAnonOutput};
-use crate::distance::ClusterDistance;
 use crate::fallible::{Budget, Budgeted};
 use crate::ldiversity::{ldiversity_clusters, LDiverseConfig};
 use crate::split::{SplitPolicy, Splitter};
@@ -64,11 +64,6 @@ pub struct ShardConfig {
     /// Maximum rows per shard. Defaults to
     /// [`kanon_core::config::SHARD_MAX_DEFAULT`].
     pub shard_max: usize,
-    /// The cluster distance function used inside each shard.
-    pub distance: ClusterDistance,
-    /// Apply the Algorithm 2 correction inside each shard (k-anonymity
-    /// only; the ℓ-diverse engine has no modified variant).
-    pub modified: bool,
     /// `(data_row, attr)` cells whose stored leaf is the
     /// `--on-bad-row root` placeholder (see
     /// `IngestReport::rooted_cells` (kanon-data)); the
@@ -77,15 +72,13 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// Shard-and-conquer k-anonymity with the default shard cap and
-    /// distance (D3).
+    /// Shard-and-conquer k-anonymity with the default shard cap. Each
+    /// shard runs basic Algorithm 1 under D3.
     pub fn new(k: usize) -> Self {
         ShardConfig {
             k,
             l: 1,
             shard_max: kanon_core::config::SHARD_MAX_DEFAULT,
-            distance: ClusterDistance::default(),
-            modified: false,
             rooted_cells: Vec::new(),
         }
     }
@@ -99,18 +92,6 @@ impl ShardConfig {
     /// Sets the shard size cap.
     pub fn with_shard_max(mut self, shard_max: usize) -> Self {
         self.shard_max = shard_max;
-        self
-    }
-
-    /// Selects a distance function.
-    pub fn with_distance(mut self, d: ClusterDistance) -> Self {
-        self.distance = d;
-        self
-    }
-
-    /// Enables the Algorithm 2 modification for the per-shard runs.
-    pub fn with_modified(mut self, m: bool) -> Self {
-        self.modified = m;
         self
     }
 
@@ -244,19 +225,10 @@ pub(crate) fn sharded_impl(
             .collect();
         let sub = Table::new(Arc::clone(table.schema()), records)?;
         match sensitive {
-            None => {
-                let sub_cfg = AgglomerativeConfig::new(cfg.k)
-                    .with_distance(cfg.distance)
-                    .with_modified(cfg.modified);
-                agglomerative_clusters(&sub, costs, &sub_cfg)
-            }
+            None => agglomerative_clusters(&sub, costs, &AgglomerativeConfig::new(cfg.k)),
             Some(sv) => {
                 let sub_sv: Vec<u32> = members.iter().map(|&r| sv[r as usize]).collect();
-                let sub_cfg = LDiverseConfig {
-                    k: cfg.k,
-                    l: cfg.l,
-                    distance: cfg.distance,
-                };
+                let sub_cfg = LDiverseConfig::new(cfg.k, cfg.l);
                 ldiversity_clusters(&sub, costs, &sub_sv, &sub_cfg)
             }
         }

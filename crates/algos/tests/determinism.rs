@@ -387,3 +387,35 @@ fn top_down_and_lattice_searches_are_pinned() {
         )
     );
 }
+
+#[test]
+fn kk_and_global_outputs_are_pinned() {
+    // Absolute results of Algorithm 5 after either (k,1) stage and of
+    // Algorithm 6 on one fixed table: an FNV-1a hash over every output
+    // node id, and the loss bits. A change in how an upgrade is priced
+    // or applied moves at least one of these.
+    fn rows_hash(rows: &[kanon_core::GeneralizedRecord]) -> u64 {
+        rows.iter()
+            .flat_map(|r| r.nodes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, n| {
+                (h ^ u64::from(n.0)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+    let table = art::generate(300, 7);
+    let costs = NodeCostTable::compute(&table, &EntropyMeasure);
+    let mut got = Vec::new();
+    for method in [K1Method::NearestNeighbors, K1Method::Expansion] {
+        let r = try_kk_anonymize(&table, &costs, &KkConfig::new(4).with_method(method)).unwrap();
+        got.push((method.name(), rows_hash(r.table.rows()), r.loss.to_bits()));
+    }
+    let r = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(4)).unwrap();
+    got.push(("global", rows_hash(r.table.rows()), r.loss.to_bits()));
+    assert_eq!(
+        got,
+        [
+            ("Alg3+5", 0x760a0f4bd60f19a0, 0x3ff36a22bee2419e),
+            ("Alg4+5", 0xf428edf362d44f79, 0x3fefd50ec5559782),
+            ("global", 0x74837149e7414d76, 0x3ff02c01d1da1b9c),
+        ]
+    );
+}

@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks for the O(1) join kernel.
 //!
-//! * `hierarchy_join`: `Hierarchy::join` (dense LCA-table lookup, the
-//!   default below the node budget) against `Hierarchy::join_uncached`
-//!   (the parent-pointer climb fallback) on the same hierarchy and the
-//!   same pseudo-random node pairs.
-//! * `pair_cost`: the fused interleaved `(join, cost)` kernel
-//!   (`CostContext::pair_cost`, one probe per attribute) against the
-//!   split form it replaced (a join-table probe *then* a separate
-//!   cost-row probe per attribute) on the same row pairs.
+//! * `hierarchy_join`: `Hierarchy::join` (dense LCA-table lookup, which
+//!   `Hierarchy::has_join_table` reports for hierarchies under the node
+//!   budget) against `Hierarchy::join_uncached` (the parent-pointer climb
+//!   that `CostContext` falls back to over the budget) on the same
+//!   hierarchy and the same pseudo-random node pairs.
+//! * `pair_cost`: `CostContext::pair_cost`, one probe per attribute of
+//!   the fused interleaved `(join, cost)` table that serves every join
+//!   and join cost in `kanon-algos`, against the split form (a
+//!   `Hierarchy::join` lookup *then* a separate cost-row probe per
+//!   attribute) on the same row pairs.
 //!
 //! Run with: `cargo bench -p kanon-bench --bench join_kernel`
 

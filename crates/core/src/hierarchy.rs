@@ -74,8 +74,9 @@ pub struct Hierarchy {
 
 /// Node budget for the dense join table: hierarchies with at most this
 /// many nodes precompute it (memory: `limit²` × 4 bytes = 1 MiB worst
-/// case per attribute). Override per hierarchy with
-/// [`Hierarchy::with_join_table_budget`] (`0` drops the table).
+/// case per attribute). Override per schema with
+/// [`crate::schema::Schema::with_join_table_budget`] (`0` drops the
+/// tables).
 pub const JOIN_TABLE_LIMIT: usize = 512;
 
 impl Hierarchy {
@@ -230,7 +231,7 @@ impl Hierarchy {
     /// parent-pointer climb. Joins are identical either way — the table is
     /// precomputed *from* the climb — so this is purely a memory/speed
     /// trade-off.
-    pub fn rebuild_join_table(&mut self, budget: usize) {
+    pub(crate) fn rebuild_join_table(&mut self, budget: usize) {
         let m = self.nodes.len();
         if m > budget {
             self.join_table = None;
@@ -247,27 +248,10 @@ impl Hierarchy {
         self.join_table = Some(table);
     }
 
-    /// A copy of this hierarchy with the join table rebuilt under a
-    /// different node budget (`0` = climb-only).
-    pub fn with_join_table_budget(&self, budget: usize) -> Self {
-        let mut h = self.clone();
-        h.rebuild_join_table(budget);
-        h
-    }
-
     /// Is the dense join table materialized?
     #[inline]
     pub fn has_join_table(&self) -> bool {
         self.join_table.is_some()
-    }
-
-    /// The dense join table as a flat row-major slice
-    /// (`table[a * num_nodes + b]` = join of `a` and `b`), if
-    /// materialized. Exposed so cost kernels can hoist the per-attribute
-    /// lookup out of their inner loops.
-    #[inline]
-    pub fn join_table_slice(&self) -> Option<&[u32]> {
-        self.join_table.as_deref()
     }
 
     /// Interval ladder for ordered (numeric) domains: level `l` partitions
@@ -755,10 +739,9 @@ mod tests {
         ];
         let with_table = Hierarchy::from_subsets(6, &subs).unwrap();
         assert!(with_table.has_join_table());
-        assert!(with_table.join_table_slice().is_some());
-        let climb_only = with_table.with_join_table_budget(0);
+        let mut climb_only = with_table.clone();
+        climb_only.rebuild_join_table(0);
         assert!(!climb_only.has_join_table());
-        assert!(climb_only.join_table_slice().is_none());
         for a in with_table.node_ids() {
             for b in with_table.node_ids() {
                 assert_eq!(with_table.join(a, b), climb_only.join(a, b));
@@ -766,11 +749,11 @@ mod tests {
             }
         }
         // Restoring a generous budget rebuilds the table.
-        let restored = climb_only.with_join_table_budget(JOIN_TABLE_LIMIT);
+        let mut restored = climb_only;
+        restored.rebuild_join_table(JOIN_TABLE_LIMIT);
         assert!(restored.has_join_table());
         assert_eq!(
-            restored.join_table_slice(),
-            with_table.join_table_slice(),
+            restored.join_table, with_table.join_table,
             "rebuilt table must be identical"
         );
     }

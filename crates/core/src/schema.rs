@@ -54,15 +54,6 @@ impl Attribute {
     pub fn name(&self) -> &str {
         self.domain.name()
     }
-
-    /// A copy of this attribute with the hierarchy's join table rebuilt
-    /// under a different node budget (`0` = climb-only joins).
-    pub fn with_join_table_budget(&self, budget: usize) -> Self {
-        Attribute {
-            domain: self.domain.clone(),
-            hierarchy: self.hierarchy.with_join_table_budget(budget),
-        }
-    }
 }
 
 /// An ordered collection of public attributes (quasi-identifiers).
@@ -97,13 +88,11 @@ impl Schema {
     /// and therefore every anonymization decision — are identical under
     /// any budget; only speed and memory change.
     pub fn with_join_table_budget(&self, budget: usize) -> Self {
-        Schema {
-            attrs: self
-                .attrs
-                .iter()
-                .map(|a| a.with_join_table_budget(budget))
-                .collect(),
+        let mut schema = self.clone();
+        for a in &mut schema.attrs {
+            a.hierarchy.rebuild_join_table(budget);
         }
+        schema
     }
 
     /// Number of public attributes `r`.

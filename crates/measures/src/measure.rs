@@ -124,13 +124,7 @@ impl NodeCostTable {
     /// The generalization cost `c(R̄)` of a generalized record: the average
     /// entry cost over attributes (both Eq. 3 and Eq. 4 carry the `1/r`).
     pub fn record_cost(&self, grec: &GeneralizedRecord) -> f64 {
-        let sum: f64 = grec
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(j, &n)| self.costs[j][n.index()])
-            .sum();
-        sum / self.num_attrs as f64
+        self.nodes_cost(grec.nodes())
     }
 
     /// The cost of a generalized record given as a plain node slice —
