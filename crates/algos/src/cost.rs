@@ -6,18 +6,20 @@
 //! ## The fused signature kernel
 //!
 //! The hot read path of every algorithm is `cost(join(a, b))` per
-//! attribute, evaluated O(n²) times. [`CostContext::new`] builds, per
-//! attribute whose hierarchy carries its dense join table, one
+//! attribute, evaluated O(n²) times. [`NodeCostTable::compute`] builds,
+//! once per cost table, one fused join×cost table per attribute whose
+//! hierarchy has at most [`kanon_measures::JOIN_TABLE_LIMIT`] nodes: one
 //! interleaved `(node, cost)` entry per `(a, b)` pair, so a join and its
-//! cost are one 16-byte probe. Attributes over the join-table node budget
-//! keep the hierarchy and its cost row and climb parent pointers instead.
-//! This one kernel serves every join and join cost of the crate: the four
-//! cost entry points (`join_cost`, `arena_join_cost`, `join_row_cost`,
-//! `pair_cost`) are thin calls into one fold over attribute-wise node
-//! pairs, and the materializing joins read the node half of the same
-//! probe. Costs in the fused table are bit-copied from the cost row and
-//! summed in ascending-attribute order, so every result is bit-identical
-//! to [`NodeCostTable::nodes_cost`] of the materialized join.
+//! cost are one 16-byte probe. [`CostContext::new`] only borrows those
+//! tables; attributes without one keep the hierarchy and its cost row and
+//! climb parent pointers instead. This one kernel serves every join and
+//! join cost of the crate: the four cost entry points (`join_cost`,
+//! `arena_join_cost`, `join_row_cost`, `pair_cost`) are thin calls into
+//! one fold over attribute-wise node pairs, and the materializing joins
+//! read the node half of the same probe. Costs in the fused table are
+//! bit-copied from the cost row and summed in ascending-attribute order,
+//! so every result is bit-identical to [`NodeCostTable::nodes_cost`] of
+//! the materialized join.
 //!
 //! Work accounting: cost probes and the node-vector joins
 //! (`join_nodes_into`, `covers_row`) count
@@ -25,43 +27,36 @@
 //! invariant); row joins (`join_row_into`, `closure_of`) count one
 //! `JoinTableHits` per probe; every climb counts one `ClimbFallbackHits`.
 //!
-//! Row leaf signatures are also flattened once ([`CostContext::new`])
-//! into a contiguous `n × r` lane (`row_sigs`), which turns
-//! `pair_cost`/`join_row_cost` leaf lookups into array reads. The
-//! engine-side analogue for *clusters* is [`SigArena`]: per-attribute
-//! `u32` node lanes indexed by engine slot, evaluated with
-//! [`CostContext::arena_join_cost`].
+//! Row leaf signatures are flattened once per context
+//! ([`CostContext::new`], O(n·r)) into a contiguous `n × r` lane
+//! (`row_sigs`), which turns `pair_cost`/`join_row_cost` leaf lookups
+//! into array reads. The engine-side analogue for *clusters* is
+//! [`SigArena`]: per-attribute `u32` node lanes indexed by engine slot,
+//! evaluated with [`CostContext::arena_join_cost`].
 
 use kanon_core::hierarchy::{Hierarchy, NodeId};
 use kanon_core::record::GeneralizedRecord;
 use kanon_core::table::Table;
-use kanon_measures::NodeCostTable;
+use kanon_measures::{JoinEntry, NodeCostTable};
 use kanon_obs::Counter;
 use std::sync::Arc;
 
-/// One interleaved entry of a fused join×cost table: the joined node and
-/// its measure cost, loaded together with a single probe.
-#[derive(Clone, Copy)]
-struct FusedEntry {
-    node: u32,
-    cost: f64,
-}
-
 /// Bytes one fused probe streams (the counter weight of
 /// `SignatureBytesStreamed`).
-const FUSED_PROBE_BYTES: u64 = std::mem::size_of::<FusedEntry>() as u64;
+const FUSED_PROBE_BYTES: u64 = std::mem::size_of::<JoinEntry>() as u64;
 
 /// Per-attribute join/cost kernel.
 enum AttrJoin<'a> {
     /// `entries[a * stride + b]` holds the join of nodes `a`, `b` and
-    /// that join's cost: built from the hierarchy's dense join table.
+    /// that join's cost, borrowed from the cost table.
     Fused {
-        entries: Vec<FusedEntry>,
+        entries: &'a [JoinEntry],
         stride: usize,
     },
-    /// The hierarchy is over its join-table node budget (see
-    /// [`kanon_core::hierarchy::JOIN_TABLE_LIMIT`]): joins climb parent
-    /// pointers and read the cost row.
+    /// The cost table has no fused table for this attribute (the
+    /// hierarchy is over [`kanon_measures::JOIN_TABLE_LIMIT`] nodes, or
+    /// the tables were dropped): joins climb parent pointers and read the
+    /// cost row.
     Climb {
         hierarchy: &'a Hierarchy,
         cost_row: &'a [f64],
@@ -69,38 +64,30 @@ enum AttrJoin<'a> {
 }
 
 impl<'a> AttrJoin<'a> {
-    /// The kernel of one attribute: fused when the hierarchy has its
-    /// dense join table. O(nodes²), bounded by the node budget —
-    /// negligible next to the O(n²) scans it accelerates.
-    fn new(hierarchy: &'a Hierarchy, cost_row: &'a [f64]) -> Self {
-        if !hierarchy.has_join_table() {
-            return AttrJoin::Climb {
+    /// The kernel of attribute `j`: fused when the cost table carries its
+    /// join×cost table. O(1).
+    fn new(hierarchy: &'a Hierarchy, costs: &'a NodeCostTable, j: usize) -> Self {
+        match costs.attr_joins(j) {
+            Some(entries) => {
+                let stride = hierarchy.num_nodes();
+                assert_eq!(
+                    entries.len(),
+                    stride * stride,
+                    "cost table and table disagree on the hierarchy of attribute {j}"
+                );
+                AttrJoin::Fused { entries, stride }
+            }
+            None => AttrJoin::Climb {
                 hierarchy,
-                cost_row,
-            };
-        }
-        let entries = hierarchy
-            .node_ids()
-            .flat_map(|a| {
-                hierarchy.node_ids().map(move |b| {
-                    let node = hierarchy.join(a, b);
-                    FusedEntry {
-                        node: node.0,
-                        cost: cost_row[node.index()],
-                    }
-                })
-            })
-            .collect();
-        AttrJoin::Fused {
-            entries,
-            stride: hierarchy.num_nodes(),
+                cost_row: costs.attr_costs(j),
+            },
         }
     }
 
     /// `join(a, b)` and its cost. A fused probe adds its bytes to
     /// `streamed`; a climb counts one `ClimbFallbackHits`.
     #[inline]
-    fn probe(&self, a: u32, b: u32, streamed: &mut u64) -> FusedEntry {
+    fn probe(&self, a: u32, b: u32, streamed: &mut u64) -> JoinEntry {
         match self {
             AttrJoin::Fused { entries, stride } => {
                 *streamed += FUSED_PROBE_BYTES;
@@ -111,8 +98,8 @@ impl<'a> AttrJoin<'a> {
                 cost_row,
             } => {
                 kanon_obs::count(Counter::ClimbFallbackHits, 1);
-                let node = hierarchy.join_uncached(NodeId(a), NodeId(b));
-                FusedEntry {
+                let node = hierarchy.join(NodeId(a), NodeId(b));
+                JoinEntry {
                     node: node.0,
                     cost: cost_row[node.index()],
                 }
@@ -194,7 +181,8 @@ impl SigArena {
 /// Borrowed bundle of everything the algorithms need to evaluate cluster
 /// costs: the original table (for record values), its schema, and the
 /// measure's node costs — plus one join/cost kernel per attribute that
-/// turns the hot `cost(join(a, b))` pair into one probe.
+/// turns the hot `cost(join(a, b))` pair into one probe, borrowed from
+/// the cost table.
 #[derive(Clone)]
 pub struct CostContext<'a> {
     /// The original table `D`.
@@ -209,8 +197,10 @@ pub struct CostContext<'a> {
 }
 
 impl<'a> CostContext<'a> {
-    /// Creates a context. The cost table must have been computed over a
-    /// table with the same schema (same attribute count is asserted).
+    /// Creates a context: O(n·r), flattening the row leaf signatures and
+    /// borrowing the cost table's fused join×cost tables. The cost table
+    /// must have been computed over a table with the same schema (same
+    /// attribute count is asserted).
     pub fn new(table: &'a Table, costs: &'a NodeCostTable) -> Self {
         assert_eq!(
             table.num_attrs(),
@@ -219,7 +209,7 @@ impl<'a> CostContext<'a> {
         );
         let schema = table.schema();
         let attrs: Arc<[AttrJoin<'a>]> = (0..schema.num_attrs())
-            .map(|j| AttrJoin::new(schema.attr(j).hierarchy(), costs.attr_costs(j)))
+            .map(|j| AttrJoin::new(schema.attr(j).hierarchy(), costs, j))
             .collect();
         let mut row_sigs = Vec::with_capacity(table.num_rows() * attrs.len());
         for rec in table.rows() {
@@ -495,8 +485,8 @@ mod tests {
     /// over it (a 600-value interval ladder, 667 nodes: climbs only).
     fn setup_mixed() -> (Table, NodeCostTable) {
         use kanon_core::domain::AttributeDomain;
-        use kanon_core::hierarchy::JOIN_TABLE_LIMIT;
         use kanon_core::schema::Attribute;
+        use kanon_measures::JOIN_TABLE_LIMIT;
         let big = Attribute::new(
             AttributeDomain::anonymous("big", 600).unwrap(),
             Hierarchy::intervals(600, &[10, 100]).unwrap(),
@@ -507,9 +497,7 @@ mod tests {
             .attribute(big)
             .build_shared()
             .unwrap();
-        assert!(s.attr(0).hierarchy().has_join_table());
         assert!(s.attr(1).hierarchy().num_nodes() > JOIN_TABLE_LIMIT);
-        assert!(!s.attr(1).hierarchy().has_join_table());
         let rows = [[0, 3], [1, 7], [0, 15], [2, 250], [3, 599], [1, 3]];
         let t = Table::new(
             Arc::clone(&s),
@@ -517,6 +505,8 @@ mod tests {
         )
         .unwrap();
         let c = NodeCostTable::compute(&t, &LmMeasure);
+        assert!(c.attr_joins(0).is_some());
+        assert!(c.attr_joins(1).is_none());
         (t, c)
     }
 
@@ -529,7 +519,7 @@ mod tests {
         let r = schema.num_attrs();
         let join = |a: &[NodeId], b: &[NodeId]| -> Vec<NodeId> {
             (0..r)
-                .map(|j| schema.attr(j).hierarchy().join_uncached(a[j], b[j]))
+                .map(|j| schema.attr(j).hierarchy().join(a[j], b[j]))
                 .collect()
         };
         let cost = |nodes: &[NodeId]| -> u64 {
@@ -630,6 +620,25 @@ mod tests {
                     [16, 0, 1, 1]
                 );
                 assert_eq!(bits, cost(&join(&leaf(i), &leaf(j))), "pair_cost {i} {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn contexts_borrow_the_cost_tables_join_entries() {
+        let (t, c) = setup();
+        let sub = t.select_rows(&[2, 3]).unwrap();
+        for ctx in [
+            CostContext::new(&t, &c),
+            CostContext::new(&t, &c),
+            CostContext::new(&sub, &c),
+        ] {
+            for (j, k) in ctx.attrs.iter().enumerate() {
+                let AttrJoin::Fused { entries, .. } = k else {
+                    panic!("attribute {j} fits the node budget");
+                };
+                let own = c.attr_joins(j).unwrap();
+                assert!(std::ptr::eq(*entries, own), "attribute {j}: table copied");
             }
         }
     }

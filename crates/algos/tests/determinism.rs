@@ -6,9 +6,9 @@
 //!    the primitives in `kanon-parallel` combine per-index results in
 //!    index order, and all argmin/top-2 selections use total orders with
 //!    index tie-breaks.
-//! 2. The dense pairwise join table is a **pure speed knob**: rebuilding
-//!    every hierarchy with a budget of `0` (climb-only joins) changes no
-//!    clustering and no loss.
+//! 2. The fused join×cost tables are a **pure speed knob**: dropping
+//!    them from the cost table (`without_join_tables`, climb-only joins)
+//!    changes no clustering and no loss.
 //! 3. The `kanon-obs` **work counters** are byte-identical at any worker
 //!    count: per-index work is thread-count invariant (point 1) and
 //!    counter addition commutes, so the deterministic counters section of
@@ -26,7 +26,6 @@ use kanon_data::art;
 use kanon_measures::{EntropyMeasure, NodeCostTable};
 use kanon_parallel::with_threads;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Runs every algorithm family once and returns a comparable fingerprint:
 /// per-algorithm loss plus the full generalized tables' debug rendering
@@ -221,16 +220,13 @@ proptest! {
 
     #[test]
     fn join_table_is_a_pure_speed_knob(seed in 0u64..1_000_000, k in 2usize..6) {
-        let with_table = art::generate(72, seed);
-        // Same rows under a schema whose hierarchies were rebuilt with a
-        // zero node budget: every join falls back to the parent-pointer
-        // climb.
-        let climb_schema = Arc::new(with_table.schema().with_join_table_budget(0));
-        let climb_only = Table::new(climb_schema, with_table.rows().to_vec()).unwrap();
-        let costs_t = NodeCostTable::compute(&with_table, &EntropyMeasure);
-        let costs_c = NodeCostTable::compute(&climb_only, &EntropyMeasure);
-        let a = pipeline_fingerprint(&with_table, &costs_t, k);
-        let b = pipeline_fingerprint(&climb_only, &costs_c, k);
+        let table = art::generate(72, seed);
+        // Same rows and costs with the fused join×cost tables dropped:
+        // every join falls back to the parent-pointer climb.
+        let costs_t = NodeCostTable::compute(&table, &EntropyMeasure);
+        let costs_c = NodeCostTable::compute(&table, &EntropyMeasure).without_join_tables();
+        let a = pipeline_fingerprint(&table, &costs_t, k);
+        let b = pipeline_fingerprint(&table, &costs_c, k);
         for (s, p) in a.iter().zip(&b) {
             prop_assert!(
                 s.1.to_bits() == p.1.to_bits(),

@@ -15,45 +15,15 @@ pub fn is_consistent(schema: &Schema, rec: &Record, grec: &GeneralizedRecord) ->
     (0..schema.num_attrs()).all(|j| schema.attr(j).hierarchy().contains(grec.get(j), rec.get(j)))
 }
 
-/// Does generalized record `a` generalize generalized record `b`
-/// (entry-wise ancestry)? Every record consistent with `b` is then also
-/// consistent with `a`.
-pub fn record_generalizes(schema: &Schema, a: &GeneralizedRecord, b: &GeneralizedRecord) -> bool {
-    (0..schema.num_attrs()).all(|j| {
-        schema
-            .attr(j)
-            .hierarchy()
-            .is_ancestor_or_eq(a.get(j), b.get(j))
-    })
-}
-
-/// The join `R̄ + R̄'`: the minimal generalized record that generalizes
-/// both operands (per-attribute hierarchy join).
-pub fn record_join(
-    schema: &Schema,
-    a: &GeneralizedRecord,
-    b: &GeneralizedRecord,
-) -> GeneralizedRecord {
-    GeneralizedRecord::new(
-        (0..schema.num_attrs()).map(|j| schema.attr(j).hierarchy().join(a.get(j), b.get(j))),
-    )
-}
-
 /// The join `R̄ + R` of a generalized record with an original record: the
 /// minimal generalized record generalizing `R̄` and consistent with `R`
-/// (used by Algorithms 5 and 6).
+/// (Algorithms 5 and 6). The algorithms join through `kanon-algos`'
+/// cost kernel; this is the reference their tests check against.
 pub fn record_join_ground(schema: &Schema, a: &GeneralizedRecord, r: &Record) -> GeneralizedRecord {
     GeneralizedRecord::new((0..schema.num_attrs()).map(|j| {
         let h = schema.attr(j).hierarchy();
         h.join(a.get(j), h.leaf(r.get(j)))
     }))
-}
-
-/// The identity generalization of a single record (leaf nodes everywhere).
-pub fn leaf_record(schema: &Schema, r: &Record) -> GeneralizedRecord {
-    GeneralizedRecord::new(
-        (0..schema.num_attrs()).map(|j| schema.attr(j).hierarchy().leaf(r.get(j))),
-    )
 }
 
 /// Closure of a set of rows of a table: the minimal generalized record
@@ -62,7 +32,10 @@ pub fn leaf_record(schema: &Schema, r: &Record) -> GeneralizedRecord {
 pub fn closure_of_rows(table: &Table, rows: &[usize]) -> Option<GeneralizedRecord> {
     let (&first, rest) = rows.split_first()?;
     let schema = table.schema();
-    let mut acc = leaf_record(schema, table.row(first));
+    let r = table.row(first);
+    let mut acc = GeneralizedRecord::new(
+        (0..schema.num_attrs()).map(|j| schema.attr(j).hierarchy().leaf(r.get(j))),
+    );
     for &i in rest {
         let r = table.row(i);
         for j in 0..schema.num_attrs() {
@@ -185,27 +158,15 @@ mod tests {
     fn join_ground_extends_minimally() {
         let s = schema();
         let t = table(&s);
-        let g0 = leaf_record(&s, t.row(0));
+        let g0 = GeneralizedRecord::new(
+            (0..s.num_attrs()).map(|j| s.attr(j).hierarchy().leaf(t.row(0).get(j))),
+        );
         let joined = record_join_ground(&s, &g0, t.row(1));
         assert!(is_consistent(&s, t.row(0), &joined));
         assert!(is_consistent(&s, t.row(1), &joined));
         // Minimal: attribute 0 generalizes to the pair {a,b}, not the root.
         let h0 = s.attr(0).hierarchy();
         assert_eq!(h0.node_size(joined.get(0)), 2);
-    }
-
-    #[test]
-    fn record_join_commutes_and_generalizes() {
-        let s = schema();
-        let t = table(&s);
-        let a = leaf_record(&s, t.row(0));
-        let b = leaf_record(&s, t.row(2));
-        let ab = record_join(&s, &a, &b);
-        let ba = record_join(&s, &b, &a);
-        assert_eq!(ab, ba);
-        assert!(record_generalizes(&s, &ab, &a));
-        assert!(record_generalizes(&s, &ab, &b));
-        assert!(!record_generalizes(&s, &a, &ab));
     }
 
     #[test]

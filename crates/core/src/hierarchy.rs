@@ -65,19 +65,7 @@ pub struct Hierarchy {
     leaf: Vec<NodeId>,
     root: NodeId,
     domain_size: usize,
-    /// Dense LCA lookup (`join_table[a * num_nodes + b]`), precomputed for
-    /// hierarchies up to [`JOIN_TABLE_LIMIT`] nodes. Joins are the hottest
-    /// operation of every anonymization algorithm; a flat table turns the
-    /// parent-pointer walk into one load.
-    join_table: Option<Vec<u32>>,
 }
-
-/// Node budget for the dense join table: hierarchies with at most this
-/// many nodes precompute it (memory: `limit²` × 4 bytes = 1 MiB worst
-/// case per attribute). Override per schema with
-/// [`crate::schema::Schema::with_join_table_budget`] (`0` drops the
-/// tables).
-pub const JOIN_TABLE_LIMIT: usize = 512;
 
 impl Hierarchy {
     // ------------------------------------------------------------------
@@ -215,43 +203,12 @@ impl Hierarchy {
             }
         }
 
-        let mut h = Hierarchy {
+        Ok(Hierarchy {
             nodes,
             leaf,
             root: NodeId(0),
             domain_size,
-            join_table: None,
-        };
-        h.rebuild_join_table(JOIN_TABLE_LIMIT);
-        Ok(h)
-    }
-
-    /// (Re)builds or drops the dense join table against a node budget:
-    /// hierarchies with more than `budget` nodes fall back to the
-    /// parent-pointer climb. Joins are identical either way — the table is
-    /// precomputed *from* the climb — so this is purely a memory/speed
-    /// trade-off.
-    pub(crate) fn rebuild_join_table(&mut self, budget: usize) {
-        let m = self.nodes.len();
-        if m > budget {
-            self.join_table = None;
-            return;
-        }
-        let mut table = vec![0u32; m * m];
-        for a in 0..m {
-            for b in a..m {
-                let j = self.join_uncached(NodeId(a as u32), NodeId(b as u32)).0;
-                table[a * m + b] = j;
-                table[b * m + a] = j;
-            }
-        }
-        self.join_table = Some(table);
-    }
-
-    /// Is the dense join table materialized?
-    #[inline]
-    pub fn has_join_table(&self) -> bool {
-        self.join_table.is_some()
+        })
     }
 
     /// Interval ladder for ordered (numeric) domains: level `l` partitions
@@ -424,19 +381,11 @@ impl Hierarchy {
 
     /// Lowest common ancestor of two nodes — the **join** `B ∨ B'`: the
     /// minimal permissible subset containing both. This implements the
-    /// record-join operator `R̄ + R̄'` of Sec. V-B.2, per attribute.
-    #[inline]
+    /// record-join operator `R̄ + R̄'` of Sec. V-B.2, per attribute, by
+    /// parent-pointer climb. The clustering kernels read it from the
+    /// fused join×cost tables of `kanon_measures::NodeCostTable`, which
+    /// are built from this climb.
     pub fn join(&self, a: NodeId, b: NodeId) -> NodeId {
-        if let Some(table) = &self.join_table {
-            return NodeId(table[a.index() * self.nodes.len() + b.index()]);
-        }
-        self.join_uncached(a, b)
-    }
-
-    /// LCA by parent-pointer walk — the fallback for hierarchies over the
-    /// join-table budget and the generator of the precomputed table.
-    /// Public so benches can compare the climb against the O(1) lookup.
-    pub fn join_uncached(&self, a: NodeId, b: NodeId) -> NodeId {
         let (mut a, mut b) = (a, b);
         let (mut da, mut db) = (self.depth(a), self.depth(b));
         while da > db {
@@ -701,61 +650,6 @@ mod tests {
         assert_eq!(c, h.root());
         // v4's singleton hangs off the root.
         assert_eq!(h.parent(h.leaf(v(4))), Some(h.root()));
-    }
-
-    #[test]
-    fn join_table_agrees_with_walk() {
-        // Force both code paths to exist by checking a hierarchy below the
-        // table limit agrees with pairwise closure computations.
-        let subs = vec![
-            vec![v(0), v(1)],
-            vec![v(2), v(3)],
-            vec![v(0), v(1), v(2), v(3)],
-        ];
-        let h = Hierarchy::from_subsets(6, &subs).unwrap();
-        for a in h.node_ids() {
-            for b in h.node_ids() {
-                let j = h.join(a, b);
-                // The join must contain both operands' value sets.
-                assert!(h.is_ancestor_or_eq(j, a));
-                assert!(h.is_ancestor_or_eq(j, b));
-                // And be minimal: no child of j contains both.
-                for &c in h.children(j) {
-                    assert!(
-                        !(h.is_ancestor_or_eq(c, a) && h.is_ancestor_or_eq(c, b)),
-                        "join not minimal"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn join_table_budget_is_a_pure_speed_knob() {
-        let subs = vec![
-            vec![v(0), v(1)],
-            vec![v(2), v(3)],
-            vec![v(0), v(1), v(2), v(3)],
-        ];
-        let with_table = Hierarchy::from_subsets(6, &subs).unwrap();
-        assert!(with_table.has_join_table());
-        let mut climb_only = with_table.clone();
-        climb_only.rebuild_join_table(0);
-        assert!(!climb_only.has_join_table());
-        for a in with_table.node_ids() {
-            for b in with_table.node_ids() {
-                assert_eq!(with_table.join(a, b), climb_only.join(a, b));
-                assert_eq!(with_table.join(a, b), climb_only.join_uncached(a, b));
-            }
-        }
-        // Restoring a generous budget rebuilds the table.
-        let mut restored = climb_only;
-        restored.rebuild_join_table(JOIN_TABLE_LIMIT);
-        assert!(restored.has_join_table());
-        assert_eq!(
-            restored.join_table, with_table.join_table,
-            "rebuilt table must be identical"
-        );
     }
 
     #[test]

@@ -83,18 +83,6 @@ impl Schema {
         Arc::new(self)
     }
 
-    /// A copy of this schema with every hierarchy's join table rebuilt
-    /// under a different node budget (`0` = climb-only joins). Joins —
-    /// and therefore every anonymization decision — are identical under
-    /// any budget; only speed and memory change.
-    pub fn with_join_table_budget(&self, budget: usize) -> Self {
-        let mut schema = self.clone();
-        for a in &mut schema.attrs {
-            a.hierarchy.rebuild_join_table(budget);
-        }
-        schema
-    }
-
     /// Number of public attributes `r`.
     #[inline]
     pub fn num_attrs(&self) -> usize {

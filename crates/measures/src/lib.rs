@@ -55,7 +55,7 @@ pub use classification::classification_metric;
 pub use discernibility::{class_sizes, discernibility, discernibility_per_record};
 pub use entropy::EntropyMeasure;
 pub use lm::LmMeasure;
-pub use measure::{EntryMeasure, MeasureContext, NodeCostTable};
+pub use measure::{EntryMeasure, JoinEntry, MeasureContext, NodeCostTable, JOIN_TABLE_LIMIT};
 pub use nonuniform::nonuniform_entropy_loss;
 pub use queries::{mean_relative_error, CountQuery, QueryWorkload};
 pub use select::Measure;

@@ -12,9 +12,11 @@
 //! implement [`EntryMeasure`]; [`NodeCostTable`] precomputes `cost_j(B)`
 //! for every hierarchy node once, so that the cluster cost
 //! `d(S) = c(closure(S))` of Eq. (7) is an O(r) table lookup during
-//! clustering.
+//! clustering. Next to each cost row it keeps the attribute's fused
+//! join×cost table: `join(a, b)` and its cost for every node pair, so the
+//! clustering kernels price a join with one probe.
 
-use kanon_core::hierarchy::NodeId;
+use kanon_core::hierarchy::{Hierarchy, NodeId};
 use kanon_core::record::GeneralizedRecord;
 use kanon_core::schema::Schema;
 use kanon_core::stats::TableStats;
@@ -48,8 +50,25 @@ pub trait EntryMeasure {
     fn node_cost(&self, ctx: &MeasureContext<'_>, attr: usize, node: NodeId) -> f64;
 }
 
+/// Node budget for the fused join×cost tables: an attribute whose
+/// hierarchy has at most this many nodes gets one (memory: `limit²` × 16
+/// bytes = 4 MiB worst case per attribute); larger hierarchies climb
+/// parent pointers instead.
+pub const JOIN_TABLE_LIMIT: usize = 512;
+
+/// One entry of a fused join×cost table: the join of two nodes and that
+/// join's cost, loaded together with a single probe.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinEntry {
+    /// The joined node `join(a, b)`, as a raw [`NodeId`] index.
+    pub node: u32,
+    /// The joined node's cost, bit-copied from the attribute's cost row.
+    pub cost: f64,
+}
+
 /// Precomputed `cost_j(B)` for every attribute `j` and hierarchy node `B`
-/// of a given (table, measure) pair.
+/// of a given (table, measure) pair, plus each attribute's fused
+/// join×cost table.
 ///
 /// All algorithm implementations in `kanon-algos` take a `NodeCostTable`,
 /// which both fixes the measure and pins the statistics to the original
@@ -59,6 +78,9 @@ pub trait EntryMeasure {
 pub struct NodeCostTable {
     /// `costs[j][node]` = cost of generalizing attribute `j` to `node`.
     costs: Vec<Vec<f64>>,
+    /// `joins[j][a * num_nodes + b]` = `join(a, b)` of attribute `j` and
+    /// its cost; `None` for hierarchies over [`JOIN_TABLE_LIMIT`] nodes.
+    joins: Vec<Option<Vec<JoinEntry>>>,
     /// Number of attributes `r`.
     num_attrs: usize,
     /// Measure name, for reports.
@@ -66,7 +88,10 @@ pub struct NodeCostTable {
 }
 
 impl NodeCostTable {
-    /// Precomputes all node costs of `measure` over `table`.
+    /// Precomputes all node costs of `measure` over `table`, and the
+    /// fused join×cost table of every attribute whose hierarchy has at
+    /// most [`JOIN_TABLE_LIMIT`] nodes (O(nodes²) each, built once here
+    /// and borrowed by every clustering context over this table).
     ///
     /// Node costs within each attribute are computed in parallel via
     /// `kanon-parallel` (entry measures are pure per-node functions, so
@@ -80,7 +105,7 @@ impl NodeCostTable {
             schema,
             stats: &stats,
         };
-        let costs = (0..schema.num_attrs())
+        let costs: Vec<Vec<f64>> = (0..schema.num_attrs())
             .map(|j| {
                 let h = schema.attr(j).hierarchy();
                 kanon_parallel::map(h.num_nodes(), |ni| {
@@ -88,8 +113,17 @@ impl NodeCostTable {
                 })
             })
             .collect();
+        let joins = costs
+            .iter()
+            .enumerate()
+            .map(|(j, row)| {
+                let h = schema.attr(j).hierarchy();
+                (h.num_nodes() <= JOIN_TABLE_LIMIT).then(|| fused_joins(h, row))
+            })
+            .collect();
         NodeCostTable {
             costs,
+            joins,
             num_attrs: schema.num_attrs(),
             measure_name: measure.name(),
         }
@@ -121,6 +155,24 @@ impl NodeCostTable {
         &self.costs[attr]
     }
 
+    /// The fused join×cost table of one attribute: `num_nodes²` entries,
+    /// `join(a, b)` at `a * num_nodes + b`. `None` when the hierarchy is
+    /// over [`JOIN_TABLE_LIMIT`] nodes or the tables were dropped
+    /// ([`Self::without_join_tables`]); joins then climb parent pointers.
+    #[inline]
+    pub fn attr_joins(&self, attr: usize) -> Option<&[JoinEntry]> {
+        self.joins[attr].as_deref()
+    }
+
+    /// This table with every fused join table dropped, so every join
+    /// climbs parent pointers. Joins and costs are the same either way
+    /// (each entry is copied from the climb and the cost row): dropping
+    /// the tables only trades speed for memory.
+    pub fn without_join_tables(mut self) -> Self {
+        self.joins.iter_mut().for_each(|j| *j = None);
+        self
+    }
+
     /// The generalization cost `c(R̄)` of a generalized record: the average
     /// entry cost over attributes (both Eq. 3 and Eq. 4 carry the `1/r`).
     pub fn record_cost(&self, grec: &GeneralizedRecord) -> f64 {
@@ -146,6 +198,22 @@ impl NodeCostTable {
         let sum: f64 = gtable.rows().iter().map(|r| self.record_cost(r)).sum();
         sum / gtable.num_rows() as f64
     }
+}
+
+/// One attribute's fused join×cost table: `join(a, b)` by parent-pointer
+/// climb for every node pair, with the cost bit-copied from `cost_row`.
+fn fused_joins(h: &Hierarchy, cost_row: &[f64]) -> Vec<JoinEntry> {
+    h.node_ids()
+        .flat_map(|a| {
+            h.node_ids().map(move |b| {
+                let node = h.join(a, b);
+                JoinEntry {
+                    node: node.0,
+                    cost: cost_row[node.index()],
+                }
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -206,5 +274,55 @@ mod tests {
         let costs = NodeCostTable::compute(&t, &SizeMeasure);
         let star = GeneralizedRecord::new(s.suppressed_nodes());
         assert_eq!(costs.record_cost(&star), costs.nodes_cost(star.nodes()));
+    }
+
+    #[test]
+    fn fused_entries_are_the_climb_with_bit_copied_costs() {
+        use crate::EntropyMeasure;
+        use kanon_core::domain::AttributeDomain;
+        use kanon_core::schema::Attribute;
+        let tables = [
+            kanon_data::art::generate(60, 3),
+            kanon_data::adult::generate(60, 3),
+            kanon_data::cmc::generate(60, 3).table,
+        ];
+        for t in &tables {
+            let costs = NodeCostTable::compute(t, &EntropyMeasure);
+            let schema = t.schema();
+            for j in 0..schema.num_attrs() {
+                let h = schema.attr(j).hierarchy();
+                let m = h.num_nodes();
+                assert!(m <= JOIN_TABLE_LIMIT, "{}", schema.attr(j).name());
+                let entries = costs.attr_joins(j).expect("under the node budget");
+                assert_eq!(entries.len(), m * m);
+                for a in h.node_ids() {
+                    for b in h.node_ids() {
+                        let e = entries[a.index() * m + b.index()];
+                        let join = h.join(a, b);
+                        assert_eq!(e.node, join.0, "{} {a} {b}", schema.attr(j).name());
+                        assert_eq!(e.cost.to_bits(), costs.entry_cost(j, join).to_bits());
+                    }
+                }
+            }
+            let climb = costs.without_join_tables();
+            assert!((0..schema.num_attrs()).all(|j| climb.attr_joins(j).is_none()));
+        }
+        // A 600-value interval ladder has 667 nodes: over the budget, so
+        // its joins climb.
+        let big = Attribute::new(
+            AttributeDomain::anonymous("big", 600).unwrap(),
+            Hierarchy::intervals(600, &[10, 100]).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(big.hierarchy().num_nodes(), 667);
+        let s = SchemaBuilder::new()
+            .categorical("a", ["x", "y"])
+            .attribute(big)
+            .build_shared()
+            .unwrap();
+        let t = Table::new(Arc::clone(&s), vec![Record::from_raw([0, 599])]).unwrap();
+        let costs = NodeCostTable::compute(&t, &SizeMeasure);
+        assert_eq!(costs.attr_joins(0).map(<[_]>::len), Some(9));
+        assert!(costs.attr_joins(1).is_none());
     }
 }

@@ -58,7 +58,7 @@ pub enum Counter {
     MergesPerformed,
     /// Full nearest-neighbour scans (initial pass + cache-repair rescans).
     NnRescans,
-    /// Hierarchy joins answered by the dense LCA join table.
+    /// Row joins answered by a fused join×cost table, one per probe.
     JoinTableHits,
     /// Hierarchy joins that fell back to the parent-pointer climb.
     ClimbFallbackHits,
