@@ -34,7 +34,7 @@ use crate::forest::forest_impl;
 use crate::global_one_k::GlobalOutput;
 use crate::k1::GenOutput;
 use crate::ldiversity::{ldiversity_impl, LDiverseConfig};
-use crate::pipeline::{global_impl, k1_impl, kk_impl, GlobalConfig, K1Method, KkConfig};
+use crate::pipeline::{global_impl, k1_impl, kk_impl, K1Method, KkConfig};
 use kanon_core::error::{KanonError, KanonResult, Result};
 use kanon_core::table::{GeneralizedTable, Table};
 use kanon_measures::NodeCostTable;
@@ -290,11 +290,11 @@ pub fn try_kk_anonymize(
     catch(|| kk_impl(table, costs, cfg))
 }
 
-/// Global (1,k)-anonymization: the (k,k) pipeline + Algorithm 6.
+/// Global (1,k)-anonymization: the (k,k) pipeline `cfg` + Algorithm 6.
 pub fn try_global_1k_anonymize(
     table: &Table,
     costs: &NodeCostTable,
-    cfg: &GlobalConfig,
+    cfg: &KkConfig,
 ) -> KanonResult<GlobalOutput> {
     catch(|| global_impl(table, costs, cfg))
 }
@@ -306,20 +306,7 @@ pub fn try_mondrian_k_anonymize(
     costs: &NodeCostTable,
     k: usize,
 ) -> KanonResult<Budgeted<KAnonOutput>> {
-    try_mondrian_k_anonymize_rooted(table, costs, k, &[])
-}
-
-/// [`try_mondrian_k_anonymize`] with rooted-cell awareness:
-/// `rooted_cells` are the `(data_row, attr)` pairs of an
-/// `kanon_data::IngestReport` whose stored leaf is the
-/// `--on-bad-row root` placeholder for "unknown".
-pub fn try_mondrian_k_anonymize_rooted(
-    table: &Table,
-    costs: &NodeCostTable,
-    k: usize,
-    rooted_cells: &[(usize, usize)],
-) -> KanonResult<Budgeted<KAnonOutput>> {
-    catch(|| crate::mondrian::mondrian_impl(table, costs, k, rooted_cells))
+    catch(|| crate::mondrian::mondrian_impl(table, costs, k))
 }
 
 /// Shard-and-conquer k-anonymization (DESIGN.md §5f), with budget-aware

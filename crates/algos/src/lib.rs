@@ -76,14 +76,14 @@ pub use distance::{ClusterDistance, DEFAULT_EPSILON};
 pub use fallible::{
     error_from_panic, try_agglomerative_k_anonymize, try_best_k_anonymize, try_forest_k_anonymize,
     try_fulldomain_k_anonymize, try_global_1k_anonymize, try_k1_anonymize, try_kk_anonymize,
-    try_l_diverse_k_anonymize, try_mdav_k_anonymize, try_mondrian_k_anonymize,
-    try_mondrian_k_anonymize_rooted, try_one_k_anonymize, try_optimal_k_anonymize,
-    try_samarati_k_anonymize, try_sharded_k_anonymize, try_sharded_l_diverse_k_anonymize, Budgeted,
+    try_l_diverse_k_anonymize, try_mdav_k_anonymize, try_mondrian_k_anonymize, try_one_k_anonymize,
+    try_optimal_k_anonymize, try_samarati_k_anonymize, try_sharded_k_anonymize,
+    try_sharded_l_diverse_k_anonymize, Budgeted,
 };
 pub use fulldomain::{FullDomainOutput, RecodingLevels};
 pub use global_one_k::{global_1k_from_kk, GlobalOutput};
 pub use k1::{k1_expansion, k1_nearest_neighbors, k1_optimal_bruteforce, GenOutput};
 pub use ldiversity::LDiverseConfig;
-pub use pipeline::{GlobalConfig, K1Method, KkConfig};
+pub use pipeline::{K1Method, KkConfig};
 pub use samarati::SamaratiOutput;
 pub use shard::{ShardConfig, ShardStats, ShardedOutput};

@@ -9,12 +9,11 @@
 //! `2k` rows is final, and the split taken is the one, with both bins
 //! ≥ k rows, that reduces the clustering cost `Σ |S| d(S)` the most. The
 //! result is k-anonymous by construction.
-//! [`crate::try_mondrian_k_anonymize_rooted`] passes the rooted cells of
-//! an `--on-bad-row root` ingest to the splitter.
 
 use crate::agglomerative::KAnonOutput;
+use crate::cost::CostContext;
 use crate::fallible::{Budget, Budgeted};
-use crate::split::{SplitPolicy, Splitter};
+use crate::split::{self, SplitPolicy};
 use kanon_core::error::Result;
 use kanon_core::hierarchy::NodeId;
 use kanon_core::table::{check_k, Table};
@@ -39,7 +38,7 @@ impl SplitPolicy for MondrianPolicy {
 
     fn score(
         &self,
-        splitter: &Splitter<'_>,
+        ctx: &CostContext<'_>,
         members: &[u32],
         closure: &[NodeId],
         left: &[u32],
@@ -48,10 +47,9 @@ impl SplitPolicy for MondrianPolicy {
         if left.len() < self.k || right.len() < self.k {
             return None;
         }
-        let ctx = splitter.ctx();
         let current_cost = members.len() as f64 * ctx.cost(closure);
-        let split_cost = left.len() as f64 * ctx.cost(&splitter.closure(left))
-            + right.len() as f64 * ctx.cost(&splitter.closure(right));
+        let split_cost = left.len() as f64 * ctx.cost(&ctx.closure_of(left))
+            + right.len() as f64 * ctx.cost(&ctx.closure_of(right));
         (split_cost < current_cost - 1e-12).then_some(split_cost)
     }
 
@@ -66,21 +64,19 @@ pub(crate) fn mondrian_impl(
     table: &Table,
     costs: &NodeCostTable,
     k: usize,
-    rooted_cells: &[(usize, usize)],
 ) -> Result<Budgeted<KAnonOutput>> {
     check_k(k, table.num_rows())?;
     let _span = kanon_obs::span("mondrian");
-    let splitter = Splitter::new(table, costs, rooted_cells)?;
+    let ctx = CostContext::new(table, costs);
     let mut budget = Budget::arm();
-    let clusters = splitter.run(&MondrianPolicy { k }, &mut budget)?;
+    let clusters = split::run(&ctx, &MondrianPolicy { k }, &mut budget)?;
     Ok(budget.finish(KAnonOutput::from_clusters(table, costs, clusters)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_mondrian_k_anonymize, try_mondrian_k_anonymize_rooted};
-    use kanon_core::error::CoreError;
+    use crate::try_mondrian_k_anonymize;
     use kanon_core::record::Record;
     use kanon_core::schema::SchemaBuilder;
     use kanon_core::KanonError;
@@ -169,70 +165,49 @@ mod tests {
     #[test]
     fn rooted_cell_round_trip_does_not_panic() {
         // Regression for the `.expect("laminar: …")` panic: ingest a table
-        // under `--on-bad-row root`, then run Mondrian with the report's
-        // rooted cells. The rooted attribute's closure is the root, which
-        // no child contains — it must be treated as unsplittable, not a
-        // panic.
+        // under `--on-bad-row root` and run Mondrian on it. A patched cell
+        // holds its fallback value (the attribute's first domain value,
+        // here "a") and is split on like any other, so the run equals the
+        // run on the table with that value written in.
         use kanon_data::{table_from_csv_with_policy, RowPolicy};
         let s = SchemaBuilder::new()
             .categorical_with_groups("c", ["a", "b", "c", "d"], &[&["a", "b"], &["c", "d"]])
             .categorical("x", ["p", "q"])
             .build_shared()
             .unwrap();
-        let mut text = String::new();
+        let (mut patched, mut filled) = (String::new(), String::new());
         for i in 0..16 {
             let c = ["a", "b", "c", "d", "??"][i % 5]; // every 5th cell unreadable
             let x = ["p", "q"][i % 2];
-            text.push_str(&format!("{c},{x}\n"));
+            patched.push_str(&format!("{c},{x}\n"));
+            filled.push_str(&format!("{},{x}\n", if c == "??" { "a" } else { c }));
         }
         let (t, report) =
-            table_from_csv_with_policy(&s, &text, false, RowPolicy::GeneralizeToRoot).unwrap();
+            table_from_csv_with_policy(&s, &patched, false, RowPolicy::GeneralizeToRoot).unwrap();
         assert!(!report.rooted_cells.is_empty());
+        let (f, report) =
+            table_from_csv_with_policy(&s, &filled, false, RowPolicy::Strict).unwrap();
+        assert!(report.is_clean());
         for k in [2, 3, 5] {
             let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-            let out = try_mondrian_k_anonymize_rooted(&t, &costs, k, &report.rooted_cells)
+            let out = try_mondrian_k_anonymize(&t, &costs, k)
                 .unwrap()
                 .into_inner();
             assert!(out.clustering.min_cluster_size() >= k, "k={k}");
-            // Every cluster holding a rooted row must generalize the
-            // rooted attribute to the root (the cell's true value is
-            // unknown, so nothing narrower is sound).
-            let h = t.schema().attr(0).hierarchy();
-            for &(row, attr) in &report.rooted_cells {
-                assert_eq!(attr, 0);
-                assert_eq!(out.table.row(row).nodes()[0], h.root(), "row {row}");
+            let costs = NodeCostTable::compute(&f, &EntropyMeasure);
+            let reference = try_mondrian_k_anonymize(&f, &costs, k)
+                .unwrap()
+                .into_inner();
+            assert_eq!(out.clustering, reference.clustering, "k={k}");
+            assert_eq!(out.loss.to_bits(), reference.loss.to_bits(), "k={k}");
+            for row in 0..t.num_rows() {
+                assert_eq!(
+                    out.table.row(row),
+                    reference.table.row(row),
+                    "k={k} row {row}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn rooted_cells_outside_the_table_are_typed_errors() {
-        let t = table();
-        let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let err = try_mondrian_k_anonymize_rooted(&t, &costs, 3, &[(999, 0)]).unwrap_err();
-        assert!(
-            matches!(err, KanonError::Core(CoreError::InconsistentInput(_))),
-            "{err}"
-        );
-        let err = try_mondrian_k_anonymize_rooted(&t, &costs, 3, &[(0, 9)]).unwrap_err();
-        assert!(
-            matches!(err, KanonError::Core(CoreError::AttrOutOfRange { .. })),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn rooted_run_equals_plain_run_when_no_cells_are_rooted() {
-        let t = table();
-        let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let plain = try_mondrian_k_anonymize(&t, &costs, 3)
-            .unwrap()
-            .into_inner();
-        let rooted = try_mondrian_k_anonymize_rooted(&t, &costs, 3, &[])
-            .unwrap()
-            .into_inner();
-        assert_eq!(plain.clustering, rooted.clustering);
-        assert_eq!(plain.loss.to_bits(), rooted.loss.to_bits());
     }
 
     #[test]

@@ -45,7 +45,8 @@ impl K1Method {
     }
 }
 
-/// Configuration of the (k,k) pipeline.
+/// Configuration of the (k,k) pipeline, and of the global (1,k)
+/// pipeline that runs it before Algorithm 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KkConfig {
     /// The anonymity parameter.
@@ -59,31 +60,6 @@ impl KkConfig {
     /// found uniformly better.
     pub fn new(k: usize) -> Self {
         KkConfig {
-            k,
-            method: K1Method::default(),
-        }
-    }
-
-    /// Selects the (k,1) stage.
-    pub fn with_method(mut self, m: K1Method) -> Self {
-        self.method = m;
-        self
-    }
-}
-
-/// Configuration of the global (1,k) pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GlobalConfig {
-    /// The anonymity parameter.
-    pub k: usize,
-    /// The (k,1) stage feeding the (k,k) step.
-    pub method: K1Method,
-}
-
-impl GlobalConfig {
-    /// Defaults to the expansion method.
-    pub fn new(k: usize) -> Self {
-        GlobalConfig {
             k,
             method: K1Method::default(),
         }
@@ -116,16 +92,9 @@ pub(crate) fn kk_impl(table: &Table, costs: &NodeCostTable, cfg: &KkConfig) -> R
 pub(crate) fn global_impl(
     table: &Table,
     costs: &NodeCostTable,
-    cfg: &GlobalConfig,
+    cfg: &KkConfig,
 ) -> Result<GlobalOutput> {
-    let kk = kk_impl(
-        table,
-        costs,
-        &KkConfig {
-            k: cfg.k,
-            method: cfg.method,
-        },
-    )?;
+    let kk = kk_impl(table, costs, cfg)?;
     global_1k_from_kk(table, &kk.table, costs, cfg.k)
 }
 
@@ -267,7 +236,7 @@ mod tests {
         let t = table(&s);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         for k in [2, 3] {
-            let out = try_global_1k_anonymize(&t, &costs, &GlobalConfig::new(k)).unwrap();
+            let out = try_global_1k_anonymize(&t, &costs, &KkConfig::new(k)).unwrap();
             // Validate via the naive neighbour/match definitions.
             use kanon_core::generalize::consistency_adjacency;
             use kanon_matching::{AllowedEdges, BipartiteGraph};

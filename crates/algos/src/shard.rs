@@ -6,8 +6,8 @@
 //! tractable in three deterministic phases:
 //!
 //! 1. **Partition** — the shared top-down splitter (the `split` module,
-//!    also behind [`crate::mondrian`], including its rooted-cell
-//!    handling) cuts the table into shards of at most
+//!    also behind [`crate::mondrian`]) cuts the table into shards of
+//!    at most
 //!    [`ShardConfig::shard_max`] rows. Splits are chosen for *balance*
 //!    (smallest size imbalance, lowest attribute index on ties) and are
 //!    only taken when both sides keep ≥ k rows — and, under
@@ -27,11 +27,12 @@
 //! 3. **Boundary repair** — shard borders can leave *twin* clusters on
 //!    either side that generalize to the very same closure; merging such
 //!    twins is free (the generalized table is unchanged) and undoes the
-//!    needless fragmentation the cut introduced. A defensive second pass
-//!    re-merges any cluster that somehow fails global k (or ℓ) into its
-//!    cheapest neighbour; with valid per-shard outputs it never fires,
-//!    but it turns "impossible" states into repairs instead of invalid
-//!    output. Repairs are counted as `boundary_repairs`.
+//!    needless fragmentation the cut introduced. Merges are counted as
+//!    `boundary_repairs`. Every per-shard cluster is valid and merging
+//!    only grows clusters, so a final check that each cluster holds ≥ k
+//!    rows (and ℓ distinct sensitive values) never fails on a correct
+//!    engine; if it does, the run returns
+//!    [`CoreError::InconsistentInput`] rather than invalid output.
 //!
 //! The work budget (`KANON_WORK_BUDGET`) is honoured at every phase:
 //! partition checkpoints drain the queue into coarser shards, the
@@ -39,9 +40,10 @@
 //! [`Budgeted::BudgetExhausted`] while still returning a valid result.
 
 use crate::agglomerative::{agglomerative_clusters, AgglomerativeConfig, KAnonOutput};
+use crate::cost::CostContext;
 use crate::fallible::{Budget, Budgeted};
 use crate::ldiversity::{ldiversity_clusters, LDiverseConfig};
-use crate::split::{SplitPolicy, Splitter};
+use crate::split::{self, SplitPolicy};
 use kanon_core::error::{CoreError, Result};
 use kanon_core::hierarchy::NodeId;
 use kanon_core::table::{check_k, Table};
@@ -64,11 +66,6 @@ pub struct ShardConfig {
     /// Maximum rows per shard. Defaults to
     /// [`kanon_core::config::SHARD_MAX_DEFAULT`].
     pub shard_max: usize,
-    /// `(data_row, attr)` cells whose stored leaf is the
-    /// `--on-bad-row root` placeholder (see
-    /// `IngestReport::rooted_cells` (kanon-data)); the
-    /// partitioner treats them as the hierarchy root.
-    pub rooted_cells: Vec<(usize, usize)>,
 }
 
 impl ShardConfig {
@@ -79,7 +76,6 @@ impl ShardConfig {
             k,
             l: 1,
             shard_max: kanon_core::config::SHARD_MAX_DEFAULT,
-            rooted_cells: Vec::new(),
         }
     }
 
@@ -92,12 +88,6 @@ impl ShardConfig {
     /// Sets the shard size cap.
     pub fn with_shard_max(mut self, shard_max: usize) -> Self {
         self.shard_max = shard_max;
-        self
-    }
-
-    /// Supplies the rooted cells of an ingest report.
-    pub fn with_rooted_cells(mut self, cells: Vec<(usize, usize)>) -> Self {
-        self.rooted_cells = cells;
         self
     }
 }
@@ -150,7 +140,7 @@ impl SplitPolicy for ShardPolicy<'_> {
 
     fn score(
         &self,
-        _splitter: &Splitter<'_>,
+        _ctx: &CostContext<'_>,
         _members: &[u32],
         _closure: &[NodeId],
         left: &[u32],
@@ -193,8 +183,7 @@ pub(crate) fn sharded_impl(
         }
     }
     let _span = kanon_obs::span("sharded");
-    let splitter = Splitter::new(table, costs, &cfg.rooted_cells)?;
-    let ctx = splitter.ctx();
+    let ctx = CostContext::new(table, costs);
 
     let mut budget = Budget::arm();
 
@@ -202,7 +191,7 @@ pub(crate) fn sharded_impl(
     // cluster with no feasible split stays one oversized shard; budget
     // degradation keeps every queue element as a (coarser) shard — the
     // per-shard engines still enforce k/ℓ, so validity holds.
-    let mut shards = splitter.run(&ShardPolicy { cfg, sensitive }, &mut budget)?;
+    let mut shards = split::run(&ctx, &ShardPolicy { cfg, sensitive }, &mut budget)?;
     for s in &mut shards {
         s.sort_unstable();
     }
@@ -267,41 +256,17 @@ pub(crate) fn sharded_impl(
         c.sort_unstable();
     }
 
-    // Phase 3b: defensive validity repair. Per-shard outputs are valid,
-    // so this loop normally never fires — but if a cluster ever fails
-    // global k (or ℓ), merge it into the neighbour with the cheapest
-    // joined closure rather than emitting invalid output.
-    loop {
-        let violator = clusters.iter().position(|c| {
-            c.len() < cfg.k || sensitive.is_some_and(|s| distinct_of(s, c) < cfg.l.min(c.len()))
-        });
-        let Some(v) = violator else { break };
-        if clusters.len() < 2 {
-            break; // one cluster holding everything: nothing to merge with
-        }
-        let v_nodes = ctx.closure_of(&clusters[v]);
-        let mut best: Option<(f64, usize)> = None;
-        for (i, c) in clusters.iter().enumerate() {
-            if i == v {
-                continue;
-            }
-            let joined = ctx.join_cost(&v_nodes, &ctx.closure_of(c));
-            let better = match &best {
-                None => true,
-                Some((bc, _)) => joined.total_cmp(bc).is_lt(),
-            };
-            if better {
-                best = Some((joined, i));
-            }
-        }
-        let (_, target) = best.ok_or_else(|| {
-            CoreError::InconsistentInput("boundary repair found no merge target".to_string())
-        })?;
-        let mut moved = clusters.swap_remove(v.max(target));
-        let keep = v.min(target);
-        clusters[keep].append(&mut moved);
-        clusters[keep].sort_unstable();
-        boundary_repairs += 1;
+    // Phase 3b: per-shard clusters are valid and 3a only grows them, so
+    // a cluster below k (or ℓ) means a broken engine: fail, never emit.
+    if let Some(c) = clusters.iter().find(|c| {
+        c.len() < cfg.k || sensitive.is_some_and(|s| distinct_of(s, c) < cfg.l.min(c.len()))
+    }) {
+        return Err(CoreError::InconsistentInput(format!(
+            "shard run returned an invalid cluster of {} rows (k = {}, l = {})",
+            c.len(),
+            cfg.k,
+            cfg.l
+        )));
     }
     kanon_obs::count(kanon_obs::Counter::BoundaryRepairs, boundary_repairs as u64);
 
@@ -436,30 +401,5 @@ mod tests {
         });
         assert!(out.is_exhausted());
         assert!(out.inner().out.clustering.min_cluster_size() >= 3);
-    }
-
-    #[test]
-    fn rooted_cells_flow_into_the_partitioner() {
-        // Root a cell in attribute 0 and shard aggressively: the
-        // partitioner must treat it as unsplittable there, not panic.
-        let t = table(240);
-        let costs = NodeCostTable::compute(&t, &EntropyMeasure);
-        let cfg = ShardConfig::new(3)
-            .with_shard_max(40)
-            .with_rooted_cells(vec![(0, 0), (17, 0)]);
-        let out = try_sharded_k_anonymize(&t, &costs, &cfg)
-            .unwrap()
-            .into_inner();
-        assert!(out.out.clustering.min_cluster_size() >= 3);
-        let err = try_sharded_k_anonymize(
-            &t,
-            &costs,
-            &ShardConfig::new(3).with_rooted_cells(vec![(999, 0)]),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, KanonError::Core(CoreError::InconsistentInput(_))),
-            "{err}"
-        );
     }
 }

@@ -10,7 +10,7 @@
 
 use kanon_algos::{
     try_agglomerative_k_anonymize, try_forest_k_anonymize, try_global_1k_anonymize,
-    try_kk_anonymize, AgglomerativeConfig, GlobalConfig, KkConfig,
+    try_kk_anonymize, AgglomerativeConfig, KkConfig,
 };
 use kanon_bench::{load_dataset, render_table, Args, DatasetName, TextTable};
 use kanon_measures::{mean_relative_error, Measure, QueryWorkload};
@@ -54,7 +54,7 @@ fn main() {
                 .into_inner();
             let kk = try_kk_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
             let global =
-                try_global_1k_anonymize(&dataset.table, &costs, &GlobalConfig::new(k)).unwrap();
+                try_global_1k_anonymize(&dataset.table, &costs, &KkConfig::new(k)).unwrap();
             for (row, gtable) in
                 rows.iter_mut()
                     .zip([&kanon.table, &forest.table, &kk.table, &global.table])

@@ -27,7 +27,7 @@
 
 use kanon_algos::{
     try_best_k_anonymize, try_global_1k_anonymize, try_kk_anonymize, try_l_diverse_k_anonymize,
-    Budgeted, ClusterDistance, GlobalConfig, KkConfig, LDiverseConfig,
+    Budgeted, ClusterDistance, KkConfig, LDiverseConfig,
 };
 use kanon_core::schema::SharedSchema;
 use kanon_core::table::{GeneralizedTable, Table};
@@ -205,15 +205,10 @@ fn row_policy(flags: &Flags) -> CmdResult<RowPolicy> {
 /// Loads a table either from `--in FILE` (CSV with header over the
 /// built-in schema, bad rows routed through `--on-bad-row`) or by
 /// generating `--n` rows. Files are streamed through the chunked loader
-/// (peak transient memory O(longest row), not O(file)). The second
-/// component is the `(row, attr)` cells the `root` policy patched —
-/// downstream consumers (the shard partitioner) treat them as the
-/// hierarchy root.
-fn load_table(
-    name: &str,
-    schema: &SharedSchema,
-    flags: &Flags,
-) -> CmdResult<(Table, Vec<(usize, usize)>)> {
+/// (peak transient memory O(longest row), not O(file)). Cells the
+/// `root` policy patched hold their fallback value and are anonymized
+/// like any other; the policy only reports how many it patched.
+fn load_table(name: &str, schema: &SharedSchema, flags: &Flags) -> CmdResult<Table> {
     // Validate the policy flag even for generated tables, so a typo is a
     // usage error rather than silently ignored.
     let policy = row_policy(flags)?;
@@ -231,7 +226,7 @@ fn load_table(
                 report.rooted_cells.len()
             );
         }
-        Ok((table, report.rooted_cells))
+        Ok(table)
     } else {
         let n: usize = flags.parse_or("n", 1000);
         let seed: u64 = flags.parse_or("seed", 42);
@@ -245,7 +240,7 @@ fn load_table(
                 ))
             }
         };
-        Ok((table, Vec::new()))
+        Ok(table)
     }
 }
 
@@ -282,7 +277,7 @@ fn write_out(flags: &Flags, text: &str) -> CmdResult {
 
 fn cmd_generate(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
-    let (table, _) = load_table(name, &schema, flags)?;
+    let table = load_table(name, &schema, flags)?;
     write_out(flags, &csv::table_to_csv(&table))
 }
 
@@ -341,7 +336,7 @@ fn measure_flag(flags: &Flags) -> Result<Measure, KanonError> {
 
 fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
-    let (table, rooted_cells) = load_table(name, &schema, flags)?;
+    let table = load_table(name, &schema, flags)?;
     let k: usize = flags.parse_or("k", 0);
     if k == 0 {
         return Err(KanonError::Usage("anonymize requires --k".to_string()));
@@ -351,9 +346,8 @@ fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
     let shard_max = shard_max(flags, notion)?;
     let gtable: GeneralizedTable = match notion {
         "k" if shard_max.is_some() => {
-            let cfg = kanon_algos::ShardConfig::new(k)
-                .with_shard_max(shard_max.unwrap_or_default())
-                .with_rooted_cells(rooted_cells);
+            let cfg =
+                kanon_algos::ShardConfig::new(k).with_shard_max(shard_max.unwrap_or_default());
             let out = accept_budgeted(
                 "sharded k-anonymization",
                 kanon_algos::try_sharded_k_anonymize(&table, &costs, &cfg)?,
@@ -385,7 +379,7 @@ fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
             out.table
         }
         "global" => {
-            let out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k))?;
+            let out = try_global_1k_anonymize(&table, &costs, &KkConfig::new(k))?;
             eprintln!(
                 "globally (1,k)-anonymized; loss = {:.4} ({}); {} upgrades for {} deficient records",
                 out.loss,
@@ -413,10 +407,7 @@ fn cmd_anonymize(name: &str, flags: &Flags) -> CmdResult {
                 .map(|i| table.row(i).get(col).0)
                 .collect();
             if let Some(m) = shard_max {
-                let cfg = kanon_algos::ShardConfig::new(k)
-                    .with_l(l)
-                    .with_shard_max(m)
-                    .with_rooted_cells(rooted_cells);
+                let cfg = kanon_algos::ShardConfig::new(k).with_l(l).with_shard_max(m);
                 let out = match kanon_algos::try_sharded_l_diverse_k_anonymize(
                     &table, &costs, &sensitive, &cfg,
                 ) {
@@ -511,7 +502,7 @@ fn cmd_verify(name: &str, flags: &Flags) -> CmdResult {
 
 fn cmd_measure(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
-    let (table, _) = load_table(name, &schema, flags)?;
+    let table = load_table(name, &schema, flags)?;
     let stats = TableStats::compute(&table);
     println!(
         "{} rows, {} attributes",
@@ -537,7 +528,7 @@ fn cmd_measure(name: &str, flags: &Flags) -> CmdResult {
 /// or SIGINT/SIGTERM (graceful-shutdown watcher in [`main`]).
 fn cmd_serve(name: &str, flags: &Flags) -> CmdResult {
     let schema = dataset_schema(name, flags)?;
-    let (table, _rooted) = load_table(name, &schema, flags)?;
+    let table = load_table(name, &schema, flags)?;
     let k: usize = flags.parse_or("k", 0);
     if k == 0 {
         return Err(KanonError::Usage("serve requires --k".to_string()));

@@ -177,6 +177,56 @@ fn malformed_csv_fails_strict_but_degrades_under_policy() {
 }
 
 #[test]
+fn patched_cells_publish_like_their_fallback_value_when_sharded() {
+    // `--on-bad-row root` patches an unreadable cell with the attribute's
+    // first domain value (`a1` for ART's A2). The sharded release must be
+    // the release of the same file with `a1` written in, byte for byte.
+    let gen = kanon(&["generate", "art", "--n", "120", "--seed", "5"], &[]);
+    assert_eq!(gen.status.code(), Some(0));
+    let text = String::from_utf8(gen.stdout).unwrap();
+    let mut lines = text.lines();
+    let header = lines.next().unwrap();
+    let (mut patched, mut filled) = (format!("{header}\n"), format!("{header}\n"));
+    for (i, line) in lines.enumerate() {
+        let mut cells: Vec<&str> = line.split(',').collect();
+        if i % 13 == 0 {
+            cells[1] = "BOGUS";
+            patched.push_str(&cells.join(","));
+            cells[1] = "a1";
+            filled.push_str(&cells.join(","));
+        } else {
+            patched.push_str(line);
+            filled.push_str(line);
+        }
+        patched.push('\n');
+        filled.push('\n');
+    }
+    let patched = tmp_file("patched_a2.csv", &patched);
+    let filled = tmp_file("filled_a2.csv", &filled);
+    for notion in [
+        &["--notion", "k"][..],
+        &["--notion", "ldiv", "--l", "2"][..],
+    ] {
+        let run = |path: &PathBuf, policy: &str| {
+            let mut args = vec!["anonymize", "art", "--k", "4", "--shard-max", "30"];
+            args.extend_from_slice(notion);
+            args.extend_from_slice(&["--in", path.to_str().unwrap(), "--on-bad-row", policy]);
+            let out = kanon(&args, &[]);
+            assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+            out
+        };
+        let root = run(&patched, "root");
+        assert!(
+            stderr_of(&root).contains("patched 10 unreadable cell(s)"),
+            "{}",
+            stderr_of(&root)
+        );
+        let strict = run(&filled, "strict");
+        assert_eq!(root.stdout, strict.stdout, "{notion:?}");
+    }
+}
+
+#[test]
 fn armed_failpoint_yields_typed_error_never_panic() {
     for (point, notion) in [
         ("algos/agglomerative/merge=once:2", "k"),

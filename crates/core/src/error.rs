@@ -44,9 +44,10 @@ pub enum CoreError {
     /// CSV input ended in the middle of a quoted field (EOF while the
     /// closing `"` was still pending).
     UnterminatedQuote,
-    /// Supplied metadata contradicts the table it describes (e.g. a
-    /// rooted-cell annotation pointing outside the table, or a value that
-    /// escapes its cluster's closure node).
+    /// The input or its parameters break an invariant or limit of the
+    /// pipeline (e.g. a value that escapes its cluster's closure node, a
+    /// sharded run whose clusters fail k or ℓ, or a full-domain lattice
+    /// too large to enumerate).
     InconsistentInput(String),
 }
 

@@ -53,7 +53,9 @@ pub struct IngestReport {
     /// [`RowPolicy::GeneralizeToRoot`] when the arity was wrong).
     pub suppressed_rows: Vec<usize>,
     /// `(data_row, attr)` cells replaced by the fallback value under
-    /// [`RowPolicy::GeneralizeToRoot`].
+    /// [`RowPolicy::GeneralizeToRoot`]. It only reports: a patched cell
+    /// holds its fallback value and is anonymized like any other, so
+    /// it publishes its cluster's closure of that value.
     pub rooted_cells: Vec<(usize, usize)>,
 }
 

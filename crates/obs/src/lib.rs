@@ -109,7 +109,7 @@ pub enum Counter {
     /// partition stage is serial and deterministic).
     ShardRowsMax,
     /// Boundary-repair merges performed after the per-shard runs
-    /// (equal-closure cluster re-merges plus validity repairs).
+    /// (re-merges of clusters with equal closures).
     BoundaryRepairs,
     /// Distinct quasi-identifier tuples among the rows entering the
     /// clustering engine, summed over engine runs (a sharded run counts

@@ -40,7 +40,7 @@ fn main() {
 
     // 3c. Global (1,k)-anonymity (…+ Algorithm 6): safe even against an
     //     adversary who knows the exact member set of the database.
-    let global_out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
+    let global_out = try_global_1k_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
 
     println!("information loss (entropy measure, lower = more utility):");
     println!("  k-anonymity       : {:.4} bits/entry", kanon_out.loss);

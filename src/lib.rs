@@ -51,7 +51,7 @@ pub mod prelude {
     pub use kanon_algos::{
         k1_expansion, k1_nearest_neighbors, try_agglomerative_k_anonymize, try_best_k_anonymize,
         try_forest_k_anonymize, try_global_1k_anonymize, try_kk_anonymize, try_one_k_anonymize,
-        AgglomerativeConfig, Budgeted, ClusterDistance, GlobalConfig, K1Method, KkConfig,
+        AgglomerativeConfig, Budgeted, ClusterDistance, K1Method, KkConfig,
     };
     pub use kanon_core::{
         AttributeDomain, Clustering, GeneralizedRecord, GeneralizedTable, Hierarchy, Record,

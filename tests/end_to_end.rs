@@ -99,7 +99,7 @@ fn global_outputs_verify_on_all_datasets() {
     for (name, table) in datasets() {
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
         let k = 3;
-        let out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
+        let out = try_global_1k_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
         assert!(
             is_global_1k_anonymous(&table, &out.table, k).unwrap(),
             "{name}: global check failed"

@@ -111,7 +111,7 @@ fn global_output_is_global_but_rarely_k_anonymous() {
     let k = 3;
     let table = kanon::data::art::generate(60, 4);
     let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-    let out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
+    let out = try_global_1k_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
     let p = AnonymityProfile::compute(&table, &out.table).unwrap();
     assert!(p.global_1k >= k);
     assert!(p.kk >= k);

@@ -199,7 +199,7 @@ proptest! {
         let k = 2;
         let table = random_table(seed, 10);
         let costs = NodeCostTable::compute(&table, &EntropyMeasure);
-        let out = try_global_1k_anonymize(&table, &costs, &GlobalConfig::new(k)).unwrap();
+        let out = try_global_1k_anonymize(&table, &costs, &KkConfig::new(k)).unwrap();
         prop_assert!(kanon::verify::is_global_1k_anonymous(&table, &out.table, k).unwrap());
         prop_assert!(is_kk_anonymous(&table, &out.table, k).unwrap());
     }
