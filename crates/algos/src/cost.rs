@@ -26,6 +26,11 @@
 //! [`kanon_obs::Counter::SignatureBytesStreamed`] (bytes, thread-count
 //! invariant); row joins (`join_row_into`, `closure_of`) count one
 //! `JoinTableHits` per probe; every climb counts one `ClimbFallbackHits`.
+//! Probes add to a [`Tally`] rather than counting one by one. Each
+//! entry point flushes its own, except the two that scans call once per
+//! candidate: [`CostContext::arena_join_cost`] and
+//! [`CostContext::covers_row`] add to the caller's tally, which the
+//! caller flushes once per scan.
 //!
 //! Row leaf signatures are flattened once per context
 //! ([`CostContext::new`], O(n·r)) into a contiguous `n × r` lane
@@ -84,26 +89,56 @@ impl<'a> AttrJoin<'a> {
         }
     }
 
-    /// `join(a, b)` and its cost. A fused probe adds its bytes to
-    /// `streamed`; a climb counts one `ClimbFallbackHits`.
+    /// `join(a, b)` and its cost, the probe added to `tally`.
     #[inline]
-    fn probe(&self, a: u32, b: u32, streamed: &mut u64) -> JoinEntry {
+    fn probe(&self, a: u32, b: u32, tally: &mut Tally) -> JoinEntry {
         match self {
             AttrJoin::Fused { entries, stride } => {
-                *streamed += FUSED_PROBE_BYTES;
+                tally.fused += 1;
                 entries[a as usize * stride + b as usize]
             }
             AttrJoin::Climb {
                 hierarchy,
                 cost_row,
             } => {
-                kanon_obs::count(Counter::ClimbFallbackHits, 1);
+                tally.climbs += 1;
                 let node = hierarchy.join(NodeId(a), NodeId(b));
                 JoinEntry {
                     node: node.0,
                     cost: cost_row[node.index()],
                 }
             }
+        }
+    }
+}
+
+/// Kernel work done but not yet counted: the fused probes made and the
+/// climbs made instead. A hot loop threads one tally through all its
+/// probes and flushes it once, so a scan of m candidates costs the
+/// collector at most two counts instead of at least m. The totals
+/// are the same sums, so counters stay exact; a tally must be flushed
+/// before the next work-budget checkpoint for every trip point to stay
+/// where it was.
+#[derive(Debug, Default)]
+pub struct Tally {
+    fused: u64,
+    climbs: u64,
+}
+
+impl Tally {
+    /// Counts the fused probes as `SignatureBytesStreamed` bytes and the
+    /// climbs as `ClimbFallbackHits`.
+    pub fn flush(self) {
+        if self.fused > 0 {
+            let bytes = self.fused * FUSED_PROBE_BYTES;
+            kanon_obs::count(Counter::SignatureBytesStreamed, bytes);
+        }
+        self.flush_climbs();
+    }
+
+    fn flush_climbs(&self) {
+        if self.climbs > 0 {
+            kanon_obs::count(Counter::ClimbFallbackHits, self.climbs);
         }
     }
 }
@@ -252,36 +287,44 @@ impl<'a> CostContext<'a> {
 
     /// The one cost fold: `c(join)` of two signatures given as their
     /// attribute-wise node pairs, summed in ascending attribute order,
-    /// counting the streamed bytes once per call.
+    /// its probes added to `tally`.
     #[inline]
-    fn fold_cost(&self, pairs: impl Iterator<Item = (u32, u32)>) -> f64 {
+    fn fold_cost(&self, pairs: impl Iterator<Item = (u32, u32)>, tally: &mut Tally) -> f64 {
         let mut sum = 0.0;
-        let mut streamed = 0u64;
         for (k, (a, b)) in self.attrs.iter().zip(pairs) {
-            sum += k.probe(a, b, &mut streamed).cost;
+            sum += k.probe(a, b, tally).cost;
         }
-        kanon_obs::count(Counter::SignatureBytesStreamed, streamed);
         sum / self.attrs.len() as f64
+    }
+
+    /// [`Self::fold_cost`] under its own tally, flushed at once.
+    fn fold_cost_counted(&self, pairs: impl Iterator<Item = (u32, u32)>) -> f64 {
+        let mut tally = Tally::default();
+        let cost = self.fold_cost(pairs, &mut tally);
+        tally.flush();
+        cost
     }
 
     /// Joins row `row` into the closure `acc` in place.
     pub fn join_row_into(&self, acc: &mut [NodeId], row: usize) {
-        let mut streamed = 0u64;
+        let mut tally = Tally::default();
         for ((slot, k), &leaf) in acc.iter_mut().zip(self.attrs.iter()).zip(self.row_sig(row)) {
-            *slot = NodeId(k.probe(slot.0, leaf, &mut streamed).node);
+            *slot = NodeId(k.probe(slot.0, leaf, &mut tally).node);
         }
-        // A materializing row join counts table hits, one per probe.
-        kanon_obs::count(Counter::JoinTableHits, streamed / FUSED_PROBE_BYTES);
+        // A materializing row join counts table hits, one per fused
+        // probe, instead of bytes.
+        kanon_obs::count(Counter::JoinTableHits, tally.fused);
+        tally.flush_climbs();
     }
 
     /// Joins closure `other` into `acc` in place: one probe per
     /// attribute.
     pub fn join_nodes_into(&self, acc: &mut [NodeId], other: &[NodeId]) {
-        let mut streamed = 0u64;
+        let mut tally = Tally::default();
         for ((slot, k), o) in acc.iter_mut().zip(self.attrs.iter()).zip(other) {
-            *slot = NodeId(k.probe(slot.0, o.0, &mut streamed).node);
+            *slot = NodeId(k.probe(slot.0, o.0, &mut tally).node);
         }
-        kanon_obs::count(Counter::SignatureBytesStreamed, streamed);
+        tally.flush();
     }
 
     /// Cost of a closure: `d(S) = c(closure(S))`.
@@ -292,37 +335,34 @@ impl<'a> CostContext<'a> {
 
     /// Cost of the join of two closures without materializing it.
     pub fn join_cost(&self, a: &[NodeId], b: &[NodeId]) -> f64 {
-        self.fold_cost(a.iter().zip(b).map(|(x, y)| (x.0, y.0)))
+        self.fold_cost_counted(a.iter().zip(b).map(|(x, y)| (x.0, y.0)))
     }
 
     /// Cost of the join of two [`SigArena`] slots: the engine's packed
-    /// scan path. The arena only changes *where* the signatures live
-    /// (contiguous lanes instead of per-cluster vecs), so the result is
-    /// bit-identical to [`Self::join_cost`].
-    pub fn arena_join_cost(&self, arena: &SigArena, a: usize, b: usize) -> f64 {
-        self.fold_cost(arena.lanes.iter().map(|lane| (lane[a], lane[b])))
+    /// scan path, its probes added to `tally`. The arena only changes
+    /// *where* the signatures live (contiguous lanes instead of
+    /// per-cluster vecs), so the result is bit-identical to
+    /// [`Self::join_cost`].
+    pub fn arena_join_cost(&self, arena: &SigArena, a: usize, b: usize, tally: &mut Tally) -> f64 {
+        self.fold_cost(arena.lanes.iter().map(|lane| (lane[a], lane[b])), tally)
     }
 
     /// True when the closure `nodes` already covers row `row`: joining
     /// the row changes no attribute's node, so the cluster's closure and
     /// its cost stay bit-identical. Allocation-free; stops at the first
-    /// attribute the row escapes.
-    pub fn covers_row(&self, nodes: &[NodeId], row: usize) -> bool {
-        let mut streamed = 0u64;
-        let covered = self
-            .attrs
+    /// attribute the row escapes. Its probes are added to `tally`.
+    pub fn covers_row(&self, nodes: &[NodeId], row: usize, tally: &mut Tally) -> bool {
+        self.attrs
             .iter()
             .zip(self.row_sig(row))
             .zip(nodes)
-            .all(|((k, &leaf), node)| k.probe(node.0, leaf, &mut streamed).node == node.0);
-        kanon_obs::count(Counter::SignatureBytesStreamed, streamed);
-        covered
+            .all(|((k, &leaf), node)| k.probe(node.0, leaf, tally).node == node.0)
     }
 
     /// Cost of the join of a closure with one row without materializing
     /// it, using the flattened row signature.
     pub fn join_row_cost(&self, a: &[NodeId], row: usize) -> f64 {
-        self.fold_cost(a.iter().zip(self.row_sig(row)).map(|(x, &y)| (x.0, y)))
+        self.fold_cost_counted(a.iter().zip(self.row_sig(row)).map(|(x, &y)| (x.0, y)))
     }
 
     /// Pairwise record cost `d({R_i, R_j})` — the edge weight used by
@@ -330,7 +370,7 @@ impl<'a> CostContext<'a> {
     pub fn pair_cost(&self, i: usize, j: usize) -> f64 {
         kanon_obs::count(Counter::PairCostEvals, 1);
         let (si, sj) = (self.row_sig(i), self.row_sig(j));
-        self.fold_cost(si.iter().copied().zip(sj.iter().copied()))
+        self.fold_cost_counted(si.iter().copied().zip(sj.iter().copied()))
     }
 
     /// Closure of an explicit row set (panics on empty input).
@@ -423,7 +463,7 @@ mod tests {
                 let mut joined = closure.clone();
                 ctx.join_row_into(&mut joined, row);
                 assert_eq!(
-                    ctx.covers_row(&closure, row),
+                    ctx.covers_row(&closure, row, &mut Tally::default()),
                     joined == closure,
                     "{rows:?} ∋ {row}"
                 );
@@ -443,7 +483,8 @@ mod tests {
         assert_eq!(arena.len(), 2);
         assert_eq!(
             ctx.join_cost(&a, &b).to_bits(),
-            ctx.arena_join_cost(&arena, 0, 1).to_bits(),
+            ctx.arena_join_cost(&arena, 0, 1, &mut Tally::default())
+                .to_bits(),
             "arena path must be bit-identical to the vec path"
         );
         assert_eq!(arena.size(0), 2);
@@ -451,7 +492,8 @@ mod tests {
         // Overwrite semantics: re-storing a slot replaces its lanes.
         arena.store(0, &b, 2, ctx.cost(&b));
         assert_eq!(
-            ctx.arena_join_cost(&arena, 0, 1).to_bits(),
+            ctx.arena_join_cost(&arena, 0, 1, &mut Tally::default())
+                .to_bits(),
             ctx.join_cost(&b, &b).to_bits()
         );
     }
@@ -557,6 +599,12 @@ mod tests {
         };
         // One fused probe (16 bytes) on attribute 0, one climb on 1.
         let streamed = [16, 0, 1, 0];
+        // The scan forms count nothing until their tally is flushed.
+        let tallied = |f: &mut dyn FnMut(&mut Tally)| -> [u64; 4] {
+            let mut tally = Tally::default();
+            assert_eq!(counted(&mut || f(&mut tally)), [0; 4]);
+            counted(&mut || std::mem::take(&mut tally).flush())
+        };
 
         let sets: [&[u32]; 6] = [&[0], &[1], &[0, 2], &[0, 1, 5], &[3, 4], &[0, 1, 2, 3]];
         for (x, &sa) in sets.iter().enumerate() {
@@ -580,7 +628,7 @@ mod tests {
                 arena.store(0, &a, sa.len(), ctx.cost(&a));
                 arena.store(1, &b, sb.len(), ctx.cost(&b));
                 assert_eq!(
-                    counted(&mut || bits = ctx.arena_join_cost(&arena, 0, 1).to_bits()),
+                    tallied(&mut |t| bits = ctx.arena_join_cost(&arena, 0, 1, t).to_bits()),
                     streamed
                 );
                 assert_eq!(bits, cost(&want), "arena_join_cost {sa:?} {sb:?}");
@@ -606,7 +654,7 @@ mod tests {
                 let mut covered = false;
                 let climbs = u64::from(want[0] == a[0]);
                 assert_eq!(
-                    counted(&mut || covered = ctx.covers_row(&a, row)),
+                    tallied(&mut |t| covered = ctx.covers_row(&a, row, t)),
                     [16, 0, climbs, 0]
                 );
                 assert_eq!(covered, want == a, "covers_row {sa:?} {row}");

@@ -57,12 +57,14 @@
 //!
 //! All selections use the total order of `closer` (distance, then slot
 //! index), every parallel primitive combines per-index results in index
-//! order, and counters attach to per-index work — so clusterings, losses
-//! and the deterministic counter block are byte-identical at any
+//! order, and counters sum per-index work: each scan, parallel chunk and
+//! repair pass tallies its work locally and counts the total once, so
+//! chunk boundaries move no total. Clusterings, losses and the
+//! deterministic counter block are therefore byte-identical at any
 //! `KANON_THREADS`. The determinism proptests pin this for both engine
 //! clients.
 
-use crate::cost::{CostContext, SigArena};
+use crate::cost::{CostContext, SigArena, Tally};
 use crate::distance::ClusterDistance;
 use crate::fallible::{Budget, Budgeted};
 use kanon_core::classes::TupleClasses;
@@ -267,13 +269,46 @@ struct State<'p, 'a, P: ClusterPolicy> {
     dist_scratch: Vec<f64>,
 }
 
-impl<P: ClusterPolicy> State<'_, '_, P> {
+impl<'p, 'a, P: ClusterPolicy> State<'p, 'a, P> {
+    /// The state of a merge loop over the immature `initial` clusters:
+    /// one active slot each, in order, with every slot's top-2 from the
+    /// initial full scan.
+    fn new(
+        ctx: &'p CostContext<'a>,
+        distance: ClusterDistance,
+        initial: Vec<Cluster<P::Extra>>,
+    ) -> Self {
+        let n = initial.len();
+        // Capacity 2n+1 covers the worst case: every merge adds one slot,
+        // and n clusters admit at most n−1 merges plus recycled
+        // singletons; the arena appends densely past that anyway.
+        let mut st = State {
+            ctx,
+            distance,
+            slots: Vec::with_capacity(n),
+            active: (0..n).collect(),
+            nearest: Vec::with_capacity(n),
+            arena: SigArena::with_capacity(ctx.num_attrs(), 2 * n + 1),
+            repair_scratch: Vec::new(),
+            dist_scratch: Vec::new(),
+        };
+        for c in initial {
+            st.push_slot(c);
+        }
+        // Initial full nearest-neighbour scan: O(n²) distance
+        // evaluations, pure per-slot — parallelized across slots.
+        // scan_nearest orders candidates by the total order of `closer`,
+        // so the result is identical at any thread count.
+        st.nearest = kanon_parallel::map(n, |slot| st.scan_nearest(slot));
+        st
+    }
+
     /// `dist(a, b)` between two stored slots: the one place a cluster
-    /// distance is evaluated.
-    fn dist_between(&self, a: usize, b: usize) -> f64 {
-        kanon_obs::count(Counter::ClusterDistEvals, 1);
+    /// distance is evaluated. Its probes go to `tally`; the caller counts
+    /// the evaluation.
+    fn dist(&self, a: usize, b: usize, tally: &mut Tally) -> f64 {
         let arena = &self.arena;
-        let cost_u = self.ctx.arena_join_cost(arena, a, b);
+        let cost_u = self.ctx.arena_join_cost(arena, a, b, tally);
         self.distance.eval_symmetric(
             arena.size(a),
             arena.cost(a),
@@ -295,11 +330,19 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
     }
 
     /// Scans all active slots (except `slot`) for the two nearest
-    /// neighbours of `slot`. Deterministic tie-break on slot index.
+    /// neighbours of `slot`. Deterministic tie-break on slot index. The
+    /// scan's work is counted once, at its end.
     fn scan_nearest(&self, slot: usize) -> Option<NearestPair> {
-        kanon_obs::count(Counter::NnRescans, 1);
+        let (mut evals, mut tally) = (0u64, Tally::default());
         let others = self.active.iter().filter(|&&other| other != slot);
-        top2(others.map(|&other| (self.dist_between(slot, other), other)))
+        let pair = top2(others.map(|&other| {
+            evals += 1;
+            (self.dist(slot, other, &mut tally), other)
+        }));
+        kanon_obs::count(Counter::NnRescans, 1);
+        kanon_obs::count(Counter::ClusterDistEvals, evals);
+        tally.flush();
+        pair
     }
 
     /// Adds a cluster as a new active slot; refreshes its own cache and
@@ -313,22 +356,24 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
         // below are applied serially in active order, so the bookkeeping
         // is identical to the serial pass. One evaluation is a handful
         // of fused probes, so fan out only past the measured cutover.
+        // Each chunk counts its work once, at its end.
         let mut dists = std::mem::take(&mut self.dist_scratch);
         dists.clear();
         dists.resize(self.active.len(), 0.0);
         {
             let this = &*self;
-            let eval = |idx: usize| this.dist_between(this.active[idx], slot);
-            if this.active.len() >= MIN_PAR_SCAN_EVALS {
-                kanon_parallel::for_each_chunk_mut(&mut dists, |base, chunk| {
-                    for (off, d) in chunk.iter_mut().enumerate() {
-                        *d = eval(base + off);
-                    }
-                });
-            } else {
-                for (idx, d) in dists.iter_mut().enumerate() {
-                    *d = eval(idx);
+            let eval_chunk = |base: usize, chunk: &mut [f64]| {
+                let mut tally = Tally::default();
+                for (off, d) in chunk.iter_mut().enumerate() {
+                    *d = this.dist(this.active[base + off], slot, &mut tally);
                 }
+                kanon_obs::count(Counter::ClusterDistEvals, chunk.len() as u64);
+                tally.flush();
+            };
+            if this.active.len() >= MIN_PAR_SCAN_EVALS {
+                kanon_parallel::for_each_chunk_mut(&mut dists, eval_chunk);
+            } else {
+                eval_chunk(0, &mut dists);
             }
         }
         for (&other, &d) in self.active.iter().zip(&dists) {
@@ -404,6 +449,7 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
         // (typically zero or a handful per merge — not worth threads).
         let mut need = std::mem::take(&mut self.repair_scratch);
         need.clear();
+        let mut repairs = 0u64;
         for idx in 0..self.active.len() {
             let slot = self.active[idx];
             let repaired = match self.nearest[slot] {
@@ -414,7 +460,7 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
                     } else {
                         match pair.second {
                             Runner::Exact(Some(sn)) if self.slots[sn.target].is_some() => {
-                                kanon_obs::count(Counter::CacheRepairs, 1);
+                                repairs += 1;
                                 Some(NearestPair {
                                     best: sn,
                                     second: Runner::Unknown,
@@ -430,6 +476,7 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
                 None => need.push(slot),
             }
         }
+        kanon_obs::count(Counter::CacheRepairs, repairs);
         if need.is_empty() {
             self.repair_scratch = need;
             return;
@@ -455,17 +502,16 @@ impl<P: ClusterPolicy> State<'_, '_, P> {
     /// Debug-build check: the selected merge distance equals the true
     /// global minimum over all active pairs (the cache's exactness
     /// invariant). Tie *partners* may differ between the cache and a
-    /// fresh rescan; the minimal *value* must not. Evaluated under a
-    /// throwaway collector, so a debug build reports the same work
-    /// counters, and trips the work budget at the same point, as a
-    /// release build.
+    /// fresh rescan; the minimal *value* must not. Its tally is never
+    /// flushed, so a debug build reports the same work counters, and
+    /// trips the work budget at the same point, as a release build.
     #[cfg(debug_assertions)]
     fn is_global_min_distance(&self, d: f64) -> bool {
-        let _uncounted = kanon_obs::Collector::new().install();
+        let mut uncounted = Tally::default();
         let mut min = f64::INFINITY;
         for (x, &a) in self.active.iter().enumerate() {
             for &b in &self.active[x + 1..] {
-                let dd = self.dist_between(a, b);
+                let dd = self.dist(a, b, &mut uncounted);
                 if dd < min {
                     min = dd;
                 }
@@ -750,29 +796,7 @@ fn merge_loop<P: ClusterPolicy>(
     initial: Vec<Cluster<P::Extra>>,
     done: &mut Vec<Cluster<P::Extra>>,
 ) -> Option<Cluster<P::Extra>> {
-    let n = initial.len();
-    // Capacity 2n+1 covers the worst case: every merge adds one slot,
-    // and n clusters admit at most n−1 merges plus recycled singletons;
-    // the arena appends densely past that anyway.
-    let mut st: State<'_, '_, P> = State {
-        ctx,
-        distance,
-        slots: Vec::with_capacity(n),
-        active: (0..n).collect(),
-        nearest: Vec::with_capacity(n),
-        arena: SigArena::with_capacity(ctx.num_attrs(), 2 * n + 1),
-        repair_scratch: Vec::new(),
-        dist_scratch: Vec::new(),
-    };
-    for c in initial {
-        st.push_slot(c);
-    }
-    // Initial full nearest-neighbour scan: O(n²) distance evaluations,
-    // pure per-slot — parallelized across slots. scan_nearest orders
-    // candidates by the total order of `closer`, so the result is
-    // identical at any thread count.
-    st.nearest = kanon_parallel::map(n, |slot| st.scan_nearest(slot));
-
+    let mut st = State::<P>::new(ctx, distance, initial);
     while st.active.len() > 1 {
         kanon_fault::fail_point!(P::FAIL_POINT);
         if budget.tripped() {
@@ -1015,6 +1039,102 @@ mod tests {
         let err = kanon_obs::with_work_budget(1, || run_sized(&ctx, 64)).unwrap_err();
         assert_eq!(err, infeasible);
         assert_eq!(run_sized(&ctx, 64).unwrap_err(), infeasible);
+    }
+
+    #[test]
+    fn parallel_scans_count_their_work_exactly() {
+        // Past MIN_PAR_SCAN_EVALS active slots, a repair with several
+        // rescans goes through `map_coarse` and a newcomer's distances
+        // through `for_each_chunk_mut`; each scan or chunk counts its
+        // work once. Both steps run directly on a `State`: the full merge
+        // loop is cubic in a debug build.
+        let n = MIN_PAR_SCAN_EVALS + 200;
+        let t = kanon_data::art::generate(n, 3);
+        let costs = NodeCostTable::compute(&t, &EntropyMeasure);
+        let ctx = CostContext::new(&t, &costs);
+        let probe_bytes = std::mem::size_of::<kanon_measures::JoinEntry>() as u64;
+        let run = |threads: usize| {
+            kanon_parallel::with_threads(threads, || {
+                let initial = (0..n as u32)
+                    .map(|row| Cluster::singleton(&ctx, row, ()))
+                    .collect();
+                let mut st = State::<SizePolicy>::new(&ctx, ClusterDistance::D3, initial);
+                // Retire both cached neighbours of four probe slots, as
+                // maturing merges would: each probe then needs a rescan.
+                let (mut probes, mut retired) = (Vec::new(), BTreeSet::new());
+                for s in 0..n {
+                    let pair = st.nearest[s].unwrap();
+                    let Runner::Exact(Some(second)) = pair.second else {
+                        panic!("the initial scan leaves exact runners-up");
+                    };
+                    let top = [pair.best.target, second.target];
+                    if !retired.contains(&s) && !top.iter().any(|x| probes.contains(x)) {
+                        retired.extend(top);
+                        probes.push(s);
+                    }
+                    if probes.len() == 4 {
+                        break;
+                    }
+                }
+                let mut gone: Vec<Cluster<()>> = retired
+                    .iter()
+                    .map(|&s| {
+                        st.deactivate(s);
+                        st.slots[s].take().unwrap()
+                    })
+                    .collect();
+                let mut merged = Some(Cluster::merge(
+                    &ctx,
+                    gone.swap_remove(0),
+                    gone.swap_remove(0),
+                    |_, _| {},
+                ));
+                let active = st.active.len() as u64;
+                assert!(
+                    active as usize >= MIN_PAR_SCAN_EVALS,
+                    "premise: chunked newcomer pass"
+                );
+                let step = |f: &mut dyn FnMut()| {
+                    let c = kanon_obs::Collector::new();
+                    {
+                        let _g = c.install();
+                        f();
+                    }
+                    c.report()
+                };
+                let repair = step(&mut || st.repair_caches());
+                let add = step(&mut || {
+                    st.add_active(merged.take().unwrap());
+                });
+                let bytes = |evals: u64| evals * ctx.num_attrs() as u64 * probe_bytes;
+                // The repair rescans every slot whose top-2 both died: the
+                // probes at least, each over every other active slot.
+                let rescans = repair.counter(Counter::NnRescans);
+                assert!(rescans >= probes.len() as u64, "{rescans} rescans");
+                assert_eq!(
+                    repair.counter(Counter::ClusterDistEvals),
+                    rescans * (active - 1)
+                );
+                assert_eq!(add.counter(Counter::NnRescans), 0);
+                assert_eq!(add.counter(Counter::ClusterDistEvals), active);
+                for (r, evals) in [(&repair, rescans * (active - 1)), (&add, active)] {
+                    assert_eq!(r.counter(Counter::SignatureBytesStreamed), bytes(evals));
+                    let dispatched =
+                        r.runtime_counter(kanon_obs::RuntimeCounter::PoolTasksDispatched);
+                    assert_eq!(
+                        dispatched > 0,
+                        threads > 1,
+                        "{threads} threads: {dispatched} tasks"
+                    );
+                }
+                let caches: Vec<String> = st.nearest.iter().map(|p| format!("{p:?}")).collect();
+                (repair.counters_json(), add.counters_json(), caches)
+            })
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert!(run(threads) == serial, "{threads} threads differ from 1");
+        }
     }
 
     #[test]

@@ -34,6 +34,10 @@
 //!    engine; if it does, the run returns
 //!    [`CoreError::InconsistentInput`] rather than invalid output.
 //!
+//! Each phase runs under its own `kanon-obs` span below `sharded`:
+//! `partition`, `shard_engines`, `boundary_repair` and `assemble` (the
+//! generalized output).
+//!
 //! The work budget (`KANON_WORK_BUDGET`) is honoured at every phase:
 //! partition checkpoints drain the queue into coarser shards, the
 //! per-shard runs degrade internally, and the whole pipeline reports
@@ -191,12 +195,14 @@ pub(crate) fn sharded_impl(
     // cluster with no feasible split stays one oversized shard; budget
     // degradation keeps every queue element as a (coarser) shard — the
     // per-shard engines still enforce k/ℓ, so validity holds.
+    let phase = kanon_obs::span("partition");
     let mut shards = split::run(&ctx, &ShardPolicy { cfg, sensitive }, &mut budget)?;
     for s in &mut shards {
         s.sort_unstable();
     }
     // Disjoint sorted shards: lexicographic order == order by first row.
     shards.sort();
+    drop(phase);
     let shard_rows_max = shards.iter().map(Vec::len).max().unwrap_or(0);
     kanon_obs::count(kanon_obs::Counter::ShardsBuilt, shards.len() as u64);
     kanon_obs::count(kanon_obs::Counter::ShardRowsMax, shard_rows_max as u64);
@@ -223,6 +229,7 @@ pub(crate) fn sharded_impl(
         }
     };
     let mut clusters: Vec<Vec<u32>> = Vec::new();
+    let phase = kanon_obs::span("shard_engines");
     for (s, result) in budget
         .map_runs(shards.len(), run_one)
         .into_iter()
@@ -232,10 +239,12 @@ pub(crate) fn sharded_impl(
             clusters.push(local.iter().map(|&i| shards[s][i as usize]).collect());
         }
     }
+    drop(phase);
 
     // Phase 3a: free boundary merges — clusters from different shards
     // whose closures coincide generalize identically, so merging them is
     // loss-neutral and k/ℓ-preserving.
+    let phase = kanon_obs::span("boundary_repair");
     let mut keyed: Vec<(Vec<NodeId>, Vec<u32>)> = clusters
         .into_iter()
         .map(|c| (ctx.closure_of(&c), c))
@@ -269,10 +278,17 @@ pub(crate) fn sharded_impl(
         )));
     }
     kanon_obs::count(kanon_obs::Counter::BoundaryRepairs, boundary_repairs as u64);
+    drop(phase);
 
+    // Close the span before `finish`: it drops the collector that
+    // `Budget::arm` may have installed, and a span must close under the
+    // collector it opened in.
+    let phase = kanon_obs::span("assemble");
     clusters.sort_by_key(|c| c[0]);
+    let out = KAnonOutput::from_clusters(table, costs, clusters)?;
+    drop(phase);
     Ok(budget.finish(ShardedOutput {
-        out: KAnonOutput::from_clusters(table, costs, clusters)?,
+        out,
         stats: ShardStats {
             shards_built: shards.len(),
             shard_rows_max,
@@ -318,6 +334,30 @@ mod tests {
         assert!(out.stats.shards_built > 1, "{:?}", out.stats);
         assert!(out.stats.shard_rows_max <= 40, "{:?}", out.stats);
         assert!(kanon_core::generalize::is_generalization_of(&t, &out.out.table).unwrap());
+    }
+
+    #[test]
+    fn sharded_run_reports_one_span_per_phase() {
+        let t = table(240);
+        let costs = NodeCostTable::compute(&t, &EntropyMeasure);
+        let cfg = ShardConfig::new(3).with_shard_max(40);
+        let c = kanon_obs::Collector::new();
+        {
+            let _g = c.install();
+            try_sharded_k_anonymize(&t, &costs, &cfg).unwrap();
+        }
+        let report = c.report();
+        let sharded = report.phases.iter().find(|p| p.name == "sharded").unwrap();
+        let phases: Vec<(&str, u64)> = sharded.children.iter().map(|p| (p.name, p.calls)).collect();
+        assert_eq!(
+            phases,
+            [
+                ("partition", 1),
+                ("shard_engines", 1),
+                ("boundary_repair", 1),
+                ("assemble", 1)
+            ]
+        );
     }
 
     #[test]

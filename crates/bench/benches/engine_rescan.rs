@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kanon_algos::cost::SigArena;
+use kanon_algos::cost::{SigArena, Tally};
 use kanon_algos::{ClusterDistance, CostContext};
 use kanon_data::art;
 use kanon_measures::{EntropyMeasure, NodeCostTable};
@@ -47,7 +47,8 @@ fn bench_dispatch_breakeven(c: &mut Criterion) {
     }
     let eval = |i: usize| {
         let (a, b) = (i % n, (i * 7 + 1) % n);
-        let cost_u = ctx.arena_join_cost(&arena, a, b);
+        // No collector is installed: the tally is left uncounted.
+        let cost_u = ctx.arena_join_cost(&arena, a, b, &mut Tally::default());
         distance.eval_symmetric(
             arena.size(a),
             arena.cost(a),

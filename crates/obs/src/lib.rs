@@ -34,6 +34,17 @@
 //! fixed [`Counter::ALL`] order, all keys always present), so two reports
 //! with equal counts serialize to byte-identical strings.
 //!
+//! ## Count once per scan
+//!
+//! With a collector installed, one [`count`] is a thread-local borrow
+//! plus an atomic add on a cache line that every worker shares. A hot
+//! loop therefore tallies its work in local integers and makes one
+//! `count` per scan, per parallel chunk or per swept row. The totals are
+//! the same sums. The work budget reads the counter sum at its
+//! checkpoints, so trip points stay put as long as every tally is
+//! flushed before the next budget checkpoint; flushing before the scan
+//! returns is enough, since checkpoints run only between scans.
+//!
 //! ## Contract
 //!
 //! The `KANON_STATS` environment variable (read per call, never cached —
@@ -89,11 +100,10 @@ pub enum Counter {
     /// shortcut (full rescans are counted under `NnRescans` instead).
     CacheRepairs,
     /// Bytes streamed through the packed signature kernel's fused
-    /// join/cost tables (24 bytes per fused probe: two `u32` signature
-    /// reads plus one 16-byte interleaved `(node, cost)` entry). Fused
-    /// probes count here *instead of* `JoinTableHits` — the per-probe
-    /// byte weight is fixed, so the total is as thread-count invariant
-    /// as the probe count itself.
+    /// join/cost tables (16 bytes per fused probe: one interleaved
+    /// `(node, cost)` entry). Fused probes count here *instead of*
+    /// `JoinTableHits` — the per-probe byte weight is fixed, so the total
+    /// is as thread-count invariant as the probe count itself.
     SignatureBytesStreamed,
     /// Accepted binary splits in the Mondrian-style top-down
     /// k-anonymizer (one per queue element that splits).

@@ -48,7 +48,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use kanon_algos::cost::CostContext;
+use kanon_algos::cost::{CostContext, Tally};
 use kanon_algos::engine::MIN_PAR_SCAN_EVALS;
 use kanon_algos::fallible::try_sharded_k_anonymize;
 use kanon_algos::shard::ShardConfig;
@@ -424,7 +424,13 @@ impl ServeState {
         let eps_on = epsilon.to_bits() != 0;
         let decide = |row: usize| -> Option<usize> {
             if !eps_on {
-                return matures.iter().position(|m| ctx.covers_row(&m.nodes, row));
+                // One count per row, not one per mature it is tried on.
+                let mut tally = Tally::default();
+                let home = matures
+                    .iter()
+                    .position(|m| ctx.covers_row(&m.nodes, row, &mut tally));
+                tally.flush();
+                return home;
             }
             // ε tier: a cluster is admissible when the join raises its
             // per-member loss by less than ε — a closure-preserving join
@@ -1180,10 +1186,59 @@ mod tests {
                 (fingerprint(&s), counters.counters_json())
             })
         };
-        for epsilon in [0.0, 0.05] {
-            assert_eq!(run(1, epsilon), run(4, epsilon), "ε = {epsilon}");
+        // The counters are pinned to values recorded before the sweep
+        // tallied its probes per row: one count per row moves no total.
+        for (epsilon, golden) in [(0.0, SWEEP_GOLDEN_FREE), (0.05, SWEEP_GOLDEN_EPS)] {
+            let serial = run(1, epsilon);
+            assert_eq!(serial.1, golden, "ε = {epsilon}");
+            for threads in [2, 8] {
+                assert_eq!(
+                    run(threads, epsilon),
+                    serial,
+                    "ε = {epsilon}, {threads} threads"
+                );
+            }
         }
     }
+
+    const SWEEP_GOLDEN_FREE: &str = concat!(
+        "{",
+        "\"merges_performed\":40,\"nn_rescans\":100,",
+        "\"join_table_hits\":732,\"climb_fallback_hits\":0,",
+        "\"pair_cost_evals\":0,\"hk_augmenting_passes\":0,",
+        "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+        "\"deficient_records\":0,\"forest_rounds\":0,",
+        "\"k1_rows_expanded\":0,\"one_k_upgrades\":0,",
+        "\"node_cost_tables\":0,\"cluster_dist_evals\":5485,",
+        "\"cache_repairs\":359,\"signature_bytes_streamed\":1095792,",
+        "\"mondrian_splits\":0,\"mondrian_groups_packed\":0,",
+        "\"shards_built\":1,\"shard_rows_max\":61,",
+        "\"boundary_repairs\":0,\"distinct_tuples\":61,",
+        "\"serve_batches_applied\":1,\"serve_rows_ingested\":200,",
+        "\"serve_rows_absorbed\":139,\"serve_reopt_runs\":0,",
+        "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,",
+        "\"serve_journal_bytes_compacted\":0",
+        "}",
+    );
+    const SWEEP_GOLDEN_EPS: &str = concat!(
+        "{",
+        "\"merges_performed\":40,\"nn_rescans\":100,",
+        "\"join_table_hits\":732,\"climb_fallback_hits\":0,",
+        "\"pair_cost_evals\":0,\"hk_augmenting_passes\":0,",
+        "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+        "\"deficient_records\":0,\"forest_rounds\":0,",
+        "\"k1_rows_expanded\":0,\"one_k_upgrades\":0,",
+        "\"node_cost_tables\":0,\"cluster_dist_evals\":5485,",
+        "\"cache_repairs\":359,\"signature_bytes_streamed\":3080064,",
+        "\"mondrian_splits\":0,\"mondrian_groups_packed\":0,",
+        "\"shards_built\":1,\"shard_rows_max\":61,",
+        "\"boundary_repairs\":0,\"distinct_tuples\":61,",
+        "\"serve_batches_applied\":1,\"serve_rows_ingested\":200,",
+        "\"serve_rows_absorbed\":139,\"serve_reopt_runs\":0,",
+        "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,",
+        "\"serve_journal_bytes_compacted\":0",
+        "}",
+    );
 
     #[test]
     fn bootstrap_publishes_every_base_row() {
