@@ -13,31 +13,35 @@
 //! cost are one 16-byte probe. [`CostContext::new`] only borrows those
 //! tables; attributes without one keep the hierarchy and its cost row and
 //! climb parent pointers instead. This one kernel serves every join and
-//! join cost of the crate: the four cost entry points (`join_cost`,
-//! `arena_join_cost`, `join_row_cost`, `pair_cost`) are thin calls into
-//! one fold over attribute-wise node pairs, and the materializing joins
+//! join cost of the crate: the cost entry points (`join_cost`,
+//! `join_row_cost`, `pair_cost`) are thin calls into one fold over
+//! attribute-wise node pairs, the engine's [`SlotScan`] folds the same
+//! probes from one slot's hoisted table rows, and the materializing joins
 //! read the node half of the same probe. Costs in the fused table are
 //! bit-copied from the cost row and summed in ascending-attribute order,
 //! so every result is bit-identical to [`NodeCostTable::nodes_cost`] of
-//! the materialized join.
+//! the materialized join. Joins are symmetric (the entries at `(a, b)`
+//! and `(b, a)` are the same node with the same cost bits), so a join
+//! cost does not depend on the side a scan starts from.
 //!
 //! Work accounting: cost probes and the node-vector joins
 //! (`join_nodes_into`, `covers_row`) count
 //! [`kanon_obs::Counter::SignatureBytesStreamed`] (bytes, thread-count
 //! invariant); row joins (`join_row_into`, `closure_of`) count one
-//! `JoinTableHits` per probe; every climb counts one `ClimbFallbackHits`.
-//! Probes add to a [`Tally`] rather than counting one by one. Each
-//! entry point flushes its own, except the two that scans call once per
-//! candidate: [`CostContext::arena_join_cost`] and
-//! [`CostContext::covers_row`] add to the caller's tally, which the
-//! caller flushes once per scan.
+//! `JoinTableHits` per probe; every climb counts one `ClimbFallbackHits`;
+//! every `pair_cost` counts one `PairCostEvals`. Probes add to a
+//! [`Tally`] rather than counting one by one. The entry points that scans
+//! call once per candidate ([`SlotScan::join_cost`],
+//! [`CostContext::covers_row`], [`CostContext::join_row_cost`] and
+//! [`CostContext::pair_cost`]) add to the caller's tally, which the
+//! caller flushes once per scan; the others flush their own.
 //!
 //! Row leaf signatures are flattened once per context
 //! ([`CostContext::new`], O(n·r)) into a contiguous `n × r` lane
 //! (`row_sigs`), which turns `pair_cost`/`join_row_cost` leaf lookups
 //! into array reads. The engine-side analogue for *clusters* is
 //! [`SigArena`]: per-attribute `u32` node lanes indexed by engine slot,
-//! evaluated with [`CostContext::arena_join_cost`].
+//! scanned through a [`SlotScan`].
 
 use kanon_core::hierarchy::{Hierarchy, NodeId};
 use kanon_core::record::GeneralizedRecord;
@@ -112,26 +116,30 @@ impl<'a> AttrJoin<'a> {
     }
 }
 
-/// Kernel work done but not yet counted: the fused probes made and the
-/// climbs made instead. A hot loop threads one tally through all its
-/// probes and flushes it once, so a scan of m candidates costs the
-/// collector at most two counts instead of at least m. The totals
-/// are the same sums, so counters stay exact; a tally must be flushed
-/// before the next work-budget checkpoint for every trip point to stay
-/// where it was.
+/// Kernel work done but not yet counted: the fused probes made, the
+/// climbs made instead, and the record pairs priced. A hot loop threads
+/// one tally through all its probes and flushes it once, so a scan of m
+/// candidates costs the collector at most three counts instead of at
+/// least m. The totals are the same sums, so counters stay exact; a
+/// tally must be flushed before the next work-budget checkpoint for
+/// every trip point to stay where it was.
 #[derive(Debug, Default)]
 pub struct Tally {
     fused: u64,
     climbs: u64,
+    pairs: u64,
 }
 
 impl Tally {
-    /// Counts the fused probes as `SignatureBytesStreamed` bytes and the
-    /// climbs as `ClimbFallbackHits`.
+    /// Counts the fused probes as `SignatureBytesStreamed` bytes, the
+    /// climbs as `ClimbFallbackHits` and the pairs as `PairCostEvals`.
     pub fn flush(self) {
         if self.fused > 0 {
             let bytes = self.fused * FUSED_PROBE_BYTES;
             kanon_obs::count(Counter::SignatureBytesStreamed, bytes);
+        }
+        if self.pairs > 0 {
+            kanon_obs::count(Counter::PairCostEvals, self.pairs);
         }
         self.flush_climbs();
     }
@@ -213,6 +221,44 @@ impl SigArena {
     }
 }
 
+/// One attribute of a [`SlotScan`]: the scanned slot's row of the fused
+/// table, or its node and the kernel to climb from.
+enum ScanAttr<'s> {
+    Row(&'s [JoinEntry]),
+    Climb(&'s AttrJoin<'s>, u32),
+}
+
+/// A scan from one [`SigArena`] slot, built once per scan by
+/// [`CostContext::slot_scan`]: per attribute, the fused table row of the
+/// slot's node (or the node to climb from), plus the arena's lanes. Each
+/// [`SlotScan::join_cost`] is then one indexed read per attribute, the
+/// row arithmetic and the slot's own lane reads done once per scan.
+pub struct SlotScan<'s> {
+    attrs: Vec<ScanAttr<'s>>,
+    lanes: &'s [Vec<u32>],
+}
+
+impl SlotScan<'_> {
+    /// Cost of the join of the scanned slot with slot `other`, its probes
+    /// added to `tally`. Bit-identical to [`CostContext::join_cost`] of
+    /// the two slots' signatures, in either order.
+    #[inline]
+    pub fn join_cost(&self, other: usize, tally: &mut Tally) -> f64 {
+        let mut sum = 0.0;
+        for (attr, lane) in self.attrs.iter().zip(self.lanes) {
+            let b = lane[other];
+            sum += match *attr {
+                ScanAttr::Row(row) => {
+                    tally.fused += 1;
+                    row[b as usize].cost
+                }
+                ScanAttr::Climb(kernel, a) => kernel.probe(a, b, tally).cost,
+            };
+        }
+        sum / self.attrs.len() as f64
+    }
+}
+
 /// Borrowed bundle of everything the algorithms need to evaluate cluster
 /// costs: the original table (for record values), its schema, and the
 /// measure's node costs — plus one join/cost kernel per attribute that
@@ -285,9 +331,9 @@ impl<'a> CostContext<'a> {
         &self.row_sigs[row * r..(row + 1) * r]
     }
 
-    /// The one cost fold: `c(join)` of two signatures given as their
-    /// attribute-wise node pairs, summed in ascending attribute order,
-    /// its probes added to `tally`.
+    /// The cost fold of the entry points: `c(join)` of two signatures
+    /// given as their attribute-wise node pairs, summed in ascending
+    /// attribute order, its probes added to `tally`.
     #[inline]
     fn fold_cost(&self, pairs: impl Iterator<Item = (u32, u32)>, tally: &mut Tally) -> f64 {
         let mut sum = 0.0;
@@ -295,14 +341,6 @@ impl<'a> CostContext<'a> {
             sum += k.probe(a, b, tally).cost;
         }
         sum / self.attrs.len() as f64
-    }
-
-    /// [`Self::fold_cost`] under its own tally, flushed at once.
-    fn fold_cost_counted(&self, pairs: impl Iterator<Item = (u32, u32)>) -> f64 {
-        let mut tally = Tally::default();
-        let cost = self.fold_cost(pairs, &mut tally);
-        tally.flush();
-        cost
     }
 
     /// Joins row `row` into the closure `acc` in place.
@@ -335,16 +373,35 @@ impl<'a> CostContext<'a> {
 
     /// Cost of the join of two closures without materializing it.
     pub fn join_cost(&self, a: &[NodeId], b: &[NodeId]) -> f64 {
-        self.fold_cost_counted(a.iter().zip(b).map(|(x, y)| (x.0, y.0)))
+        let mut tally = Tally::default();
+        let cost = self.fold_cost(a.iter().zip(b).map(|(x, y)| (x.0, y.0)), &mut tally);
+        tally.flush();
+        cost
     }
 
-    /// Cost of the join of two [`SigArena`] slots: the engine's packed
-    /// scan path, its probes added to `tally`. The arena only changes
-    /// *where* the signatures live (contiguous lanes instead of
-    /// per-cluster vecs), so the result is bit-identical to
-    /// [`Self::join_cost`].
-    pub fn arena_join_cost(&self, arena: &SigArena, a: usize, b: usize, tally: &mut Tally) -> f64 {
-        self.fold_cost(arena.lanes.iter().map(|lane| (lane[a], lane[b])), tally)
+    /// The scan from `slot` of `arena`: the engine's packed distance
+    /// path. The arena only changes *where* the signatures live
+    /// (contiguous lanes instead of per-cluster vecs), so every join cost
+    /// the scan returns is bit-identical to [`Self::join_cost`]. O(r).
+    pub fn slot_scan<'s>(&'s self, arena: &'s SigArena, slot: usize) -> SlotScan<'s> {
+        let attrs = self
+            .attrs
+            .iter()
+            .zip(&arena.lanes)
+            .map(|(kernel, lane)| {
+                let a = lane[slot];
+                match kernel {
+                    AttrJoin::Fused { entries, stride } => {
+                        ScanAttr::Row(&entries[a as usize * stride..][..*stride])
+                    }
+                    AttrJoin::Climb { .. } => ScanAttr::Climb(kernel, a),
+                }
+            })
+            .collect();
+        SlotScan {
+            attrs,
+            lanes: &arena.lanes,
+        }
     }
 
     /// True when the closure `nodes` already covers row `row`: joining
@@ -360,17 +417,22 @@ impl<'a> CostContext<'a> {
     }
 
     /// Cost of the join of a closure with one row without materializing
-    /// it, using the flattened row signature.
-    pub fn join_row_cost(&self, a: &[NodeId], row: usize) -> f64 {
-        self.fold_cost_counted(a.iter().zip(self.row_sig(row)).map(|(x, &y)| (x.0, y)))
+    /// it, using the flattened row signature. Its probes are added to
+    /// `tally`.
+    pub fn join_row_cost(&self, a: &[NodeId], row: usize, tally: &mut Tally) -> f64 {
+        self.fold_cost(
+            a.iter().zip(self.row_sig(row)).map(|(x, &y)| (x.0, y)),
+            tally,
+        )
     }
 
     /// Pairwise record cost `d({R_i, R_j})` — the edge weight used by
-    /// Algorithm 3 and the forest baseline.
-    pub fn pair_cost(&self, i: usize, j: usize) -> f64 {
-        kanon_obs::count(Counter::PairCostEvals, 1);
+    /// Algorithm 3 and the forest baseline. The pair and its probes are
+    /// added to `tally`.
+    pub fn pair_cost(&self, i: usize, j: usize, tally: &mut Tally) -> f64 {
+        tally.pairs += 1;
         let (si, sj) = (self.row_sig(i), self.row_sig(j));
-        self.fold_cost_counted(si.iter().copied().zip(sj.iter().copied()))
+        self.fold_cost(si.iter().copied().zip(sj.iter().copied()), tally)
     }
 
     /// Closure of an explicit row set (panics on empty input).
@@ -432,9 +494,10 @@ mod tests {
         let ctx = CostContext::new(&t, &c);
         for i in 0..4 {
             for j in 0..4 {
-                assert_eq!(ctx.pair_cost(i, j), ctx.pair_cost(j, i));
+                let pair = |i, j| ctx.pair_cost(i, j, &mut Tally::default());
+                assert_eq!(pair(i, j), pair(j, i));
                 let closure = ctx.closure_of(&[i as u32, j as u32]);
-                assert!((ctx.pair_cost(i, j) - ctx.cost(&closure)).abs() < 1e-12);
+                assert!((pair(i, j) - ctx.cost(&closure)).abs() < 1e-12);
             }
         }
     }
@@ -450,7 +513,8 @@ mod tests {
         assert!((ctx.join_cost(&a, &b) - ctx.cost(&u)).abs() < 1e-12);
         let mut ar = a.clone();
         ctx.join_row_into(&mut ar, 2);
-        assert!((ctx.join_row_cost(&a, 2) - ctx.cost(&ar)).abs() < 1e-12);
+        let cost_u = ctx.join_row_cost(&a, 2, &mut Tally::default());
+        assert!((cost_u - ctx.cost(&ar)).abs() < 1e-12);
     }
 
     #[test]
@@ -472,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_join_cost_is_bit_identical_to_vec_path() {
+    fn slot_scans_are_bit_identical_to_the_vec_path() {
         let (t, c) = setup();
         let ctx = CostContext::new(&t, &c);
         let a = ctx.closure_of(&[0, 1]);
@@ -481,21 +545,23 @@ mod tests {
         arena.store(0, &a, 2, ctx.cost(&a));
         arena.store(1, &b, 2, ctx.cost(&b));
         assert_eq!(arena.len(), 2);
-        assert_eq!(
-            ctx.join_cost(&a, &b).to_bits(),
-            ctx.arena_join_cost(&arena, 0, 1, &mut Tally::default())
-                .to_bits(),
-            "arena path must be bit-identical to the vec path"
-        );
+        let scanned = |arena: &SigArena, from: usize, to: usize| {
+            ctx.slot_scan(arena, from)
+                .join_cost(to, &mut Tally::default())
+                .to_bits()
+        };
+        for (from, to) in [(0, 1), (1, 0)] {
+            assert_eq!(
+                ctx.join_cost(&a, &b).to_bits(),
+                scanned(&arena, from, to),
+                "arena path must be bit-identical to the vec path"
+            );
+        }
         assert_eq!(arena.size(0), 2);
         assert_eq!(arena.cost(1).to_bits(), ctx.cost(&b).to_bits());
         // Overwrite semantics: re-storing a slot replaces its lanes.
         arena.store(0, &b, 2, ctx.cost(&b));
-        assert_eq!(
-            ctx.arena_join_cost(&arena, 0, 1, &mut Tally::default())
-                .to_bits(),
-            ctx.join_cost(&b, &b).to_bits()
-        );
+        assert_eq!(scanned(&arena, 0, 1), ctx.join_cost(&b, &b).to_bits());
     }
 
     #[test]
@@ -508,7 +574,9 @@ mod tests {
         {
             let _g = col.install();
             ctx.join_cost(&a, &b);
-            ctx.pair_cost(0, 2);
+            let mut tally = Tally::default();
+            ctx.pair_cost(0, 2, &mut tally);
+            tally.flush();
         }
         let r = col.report();
         // Two fused evaluations × two attributes × 16 bytes each.
@@ -627,11 +695,14 @@ mod tests {
                 let mut arena = SigArena::with_capacity(r, 2);
                 arena.store(0, &a, sa.len(), ctx.cost(&a));
                 arena.store(1, &b, sb.len(), ctx.cost(&b));
-                assert_eq!(
-                    tallied(&mut |t| bits = ctx.arena_join_cost(&arena, 0, 1, t).to_bits()),
-                    streamed
-                );
-                assert_eq!(bits, cost(&want), "arena_join_cost {sa:?} {sb:?}");
+                for (from, to) in [(0, 1), (1, 0)] {
+                    let scan = ctx.slot_scan(&arena, from);
+                    assert_eq!(
+                        tallied(&mut |t| bits = scan.join_cost(to, t).to_bits()),
+                        streamed
+                    );
+                    assert_eq!(bits, cost(&want), "slot_scan {sa:?} {sb:?} from {from}");
+                }
                 let mut acc = a.clone();
                 assert_eq!(counted(&mut || ctx.join_nodes_into(&mut acc, &b)), streamed);
                 assert_eq!(acc, want, "join_nodes_into {sa:?} {sb:?}");
@@ -640,7 +711,7 @@ mod tests {
                 let want = join(&a, &leaf(row));
                 let mut bits = 0;
                 assert_eq!(
-                    counted(&mut || bits = ctx.join_row_cost(&a, row).to_bits()),
+                    tallied(&mut |t| bits = ctx.join_row_cost(&a, row, t).to_bits()),
                     streamed
                 );
                 assert_eq!(bits, cost(&want), "join_row_cost {sa:?} {row}");
@@ -664,7 +735,7 @@ mod tests {
             for j in 0..t.num_rows() {
                 let mut bits = 0;
                 assert_eq!(
-                    counted(&mut || bits = ctx.pair_cost(i, j).to_bits()),
+                    tallied(&mut |t| bits = ctx.pair_cost(i, j, t).to_bits()),
                     [16, 0, 1, 1]
                 );
                 assert_eq!(bits, cost(&join(&leaf(i), &leaf(j))), "pair_cost {i} {j}");
@@ -696,9 +767,10 @@ mod tests {
         let (t, c) = setup();
         let ctx = CostContext::new(&t, &c);
         // Rows 0,1 share x=p and group {a,b}: LM = ((2−1)/3 + 0)/2 = 1/6.
-        assert!((ctx.pair_cost(0, 1) - 1.0 / 6.0).abs() < 1e-12);
+        let pair = |i, j| ctx.pair_cost(i, j, &mut Tally::default());
+        assert!((pair(0, 1) - 1.0 / 6.0).abs() < 1e-12);
         // Rows 0,2: attr c generalizes to root (3/3), x to root (1/1):
         // LM = (1 + 1)/2 = 1.
-        assert!((ctx.pair_cost(0, 2) - 1.0).abs() < 1e-12);
+        assert!((pair(0, 2) - 1.0).abs() < 1e-12);
     }
 }

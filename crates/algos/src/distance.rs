@@ -92,14 +92,7 @@ impl ClusterDistance {
                 size_u as f64 * cost_u - size_a as f64 * cost_a - size_b as f64 * cost_b
             }
             ClusterDistance::D2 => cost_u - cost_a - cost_b,
-            ClusterDistance::D3 => {
-                let delta = cost_u - cost_a - cost_b;
-                if size_u >= 2 {
-                    delta / (size_u as f64).log2()
-                } else {
-                    delta
-                }
-            }
+            ClusterDistance::D3 => d3(cost_a, cost_b, size_u, cost_u, || (size_u as f64).log2()),
             ClusterDistance::D4 { epsilon } => cost_u / (cost_a + cost_b + epsilon),
             ClusterDistance::NergizClifton => cost_u - cost_b,
         }
@@ -123,6 +116,60 @@ impl ClusterDistance {
             ab.min(ba)
         } else {
             self.eval(size_a, cost_a, size_b, cost_b, size_u, cost_u)
+        }
+    }
+}
+
+/// Eq. (10), with `log2|A∪B|` from `log2_u` (called only when the union
+/// has at least 2 members).
+#[inline]
+fn d3(cost_a: f64, cost_b: f64, size_u: usize, cost_u: f64, log2_u: impl FnOnce() -> f64) -> f64 {
+    let delta = cost_u - cost_a - cost_b;
+    if size_u >= 2 {
+        delta / log2_u()
+    } else {
+        delta
+    }
+}
+
+/// The distance of one clustering-engine run over `rows` records: D3
+/// reads `log2|A∪B|` from a table of every union size the run can form
+/// instead of calling `log2` per evaluation. The table holds the same
+/// `log2` values, so every distance is bit-identical to
+/// [`ClusterDistance::eval_symmetric`].
+#[derive(Debug)]
+pub(crate) struct RunDistance {
+    distance: ClusterDistance,
+    /// `log2[s] = (s as f64).log2()` for `s` in `0..=rows` (D3 only).
+    log2: Vec<f64>,
+}
+
+impl RunDistance {
+    /// `distance` over a run of `rows` records. O(rows) under D3.
+    pub(crate) fn new(distance: ClusterDistance, rows: usize) -> Self {
+        let log2 = match distance {
+            ClusterDistance::D3 => (0..=rows).map(|s| (s as f64).log2()).collect(),
+            _ => Vec::new(),
+        };
+        RunDistance { distance, log2 }
+    }
+
+    /// `dist(A, B)` of two disjoint clusters of the run, the union's
+    /// cost given: [`ClusterDistance::eval_symmetric`] with
+    /// `|A∪B| = |A| + |B|`.
+    #[inline]
+    pub(crate) fn eval(
+        &self,
+        size_a: usize,
+        cost_a: f64,
+        size_b: usize,
+        cost_b: f64,
+        cost_u: f64,
+    ) -> f64 {
+        let size_u = size_a + size_b;
+        match self.distance {
+            ClusterDistance::D3 => d3(cost_a, cost_b, size_u, cost_u, || self.log2[size_u]),
+            d => d.eval_symmetric(size_a, cost_a, size_b, cost_b, size_u, cost_u),
         }
     }
 }
@@ -169,6 +216,23 @@ mod tests {
     fn d3_union_of_one_falls_back() {
         let v = ClusterDistance::D3.eval(1, 0.0, 1, 0.0, 1, 0.0);
         assert_eq!(v, 0.0);
+    }
+
+    #[test]
+    fn run_distance_matches_eval_symmetric_bit_for_bit() {
+        let nc = ClusterDistance::NergizClifton;
+        for d in ClusterDistance::paper_variants().into_iter().chain([nc]) {
+            let run = RunDistance::new(d, 40);
+            for (size_a, size_b) in [(1, 1), (1, 2), (3, 7), (17, 23)] {
+                for (cost_a, cost_b, cost_u) in [(0.0, 0.0, 0.3), (0.1, 0.4, 1.0), (0.7, 0.2, 0.9)]
+                {
+                    let size_u = size_a + size_b;
+                    let want = d.eval_symmetric(size_a, cost_a, size_b, cost_b, size_u, cost_u);
+                    let got = run.eval(size_a, cost_a, size_b, cost_b, cost_u);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{d} {size_a} {size_b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! are replaced by cluster closures as usual.
 
 use crate::agglomerative::KAnonOutput;
-use crate::cost::CostContext;
+use crate::cost::{CostContext, Tally};
 use crate::fallible::{Budget, Budgeted};
 use kanon_core::error::Result;
 use kanon_core::table::{check_k, Table};
@@ -170,7 +170,10 @@ pub(crate) fn forest_impl(
                 },
             }
         };
+        // Each row scan counts its pair evaluations and probes once, at
+        // its end.
         let scan_row = |acc: &mut Vec<Option<(f64, u32, u32)>>, u: usize| {
+            let mut tally = Tally::default();
             let ru = root_of[u];
             let small_u = small_root[ru as usize];
             for (v, &rv) in root_of.iter().enumerate().skip(u + 1) {
@@ -181,7 +184,7 @@ pub(crate) fn forest_impl(
                 if !small_u && !small_v {
                     continue;
                 }
-                let w = ctx.pair_cost(u, v);
+                let w = ctx.pair_cost(u, v, &mut tally);
                 for root in [ru, rv] {
                     if !small_root[root as usize] {
                         continue;
@@ -192,6 +195,7 @@ pub(crate) fn forest_impl(
                     }
                 }
             }
+            tally.flush();
         };
         // Row u costs O(n − u) pair evaluations; pairing row s with row
         // n−1−s gives every fold index the same O(n) work, so contiguous

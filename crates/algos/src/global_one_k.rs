@@ -26,7 +26,7 @@
 //! counter is bounded by `upgrade_steps + 1`: every recompute after the
 //! initial one is triggered by at least one intervening upgrade.
 
-use crate::cost::CostContext;
+use crate::cost::{CostContext, Tally};
 use kanon_core::error::{CoreError, Result};
 use kanon_core::generalize::{consistency_adjacency, is_consistent, is_generalization_of};
 use kanon_core::table::{check_aligned, check_k, GeneralizedTable, Table};
@@ -149,11 +149,13 @@ pub fn global_1k_from_kk(
             let mut best: Option<(f64, u32)> = None;
             let ri = out.row(i).nodes();
             let ci = ctx.cost(ri);
+            // The scan counts its work once, at its end.
+            let mut tally = Tally::default();
             for &j in &state.adj[i] {
                 if matches.binary_search(&j).is_ok() {
                     continue;
                 }
-                let dh = ctx.join_row_cost(ri, j as usize) - ci;
+                let dh = ctx.join_row_cost(ri, j as usize, &mut tally) - ci;
                 let better = match best {
                     None => true,
                     Some((bd, bj)) => {
@@ -164,6 +166,7 @@ pub fn global_1k_from_kk(
                     best = Some((dh, j));
                 }
             }
+            tally.flush();
             let Some((_, jh)) = best else {
                 // No non-match neighbour left: every neighbour is already a
                 // match yet there are fewer than k of them, i.e. record i

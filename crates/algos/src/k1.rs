@@ -15,7 +15,7 @@
 //! row loop runs on `kanon_parallel::map` (the per-row computation is
 //! pure, so results are identical at any thread count).
 
-use crate::cost::CostContext;
+use crate::cost::{CostContext, Tally};
 use kanon_core::error::Result;
 use kanon_core::table::{check_k, GeneralizedTable, Table};
 use kanon_measures::NodeCostTable;
@@ -48,11 +48,14 @@ pub fn k1_nearest_neighbors(table: &Table, costs: &NodeCostTable, k: usize) -> R
         if k == 1 {
             return ctx.to_record(&ctx.leaf_nodes(i));
         }
-        // Distances to every other record; select the k−1 smallest.
+        // Distances to every other record; select the k−1 smallest. The
+        // scan counts its work once, at its end.
+        let mut tally = Tally::default();
         let mut cand: Vec<(f64, u32)> = (0..n)
             .filter(|&j| j != i)
-            .map(|j| (ctx.pair_cost(i, j), j as u32))
+            .map(|j| (ctx.pair_cost(i, j, &mut tally), j as u32))
             .collect();
+        tally.flush();
         cand.select_nth_unstable_by(k - 2, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut nodes = ctx.leaf_nodes(i);
         for &(_, j) in &cand[..k - 1] {
@@ -91,6 +94,8 @@ pub fn k1_expansion(table: &Table, costs: &NodeCostTable, k: usize) -> Result<Ge
         let mut in_set = vec![false; n];
         in_set[i] = true;
         let mut cost = ctx.cost(&nodes);
+        // The row's k−1 scans count their work once, at its end.
+        let mut tally = Tally::default();
         for _ in 1..k {
             let mut best_j = usize::MAX;
             let mut best_delta = f64::INFINITY;
@@ -98,7 +103,7 @@ pub fn k1_expansion(table: &Table, costs: &NodeCostTable, k: usize) -> Result<Ge
                 if taken {
                     continue;
                 }
-                let delta = ctx.join_row_cost(&nodes, j) - cost;
+                let delta = ctx.join_row_cost(&nodes, j, &mut tally) - cost;
                 if delta.total_cmp(&best_delta).is_lt() {
                     best_delta = delta;
                     best_j = j;
@@ -109,6 +114,7 @@ pub fn k1_expansion(table: &Table, costs: &NodeCostTable, k: usize) -> Result<Ge
             ctx.join_row_into(&mut nodes, best_j);
             cost = ctx.cost(&nodes);
         }
+        tally.flush();
         ctx.to_record(&nodes)
     });
 

@@ -18,7 +18,7 @@
 //! 5. when fewer than `2k` remain, they form the last cluster.
 
 use crate::agglomerative::KAnonOutput;
-use crate::cost::CostContext;
+use crate::cost::{CostContext, Tally};
 use kanon_core::error::Result;
 use kanon_core::table::{check_k, Table};
 use kanon_measures::NodeCostTable;
@@ -39,13 +39,15 @@ pub(crate) fn mdav_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Resul
         let closure = ctx.closure_of(remaining);
         let mut best = remaining[0];
         let mut best_d = f64::NEG_INFINITY;
+        let mut tally = Tally::default();
         for &r in remaining {
-            let d = ctx.join_row_cost(&closure, r as usize);
+            let d = ctx.join_row_cost(&closure, r as usize, &mut tally);
             if d.total_cmp(&best_d).is_gt() {
                 best_d = d;
                 best = r;
             }
         }
+        tally.flush();
         best
     };
 
@@ -53,10 +55,12 @@ pub(crate) fn mdav_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Resul
     // (removing them from `remaining`).
     let take_cluster = |x: u32, remaining: &mut Vec<u32>, ctx: &CostContext<'_>| -> Vec<u32> {
         remaining.retain(|&r| r != x);
+        let mut tally = Tally::default();
         let mut dists: Vec<(f64, u32)> = remaining
             .iter()
-            .map(|&r| (ctx.pair_cost(x as usize, r as usize), r))
+            .map(|&r| (ctx.pair_cost(x as usize, r as usize, &mut tally), r))
             .collect();
+        tally.flush();
         dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut cluster = vec![x];
         for &(_, r) in dists.iter().take(k - 1) {
@@ -75,16 +79,18 @@ pub(crate) fn mdav_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Resul
         let xs = {
             let mut best = remaining[0];
             let mut best_d = f64::NEG_INFINITY;
+            let mut tally = Tally::default();
             for &r in &remaining {
                 if r == xr {
                     continue;
                 }
-                let d = ctx.pair_cost(xr as usize, r as usize);
+                let d = ctx.pair_cost(xr as usize, r as usize, &mut tally);
                 if d.total_cmp(&best_d).is_gt() {
                     best_d = d;
                     best = r;
                 }
             }
+            tally.flush();
             best
         };
         clusters.push(take_cluster(xr, &mut remaining, &ctx));
@@ -102,14 +108,16 @@ pub(crate) fn mdav_impl(table: &Table, costs: &NodeCostTable, k: usize) -> Resul
             for &r in &remaining {
                 let mut best = 0usize;
                 let mut best_d = f64::INFINITY;
+                let mut tally = Tally::default();
                 for (ci, c) in clusters.iter().enumerate() {
                     let closure = ctx.closure_of(c);
-                    let d = ctx.join_row_cost(&closure, r as usize);
+                    let d = ctx.join_row_cost(&closure, r as usize, &mut tally);
                     if d.total_cmp(&best_d).is_lt() {
                         best_d = d;
                         best = ci;
                     }
                 }
+                tally.flush();
                 clusters[best].push(r);
                 clusters[best].sort_unstable();
             }

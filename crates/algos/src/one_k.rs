@@ -10,7 +10,7 @@
 //! records `R̄_j` and upgrades the `k − ℓ` of them that are cheapest to
 //! stretch, i.e. minimize `c(R̄_j + R_i) − c(R̄_j)`.
 
-use crate::cost::CostContext;
+use crate::cost::{CostContext, Tally};
 use crate::k1::GenOutput;
 use kanon_core::error::Result;
 use kanon_core::generalize::is_consistent;
@@ -42,14 +42,17 @@ pub(crate) fn one_k_impl(
         if ell >= k {
             continue;
         }
-        // Cheapest-to-stretch non-consistent records.
+        // Cheapest-to-stretch non-consistent records; the scan counts
+        // its work once, at its end.
+        let mut tally = Tally::default();
         let mut cand: Vec<(f64, usize)> = (0..n)
             .filter(|&j| !consistent[j])
             .map(|j| {
                 let nodes = out.row(j).nodes();
-                (ctx.join_row_cost(nodes, i) - ctx.cost(nodes), j)
+                (ctx.join_row_cost(nodes, i, &mut tally) - ctx.cost(nodes), j)
             })
             .collect();
+        tally.flush();
         let need = k - ell;
         kanon_obs::count(kanon_obs::Counter::OneKUpgrades, need as u64);
         debug_assert!(cand.len() >= need, "n ≥ k guarantees enough candidates");

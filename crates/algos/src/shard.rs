@@ -358,6 +358,19 @@ mod tests {
                 ("assemble", 1)
             ]
         );
+        // Every shard's engine run reports its three phases once, inside
+        // its `agglomerative` span (which a worker files at the top level).
+        fn calls(phases: &[kanon_obs::PhaseSnapshot], name: &str) -> u64 {
+            phases
+                .iter()
+                .map(|p| u64::from(p.name == name) * p.calls + calls(&p.children, name))
+                .sum()
+        }
+        let shards = report.counter(kanon_obs::Counter::ShardsBuilt);
+        assert!(shards > 1, "{shards} shards");
+        for phase in ["duplicate_replay", "initial_scan", "merge_loop"] {
+            assert_eq!(calls(&report.phases, phase), shards, "{phase}");
+        }
     }
 
     #[test]

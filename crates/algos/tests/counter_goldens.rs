@@ -1,11 +1,19 @@
 //! Pinned work counters: the deterministic counter block, the loss and
-//! the `(budget, spent)` of a tripped run, for fixed inputs, recorded
-//! before the engine's scans began tallying their work locally and
-//! counting it once per scan. Each case runs at 1, 2 and 8 workers.
+//! the `(budget, spent)` of a tripped run, for fixed inputs. Each case
+//! runs at 1, 2 and 8 workers.
 //!
 //! A count moved by a change to how work is *counted* (not to what work
 //! is done) shows up here as a diff against the recorded string; a
 //! changed budget trip point shows up as a different `(budget, spent)`.
+//!
+//! Recorded when the engine's opening scan began computing each pair's
+//! join cost once (a triangle instead of one scan per slot): over `m`
+//! clusters entering the merge loop, `signature_bytes_streamed` falls by
+//! `m(m−1)/2 × r × 16` (`climb_fallback_hits` by `m(m−1)/2 × r` without
+//! join tables) and nothing else moves — here `m = 592` (the distinct
+//! tuples) and `r = 6`, so 16 793 856 bytes per monolithic run. The work
+//! budget is the sum of the counters, so the same budget now buys more
+//! merges before it trips (222 instead of 68).
 
 use kanon_algos::{
     try_agglomerative_k_anonymize, try_sharded_k_anonymize, AgglomerativeConfig, Budgeted,
@@ -115,7 +123,7 @@ const GOLDEN_D1: &str = concat!(
     "\"deficient_records\":0,\"forest_rounds\":0,",
     "\"k1_rows_expanded\":0,\"one_k_upgrades\":0,",
     "\"node_cost_tables\":0,\"cluster_dist_evals\":705897,",
-    "\"cache_repairs\":577,\"signature_bytes_streamed\":67861248,",
+    "\"cache_repairs\":577,\"signature_bytes_streamed\":51067392,",
     "\"mondrian_splits\":0,\"mondrian_groups_packed\":0,",
     "\"shards_built\":0,\"shard_rows_max\":0,\"boundary_repairs\":0,",
     "\"distinct_tuples\":592,\"serve_batches_applied\":0,",
@@ -134,7 +142,7 @@ const GOLDEN_D3: &str = concat!(
     "\"deficient_records\":0,\"forest_rounds\":0,",
     "\"k1_rows_expanded\":0,\"one_k_upgrades\":0,",
     "\"node_cost_tables\":0,\"cluster_dist_evals\":677424,",
-    "\"cache_repairs\":15573,\"signature_bytes_streamed\":65118528,",
+    "\"cache_repairs\":15573,\"signature_bytes_streamed\":48324672,",
     "\"mondrian_splits\":0,\"mondrian_groups_packed\":0,",
     "\"shards_built\":0,\"shard_rows_max\":0,\"boundary_repairs\":0,",
     "\"distinct_tuples\":592,\"serve_batches_applied\":0,",
@@ -147,7 +155,7 @@ const GOLDEN_D3: &str = concat!(
 const GOLDEN_CLIMB: &str = concat!(
     "3ff8a99e1e7748e4 {",
     "\"merges_performed\":540,\"nn_rescans\":1130,",
-    "\"join_table_hits\":0,\"climb_fallback_hits\":4069944,",
+    "\"join_table_hits\":0,\"climb_fallback_hits\":3020328,",
     "\"pair_cost_evals\":0,\"hk_augmenting_passes\":0,\"scc_passes\":0,",
     "\"oracle_recomputes\":0,\"upgrade_steps\":0,",
     "\"deficient_records\":0,\"forest_rounds\":0,",
@@ -172,7 +180,7 @@ const GOLDEN_SHARDED: &str = concat!(
     "\"deficient_records\":0,\"forest_rounds\":0,",
     "\"k1_rows_expanded\":0,\"one_k_upgrades\":0,",
     "\"node_cost_tables\":0,\"cluster_dist_evals\":636951,",
-    "\"cache_repairs\":11982,\"signature_bytes_streamed\":61522752,",
+    "\"cache_repairs\":11982,\"signature_bytes_streamed\":44804448,",
     "\"mondrian_splits\":0,\"mondrian_groups_packed\":0,",
     "\"shards_built\":22,\"shard_rows_max\":185,",
     "\"boundary_repairs\":19,\"distinct_tuples\":2718,",
@@ -183,15 +191,15 @@ const GOLDEN_SHARDED: &str = concat!(
     "}",
 );
 const GOLDEN_BUDGET: &str = concat!(
-    "(40000000, 40016231) 40024f064c95e319 {",
-    "\"merges_performed\":68,\"nn_rescans\":649,\"join_table_hits\":0,",
+    "(40000000, 40207325) 3fff1f39ba8ecdcb {",
+    "\"merges_performed\":222,\"nn_rescans\":912,\"join_table_hits\":0,",
     "\"climb_fallback_hits\":0,\"pair_cost_evals\":0,",
     "\"hk_augmenting_passes\":0,\"scc_passes\":0,",
     "\"oracle_recomputes\":0,\"upgrade_steps\":0,",
     "\"deficient_records\":0,\"forest_rounds\":0,",
     "\"k1_rows_expanded\":0,\"one_k_upgrades\":0,",
-    "\"node_cost_tables\":0,\"cluster_dist_evals\":412435,",
-    "\"cache_repairs\":2199,\"signature_bytes_streamed\":39650784,",
+    "\"node_cost_tables\":0,\"cluster_dist_evals\":587304,",
+    "\"cache_repairs\":9655,\"signature_bytes_streamed\":39642528,",
     "\"mondrian_splits\":0,\"mondrian_groups_packed\":0,",
     "\"shards_built\":0,\"shard_rows_max\":0,\"boundary_repairs\":0,",
     "\"distinct_tuples\":592,\"serve_batches_applied\":0,",

@@ -10,8 +10,10 @@
 //! evaluations. This bench measures exactly that curve:
 //!
 //! * `serial/EVALS`: a plain loop of distance evaluations, each the
-//!   engine's own: `arena_join_cost` over two `SigArena` slots, then
-//!   `eval_symmetric` on the stored sizes and costs;
+//!   engine's own: one `SlotScan::join_cost` from a scan of one
+//!   `SigArena` slot (built once per 64 evaluations, as a scan amortizes
+//!   it over its candidates), then `eval_symmetric` on the stored sizes
+//!   and costs;
 //! * `pool/EVALS`:   the same evaluations through `map_coarse` on a warm
 //!   pool (criterion's warm-up phase spawns the workers; the timed region
 //!   only ever reuses them).
@@ -45,10 +47,13 @@ fn bench_dispatch_breakeven(c: &mut Criterion) {
         let nodes = ctx.leaf_nodes(i);
         arena.store(i, &nodes, 1, ctx.cost(&nodes));
     }
+    // Scans from the first 64 slots; evaluation `i` scans from slot
+    // `i / 64 % 64`, so consecutive evaluations share a scan.
+    let scans: Vec<_> = (0..64).map(|a| ctx.slot_scan(&arena, a)).collect();
     let eval = |i: usize| {
-        let (a, b) = (i % n, (i * 7 + 1) % n);
+        let (a, b) = (i / 64 % 64, (i * 7 + 1) % n);
         // No collector is installed: the tally is left uncounted.
-        let cost_u = ctx.arena_join_cost(&arena, a, b, &mut Tally::default());
+        let cost_u = scans[a].join_cost(b, &mut Tally::default());
         distance.eval_symmetric(
             arena.size(a),
             arena.cost(a),

@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kanon_algos::cost::Tally;
 use kanon_algos::CostContext;
 use kanon_core::hierarchy::NodeId;
 use kanon_data::art;
@@ -86,9 +87,11 @@ fn bench_fused_pair_cost(c: &mut Criterion) {
     for (name, ctx) in [("fused", &fused), ("climb", &climb)] {
         group.bench_function(BenchmarkId::new(name, n), |b| {
             b.iter(|| {
+                // No collector is installed: the tally is left uncounted.
+                let mut tally = Tally::default();
                 let mut acc = 0.0f64;
                 for &(i, j) in &pairs {
-                    acc += ctx.pair_cost(black_box(i), black_box(j));
+                    acc += ctx.pair_cost(black_box(i), black_box(j), &mut tally);
                 }
                 acc
             })
