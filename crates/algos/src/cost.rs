@@ -15,8 +15,11 @@
 //! climb parent pointers instead. This one kernel serves every join and
 //! join cost of the crate: the cost entry points (`join_cost`,
 //! `join_row_cost`, `pair_cost`) are thin calls into one fold over
-//! attribute-wise node pairs, the engine's [`SlotScan`] folds the same
-//! probes from one slot's hoisted table rows, and the materializing joins
+//! attribute-wise node pairs, the engine's [`SlotScan`] sums the same
+//! probes from one slot's hoisted table rows over a whole batch of
+//! candidates (attribute-major: one pass over the batch per attribute,
+//! so the candidates' sums are independent adds rather than one chain
+//! of dependent loads each), and the materializing joins
 //! read the node half of the same probe. Costs in the fused table are
 //! bit-copied from the cost row and summed in ascending-attribute order,
 //! so every result is bit-identical to [`NodeCostTable::nodes_cost`] of
@@ -30,11 +33,11 @@
 //! invariant); row joins (`join_row_into`, `closure_of`) count one
 //! `JoinTableHits` per probe; every climb counts one `ClimbFallbackHits`;
 //! every `pair_cost` counts one `PairCostEvals`. Probes add to a
-//! [`Tally`] rather than counting one by one. The entry points that scans
-//! call once per candidate ([`SlotScan::join_cost`],
-//! [`CostContext::covers_row`], [`CostContext::join_row_cost`] and
-//! [`CostContext::pair_cost`]) add to the caller's tally, which the
-//! caller flushes once per scan; the others flush their own.
+//! [`Tally`] rather than counting one by one. The scan entry points
+//! ([`SlotScan::join_costs`] once per batch; [`CostContext::covers_row`],
+//! [`CostContext::join_row_cost`] and [`CostContext::pair_cost`] once
+//! per candidate) add to the caller's tally, which the caller flushes
+//! once per scan; the others flush their own.
 //!
 //! Row leaf signatures are flattened once per context
 //! ([`CostContext::new`], O(n·r)) into a contiguous `n × r` lane
@@ -230,32 +233,47 @@ enum ScanAttr<'s> {
 
 /// A scan from one [`SigArena`] slot, built once per scan by
 /// [`CostContext::slot_scan`]: per attribute, the fused table row of the
-/// slot's node (or the node to climb from), plus the arena's lanes. Each
-/// [`SlotScan::join_cost`] is then one indexed read per attribute, the
-/// row arithmetic and the slot's own lane reads done once per scan.
+/// slot's node (or the node to climb from), plus the arena's lanes.
+/// [`SlotScan::join_costs`] then prices a whole batch of candidates with
+/// one indexed read per attribute and candidate, the row arithmetic and
+/// the slot's own lane reads done once per scan.
 pub struct SlotScan<'s> {
     attrs: Vec<ScanAttr<'s>>,
     lanes: &'s [Vec<u32>],
 }
 
 impl SlotScan<'_> {
-    /// Cost of the join of the scanned slot with slot `other`, its probes
-    /// added to `tally`. Bit-identical to [`CostContext::join_cost`] of
-    /// the two slots' signatures, in either order.
-    #[inline]
-    pub fn join_cost(&self, other: usize, tally: &mut Tally) -> f64 {
-        let mut sum = 0.0;
+    /// The costs of the joins of the scanned slot with each slot of
+    /// `others`, written to `out` (of the same length), their probes
+    /// added to `tally`. Attribute-major: one pass over the batch per
+    /// attribute, in ascending attribute order, so the sums of different
+    /// candidates are independent adds instead of one chain of dependent
+    /// loads per candidate. Each candidate's sum still starts at `0.0` and
+    /// takes the attributes in ascending order, so every cost is
+    /// bit-identical to [`CostContext::join_cost`] of the two slots'
+    /// signatures, in either order. O(r · len), allocation-free.
+    pub fn join_costs(&self, others: &[usize], out: &mut [f64], tally: &mut Tally) {
+        assert_eq!(others.len(), out.len(), "one cost per candidate");
+        out.fill(0.0);
         for (attr, lane) in self.attrs.iter().zip(self.lanes) {
-            let b = lane[other];
-            sum += match *attr {
+            match *attr {
                 ScanAttr::Row(row) => {
-                    tally.fused += 1;
-                    row[b as usize].cost
+                    tally.fused += others.len() as u64;
+                    for (sum, &other) in out.iter_mut().zip(others) {
+                        *sum += row[lane[other] as usize].cost;
+                    }
                 }
-                ScanAttr::Climb(kernel, a) => kernel.probe(a, b, tally).cost,
-            };
+                ScanAttr::Climb(kernel, a) => {
+                    for (sum, &other) in out.iter_mut().zip(others) {
+                        *sum += kernel.probe(a, lane[other], tally).cost;
+                    }
+                }
+            }
         }
-        sum / self.attrs.len() as f64
+        let r = self.attrs.len() as f64;
+        for sum in out.iter_mut() {
+            *sum /= r;
+        }
     }
 }
 
@@ -546,9 +564,10 @@ mod tests {
         arena.store(1, &b, 2, ctx.cost(&b));
         assert_eq!(arena.len(), 2);
         let scanned = |arena: &SigArena, from: usize, to: usize| {
+            let mut out = [0.0];
             ctx.slot_scan(arena, from)
-                .join_cost(to, &mut Tally::default())
-                .to_bits()
+                .join_costs(&[to], &mut out, &mut Tally::default());
+            out[0].to_bits()
         };
         for (from, to) in [(0, 1), (1, 0)] {
             assert_eq!(
@@ -562,6 +581,88 @@ mod tests {
         // Overwrite semantics: re-storing a slot replaces its lanes.
         arena.store(0, &b, 2, ctx.cost(&b));
         assert_eq!(scanned(&arena, 0, 1), ctx.join_cost(&b, &b).to_bits());
+    }
+
+    #[test]
+    fn batched_join_costs_are_bit_identical_and_count_every_probe() {
+        // Batches over every slot of an arena, in both scan directions,
+        // fused and climbing: each cost equals the vec path's bits, and a
+        // batch tallies exactly r probes per candidate.
+        let (t, fused) = setup_mixed();
+        let climbing = fused.clone().without_join_tables();
+        let sets: [&[u32]; 6] = [&[0], &[1, 5], &[0, 2], &[3, 4], &[2], &[0, 1, 2, 3]];
+        let batches: [&[usize]; 6] = [
+            &[],
+            &[3],
+            &[5, 0, 4, 0],
+            &[2, 1],
+            &[4, 3, 2, 1, 0, 5],
+            &[1, 1],
+        ];
+        for (costs, fused_attrs) in [(&fused, 1u64), (&climbing, 0)] {
+            let ctx = CostContext::new(&t, costs);
+            let r = ctx.num_attrs() as u64;
+            let closures: Vec<Vec<NodeId>> = sets.iter().map(|s| ctx.closure_of(s)).collect();
+            let mut arena = SigArena::with_capacity(ctx.num_attrs(), sets.len());
+            for (slot, (c, s)) in closures.iter().zip(&sets).enumerate() {
+                arena.store(slot, c, s.len(), ctx.cost(c));
+            }
+            for from in 0..sets.len() {
+                let scan = ctx.slot_scan(&arena, from);
+                for &batch in &batches {
+                    let mut out = vec![f64::NAN; batch.len()];
+                    let mut tally = Tally::default();
+                    scan.join_costs(batch, &mut out, &mut tally);
+                    let len = batch.len() as u64;
+                    assert_eq!(tally.fused, len * fused_attrs, "{from} {batch:?}");
+                    assert_eq!(tally.climbs, len * (r - fused_attrs), "{from} {batch:?}");
+                    assert_eq!(tally.pairs, 0);
+                    for (&to, got) in batch.iter().zip(&out) {
+                        for (a, b) in [(from, to), (to, from)] {
+                            let want = ctx.join_cost(&closures[a], &closures[b]);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{from} → {to}");
+                        }
+                    }
+                }
+            }
+        }
+        // Fully fused and fully climbing contexts count r × len of one
+        // kind, as the collector reads the flushed tally.
+        let (t, fused) = setup();
+        for (costs, has_tables) in [
+            (&fused, true),
+            (&fused.clone().without_join_tables(), false),
+        ] {
+            let ctx = CostContext::new(&t, costs);
+            let r = ctx.num_attrs() as u64;
+            let mut arena = SigArena::with_capacity(ctx.num_attrs(), t.num_rows());
+            for row in 0..t.num_rows() {
+                let leaf = ctx.leaf_nodes(row);
+                arena.store(row, &leaf, 1, ctx.cost(&leaf));
+            }
+            let col = kanon_obs::Collector::new();
+            let batch = [3, 1, 2];
+            let mut out = [0.0; 3];
+            {
+                let _g = col.install();
+                let mut tally = Tally::default();
+                ctx.slot_scan(&arena, 0)
+                    .join_costs(&batch, &mut out, &mut tally);
+                tally.flush();
+            }
+            for (&to, got) in batch.iter().zip(&out) {
+                let want = ctx.join_cost(&ctx.leaf_nodes(0), &ctx.leaf_nodes(to));
+                assert_eq!(got.to_bits(), want.to_bits(), "0 → {to}");
+            }
+            let rep = col.report();
+            let (bytes, climbs) = if has_tables {
+                (3 * r * FUSED_PROBE_BYTES, 0)
+            } else {
+                (0, 3 * r)
+            };
+            assert_eq!(rep.counter(Counter::SignatureBytesStreamed), bytes);
+            assert_eq!(rep.counter(Counter::ClimbFallbackHits), climbs);
+        }
     }
 
     #[test]
@@ -697,8 +798,12 @@ mod tests {
                 arena.store(1, &b, sb.len(), ctx.cost(&b));
                 for (from, to) in [(0, 1), (1, 0)] {
                     let scan = ctx.slot_scan(&arena, from);
+                    let mut out = [0.0];
                     assert_eq!(
-                        tallied(&mut |t| bits = scan.join_cost(to, t).to_bits()),
+                        tallied(&mut |t| {
+                            scan.join_costs(&[to], &mut out, t);
+                            bits = out[0].to_bits()
+                        }),
                         streamed
                     );
                     assert_eq!(bits, cost(&want), "slot_scan {sa:?} {sb:?} from {from}");

@@ -18,7 +18,11 @@
 //!   sizes and closure costs alone (Sec. V-A.2), so the engine mirrors
 //!   each cluster into a [`SigArena`], prices joins through one
 //!   [`SlotScan`] per scan, and evaluates the run's `RunDistance`
-//!   (D3's `log2` read from a table) in one place;
+//!   (D3's `log2` read from a table) in one place. Every scan hands its
+//!   candidates to the kernel as slot batches (a row of the opening
+//!   triangle, the active slots on either side of the scanned one, a
+//!   newcomer chunk), whose join costs `SlotScan::join_costs` sums one
+//!   attribute at a time into a scratch buffer before they are priced;
 //! * the per-cluster **top-2 nearest-neighbour cache** (`NearestPair`
 //!   with the `Runner` exactness state machine) and its repair rules;
 //! * the triangular opening scan (one join cost per pair, both
@@ -84,12 +88,14 @@ use std::ops::Range;
 /// one fused-kernel evaluation took ~47 ns and a warm dispatch
 /// ~25–35 µs end to end, a break-even of ~1100 evals for 2 workers and
 /// ~600 for 8, as the conservative next power of two above the worst
-/// case. Since scans read through a hoisted [`SlotScan`] one evaluation
-/// takes ~21 ns on a shared 2-vCPU host, which moves the computed
-/// 2-worker break-even to ~3000 evals; there the measured pool and
-/// serial curves cross only near 16 384 (see EXPERIMENTS.md E-S3; the
-/// old per-call-spawn layer gated on ~64 *items* regardless of
-/// per-item cost, which is what made small repair batches negative).
+/// case. Since scans price attribute-major batches through a hoisted
+/// [`SlotScan`] one evaluation takes ~15 ns on a shared 2-vCPU host,
+/// which moves the computed 2-worker break-even to ~3300–4000 evals;
+/// there the measured pool and serial curves cross between 4096 and
+/// 16 384. The constant stays until it can be re-tuned on dedicated
+/// cores (see EXPERIMENTS.md E-S3; the old per-call-spawn layer gated
+/// on ~64 *items* regardless of per-item cost, which is what made small
+/// repair batches negative).
 /// Public because every packed distance scan in the workspace — the
 /// engine's own rescans and the serve daemon's absorption sweep over
 /// resident mature-cluster signatures — faces the same break-even, so
@@ -389,17 +395,21 @@ impl<'p, 'a, P: ClusterPolicy> State<'p, 'a, P> {
     fn opening_scan(&self) -> Vec<Option<NearestPair>> {
         let n = self.slots.len();
         kanon_obs::count(Counter::NnRescans, n as u64);
+        // Still `0..n` here, so row i's batch is `active[i + 1..]`.
+        debug_assert!(self.active.iter().copied().eq(0..n), "opening slots");
         let band = |rows: Range<usize>| {
             let mut tops = vec![Top2::default(); n];
+            let mut costs = vec![0.0; n];
             let (mut evals, mut tally) = (0u64, Tally::default());
             for i in rows {
-                let scan = self.scan(i);
-                for j in i + 1..n {
-                    let cost_u = scan.join_cost(j, &mut tally);
+                let batch = &self.active[i + 1..];
+                let costs = &mut costs[..batch.len()];
+                self.scan(i).join_costs(batch, costs, &mut tally);
+                for (&j, &cost_u) in batch.iter().zip(costs.iter()) {
                     tops[i].push(self.price(i, j, cost_u), j);
                     tops[j].push(self.price(j, i, cost_u), i);
                 }
-                evals += 2 * (n - 1 - i) as u64;
+                evals += 2 * batch.len() as u64;
             }
             kanon_obs::count(Counter::ClusterDistEvals, evals);
             tally.flush();
@@ -435,20 +445,25 @@ impl<'p, 'a, P: ClusterPolicy> State<'p, 'a, P> {
 
     /// Scans all active slots (except `slot`) for the two nearest
     /// neighbours of `slot`. Deterministic tie-break on slot index. The
-    /// scan's work is counted once, at its end.
+    /// candidates are priced as batches, the active slots on either side
+    /// of `slot`, so they arrive in active order. The scan's work is
+    /// counted once, at its end.
     fn scan_nearest(&self, slot: usize) -> Option<NearestPair> {
         let scan = self.scan(slot);
-        let (mut evals, mut tally) = (0u64, Tally::default());
-        let others = self.active.iter().filter(|&&other| other != slot);
-        let pair = top2(others.map(|&other| {
-            evals += 1;
-            let cost_u = scan.join_cost(other, &mut tally);
-            (self.price(slot, other, cost_u), other)
-        }));
+        let mut costs = vec![0.0; self.active.len()];
+        let (mut top, mut evals, mut tally) = (Top2::default(), 0u64, Tally::default());
+        for batch in self.active.split(|&other| other == slot) {
+            let costs = &mut costs[..batch.len()];
+            scan.join_costs(batch, costs, &mut tally);
+            for (&other, &cost_u) in batch.iter().zip(costs.iter()) {
+                top.push(self.price(slot, other, cost_u), other);
+            }
+            evals += batch.len() as u64;
+        }
         kanon_obs::count(Counter::NnRescans, 1);
         kanon_obs::count(Counter::ClusterDistEvals, evals);
         tally.flush();
-        pair
+        top.finish()
     }
 
     /// Adds a cluster as a new active slot; refreshes its own cache and
@@ -470,10 +485,11 @@ impl<'p, 'a, P: ClusterPolicy> State<'p, 'a, P> {
             let this = &*self;
             let scan = this.scan(slot);
             let eval_chunk = |base: usize, chunk: &mut [f64]| {
+                let others = &this.active[base..base + chunk.len()];
                 let mut tally = Tally::default();
-                for (off, d) in chunk.iter_mut().enumerate() {
-                    let other = this.active[base + off];
-                    *d = this.price(other, slot, scan.join_cost(other, &mut tally));
+                scan.join_costs(others, chunk, &mut tally);
+                for (d, &other) in chunk.iter_mut().zip(others) {
+                    *d = this.price(other, slot, *d);
                 }
                 kanon_obs::count(Counter::ClusterDistEvals, chunk.len() as u64);
                 tally.flush();
@@ -617,10 +633,13 @@ impl<'p, 'a, P: ClusterPolicy> State<'p, 'a, P> {
     fn is_global_min_distance(&self, d: f64) -> bool {
         let mut uncounted = Tally::default();
         let mut min = f64::INFINITY;
+        let mut costs = vec![0.0; self.active.len()];
         for (x, &a) in self.active.iter().enumerate() {
-            let scan = self.scan(a);
-            for &b in &self.active[x + 1..] {
-                let dd = self.price(a, b, scan.join_cost(b, &mut uncounted));
+            let others = &self.active[x + 1..];
+            let costs = &mut costs[..others.len()];
+            self.scan(a).join_costs(others, costs, &mut uncounted);
+            for (&b, &cost_u) in others.iter().zip(costs.iter()) {
+                let dd = self.price(a, b, cost_u);
                 if dd < min {
                     min = dd;
                 }

@@ -341,35 +341,55 @@ mod tests {
         let t = table(240);
         let costs = NodeCostTable::compute(&t, &EntropyMeasure);
         let cfg = ShardConfig::new(3).with_shard_max(40);
-        let c = kanon_obs::Collector::new();
-        {
-            let _g = c.install();
-            try_sharded_k_anonymize(&t, &costs, &cfg).unwrap();
-        }
-        let report = c.report();
-        let sharded = report.phases.iter().find(|p| p.name == "sharded").unwrap();
-        let phases: Vec<(&str, u64)> = sharded.children.iter().map(|p| (p.name, p.calls)).collect();
-        assert_eq!(
-            phases,
-            [
-                ("partition", 1),
-                ("shard_engines", 1),
-                ("boundary_repair", 1),
-                ("assemble", 1)
-            ]
-        );
-        // Every shard's engine run reports its three phases once, inside
-        // its `agglomerative` span (which a worker files at the top level).
-        fn calls(phases: &[kanon_obs::PhaseSnapshot], name: &str) -> u64 {
-            phases
+        /// Names, nesting and calls of a phase tree, siblings sorted by
+        /// name (concurrent workers may open them in either order).
+        #[derive(Debug, PartialEq)]
+        struct Shape(&'static str, u64, Vec<Shape>);
+        fn shape(phases: &[kanon_obs::PhaseSnapshot]) -> Vec<Shape> {
+            let mut out: Vec<Shape> = phases
                 .iter()
-                .map(|p| u64::from(p.name == name) * p.calls + calls(&p.children, name))
-                .sum()
+                .map(|p| Shape(p.name, p.calls, shape(&p.children)))
+                .collect();
+            out.sort_by_key(|s| s.0);
+            out
         }
-        let shards = report.counter(kanon_obs::Counter::ShardsBuilt);
-        assert!(shards > 1, "{shards} shards");
-        for phase in ["duplicate_replay", "initial_scan", "merge_loop"] {
-            assert_eq!(calls(&report.phases, phase), shards, "{phase}");
+        let trees: Vec<(Vec<Shape>, u64)> = [1, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                let c = kanon_obs::Collector::new();
+                kanon_parallel::with_threads(threads, || {
+                    let _g = c.install();
+                    try_sharded_k_anonymize(&t, &costs, &cfg).unwrap();
+                });
+                let report = c.report();
+                let shards = report.counter(kanon_obs::Counter::ShardsBuilt);
+                (shape(&report.phases), shards)
+            })
+            .collect();
+        let (tree, shards) = &trees[0];
+        assert!(*shards > 1, "{shards} shards");
+        // Every shard's engine run reports its three phases once, inside
+        // its `agglomerative` span, inside `shard_engines`.
+        let engine = Shape(
+            "agglomerative",
+            *shards,
+            ["duplicate_replay", "initial_scan", "merge_loop"]
+                .map(|phase| Shape(phase, *shards, vec![]))
+                .into(),
+        );
+        let sharded = Shape(
+            "sharded",
+            1,
+            vec![
+                Shape("assemble", 1, vec![]),
+                Shape("boundary_repair", 1, vec![]),
+                Shape("partition", 1, vec![]),
+                Shape("shard_engines", 1, vec![engine]),
+            ],
+        );
+        assert_eq!(tree, &vec![sharded]);
+        for (threads, other) in [2, 8].iter().zip(&trees[1..]) {
+            assert_eq!(other, &trees[0], "{threads} threads");
         }
     }
 

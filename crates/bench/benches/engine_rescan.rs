@@ -9,13 +9,14 @@
 //! the dispatch overhead amortizes only past a couple of thousand
 //! evaluations. This bench measures exactly that curve:
 //!
-//! * `serial/EVALS`: a plain loop of distance evaluations, each the
-//!   engine's own: one `SlotScan::join_cost` from a scan of one
-//!   `SigArena` slot (built once per 64 evaluations, as a scan amortizes
-//!   it over its candidates), then `eval_symmetric` on the stored sizes
-//!   and costs;
-//! * `pool/EVALS`:   the same evaluations through `map_coarse` on a warm
-//!   pool (criterion's warm-up phase spawns the workers; the timed region
+//! * `serial/EVALS`: one pass of distance evaluations priced as the
+//!   engine prices them: batches of 256 candidate slots, each batch's
+//!   join costs from one attribute-major `SlotScan::join_costs` of one
+//!   `SigArena` slot, then `eval_symmetric` on the stored sizes and
+//!   costs;
+//! * `pool/EVALS`:   the same evaluations through `for_each_chunk_mut`
+//!   on a warm pool, as the engine's newcomer pass dispatches them
+//!   (criterion's warm-up phase spawns the workers; the timed region
 //!   only ever reuses them).
 //!
 //! The crossover of the two curves is the measured value recorded in
@@ -47,36 +48,51 @@ fn bench_dispatch_breakeven(c: &mut Criterion) {
         let nodes = ctx.leaf_nodes(i);
         arena.store(i, &nodes, 1, ctx.cost(&nodes));
     }
-    // Scans from the first 64 slots; evaluation `i` scans from slot
-    // `i / 64 % 64`, so consecutive evaluations share a scan.
+    // Evaluation `i` prices candidate slot `others[i]` from a scan of
+    // slot `i / BATCH % 64`: consecutive evaluations share a scan and
+    // one batched join-cost call, as the candidates of one engine scan do.
+    const BATCH: usize = 256;
+    let others: Vec<usize> = (0..16384).map(|i| (i * 7 + 1) % n).collect();
     let scans: Vec<_> = (0..64).map(|a| ctx.slot_scan(&arena, a)).collect();
-    let eval = |i: usize| {
-        let (a, b) = (i / 64 % 64, (i * 7 + 1) % n);
+    // Prices evaluations `base..base + out.len()` into `out`.
+    let eval_range = |base: usize, out: &mut [f64]| {
         // No collector is installed: the tally is left uncounted.
-        let cost_u = scans[a].join_cost(b, &mut Tally::default());
-        distance.eval_symmetric(
-            arena.size(a),
-            arena.cost(a),
-            arena.size(b),
-            arena.cost(b),
-            arena.size(a) + arena.size(b),
-            cost_u,
-        )
+        let mut tally = Tally::default();
+        let mut start = base;
+        for chunk in out.chunks_mut(BATCH) {
+            let a = start / BATCH % 64;
+            let batch = &others[start..start + chunk.len()];
+            scans[a].join_costs(batch, chunk, &mut tally);
+            for (d, &b) in chunk.iter_mut().zip(batch) {
+                *d = distance.eval_symmetric(
+                    arena.size(a),
+                    arena.cost(a),
+                    arena.size(b),
+                    arena.cost(b),
+                    arena.size(a) + arena.size(b),
+                    *d,
+                );
+            }
+            start += chunk.len();
+        }
     };
 
     let mut group = c.benchmark_group("engine_rescan");
     for evals in [256usize, 512, 1024, 2048, 4096, 16384] {
-        group.bench_with_input(BenchmarkId::new("serial", evals), &evals, |bch, &m| {
+        let mut dists = vec![0.0f64; evals];
+        group.bench_with_input(BenchmarkId::new("serial", evals), &evals, |bch, _| {
             bch.iter(|| {
-                let mut acc = 0.0f64;
-                for i in 0..m {
-                    acc += eval(black_box(i));
-                }
-                acc
+                eval_range(black_box(0), &mut dists);
+                dists[0]
             })
         });
-        group.bench_with_input(BenchmarkId::new("pool", evals), &evals, |bch, &m| {
-            bch.iter(|| kanon_parallel::map_coarse(m, |i| eval(black_box(i))))
+        group.bench_with_input(BenchmarkId::new("pool", evals), &evals, |bch, _| {
+            bch.iter(|| {
+                kanon_parallel::for_each_chunk_mut(&mut dists, |base, chunk| {
+                    eval_range(black_box(base), chunk)
+                });
+                dists[0]
+            })
         });
     }
     group.finish();

@@ -13,6 +13,13 @@
 //! is a single relaxed atomic load, so instrumented hot loops cost nothing
 //! when observability is off.
 //!
+//! A handle taken by [`current`] remembers the innermost span open where
+//! it was taken, and spans opened where it is installed nest under that
+//! span. So a worker's spans file under the span that dispatched the
+//! work, and the phase tree's names, nesting and call counts are the same
+//! at any thread count. Only the order of siblings first opened by
+//! concurrent workers, and the wall times, may differ.
+//!
 //! ## Determinism discipline
 //!
 //! Counters come in two classes:
@@ -340,6 +347,10 @@ thread_local! {
 #[derive(Clone)]
 pub struct Collector {
     inner: Arc<Inner>,
+    /// The span that spans opened under this handle nest in: the
+    /// innermost open span where [`current`] took it, `None` for the
+    /// root level.
+    under: Option<usize>,
 }
 
 impl Default for Collector {
@@ -353,12 +364,15 @@ impl Collector {
     pub fn new() -> Self {
         Collector {
             inner: Arc::new(Inner::new()),
+            under: None,
         }
     }
 
     /// Installs this collector on the current thread until the returned
     /// guard is dropped. The previous collector (if any) is restored on
-    /// drop; its open spans are shelved and restored likewise.
+    /// drop; its open spans are shelved and restored likewise. Spans
+    /// opened meanwhile nest under the span this handle was taken in (see
+    /// [`current`]), or at the root level for a new collector.
     pub fn install(&self) -> InstallGuard {
         install_current(Some(self.clone()))
     }
@@ -424,7 +438,8 @@ pub fn install_current(collector: Option<Collector>) -> InstallGuard {
         Some(c) => {
             ACTIVE.fetch_add(1, Relaxed);
             let prev = CURRENT.with(|cur| cur.borrow_mut().replace(Arc::clone(&c.inner)));
-            let prev_stack = SPAN_STACK.with(|s| std::mem::take(&mut *s.borrow_mut()));
+            let stack = c.under.into_iter().collect();
+            let prev_stack = SPAN_STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), stack));
             InstallGuard {
                 prev,
                 prev_stack,
@@ -434,10 +449,11 @@ pub fn install_current(collector: Option<Collector>) -> InstallGuard {
     }
 }
 
-/// The collector installed on the current thread, if any. `kanon-parallel`
-/// captures this before spawning workers and re-installs it on each of
-/// them, which is what makes worker-side increments land in the caller's
-/// collector.
+/// The collector installed on the current thread, if any, as a handle
+/// under this thread's innermost open span. `kanon-parallel` captures
+/// this before dispatching work and re-installs it on each worker, which
+/// is what makes worker-side increments land in the caller's collector
+/// and worker-side spans nest under the caller's open span.
 pub fn current() -> Option<Collector> {
     if ACTIVE.load(Relaxed) == 0 {
         return None;
@@ -445,6 +461,7 @@ pub fn current() -> Option<Collector> {
     CURRENT.with(|c| {
         c.borrow().as_ref().map(|inner| Collector {
             inner: Arc::clone(inner),
+            under: SPAN_STACK.with(|s| s.borrow().last().copied()),
         })
     })
 }
@@ -896,6 +913,39 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"counters\":{"));
         assert!(json.contains("\"phases\":[{\"name\":\"outer\""));
+    }
+
+    #[test]
+    fn spans_under_a_current_handle_nest_where_it_was_taken() {
+        let c = Collector::new();
+        {
+            let _g = c.install();
+            let _outer = span("outer");
+            let handle = current().unwrap();
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let _g = handle.install();
+                        let _worker = span("worker");
+                    });
+                }
+            });
+            // Installing the handle shelves this thread's stack, and
+            // dropping the guard restores it.
+            {
+                let _g = handle.install();
+                let _inline = span("inline");
+            }
+            let _after = span("after");
+        }
+        let r = c.report();
+        assert_eq!(r.phases.len(), 1, "{:?}", r.phases);
+        let names: Vec<(&str, u64)> = r.phases[0]
+            .children
+            .iter()
+            .map(|p| (p.name, p.calls))
+            .collect();
+        assert_eq!(names, [("worker", 2), ("inline", 1), ("after", 1)]);
     }
 
     #[test]

@@ -316,10 +316,11 @@ fn chunk_len(n: usize, threads: usize) -> usize {
 /// With `threads <= 1` (or `n == 0`) the one chunk `0..n` runs inline
 /// on the caller thread, as worker 0. Otherwise the pool runs one task
 /// per chunk of [`chunk_len`] items; each task re-installs the caller's
-/// obs collector and runs its body under the panic sink with its chunk
-/// index as the worker index, and writes only its own output slot
-/// (a per-chunk `Mutex`, locked once and never contended). Which pool
-/// thread runs which chunk therefore never shows in the result.
+/// obs collector under the caller's innermost open span (so its spans
+/// nest as they would inline), runs its body under the panic sink with
+/// its chunk index as the worker index, and writes only its own output
+/// slot (a per-chunk `Mutex`, locked once and never contended). Which
+/// pool thread runs which chunk therefore never shows in the result.
 fn run_chunks<T, F>(n: usize, threads: usize, body: F) -> Result<Vec<T>, WorkerPanic>
 where
     T: Send,
