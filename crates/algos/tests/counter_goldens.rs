@@ -14,10 +14,18 @@
 //! tuples) and `r = 6`, so 16 793 856 bytes per monolithic run. The work
 //! budget is the sum of the counters, so the same budget now buys more
 //! merges before it trips (222 instead of 68).
+//!
+//! The row-scanning algorithms (Algorithm 3, the (k,k) and global (1,k)
+//! pipelines, the forest and MDAV) are pinned twice per case: with the
+//! cost table's fused join tables and without them, so both probe kinds
+//! are counted. Their goldens were recorded before these algorithms
+//! priced their candidates in batches, and a batch must count the same
+//! probes and pairs as one call per candidate did.
 
 use kanon_algos::{
-    try_agglomerative_k_anonymize, try_sharded_k_anonymize, AgglomerativeConfig, Budgeted,
-    ClusterDistance, ShardConfig,
+    try_agglomerative_k_anonymize, try_forest_k_anonymize, try_global_1k_anonymize,
+    try_k1_anonymize, try_kk_anonymize, try_mdav_k_anonymize, try_sharded_k_anonymize,
+    AgglomerativeConfig, Budgeted, ClusterDistance, K1Method, KkConfig, ShardConfig,
 };
 use kanon_core::table::Table;
 use kanon_data::art;
@@ -207,5 +215,224 @@ const GOLDEN_BUDGET: &str = concat!(
     "\"serve_reopt_runs\":0,\"serve_journal_replays\":0,",
     "\"serve_rows_absorbed_eps\":0,",
     "\"serve_journal_bytes_compacted\":0",
+    "}",
+);
+
+/// Loss bits and counters of `run` under `costs`: one line per cost
+/// table, fused first, then the same table climbing parent pointers.
+fn fused_and_climbing(
+    table: &Table,
+    costs: &NodeCostTable,
+    run: impl Fn(&NodeCostTable) -> f64,
+) -> String {
+    let climbing = costs.clone().without_join_tables();
+    [costs, &climbing]
+        .map(|c| {
+            let (loss, counters) = counted(|| run(c));
+            assert_eq!(table.num_rows(), TABLE_ROWS);
+            format!("{:016x} {counters}", loss.to_bits())
+        })
+        .join("\n")
+}
+
+/// The row-scanning algorithms' inputs: 305 ART rows leave MDAV five
+/// stragglers at k = 10.
+const TABLE_ROWS: usize = 305;
+
+fn row_scan_input() -> (Table, NodeCostTable) {
+    let table = art::generate(TABLE_ROWS, 7);
+    let costs = NodeCostTable::compute(&table, &EntropyMeasure);
+    (table, costs)
+}
+
+#[test]
+fn nearest_neighbor_k1_counters_are_pinned() {
+    let (table, costs) = row_scan_input();
+    pinned("Algorithm 3", GOLDEN_K1_NN, || {
+        fused_and_climbing(&table, &costs, |c| {
+            try_k1_anonymize(&table, c, 10, K1Method::NearestNeighbors)
+                .unwrap()
+                .loss
+        })
+    });
+}
+
+#[test]
+fn kk_counters_are_pinned() {
+    let (table, costs) = row_scan_input();
+    pinned("kk", GOLDEN_KK, || {
+        fused_and_climbing(&table, &costs, |c| {
+            try_kk_anonymize(&table, c, &KkConfig::new(10))
+                .unwrap()
+                .loss
+        })
+    });
+}
+
+#[test]
+fn global_counters_are_pinned() {
+    // At k = 10 this table needs no Algorithm 6 upgrade; at k = 3 it
+    // needs 64.
+    let (table, costs) = row_scan_input();
+    pinned("global", GOLDEN_GLOBAL, || {
+        fused_and_climbing(&table, &costs, |c| {
+            try_global_1k_anonymize(&table, c, &KkConfig::new(3))
+                .unwrap()
+                .loss
+        })
+    });
+}
+
+#[test]
+fn forest_counters_are_pinned() {
+    let (table, costs) = row_scan_input();
+    pinned("forest", GOLDEN_FOREST, || {
+        fused_and_climbing(&table, &costs, |c| {
+            try_forest_k_anonymize(&table, c, 10)
+                .unwrap()
+                .into_inner()
+                .loss
+        })
+    });
+}
+
+#[test]
+fn mdav_counters_are_pinned() {
+    let (table, costs) = row_scan_input();
+    pinned("MDAV", GOLDEN_MDAV, || {
+        fused_and_climbing(&table, &costs, |c| {
+            try_mdav_k_anonymize(&table, c, 10).unwrap().loss
+        })
+    });
+}
+
+const GOLDEN_K1_NN: &str = concat!(
+    "400018f9ec19986f {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":16470,",
+    "\"climb_fallback_hits\":0,\"pair_cost_evals\":92720,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+    "\"deficient_records\":0,\"forest_rounds\":0,\"k1_rows_expanded\":305,",
+    "\"one_k_upgrades\":0,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":8901120,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}\n",
+    "400018f9ec19986f {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":0,",
+    "\"climb_fallback_hits\":572790,\"pair_cost_evals\":92720,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+    "\"deficient_records\":0,\"forest_rounds\":0,\"k1_rows_expanded\":305,",
+    "\"one_k_upgrades\":0,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":0,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}",
+);
+const GOLDEN_KK: &str = concat!(
+    "3ff7ea7d7ab15a12 {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":16626,",
+    "\"climb_fallback_hits\":0,\"pair_cost_evals\":0,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+    "\"deficient_records\":0,\"forest_rounds\":0,\"k1_rows_expanded\":305,",
+    "\"one_k_upgrades\":26,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":79370016,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}\n",
+    "3ff7ea7d7ab15a12 {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":0,",
+    "\"climb_fallback_hits\":4977252,\"pair_cost_evals\":0,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+    "\"deficient_records\":0,\"forest_rounds\":0,\"k1_rows_expanded\":305,",
+    "\"one_k_upgrades\":26,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":0,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}",
+);
+const GOLDEN_GLOBAL: &str = concat!(
+    "3fecef7628ba1894 {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":4296,",
+    "\"climb_fallback_hits\":0,\"pair_cost_evals\":0,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":65,\"oracle_recomputes\":65,\"upgrade_steps\":64,",
+    "\"deficient_records\":56,\"forest_rounds\":0,\"k1_rows_expanded\":305,",
+    "\"one_k_upgrades\":42,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":18788448,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}\n",
+    "3fecef7628ba1894 {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":0,",
+    "\"climb_fallback_hits\":1178574,\"pair_cost_evals\":0,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":65,\"oracle_recomputes\":65,\"upgrade_steps\":64,",
+    "\"deficient_records\":56,\"forest_rounds\":0,\"k1_rows_expanded\":305,",
+    "\"one_k_upgrades\":42,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":0,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}",
+);
+const GOLDEN_FOREST: &str = concat!(
+    "4000e76e838d1a2d {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":0,",
+    "\"climb_fallback_hits\":0,\"pair_cost_evals\":101434,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+    "\"deficient_records\":0,\"forest_rounds\":3,\"k1_rows_expanded\":0,",
+    "\"one_k_upgrades\":0,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":9737664,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}\n",
+    "4000e76e838d1a2d {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":0,",
+    "\"climb_fallback_hits\":608604,\"pair_cost_evals\":101434,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+    "\"deficient_records\":0,\"forest_rounds\":3,\"k1_rows_expanded\":0,",
+    "\"one_k_upgrades\":0,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":0,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}",
+);
+const GOLDEN_MDAV: &str = concat!(
+    "40005b0d783eb478 {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":22920,",
+    "\"climb_fallback_hits\":0,\"pair_cost_evals\":7230,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+    "\"deficient_records\":0,\"forest_rounds\":0,\"k1_rows_expanded\":0,",
+    "\"one_k_upgrades\":0,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":946080,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
+    "}\n",
+    "40005b0d783eb478 {",
+    "\"merges_performed\":0,\"nn_rescans\":0,\"join_table_hits\":0,",
+    "\"climb_fallback_hits\":82050,\"pair_cost_evals\":7230,\"hk_augmenting_passes\":0,",
+    "\"scc_passes\":0,\"oracle_recomputes\":0,\"upgrade_steps\":0,",
+    "\"deficient_records\":0,\"forest_rounds\":0,\"k1_rows_expanded\":0,",
+    "\"one_k_upgrades\":0,\"node_cost_tables\":0,\"cluster_dist_evals\":0,",
+    "\"cache_repairs\":0,\"signature_bytes_streamed\":0,\"mondrian_splits\":0,",
+    "\"mondrian_groups_packed\":0,\"shards_built\":0,\"shard_rows_max\":0,",
+    "\"boundary_repairs\":0,\"distinct_tuples\":0,\"serve_batches_applied\":0,",
+    "\"serve_rows_ingested\":0,\"serve_rows_absorbed\":0,\"serve_reopt_runs\":0,",
+    "\"serve_journal_replays\":0,\"serve_rows_absorbed_eps\":0,\"serve_journal_bytes_compacted\":0",
     "}",
 );
