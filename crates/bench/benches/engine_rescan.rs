@@ -27,7 +27,7 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kanon_algos::cost::{SigArena, Tally};
+use kanon_algos::cost::Tally;
 use kanon_algos::{ClusterDistance, CostContext};
 use kanon_data::art;
 use kanon_measures::{EntropyMeasure, NodeCostTable};
@@ -43,11 +43,7 @@ fn bench_dispatch_breakeven(c: &mut Criterion) {
     // singletons — the newcomer pass evaluates one distance per active
     // slot, so one "item" here is one evaluation, matching the units of
     // MIN_PAR_SCAN_EVALS.
-    let mut arena = SigArena::with_capacity(ctx.num_attrs(), n);
-    for i in 0..n {
-        let nodes = ctx.leaf_nodes(i);
-        arena.store(i, &nodes, 1, ctx.cost(&nodes));
-    }
+    let arena = ctx.leaf_arena();
     // Evaluation `i` prices candidate slot `others[i]` from a scan of
     // slot `i / BATCH % 64`: consecutive evaluations share a scan and
     // one batched join-cost call, as the candidates of one engine scan do.
